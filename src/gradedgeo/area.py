@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .immersion import Immersion
-from .multivec import degree_of_index
+from .multivec import DEGREE_EPS, DegenerateInputError, index_degrees, max_degrees
 
 __all__ = [
     "QuadratureGrid",
@@ -63,25 +63,18 @@ def _theta_and_volume(imm: Immersion, points: np.ndarray, d: int):
     """Arrays (theta, sqrt(det mu), max degree seen) over the points."""
     tau = imm.ortho_tangent_grid(points)
     minors = imm.minors_grid(tau)
-    weights = imm.manifold.weights
+    degrees = index_degrees(imm.n, imm.m, imm.manifold.weights)
     gram = np.einsum("pim,pil->pml", tau, tau)
     det = np.linalg.det(gram)
     sqrt_det = np.sqrt(np.maximum(det, 0.0))
     total_sq = np.zeros(points.shape[0])
     deg_sq = np.zeros(points.shape[0])
-    degrees = np.zeros(points.shape[0], dtype=int)
-    peak = np.zeros(points.shape[0])
-    for J, vals in minors.items():
-        peak = np.maximum(peak, np.abs(vals))
-    for J, vals in minors.items():
+    for vals, deg in zip(minors.T, degrees):
         total_sq += vals**2
-        deg = degree_of_index(J, weights)
         if deg == d:
             deg_sq += vals**2
-        keep = np.abs(vals) > 1e-9 * peak
-        degrees = np.where(keep & (deg > degrees), deg, degrees)
     theta = np.sqrt(deg_sq) / np.sqrt(total_sq)
-    return theta, sqrt_det, degrees
+    return theta, sqrt_det, max_degrees(minors, degrees, DEGREE_EPS)
 
 
 def density_theta(imm: Immersion, pbar, d: int) -> float:
@@ -110,24 +103,36 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     +infinity in that case).
     """
     theta, sqrt_det, degrees = _theta_and_volume(imm, grid.points, d)
-    value = grid.integrate_values(theta * sqrt_det)
+    density = theta * sqrt_det
+    bad = ~np.isfinite(density)
+    if np.any(bad):
+        node = tuple(float(x) for x in grid.points[int(np.argmax(bad))])
+        raise DegenerateInputError(
+            f"degree-{d} area density is not finite at quadrature node {node}"
+        )
+    value = grid.integrate_values(density)
     seen = int(degrees.max())
     return AreaResult(value, d, seen, d < seen)
+
+
+def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
+    """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
+    minors_sq = imm.minors_grid(imm.ortho_tangent_grid(grid.points)) ** 2
+    excess = (index_degrees(imm.n, imm.m, imm.manifold.weights) - imm.m).tolist()
+    areas = []
+    for r in rs:
+        total = np.zeros(grid.points.shape[0])
+        for vals_sq, e in zip(minors_sq.T, excess):
+            total += vals_sq * r ** (-e)
+        areas.append(grid.integrate_values(np.sqrt(total)))
+    return areas
 
 
 def riemannian_area(imm: Immersion, r: float, grid: QuadratureGrid) -> float:
     """Area of the image for the dilated metric g_r."""
     if r <= 0:
         raise ValueError("r must be positive")
-    tau = imm.ortho_tangent_grid(grid.points)
-    minors = imm.minors_grid(tau)
-    weights = imm.manifold.weights
-    m = imm.m
-    total = np.zeros(grid.points.shape[0])
-    for J, vals in minors.items():
-        deg = degree_of_index(J, weights)
-        total += vals**2 * r ** (-(deg - m))
-    return grid.integrate_values(np.sqrt(total))
+    return _dilated_areas(imm, grid, [r])[0]
 
 
 @dataclass
@@ -155,10 +160,7 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
     if any(r <= 0 for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r sequence must be positive and strictly decreasing")
     m = imm.m
-    vals = []
-    for r in rs:
-        area_r = riemannian_area(imm, r, grid)
-        vals.append(r ** ((d - m) / 2.0) * area_r)
+    vals = [r ** ((d - m) / 2.0) * area_r for r, area_r in zip(rs, _dilated_areas(imm, grid, rs))]
     vals_arr = np.array(vals)
     divergent = False
     if len(vals) >= 3:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands operate on a catalog immersion (``--catalog NAME[:key=value,...]``)
-or on JSON manifold/immersion specs, and emit JSON (default) or CSV.  The
-``verify`` command runs the built-in regression checks and exits nonzero on
-any failure.
+or on JSON manifold/immersion specs, and emit JSON (default) or CSV.  Exit
+status: 0 on success, 1 when a ``verify`` check fails, 2 on bad input (a
+one-line ``gradedgeo: error: ...`` on stderr, including results that are not
+finite).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import catalog
 from .admissibility import VariationField, is_strongly_regular, residual
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
-from .exprs import parse as parse_expr
+from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
 from .manifold import AdaptedFrame, Manifold, MetricField
 from .variation import first_variation, mean_curvature
@@ -36,7 +37,7 @@ def _parse_catalog_spec(spec: str):
         if not item:
             continue
         if "=" not in item:
-            raise SystemExit(f"bad catalog parameter {item!r} (expected key=value)")
+            raise ValueError(f"bad catalog parameter {item!r} (expected key=value)")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
     return name, params
@@ -58,9 +59,9 @@ def _load_immersion(args) -> Immersion:
         try:
             return catalog.immersion(name, **kwargs)
         except KeyError as exc:
-            raise SystemExit(str(exc)) from None
+            raise ValueError(exc.args[0]) from None
     if not (args.manifold and args.immersion):
-        raise SystemExit("need --catalog NAME or both --manifold FILE and --immersion FILE")
+        raise ValueError("need --catalog NAME or both --manifold FILE and --immersion FILE")
     with open(args.manifold, encoding="utf-8") as fh:
         mdata = json.load(fh)
     frame = AdaptedFrame.from_json(mdata)
@@ -86,7 +87,7 @@ def _parse_grid(text: str):
     try:
         return tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
-        raise SystemExit(f"bad --grid {text!r} (expected e.g. 64x64)") from None
+        raise ValueError(f"bad --grid {text!r} (expected e.g. 64x64)") from None
 
 
 def _load_field(path: str, params) -> VariationField:
@@ -97,7 +98,7 @@ def _load_field(path: str, params) -> VariationField:
 def _emit(args, payload, csv_rows=None, csv_header=None):
     if args.format == "csv":
         if csv_rows is None:
-            raise SystemExit("this command has no CSV form")
+            raise ValueError("this command has no CSV form")
         buf = io.StringIO()
         writer = csv.writer(buf)
         if csv_header:
@@ -105,7 +106,7 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -254,7 +255,7 @@ def cmd_first_variation(args):
 def cmd_el_residual(args):
     imm = _load_immersion(args)
     if imm.name != "engel-graph":
-        raise SystemExit("el-residual expects --catalog engel-graph:theta=...")
+        raise ValueError("el-residual expects --catalog engel-graph:theta=...")
     resid, scale = catalog.engel_el_residual_exprs(imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
     env = {nm: pts[:, i] for i, nm in enumerate(imm.params)}
@@ -308,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=grid_default, help="grid, e.g. 64x64")
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", action="append", default=[], help="NAME=VALUE override")
 
     p = sub.add_parser("degree-scan", help="grid certificate of the degree map")
     common(p)
@@ -355,8 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, ExprError, OSError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

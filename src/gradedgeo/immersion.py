@@ -19,14 +19,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, evaluate_many
-from .manifold import Manifold, numeric_rank, RANK_TOL
+from .exprs import evaluate_many
+from .manifold import Manifold, numeric_rank
 from .multivec import (
+    DEGREE_EPS,
+    RANK_TOL,
     DegenerateInputError,
     MVector,
-    all_multi_indices,
-    degree_of_index,
-    DEGREE_EPS,
+    index_degrees,
+    max_degrees,
+    minors,
+    wedge,
 )
 
 __all__ = [
@@ -113,15 +116,7 @@ class Immersion:
         return np.array(evaluate_many(self.components, self.param_env(pbar)), dtype=float)
 
     def phi_grid(self, points: np.ndarray) -> np.ndarray:
-        env = self.grid_env(points)
-        vals = evaluate_many(self.components, env)
-        N = points.shape[0]
-        return np.stack([np.broadcast_to(v, (N,)) for v in vals], axis=-1)
-
-    def jac_at(self, pbar) -> np.ndarray:
-        flat = [e for row in self.jacobian_exprs for e in row]
-        vals = evaluate_many(flat, self.param_env(pbar))
-        return np.array(vals, dtype=float).reshape(self.n, self.m)
+        return _grid_values(self.components, self.grid_env(points), points.shape[0])
 
     def midpoint(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
@@ -135,61 +130,39 @@ class Immersion:
 
     # -- batched tangent data -------------------------------------------------
 
-    def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
-        """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m)."""
+    def _tangent_grids(self, points: np.ndarray):
+        """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame."""
         pts = np.asarray(points, dtype=float)
         N = pts.shape[0]
+        n, m = self.n, self.m
         phi = self.phi_grid(pts)
         ambient_env = {name: phi[:, i] for i, name in enumerate(self.manifold.coords)}
-        n, m = self.n, self.m
         cof_flat = [e for row in self.manifold.ortho_coframe_exprs for e in row]
-        cof_vals = evaluate_many(cof_flat, ambient_env)
-        cof = np.empty((N, n, n))
-        pos = 0
-        for i in range(n):
-            for j in range(n):
-                cof[:, i, j] = cof_vals[pos]
-                pos += 1
+        cof = _grid_values(cof_flat, ambient_env, N).reshape(N, n, n)
         jac_flat = [e for row in self.jacobian_exprs for e in row]
-        param_env = self.grid_env(pts)
-        jac_vals = evaluate_many(jac_flat, param_env)
-        jac = np.empty((N, n, m))
-        pos = 0
-        for c in range(n):
-            for a in range(m):
-                jac[:, c, a] = jac_vals[pos]
-                pos += 1
-        return np.einsum("pij,pjm->pim", cof, jac)
+        jac = _grid_values(jac_flat, self.grid_env(pts), N).reshape(N, n, m)
+        return jac, np.einsum("pij,pjm->pim", cof, jac)
 
-    def minors_grid(self, tau: np.ndarray):
-        """All m x m minors over the grid: dict multi-index -> array (N,)."""
-        m = self.m
-        out = {}
-        for J in all_multi_indices(self.n, m):
-            rows = [j - 1 for j in J]
-            sub = tau[:, rows, :]
-            if m == 1:
-                out[J] = sub[:, 0, 0]
-            elif m == 2:
-                out[J] = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-            else:
-                out[J] = np.linalg.det(sub)
-        return out
+    def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
+        """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m)."""
+        return self._tangent_grids(points)[1]
 
-    # -- pointwise operations ---------------------------------------------------
+    def minors_grid(self, tau: np.ndarray) -> np.ndarray:
+        """All m x m minors over the grid, (N, C(n, m)) in ``all_multi_indices`` order."""
+        return minors(tau)
+
+    # -- pointwise operations (the batched path on one point) -------------------
 
     def tangent_data(self, pbar) -> TangentFrameAtPoint:
-        point = self.phi_at(pbar)
-        jac = self.jac_at(pbar)
+        jac, tau = (a[0] for a in self._tangent_grids(np.asarray(pbar, dtype=float)[None, :]))
         if numeric_rank(jac) < self.m:
             raise DegenerateInputError(
                 f"immersion Jacobian is rank deficient at {tuple(pbar)}"
             )
-        tau = self.manifold.ortho_coframe_at(point) @ jac
         mu = tau.T @ tau
         det = float(np.linalg.det(mu))
         sqrt_det = float(np.sqrt(max(det, 0.0)))
-        raw = _minors_mvector(tau)
+        raw = wedge(tau)
         normalized = raw.scaled(1.0 / sqrt_det)
         return TangentFrameAtPoint(tuple(pbar), jac, tau, mu, sqrt_det, normalized, raw)
 
@@ -268,21 +241,12 @@ class Immersion:
         return tau @ Pinv, Pinv
 
 
-def _minors_mvector(tau: np.ndarray) -> MVector:
-    n, m = tau.shape
-    terms = {}
-    for J in all_multi_indices(n, m):
-        rows = [j - 1 for j in J]
-        sub = tau[rows, :]
-        if m == 1:
-            c = float(sub[0, 0])
-        elif m == 2:
-            c = float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-        else:
-            c = float(np.linalg.det(sub))
-        if c != 0.0:
-            terms[J] = c
-    return MVector(m, terms)
+def _grid_values(exprs, env, N: int) -> np.ndarray:
+    """Values of the expressions over N points, (N, len(exprs))."""
+    out = np.empty((N, len(exprs)))
+    for k, v in enumerate(evaluate_many(exprs, env)):
+        out[:, k] = v
+    return out
 
 
 def tangent_flag(imm: Immersion, pbar):
@@ -323,17 +287,9 @@ def degree_scan(imm: Immersion, grid_shape, eps: float = DEGREE_EPS) -> DegreeSc
         raise DegenerateInputError(
             f"immersion is rank deficient at grid point {tuple(points[idx])}"
         )
-    minors = imm.minors_grid(tau)
-    weights = imm.manifold.weights
-    N = points.shape[0]
-    peak = np.zeros(N)
-    for vals in minors.values():
-        peak = np.maximum(peak, np.abs(vals))
-    degrees = np.zeros(N, dtype=int)
-    for J, vals in minors.items():
-        deg = degree_of_index(J, weights)
-        keep = np.abs(vals) > eps * peak
-        degrees = np.where(keep & (deg > degrees), deg, degrees)
+    degrees = max_degrees(
+        imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), eps
+    )
     deg_max = int(degrees.max())
     mask = degrees < deg_max
     lsc_violations = []

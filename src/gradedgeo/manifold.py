@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import Expr, const, div, evaluate_many, parse
-from .multivec import GrowthVector, MVector, all_multi_indices
+from .multivec import RANK_TOL, GrowthVector, MVector, wedge
 from .symmat import (
     edet,
     eadjugate,
@@ -49,9 +49,6 @@ __all__ = [
     "dilated_metric",
     "numeric_rank",
 ]
-
-RANK_TOL = 1e-8  # relative singular-value threshold shared across the toolkit
-
 
 class DegenerateFrameError(ValueError):
     pass
@@ -432,41 +429,20 @@ class Manifold:
 
     def christoffel_at(self, point) -> np.ndarray:
         """Gamma[k, i, j] of the Levi-Civita connection in coordinates."""
-        return self.christoffel_grid(np.asarray(point, dtype=float)[None, :])[0]
-
-    def christoffel_grid(self, points: np.ndarray) -> np.ndarray:
-        """Christoffel symbols at many points, shape (npts, n, n, n)."""
-        pts = np.asarray(points, dtype=float)
+        pts = np.asarray(point, dtype=float)[None, :]
         env = {name: pts[:, i] for i, name in enumerate(self.coords)}
         n = self.n
-        flat = [
-            self.metric_derivative_exprs[a][i][j]
-            for a in range(n)
-            for i in range(n)
-            for j in range(n)
-        ]
+        flat = [e for plane in self.metric_derivative_exprs for row in plane for e in row]
         vals = evaluate_many(flat, env)
-        npts = pts.shape[0]
-        dG = np.empty((npts, n, n, n))
-        pos = 0
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    dG[:, a, i, j] = vals[pos]
-                    pos += 1
+        dG = np.stack([np.broadcast_to(v, (1,)) for v in vals], axis=-1).reshape(1, n, n, n)
         gvals = evaluate_many([self.metric_exprs[i][j] for i in range(n) for j in range(n)], env)
-        G = np.empty((npts, n, n))
-        pos = 0
-        for i in range(n):
-            for j in range(n):
-                G[:, i, j] = gvals[pos]
-                pos += 1
+        G = np.stack([np.broadcast_to(v, (1,)) for v in gvals], axis=-1).reshape(1, n, n)
         Ginv = np.linalg.inv(G)
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dG[p,a,i,j] = d_a g_ij
         gamma = np.einsum("pkl,pijl->pkij", Ginv, dG)
         gamma += np.einsum("pkl,pjil->pkij", Ginv, dG)
         gamma -= np.einsum("pkl,plij->pkij", Ginv, dG)
-        return 0.5 * gamma
+        return 0.5 * gamma[0]
 
     @cached_property
     def christoffel_exprs(self):
@@ -537,30 +513,11 @@ class Manifold:
                     cols[:, a] = comps
                 else:
                     cols[j - 1, a] = 1.0
-            result = result.plus(wedge_minors(cols))
+            result = result.plus(wedge(cols))
         return result
 
     def frame_gram_at(self, point) -> np.ndarray:
         return eval_matrix(self.metric.frame_gram_exprs(self.frame), self.env(point))
-
-
-def wedge_minors(columns: np.ndarray) -> MVector:
-    """Wedge of columns without any rank requirement (zero results allowed)."""
-    mat = np.asarray(columns, dtype=float)
-    n, m = mat.shape
-    terms = {}
-    for J in all_multi_indices(n, m):
-        rows = [j - 1 for j in J]
-        sub = mat[rows, :]
-        if m == 1:
-            c = float(sub[0, 0])
-        elif m == 2:
-            c = float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-        else:
-            c = float(np.linalg.det(sub))
-        if c != 0.0:
-            terms[J] = c
-    return MVector(m, terms)
 
 
 def orthonormalize(frame: AdaptedFrame, metric: MetricField) -> OrthoAdaptedFrame:

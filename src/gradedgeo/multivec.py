@@ -1,9 +1,12 @@
-"""Multi-index combinatorics and sparse m-vector algebra.
+"""Multi-index combinatorics, sparse m-vector algebra and the minors kernel.
 
 A multi-index is a strictly increasing tuple of frame indices (1-based).
 An m-vector is a sparse map from multi-indices to real coefficients; its
 degree relative to a weight vector is the largest weighted index sum among
-the coefficients that survive a relative sparsity threshold.
+the coefficients that survive a relative sparsity threshold.  ``minors`` is
+the one batched m x m minors kernel: wedges, Gram inner products, tangent
+m-vectors, degree scans and areas all read their coefficients from it.  The
+tolerances shared across the toolkit live here too.
 """
 
 from __future__ import annotations
@@ -18,19 +21,24 @@ __all__ = [
     "GrowthVector",
     "MVector",
     "DEGREE_EPS",
+    "RANK_TOL",
     "all_multi_indices",
+    "index_degrees",
     "degree_of_index",
     "d_max",
     "dim_leq",
     "dim_gt",
+    "minors",
+    "wedge",
     "wedge_from_columns",
     "gram_inner",
-    "minor",
+    "max_degrees",
 ]
 
 # Relative threshold for "nonzero coefficient" in degree decisions; float
 # noise from minors must not inflate the degree.
 DEGREE_EPS = 1e-9
+RANK_TOL = 1e-8  # relative singular-value threshold shared across the toolkit
 
 
 class DegenerateInputError(ValueError):
@@ -111,6 +119,11 @@ def d_max(m: int, weights) -> int:
 
 def all_multi_indices(n: int, m: int):
     return itertools.combinations(range(1, n + 1), m)
+
+
+def index_degrees(n: int, m: int, weights) -> np.ndarray:
+    """Degrees of the multi-indices in ``all_multi_indices(n, m)`` order."""
+    return np.array([degree_of_index(J, weights) for J in all_multi_indices(n, m)])
 
 
 def indices_with_degree(n: int, m: int, weights, predicate):
@@ -250,18 +263,41 @@ class MVector:
         return cls(int(data["m"]), {tuple(t["J"]): float(t["c"]) for t in data["terms"]})
 
 
-def minor(matrix: np.ndarray, rows, cols=None) -> float:
-    """Determinant of the submatrix selected by 1-based row indices."""
-    sub = matrix[np.ix_([r - 1 for r in rows], list(cols) if cols is not None else range(matrix.shape[1]))]
-    if sub.shape[0] == 1:
-        return float(sub[0, 0])
-    if sub.shape[0] == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return float(np.linalg.det(sub))
+def minors(tau: np.ndarray) -> np.ndarray:
+    """All m x m minors of a batch of n x m matrices: (N, n, m) -> (N, C(n, m)).
+
+    Column k is the minor on the rows of the k-th multi-index of
+    ``all_multi_indices(n, m)``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    _, n, m = tau.shape
+    rows = np.array(list(all_multi_indices(n, m))) - 1
+    if m >= 3:
+        return np.linalg.det(tau[:, rows, :])
+    # points last, so each minor is one contiguous row; returned transposed
+    sub = np.ascontiguousarray(np.moveaxis(tau, 0, -1))[rows]  # (C, m, m, N)
+    if m == 1:
+        return sub[:, 0, 0].T
+    return (sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]).T
 
 
-def wedge_from_columns(columns: np.ndarray, rank_tol: float = 1e-8) -> MVector:
-    """Wedge of the m column vectors; coefficients are the m x m minors."""
+def max_degrees(values: np.ndarray, degrees: np.ndarray, eps: float) -> np.ndarray:
+    """Per row of minors, the largest index degree whose |minor| exceeds ``eps`` times the row peak."""
+    size = np.abs(values)
+    keep = size > eps * size.max(axis=1, keepdims=True)
+    return np.where(keep, degrees, 0).max(axis=1)
+
+
+def wedge(columns: np.ndarray) -> MVector:
+    """Wedge of the columns of an n x m matrix; zero results are allowed."""
+    mat = np.asarray(columns, dtype=float)
+    n, m = mat.shape
+    coeffs = minors(mat[None])[0]
+    return MVector(m, {J: float(c) for J, c in zip(all_multi_indices(n, m), coeffs) if c != 0.0})
+
+
+def wedge_from_columns(columns: np.ndarray, rank_tol: float = RANK_TOL) -> MVector:
+    """Wedge of m numerically independent column vectors."""
     mat = np.asarray(columns, dtype=float)
     if mat.ndim != 2:
         raise ValueError("expected an n x m coefficient matrix")
@@ -271,33 +307,24 @@ def wedge_from_columns(columns: np.ndarray, rank_tol: float = 1e-8) -> MVector:
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= rank_tol * max(svals[0], 1e-300):
         raise DegenerateInputError("columns are numerically rank deficient")
-    terms = {}
-    for J in all_multi_indices(n, m):
-        c = minor(mat, J)
-        if c != 0.0:
-            terms[J] = c
-    return MVector(m, terms)
+    return wedge(mat)
 
 
 def gram_inner(x: MVector, y: MVector, vector_gram: np.ndarray) -> float:
     """Inner product of m-vectors induced by a vector Gram matrix.
 
-    ``<X_J, X_K>`` is the determinant of the Gram submatrix G[J, K]; the
-    result is the bilinear extension over the sparse coefficients.
+    ``<X_J, X_K>`` is the determinant of the Gram submatrix G[J, K], the J
+    minor of the columns G[:, K]; the result is the bilinear extension over
+    the sparse coefficients.
     """
     if x.m != y.m:
         raise ValueError("order mismatch")
     G = np.asarray(vector_gram, dtype=float)
+    row_of = {J: i for i, J in enumerate(all_multi_indices(G.shape[0], x.m))}
+    cols = np.array([[k - 1 for k in K] for K in y.terms], dtype=int).reshape(len(y.terms), x.m)
+    dets = minors(np.moveaxis(G[:, cols], 1, 0))  # dets[k, row_of[J]] = det G[J, K_k]
     total = 0.0
     for J, cj in x.terms.items():
-        rows = [j - 1 for j in J]
-        for K, ck in y.terms.items():
-            sub = G[np.ix_(rows, [k - 1 for k in K])]
-            if x.m == 1:
-                det = sub[0, 0]
-            elif x.m == 2:
-                det = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-            else:
-                det = np.linalg.det(sub)
-            total += cj * ck * det
+        for k, ck in enumerate(y.terms.values()):
+            total += cj * ck * dets[k, row_of[J]]
     return float(total)

@@ -23,7 +23,6 @@ __all__ = [
     "einverse",
     "upper_triangular_inverse",
     "eval_matrix",
-    "eval_matrices",
     "gram_schmidt_from_gram",
     "edot",
 ]
@@ -134,21 +133,6 @@ def eval_matrix(A, env) -> np.ndarray:
     vals = evaluate_many(flat, env)
     arr = np.array(vals, dtype=float).reshape(len(A), len(A[0]))
     return arr
-
-
-def eval_matrices(mats, env):
-    flats = []
-    shapes = []
-    for A in mats:
-        shapes.append((len(A), len(A[0])))
-        flats.extend(e for row in A for e in row)
-    vals = evaluate_many(flats, env)
-    out = []
-    pos = 0
-    for r, c in shapes:
-        out.append(np.array(vals[pos : pos + r * c], dtype=float).reshape(r, c))
-        pos += r * c
-    return out
 
 
 def gram_schmidt_from_gram(gram) -> list[list[Expr]]:

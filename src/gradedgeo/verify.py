@@ -30,7 +30,7 @@ from .manifold import MetricField, carnot_flag, verify_filtration
 from .multivec import GrowthVector, all_multi_indices, degree_of_index, dim_gt, dim_leq
 from .variation import duality_integral, first_variation
 
-__all__ = ["CheckResult", "run_checks", "ALL_CHECKS"]
+__all__ = ["CheckResult", "run_checks", "ALL_CHECKS", "engel_closed_forms"]
 
 
 @dataclass
@@ -150,21 +150,22 @@ def check_scaling() -> CheckResult:
     return CheckResult("scaling-limit", True, f"limit error {abs(p4.limit - a4)/a4:.1e}")
 
 
-def _engel_closed_forms(theta_src, p):
+def engel_closed_forms(theta_src, p):
+    """Closed-form frame data of a ruled (theta, kappa)-graph at a point."""
     th = parse(theta_src, ["x", "y"])
     env = {"x": p[0], "y": p[1]}
     t = th.eval(env)
     tx, ty = th.diff("x").eval(env), th.diff("y").eval(env)
-    kap = math.cos(t) * tx + math.sin(t) * ty
-    kx = catalog.engel_graph_kappa(th).diff("x").eval(env)
-    ky = catalog.engel_graph_kappa(th).diff("y").eval(env)
+    kappa = math.cos(t) * tx + math.sin(t) * ty
+    kap_expr = catalog.engel_graph_kappa(th)
+    kx, ky = kap_expr.diff("x").eval(env), kap_expr.diff("y").eval(env)
     x1k = math.cos(t) * kx + math.sin(t) * ky
     x4t = -math.sin(t) * tx + math.cos(t) * ty
     x4k = -math.sin(t) * kx + math.cos(t) * ky
     a1 = math.sqrt(1 + x1k**2)
     a3 = math.sqrt(1 + x4t**2)
     a2 = math.sqrt(a1 * a1 * a3 * a3 + x4k * x4k) / a1
-    return dict(kap=kap, x1k=x1k, x4t=x4t, x4k=x4k, a1=a1, a2=a2, a3=a3)
+    return dict(theta=t, kappa=kappa, x1k=x1k, x4t=x4t, x4k=x4k, a1=a1, a2=a2, a3=a3)
 
 
 def check_admissibility_matrices() -> CheckResult:
@@ -172,14 +173,14 @@ def check_admissibility_matrices() -> CheckResult:
     eg = catalog.immersion("engel-graph", theta=theta_src)
     worst = 0.0
     for p in eg.sample_points(25, seed=2):
-        f = _engel_closed_forms(theta_src, p)
+        f = engel_closed_forms(theta_src, p)
         sys = assemble_adapted(eg, p, 4)
         worst = max(
             worst,
             abs(sys.A[0, 0] + f["x1k"]),
             abs(sys.A[0, 1] - 1.0),
             abs(sys.B[0, 0] - f["x4t"]),
-            abs(sys.B[0, 1] + f["kap"] ** 2),
+            abs(sys.B[0, 1] + f["kappa"] ** 2),
             abs(sys.C[0][0, 0] - 1.0),
             abs(sys.C[0][0, 1] - f["x4t"]),
             float(np.max(np.abs(sys.C[1]))),
@@ -189,7 +190,7 @@ def check_admissibility_matrices() -> CheckResult:
         a_hat = f["a1"] * nsys.A[0, 0] / xi
         b_hat = f["a1"] * nsys.B[0, 0] / xi
         a_true = f["a1"] * f["a2"] / f["a3"] ** 2
-        b_true = f["x4t"] * (1 - f["kap"] ** 2) / f["a3"] ** 2
+        b_true = f["x4t"] * (1 - f["kappa"] ** 2) / f["a3"] ** 2
         worst = max(worst, abs(a_hat - a_true), abs(b_hat - b_true))
     if worst > 1e-8:
         return CheckResult("admissibility-matrices", False, f"max dev {worst:.2e}")

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import engel_forms
 from gradedgeo import catalog
 from gradedgeo.admissibility import (
     VariationField,
@@ -44,6 +43,7 @@ from gradedgeo.variation import (
     first_variation,
     mean_curvature,
 )
+from gradedgeo.verify import engel_closed_forms
 
 THETA = "0.2*x + 0.3*y"
 
@@ -223,7 +223,7 @@ def test_criterion_05_admissibility_assembly(engel_graph):
     """
     worst = 0.0
     for p in engel_graph.sample_points(100, seed=3):
-        f = engel_forms(THETA, p)
+        f = engel_closed_forms(THETA, p)
         sys = assemble_adapted(engel_graph, p, 4)
         worst = max(
             worst,

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import engel_forms
 from gradedgeo import catalog
 from gradedgeo.admissibility import (
     VariationField,
@@ -21,6 +20,7 @@ from gradedgeo.admissibility import (
 from gradedgeo.exprs import call, const, parse, var
 from gradedgeo.manifold import MetricField, numeric_rank, lie_bracket_exprs
 from gradedgeo.symmat import edot, eval_matrix
+from gradedgeo.verify import engel_closed_forms
 
 THETA = "0.2*x + 0.3*y"
 
@@ -75,7 +75,7 @@ def test_assemble_adapted_engel_closed_forms(engel_graph):
     # +X4(theta): both the covariant assembly and the commutator table give
     # that sign, and the degree-preserving family is annihilated only with it
     for p in engel_graph.sample_points(100, seed=1):
-        f = engel_forms(THETA, p)
+        f = engel_closed_forms(THETA, p)
         sys = assemble_adapted(engel_graph, p, 4)
         assert sys.A[0, 0] == pytest.approx(-f["x1k"], abs=1e-8)
         assert sys.A[0, 1] == pytest.approx(1.0, abs=1e-8)
@@ -105,7 +105,7 @@ def test_assemble_hypersurface_empty(rt_graph):
 
 def test_assemble_normal_engel_closed_forms(engel_graph):
     for p in engel_graph.sample_points(100, seed=3):
-        f = engel_forms(THETA, p)
+        f = engel_closed_forms(THETA, p)
         sys = assemble_normal(engel_graph, p, 4)
         xi = sys.C[0][0, 0]
         assert xi == pytest.approx(f["a3"] / f["a2"], abs=1e-8)
@@ -177,7 +177,7 @@ def test_residual_engel_frame_field(engel_graph):
     # V = X3: all derivative terms vanish; the residual is the f3 coefficient
     V = VariationField("adapted", (const(0.0),) * 2 + (const(1.0), const(0.0)))
     for p in engel_graph.sample_points(10, seed=7):
-        f = engel_forms(THETA, p)
+        f = engel_closed_forms(THETA, p)
         r = residual(engel_graph, V, p, 4)
         assert r[0] == pytest.approx(f["x4t"], abs=1e-10)
 
@@ -186,7 +186,7 @@ def test_residual_constant_f4(engel_graph):
     c = 0.7
     V = VariationField("adapted", (const(0.0),) * 3 + (const(c),))
     for p in engel_graph.sample_points(10, seed=8):
-        f = engel_forms(THETA, p)
+        f = engel_closed_forms(THETA, p)
         r = residual(engel_graph, V, p, 4)
         assert r[0] == pytest.approx(-f["kappa"] ** 2 * c, abs=1e-10)
 

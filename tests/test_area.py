@@ -18,7 +18,8 @@ from gradedgeo.area import (
 from gradedgeo.exprs import const, parse, var
 from gradedgeo.immersion import Immersion
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
-from gradedgeo.multivec import GrowthVector
+from gradedgeo.multivec import DegenerateInputError, GrowthVector
+from gradedgeo.verify import engel_closed_forms
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +42,9 @@ def test_quadrature_grid_basics():
 
 
 def test_density_engel_closed_form(engel_graph):
-    from conftest import engel_forms
-
     # density equals 1/alpha2 on ruled graphs
     for p in engel_graph.sample_points(10, seed=0):
-        f = engel_forms("0.2*x + 0.3*y", p)
+        f = engel_closed_forms("0.2*x + 0.3*y", p)
         assert density_theta(engel_graph, p, 4) == pytest.approx(
             1 / f["a2"], rel=1e-12
         )
@@ -150,6 +149,22 @@ def test_scaling_probe_convergence(engel_graph, grid64):
     assert probe.converged and not probe.divergent
     assert abs(probe.limit - a4) <= 1e-3 * a4
     assert probe.rate == pytest.approx(1.0, abs=0.2)  # first correction is O(r)
+
+
+def test_scaling_probe_values_are_scaled_riemannian_areas(engel_graph):
+    grid = QuadratureGrid(engel_graph.domain, 16)
+    rs = [10.0**-i for i in range(1, 4)]
+    for d in (3, 4, 5):
+        probe = scaling_limit_probe(engel_graph, d, grid, rs)
+        for r, v in zip(rs, probe.values):
+            assert v == r ** ((d - 2) / 2.0) * riemannian_area(engel_graph, r, grid)
+
+
+def test_area_refuses_non_finite_density():
+    rt = catalog.immersion("rt-graph", u="log(x-0.5)")
+    grid = QuadratureGrid(rt.domain, 8)
+    with pytest.raises(DegenerateInputError, match="not finite at quadrature node"):
+        area_degree(rt, 3, grid)
 
 
 def test_scaling_probe_divergence_below_degree(engel_graph, grid64):

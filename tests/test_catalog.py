@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import engel_forms
 from gradedgeo import catalog
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid, area_degree

@@ -224,3 +224,36 @@ def test_verify_subset_command():
     code, out = run_cli(["verify", "--catalog", "dimension-counts,flags"])
     assert code == 0
     assert "PASS" in out
+
+
+def test_cli_refuses_non_finite_area(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["area", "--catalog", "rt-graph:u=log(x-0.5)", "--degree", "3", "--grid", "8x8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gradedgeo: error: ") and "quadrature node" in err
+    assert "Traceback" not in err
+
+
+def test_cli_bad_input_is_one_line_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["area", "--catalog", "rt-graph:u=x", "--degree", "3", "--grid", "1x1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gradedgeo: error: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["area", "--catalog", "rt-graph:u=x", "--grid", "8x8", "--tol", "foo=bar"])
+    assert exc.value.code == 2
+
+
+def test_cli_subprocess_bad_input_exit_status():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradedgeo.cli", "area", "--catalog", "rt-graph:u=x",
+         "--degree", "3", "--grid", "1x1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("gradedgeo: error: ") and "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from gradedgeo.exprs import const, parse, var
 from gradedgeo.immersion import Immersion, degree_scan, tangent_flag, uniform_grid
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
 from gradedgeo.multivec import DegenerateInputError, GrowthVector
+from gradedgeo.verify import engel_closed_forms
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +166,10 @@ def test_induced_metric_identity_immersion():
 
 
 def test_induced_metric_engel_volume(engel_graph):
-    from conftest import engel_forms
-
     # closed-form check: sqrt(det mu) = alpha1 * alpha2 on ruled graphs
     for p in engel_graph.sample_points(5, seed=3):
         td = engel_graph.tangent_data(p)
-        f = engel_forms("0.2*x + 0.3*y", p)
+        f = engel_closed_forms("0.2*x + 0.3*y", p)
         assert td.sqrt_det == pytest.approx(f["a1"] * f["a2"], rel=1e-12)
         assert np.allclose(td.induced, td.induced.T, atol=1e-15)
 
@@ -182,11 +181,9 @@ def test_unit_tangent_mvector_is_normalized(engel_graph):
 
 
 def test_adapted_tangent_matches_ruled_graph_basis(engel_graph):
-    from conftest import engel_forms
-
     p = [0.4, 0.6]
     amb, par = engel_graph.adapted_tangent_at(p)
-    f = engel_forms("0.2*x + 0.3*y", p)
+    f = engel_closed_forms("0.2*x + 0.3*y", p)
     assert engel_graph.adapted_tangent_pivots(p) == (1, 4)
     # first basis vector: X1 + X1(kappa) X2; second: X4 - X4(theta) X3 + X4(kappa) X2
     assert amb[:, 0] == pytest.approx([1.0, f["x1k"], 0.0, 0.0], abs=1e-12)

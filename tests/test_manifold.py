@@ -281,13 +281,13 @@ def test_covariant_mvector_leibniz_oracle(engel):
     cols[:, 0] = d3
     cols[2, 1] = 0.0
     cols[3, 1] = 1.0
-    from gradedgeo.manifold import wedge_minors
+    from gradedgeo.multivec import wedge
 
-    term1 = wedge_minors(cols)
+    term1 = wedge(cols)
     cols2 = np.zeros((4, 2))
     cols2[2, 0] = 1.0
     cols2[:, 1] = d4
-    term2 = wedge_minors(cols2)
+    term2 = wedge(cols2)
     oracle = term1.plus(term2)
     for J in set(out.terms) | set(oracle.terms):
         assert out.coefficient(J) == pytest.approx(oracle.coefficient(J), abs=1e-10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradedgeo.multivec import (
+    DEGREE_EPS,
     DegenerateInputError,
     GrowthVector,
     MVector,
@@ -16,6 +17,10 @@ from gradedgeo.multivec import (
     dim_gt,
     dim_leq,
     gram_inner,
+    index_degrees,
+    max_degrees,
+    minors,
+    wedge,
     wedge_from_columns,
 )
 
@@ -173,6 +178,52 @@ def test_wedge_rejects_rank_deficient():
     cols = np.ones((3, 2))
     with pytest.raises(DegenerateInputError):
         wedge_from_columns(cols)
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (6, 2), (5, 3), (6, 3)])
+def test_minors_kernel_matches_pointwise_wedge(n, m):
+    rng = np.random.default_rng(11)
+    tau = rng.uniform(-1, 1, (7, n, m))
+    batch = minors(tau)
+    assert batch.shape == (7, math.comb(n, m))
+    for p in range(7):
+        point = wedge(tau[p])
+        row = [point.coefficient(J) for J in all_multi_indices(n, m)]
+        assert batch[p].tolist() == row
+        assert minors(tau[p : p + 1])[0].tolist() == batch[p].tolist()
+        # loop reference: the entry, ad - bc, or the determinant of the rows J
+        for k, J in enumerate(all_multi_indices(n, m)):
+            sub = tau[p, [j - 1 for j in J], :]
+            if m == 1:
+                ref = sub[0, 0]
+            elif m == 2:
+                ref = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
+            else:
+                ref = np.linalg.det(sub)
+            assert batch[p, k] == ref
+
+
+def test_minors_columns_follow_multi_index_order():
+    n, m = 5, 2
+    for k, J in enumerate(all_multi_indices(n, m)):
+        tau = np.zeros((1, n, m))
+        tau[0, J[0] - 1, 0] = 1.0
+        tau[0, J[1] - 1, 1] = 1.0
+        expect = np.zeros(math.comb(n, m))
+        expect[k] = 1.0
+        assert minors(tau)[0].tolist() == expect.tolist()
+    tau = np.arange(1.0, 5.0).reshape(1, 4, 1)
+    assert minors(tau)[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_max_degrees_matches_mvector_degree():
+    rng = np.random.default_rng(12)
+    w = ENGEL.weights()
+    tau = rng.uniform(-1, 1, (20, 4, 2))
+    tau[:10, 2:, :] = 0.0  # horizontal tangent planes: degree 2
+    got = max_degrees(minors(tau), index_degrees(4, 2, w), DEGREE_EPS)
+    assert got.tolist() == [wedge(t).degree(w) for t in tau]
+    assert set(got[:10].tolist()) == {2}
 
 
 def test_gram_inner_orthonormal():

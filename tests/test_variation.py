@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import engel_forms
 from gradedgeo import catalog
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
@@ -157,10 +156,9 @@ def test_f_linear_matches_covariant_mvector_oracle(engel_graph):
     for J, cJ in coeffs.items():
         dxj = mani.cov_derivative_simple_mvector(x3, J, point)
         # <E-wedge, dxj> with E-wedge expanded over all indices
-        from gradedgeo.immersion import _minors_mvector
+        from gradedgeo.multivec import wedge
 
-        wedge = _minors_mvector(tau)
-        total += cJ * wedge.dot(dxj)
+        total += cJ * wedge(tau).dot(dxj)
     got = f_linear(engel_graph, [0.0, 0.0, 1.0, 0.0], p, 4)
     assert got == pytest.approx(total, rel=1e-9)
 
