@@ -17,6 +17,7 @@ for the control components and integrating admissible fields.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,18 @@ class AdmissibilitySystem:
     kind: str  # "adapted" or "normal"
 
 
-_FRAMES_CACHE: dict[int, ImmersionFrames] = {}
+# The immersion owns its frames (``Immersion._frames``), so an entry lives
+# exactly as long as its immersion and an id cannot be reused while it exists.
+_FRAMES_CACHE: "weakref.WeakValueDictionary[int, ImmersionFrames]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def frames_for(imm: Immersion) -> ImmersionFrames:
     """Shared symbolic frame bundle per immersion instance."""
     frames = _FRAMES_CACHE.get(id(imm))
-    if frames is None or frames.imm is not imm:
-        frames = ImmersionFrames(imm)
+    if frames is None:
+        frames = imm._frames = ImmersionFrames(imm)
         _FRAMES_CACHE[id(imm)] = frames
     return frames
 
@@ -106,25 +111,24 @@ def system_shape(imm: Immersion, grid_points, d: int) -> SystemShape:
             dims = imm.tangent_flag_dims(p)
             if dims != dims0:
                 raise DegenerateInputError(
-                    f"tangent flag changes over the grid: {dims0} vs {dims} at {tuple(p)}"
+                    f"tangent flag changes over the grid: {dims0} vs {dims} "
+                    f"at {tuple(map(float, p))}"
                 )
     return frames.shape_for(d)
 
 
-def assemble_adapted(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
-    frames = frames_for(imm)
-    sym = frames.adapted_system(d)
+def _assemble(imm: Immersion, pbar, sym: SymbolicSystem, kind: str) -> AdmissibilitySystem:
     A, B, C = sym.at(imm, pbar)
     tparam = eval_matrix(sym.tangent_param, imm.param_env(pbar))
-    return AdmissibilitySystem(sym.shape, tuple(pbar), A, B, C, tparam, "adapted")
+    return AdmissibilitySystem(sym.shape, tuple(pbar), A, B, C, tparam, kind)
+
+
+def assemble_adapted(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
+    return _assemble(imm, pbar, frames_for(imm).adapted_system(d), "adapted")
 
 
 def assemble_normal(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
-    frames = frames_for(imm)
-    sym = frames.normal_system(d)
-    A, B, C = sym.at(imm, pbar)
-    tparam = eval_matrix(sym.tangent_param, imm.param_env(pbar))
-    return AdmissibilitySystem(sym.shape, tuple(pbar), A, B, C, tparam, "normal")
+    return _assemble(imm, pbar, frames_for(imm).normal_system(d), "normal")
 
 
 def _residual_from_system(frames, sym: SymbolicSystem, comps) -> list[Expr]:

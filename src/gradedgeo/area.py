@@ -59,29 +59,29 @@ class QuadratureGrid:
         return float(np.dot(self.weights, values))
 
 
-def _theta_and_volume(imm: Immersion, points: np.ndarray, d: int):
-    """Arrays (theta, sqrt(det mu), max degree seen) over the points."""
+def _minors_and_volume(imm: Immersion, points: np.ndarray):
+    """Arrays (tangent minors (N, C), their index degrees, sqrt(det mu)) over the points."""
     tau = imm.ortho_tangent_grid(points)
-    minors = imm.minors_grid(tau)
-    degrees = index_degrees(imm.n, imm.m, imm.manifold.weights)
     gram = np.einsum("pim,pil->pml", tau, tau)
-    det = np.linalg.det(gram)
-    sqrt_det = np.sqrt(np.maximum(det, 0.0))
-    total_sq = np.zeros(points.shape[0])
-    deg_sq = np.zeros(points.shape[0])
+    sqrt_det = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    return imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), sqrt_det
+
+
+def _theta(minors: np.ndarray, degrees: np.ndarray, d: int) -> np.ndarray:
+    """Degree-d density from the tangent minors: |degree-d part| / |all|."""
+    total_sq = np.zeros(minors.shape[0])
+    deg_sq = np.zeros(minors.shape[0])
     for vals, deg in zip(minors.T, degrees):
         total_sq += vals**2
         if deg == d:
             deg_sq += vals**2
-    theta = np.sqrt(deg_sq) / np.sqrt(total_sq)
-    return theta, sqrt_det, max_degrees(minors, degrees, DEGREE_EPS)
+    return np.sqrt(deg_sq) / np.sqrt(total_sq)
 
 
 def density_theta(imm: Immersion, pbar, d: int) -> float:
     """Norm of the degree-d part of the unit tangent m-vector at a point."""
-    pts = np.asarray(pbar, dtype=float)[None, :]
-    theta, _, _ = _theta_and_volume(imm, pts, d)
-    return float(theta[0])
+    minors, degrees, _ = _minors_and_volume(imm, np.asarray(pbar, dtype=float)[None, :])
+    return float(_theta(minors, degrees, d)[0])
 
 
 @dataclass
@@ -102,8 +102,8 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     is still returned but tagged divergent (the limit definition gives
     +infinity in that case).
     """
-    theta, sqrt_det, degrees = _theta_and_volume(imm, grid.points, d)
-    density = theta * sqrt_det
+    minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
+    density = _theta(minors, degrees, d) * sqrt_det
     bad = ~np.isfinite(density)
     if np.any(bad):
         node = tuple(float(x) for x in grid.points[int(np.argmax(bad))])
@@ -111,7 +111,7 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
             f"degree-{d} area density is not finite at quadrature node {node}"
         )
     value = grid.integrate_values(density)
-    seen = int(degrees.max())
+    seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
 
 
@@ -197,10 +197,8 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
 
 def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None) -> float:
     """Quadrature of the degree-d density restricted to the singular mask."""
-    theta, sqrt_det, degrees = _theta_and_volume(imm, grid.points, d or 0)
-    deg_max = int(degrees.max())
-    if d is None:
-        d = deg_max
-        theta, sqrt_det, degrees = _theta_and_volume(imm, grid.points, d)
-    mask = degrees < deg_max
-    return grid.integrate_values(np.where(mask, theta * sqrt_det, 0.0))
+    minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
+    pointwise = max_degrees(minors, degrees, DEGREE_EPS)
+    deg_max = int(pointwise.max())
+    theta = _theta(minors, degrees, deg_max if d is None else d)
+    return grid.integrate_values(np.where(pointwise < deg_max, theta * sqrt_det, 0.0))

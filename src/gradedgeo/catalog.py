@@ -317,14 +317,14 @@ def contact_mean_curvature_exprs(imm: Immersion):
     components of the unit graph normal); the scalar is the curvature along
     the normal opposite to the gradient of u - theta.
     """
-    from .moving_frames import ImmersionFrames
+    from .admissibility import frames_for
     from .manifold import lie_bracket_exprs
     from .symmat import edot
 
     if imm.name != "rt-graph":
         raise ValueError("contact curvature is defined for rt-graph immersions")
-    frames = ImmersionFrames(imm)
-    n, m = imm.n, imm.m
+    frames = frames_for(imm)
+    m = imm.m
     u = imm.components[2]
     xu = call("cos", u) * u.diff("x") + call("sin", u) * u.diff("y")
     tu = call("sin", u) * u.diff("x") - call("cos", u) * u.diff("y")
@@ -339,7 +339,7 @@ def contact_mean_curvature_exprs(imm: Immersion):
     for i in range(horizontal_count):
         param_col = [frames.E_param[a][i] for a in range(m)]
         dnu = frames.to_ortho_comps(frames.nabla_field_along(param_col, nu_coord))
-        div_h = div_h + edot(dnu, [frames.E_amb[q][i] for q in range(n)])
+        div_h = div_h + edot(dnu, frames.E_cols[i])
     # bracket term via the graph extension (frame components held constant)
     nu_ext = frames.graph_extend_field(nu_h)
     t_field = [list(f) for f in imm.manifold.frame.fields][2]
@@ -378,12 +378,12 @@ def engel_theta_gradient_expr(imm: Immersion):
     V = -psi X3 + (X1bar(psi) + X4bar(theta) psi) X2 and integration by
     parts in the plane.
     """
-    from .moving_frames import ImmersionFrames
+    from .admissibility import frames_for
     from .variation import mean_curvature_field_exprs
 
     if imm.name != "engel-graph":
         raise ValueError("theta gradient is specific to engel-graph")
-    frames = ImmersionFrames(imm)
+    frames = frames_for(imm)
     comps = mean_curvature_field_exprs(imm, 4)  # ortho-frame comps of H
     theta = imm.components[2]
     cos_t, sin_t = call("cos", theta), call("sin", theta)

@@ -242,13 +242,7 @@ def cmd_first_variation(args):
     field = _load_field(args.field, imm.params)
     grid = QuadratureGrid(imm.domain, _parse_grid(args.grid))
     value = first_variation(imm, field, grid, d)
-    payload = {"d": d, "value": value}
-    if args.fd_check:
-        if imm.name != "engel-graph" or field.frame != "normal":
-            payload["fd_check"] = "only available for normal fields on engel-graph"
-        else:
-            payload["fd_check"] = "use the acceptance suite for the family oracle"
-    _emit(args, payload)
+    _emit(args, {"d": d, "value": value})
     return 0
 
 
@@ -339,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("first-variation", help="first variation along a field")
     common(p, "48x48")
     p.add_argument("--field", required=True)
-    p.add_argument("--fd-check", action="store_true")
     p.set_defaults(fn=cmd_first_variation)
 
     p = sub.add_parser("el-residual", help="third-order residual for ruled graphs")

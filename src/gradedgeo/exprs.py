@@ -102,22 +102,33 @@ class Expr:
         return ()
 
     def variables(self) -> frozenset[str]:
-        cached = getattr(self, "_vars", None)
-        if cached is None:
-            names = set()
-            stack = [self]
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                if isinstance(node, Var):
-                    names.add(node.name)
-                stack.extend(node._args())
-            cached = frozenset(names)
-            object.__setattr__(self, "_vars", cached)
-        return cached
+        """Variable names in the sub-DAG, cached on every node it visits.
+
+        Built bottom-up (iterative post-order) from the children's cached
+        sets, so each node is visited once over all calls; a child's set is
+        reused as-is when it already covers the union.
+        """
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if getattr(node, "_vars", None) is not None:
+                stack.pop()
+                continue
+            args = node._args()
+            pending = [c for c in args if getattr(c, "_vars", None) is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if isinstance(node, Var):
+                names = frozenset((node.name,))
+            else:
+                names = frozenset()
+                for child in args:
+                    if not child._vars <= names:
+                        names = child._vars if names <= child._vars else names | child._vars
+            object.__setattr__(node, "_vars", names)
+        return self._vars
 
     # -- calculus ----------------------------------------------------------
 

@@ -79,6 +79,9 @@ class Immersion:
         # image (graph immersions); enables extending fields off the surface.
         self.base_coords = tuple(base_coords) if base_coords is not None else None
         self.name = name
+        # Symbolic frame bundle, set by ``admissibility.frames_for``; holding it
+        # here lets that cache reference it weakly.
+        self._frames = None
 
     @property
     def m(self) -> int:
@@ -157,7 +160,7 @@ class Immersion:
         jac, tau = (a[0] for a in self._tangent_grids(np.asarray(pbar, dtype=float)[None, :]))
         if numeric_rank(jac) < self.m:
             raise DegenerateInputError(
-                f"immersion Jacobian is rank deficient at {tuple(pbar)}"
+                f"immersion Jacobian is rank deficient at {tuple(map(float, pbar))}"
             )
         mu = tau.T @ tau
         det = float(np.linalg.det(mu))
@@ -221,7 +224,8 @@ class Immersion:
                     pivots.append(r)
             if len(pivots) != target:
                 raise DegenerateInputError(
-                    f"could not complete adapted pivots in layer {j} at {tuple(pbar)}"
+                    f"could not complete adapted pivots in layer {j} "
+                    f"at {tuple(map(float, pbar))}"
                 )
         return tuple(p + 1 for p in pivots)
 
@@ -236,7 +240,7 @@ class Immersion:
             Pinv = np.linalg.inv(P)
         except np.linalg.LinAlgError:
             raise DegenerateInputError(
-                f"adapted pivot rows {pivots} degenerate at {tuple(pbar)}"
+                f"adapted pivot rows {pivots} degenerate at {tuple(map(float, pbar))}"
             ) from None
         return tau @ Pinv, Pinv
 
@@ -285,7 +289,7 @@ def degree_scan(imm: Immersion, grid_shape, eps: float = DEGREE_EPS) -> DegreeSc
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise DegenerateInputError(
-            f"immersion is rank deficient at grid point {tuple(points[idx])}"
+            f"immersion is rank deficient at grid point {tuple(map(float, points[idx]))}"
         )
     degrees = max_degrees(
         imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), eps

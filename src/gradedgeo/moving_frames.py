@@ -9,8 +9,8 @@ helpers.  Evaluating at a point is then a cached DAG evaluation.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
-made numerically at a base point, by default the domain midpoint, and reused
-across the domain; equiregularity of the catalog immersions makes the
+made numerically at a base point, the domain midpoint, and reused across the
+domain; equiregularity of the catalog immersions makes the
 patterns valid away from degeneracies.
 """
 
@@ -24,7 +24,13 @@ import numpy as np
 from .exprs import Expr, call, const, div
 from .immersion import Immersion
 from .manifold import lie_bracket_exprs
-from .multivec import DegenerateInputError, all_multi_indices, degree_of_index, dim_gt
+from .multivec import (
+    NORMAL_PIVOT_TOL,
+    DegenerateInputError,
+    all_multi_indices,
+    degree_of_index,
+    dim_gt,
+)
 from .symmat import (
     edet,
     edot,
@@ -39,8 +45,6 @@ __all__ = ["ImmersionFrames", "SystemShape", "SymbolicSystem"]
 
 ZERO = const(0.0)
 ONE = const(1.0)
-
-_NORMAL_PIVOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,17 +100,16 @@ class SymbolicSystem:
 class ImmersionFrames:
     """Lazily built symbolic frames and derived operators along an immersion."""
 
-    def __init__(self, imm: Immersion, base_point=None):
+    def __init__(self, imm: Immersion):
         self.imm = imm
         self.mani = imm.manifold
-        self.base = np.asarray(
-            base_point if base_point is not None else imm.midpoint(), dtype=float
-        )
+        self.base = imm.midpoint()
         self._theta_cache: dict[int, Expr] = {}
         self._tangent_coeff_cache: dict[int, dict] = {}
         self._adapted_cache: dict[int, SymbolicSystem] = {}
         self._normal_cache: dict[int, SymbolicSystem] = {}
         self._mc_cache: dict[int, list] = {}
+        self._xi_cache: dict[int, list] = {}
 
     # -- composition with the immersion ------------------------------------
 
@@ -119,9 +122,6 @@ class ImmersionFrames:
     def compose(self, expr: Expr) -> Expr:
         """Restrict an ambient expression to the surface (substitute Phi)."""
         return expr.substitute(self._phi_map)
-
-    def compose_matrix(self, mat):
-        return [[self.compose(e) for e in row] for row in mat]
 
     # -- frames --------------------------------------------------------------
 
@@ -207,8 +207,9 @@ class ImmersionFrames:
         return emat_mul(self.adapted_param, self._tangent_gs)
 
     @cached_property
-    def E_coord(self):
-        return emat_mul(self.ortho_mat, self.E_amb)
+    def E_cols(self):
+        """The orthonormal tangent frame fields as columns (ortho comps), m x n."""
+        return [[self.E_amb[i][a] for i in range(self.n)] for a in range(self.m)]
 
     # -- shape integers ------------------------------------------------------
 
@@ -246,8 +247,8 @@ class ImmersionFrames:
     # -- normal frame ---------------------------------------------------------
 
     @cached_property
-    def normal_data(self):
-        """Adapted orthonormal normal frame: controls (low-layer sources) first.
+    def N_cols(self):
+        """Adapted orthonormal normal frame as columns (ortho comps), controls first.
 
         Gram-Schmidt of the ambient frame fields projected onto the normal
         space; within each group, candidates are pivoted by projection
@@ -256,13 +257,11 @@ class ImmersionFrames:
         """
         n, m = self.n, self.m
         env = self.imm.param_env(self.base)
-        E_cols = [[self.E_amb[i][a] for i in range(n)] for a in range(m)]
         accepted: list[list[Expr]] = []
-        sources: list[int] = []
 
         def residual_for(q: int) -> list[Expr]:
             w: list[Expr] = [ONE if i == q else ZERO for i in range(n)]
-            for col in E_cols + accepted:
+            for col in self.E_cols + accepted:
                 coeff = edot(w, col)
                 w = [w[i] - coeff * col[i] for i in range(n)]
             return w
@@ -276,28 +275,22 @@ class ImmersionFrames:
                     norm2 = float(edot(w, w).eval(env))
                     if norm2 > best_norm:
                         best_q, best_norm, best_w = q, norm2, w
-                if best_q is None or best_norm <= _NORMAL_PIVOT_TOL:
+                if best_q is None or best_norm <= NORMAL_PIVOT_TOL:
                     raise DegenerateInputError(
                         "normal frame construction degenerate at the base point"
                     )
                 remaining.remove(best_q)
                 nrm = call("sqrt", edot(best_w, best_w))
                 accepted.append([div(c, nrm) for c in best_w])
-                sources.append(best_q)
 
         run_group(range(self.rho), self.k)
         run_group(range(self.rho, n), n - m - self.k)
-        normal_cols = [[accepted[j][i] for j in range(n - m)] for i in range(n)]
-        return normal_cols, tuple(sources)
+        return accepted
 
     @cached_property
     def normal_amb(self):
         """Ortho comps of the normal frame, n x (n-m), control block first."""
-        return self.normal_data[0]
-
-    @cached_property
-    def normal_coord(self):
-        return emat_mul(self.ortho_mat, self.normal_amb)
+        return [[col[i] for col in self.N_cols] for i in range(self.n)]
 
     # -- covariant machinery ----------------------------------------------------
 
@@ -372,10 +365,14 @@ class ImmersionFrames:
     def to_ortho_comps(self, coord_col) -> list[Expr]:
         return [edot(self.ortho_coframe[i], coord_col) for i in range(self.n)]
 
-    def wedge_inner_unit(self, cols_amb, J) -> Expr:
-        """<col_1 ^ ... ^ col_m, X_J> with columns in ortho comps."""
-        mat = [[cols_amb[a][j - 1] for j in J] for a in range(self.m)]
-        return edet(mat)
+    def _slot_det(self, cols, J, slot=None, v=None) -> Expr:
+        """<col_1 ^ .. (v at ``slot``) .. ^ col_m, X_J>, columns in ortho comps.
+
+        With ``slot`` None this is the plain pairing of the columns' wedge.
+        """
+        return edet(
+            [[(v if a == slot else cols[a])[j - 1] for j in J] for a in range(self.m)]
+        )
 
     def nabla_simple_mvector_inner(self, wedge_cols, v_coord, J) -> Expr:
         """<wedge_cols, nabla_v (X_J)> via the Leibniz rule."""
@@ -387,7 +384,7 @@ class ImmersionFrames:
                 row = []
                 for b, j in enumerate(J):
                     if b == slot:
-                        row.append(edot([wedge_cols[a][i] for i in range(self.n)], dcol))
+                        row.append(edot(wedge_cols[a], dcol))
                     else:
                         row.append(wedge_cols[a][j - 1])
                 mat.append(row)
@@ -401,9 +398,8 @@ class ImmersionFrames:
         got = self._tangent_coeff_cache.get(d)
         if got is None:
             weights = self.mani.weights
-            E_cols = [[self.E_amb[i][a] for i in range(self.n)] for a in range(self.m)]
             got = {
-                J: self.wedge_inner_unit(E_cols, J)
+                J: self._slot_det(self.E_cols, J)
                 for J in all_multi_indices(self.n, self.m)
                 if degree_of_index(J, weights) == d
             }
@@ -428,28 +424,40 @@ class ImmersionFrames:
 
     # -- admissibility systems -----------------------------------------------------
 
-    def _beta_entry(self, tangent_amb, tangent_param, J, field_coord) -> Expr:
+    def _beta_entry(self, t_cols, t_param, J, field_coord) -> Expr:
         """One coefficient of the zeroth-order block, nabla form:
 
         beta = <e_1^..^e_m, nabla_X X_J> + sum_j <e_1^..(nabla_{e_j} X)..^e_m, X_J>
         where X is the ambient field of the column (coordinate comps given).
         """
-        e_cols = [[tangent_amb[i][a] for i in range(self.n)] for a in range(self.m)]
-        total = self.nabla_simple_mvector_inner(e_cols, field_coord, J)
+        total = self.nabla_simple_mvector_inner(t_cols, field_coord, J)
         for j in range(self.m):
-            param_col = [tangent_param[a][j] for a in range(self.m)]
+            param_col = [t_param[a][j] for a in range(self.m)]
             dfield = self.to_ortho_comps(self.nabla_field_along(param_col, field_coord))
-            mat = []
-            for a in range(self.m):
-                row = []
-                for b, jj in enumerate(J):
-                    if a == j:
-                        row.append(dfield[jj - 1])
-                    else:
-                        row.append(e_cols[a][jj - 1])
-                mat.append(row)
-            total = total + edet(mat)
+            total = total + self._slot_det(t_cols, J, j, dfield)
         return total
+
+    def _system(self, d: int, t_amb, t_param, field_cols, controls: int) -> SymbolicSystem:
+        """(A, B, C_j) for fields on ``field_cols`` (ortho comps), controls first.
+
+        Derivatives run along the tangent basis ``t_amb`` (ortho comps, n x m)
+        with parameter comps ``t_param``.
+        """
+        shape = self.shape_for(d)
+        m = self.m
+        t_cols = [[t_amb[i][a] for i in range(self.n)] for a in range(m)]
+        C = [
+            [[self._slot_det(t_cols, J, j, col) for col in field_cols[controls:]]
+             for J in shape.basis]
+            for j in range(m)
+        ]
+        field_coords = [self.coord_comps(col) for col in field_cols]
+        A, B = [], []
+        for J in shape.basis:
+            row = [self._beta_entry(t_cols, t_param, J, fc) for fc in field_coords]
+            A.append(row[:controls])
+            B.append(row[controls:])
+        return SymbolicSystem(shape, A, B, C, t_param, controls, len(field_cols) - controls)
 
     def adapted_system(self, d: int) -> SymbolicSystem:
         """System in the ambient orthonormal adapted frame, echelon tangent basis."""
@@ -461,83 +469,16 @@ class ImmersionFrames:
 
     def adapted_system_with_tangent(self, d: int, t_amb, t_param) -> SymbolicSystem:
         """Adapted-frame system assembled on a caller-supplied tangent basis."""
-        shape = self.shape_for(d)
-        n, m, rho = self.n, self.m, shape.rho
-        e_cols = [[t_amb[i][a] for i in range(n)] for a in range(m)]
-        C = []
-        for j in range(m):
-            Cj = []
-            for Ji in shape.basis:
-                row = []
-                for h in range(rho, n):
-                    mat = []
-                    for a in range(m):
-                        rowm = []
-                        for jj in Ji:
-                            if a == j:
-                                rowm.append(ONE if h == jj - 1 else ZERO)
-                            else:
-                                rowm.append(e_cols[a][jj - 1])
-                        mat.append(rowm)
-                    row.append(edet(mat))
-                Cj.append(row)
-            C.append(Cj)
-        A = []
-        B = []
-        for Ji in shape.basis:
-            rowA, rowB = [], []
-            for h in range(n):
-                field_coord = [self.ortho_mat[c][h] for c in range(n)]
-                entry = self._beta_entry(t_amb, t_param, Ji, field_coord)
-                (rowA if h < rho else rowB).append(entry)
-            A.append(rowA)
-            B.append(rowB)
-        return SymbolicSystem(shape, A, B, C, t_param, rho, n - rho)
+        n = self.n
+        units = [[ONE if i == h else ZERO for i in range(n)] for h in range(n)]
+        return self._system(d, t_amb, t_param, units, self.rho)
 
     def normal_system(self, d: int) -> SymbolicSystem:
         """System on the adapted normal frame, orthonormal tangent derivatives."""
         got = self._normal_cache.get(d)
-        if got is not None:
-            return got
-        shape = self.shape_for(d)
-        n, m, ell, k = self.n, self.m, shape.ell, self.k
-        E_cols = [[self.E_amb[i][a] for i in range(n)] for a in range(m)]
-        normal = self.normal_amb
-        nfree = n - m - k
-        C = []
-        for j in range(m):
-            Cj = []
-            for Ji in shape.basis:
-                row = []
-                for h in range(k, n - m):
-                    ncol = [normal[i][h] for i in range(n)]
-                    mat = []
-                    for a in range(m):
-                        rowm = []
-                        for b, jj in enumerate(Ji):
-                            if a == j:
-                                rowm.append(ncol[jj - 1])
-                            else:
-                                rowm.append(E_cols[a][jj - 1])
-                        mat.append(rowm)
-                    row.append(edet(mat))
-                Cj.append(row)
-            C.append(Cj)
-        A = []
-        B = []
-        for Ji in shape.basis:
-            rowA, rowB = [], []
-            for h in range(n - m):
-                field_coord = [
-                    edot(self.ortho_mat[c], [normal[i][h] for i in range(n)])
-                    for c in range(n)
-                ]
-                entry = self._beta_entry(self.E_amb, self.E_param, Ji, field_coord)
-                (rowA if h < k else rowB).append(entry)
-            A.append(rowA)
-            B.append(rowB)
-        got = SymbolicSystem(shape, A, B, C, self.E_param, k, nfree)
-        self._normal_cache[d] = got
+        if got is None:
+            got = self._system(d, self.E_amb, self.E_param, self.N_cols, self.k)
+            self._normal_cache[d] = got
         return got
 
     # -- variational quantities -----------------------------------------------------
@@ -577,22 +518,12 @@ class ImmersionFrames:
         comps = self.ambient_field_from_variation(field)
         coord = self.coord_comps(comps)
         coeffs = self.tangent_coeffs(d)
-        E_cols = [[self.E_amb[i][a] for i in range(self.n)] for a in range(self.m)]
         total = ZERO
         for i in range(self.m):
             param_col = [self.E_param[a][i] for a in range(self.m)]
             dV = self.to_ortho_comps(self.nabla_field_along(param_col, coord))
             for J, cJ in coeffs.items():
-                mat = []
-                for a in range(self.m):
-                    row = []
-                    for b, jj in enumerate(J):
-                        if a == i:
-                            row.append(dV[jj - 1])
-                        else:
-                            row.append(E_cols[a][jj - 1])
-                    mat.append(row)
-                total = total + cJ * edet(mat)
+                total = total + cJ * self._slot_det(self.E_cols, J, i, dV)
         return total
 
     def f_linear_expr(self, field, d: int) -> Expr:
@@ -600,58 +531,55 @@ class ImmersionFrames:
         comps = self.ambient_field_from_variation(field)
         coord = self.coord_comps(comps)
         coeffs = self.tangent_coeffs(d)
-        E_cols = [[self.E_amb[i][a] for i in range(self.n)] for a in range(self.m)]
         total = ZERO
         for J, cJ in coeffs.items():
-            total = total + cJ * self.nabla_simple_mvector_inner(E_cols, coord, J)
+            total = total + cJ * self.nabla_simple_mvector_inner(self.E_cols, coord, J)
         return total
+
+    def _xi(self, d: int):
+        """xi[i][j] = <E_1^..(N_j at slot i)..^E_m, unit degree-d part>, m x (n-m)."""
+        got = self._xi_cache.get(d)
+        if got is None:
+            theta = self.theta(d)
+            coeffs = self.tangent_coeffs(d)
+            got = []
+            for i in range(self.m):
+                row = []
+                for ncol in self.N_cols:
+                    acc = ZERO
+                    for J, cJ in coeffs.items():
+                        acc = acc + cJ * self._slot_det(self.E_cols, J, i, ncol)
+                    row.append(div(acc, theta))
+                got.append(row)
+            self._xi_cache[d] = got
+        return got
 
     def mean_curvature_exprs(self, d: int):
         """Per normal field: (H1, H2, H3) expressions of the three summand groups."""
         got = self._mc_cache.get(d)
         if got is not None:
             return got
-        n, m = self.n, self.m
+        m = self.m
         theta = self.theta(d)
         coeffs = self.tangent_coeffs(d)
-        E_cols = [[self.E_amb[i][a] for i in range(n)] for a in range(m)]
+        xi = self._xi(d)
         out = []
-        for jn in range(n - m):
-            ncol = [self.normal_amb[i][jn] for i in range(n)]
+        for jn, ncol in enumerate(self.N_cols):
             ncoord = self.coord_comps(ncol)
-            # xi_{i,jn} = <E_1^..(N at slot i)..^E_m, unit degree-d part>
-            xs = []
-            for i in range(m):
-                acc = ZERO
-                for J, cJ in coeffs.items():
-                    mat = []
-                    for a in range(m):
-                        row = []
-                        for b, jj in enumerate(J):
-                            row.append(ncol[jj - 1] if a == i else E_cols[a][jj - 1])
-                        mat.append(row)
-                    acc = acc + cJ * edet(mat)
-                xs.append(div(acc, theta))
             h1 = ZERO
             for i in range(m):
-                param_comps = [xs[i] * self.E_param[a][i] for a in range(m)]
+                param_comps = [xi[i][jn] * self.E_param[a][i] for a in range(m)]
                 h1 = h1 - self.div_tangent(param_comps)
             h2 = ZERO
             for i in range(m):
                 param_col = [self.E_param[a][i] for a in range(m)]
                 dN = self.to_ortho_comps(self.nabla_field_along(param_col, ncoord))
                 for J, cJ in coeffs.items():
-                    mat = []
-                    for a in range(m):
-                        row = []
-                        for b, jj in enumerate(J):
-                            row.append(dN[jj - 1] if a == i else E_cols[a][jj - 1])
-                        mat.append(row)
-                    h2 = h2 + div(cJ, theta) * edet(mat)
+                    h2 = h2 + div(cJ, theta) * self._slot_det(self.E_cols, J, i, dN)
             h3 = ZERO
             for J, cJ in coeffs.items():
                 h3 = h3 + div(cJ, theta) * self.nabla_simple_mvector_inner(
-                    E_cols, ncoord, J
+                    self.E_cols, ncoord, J
                 )
             out.append((h1, h2, h3))
         self._mc_cache[d] = out
@@ -688,37 +616,13 @@ class ImmersionFrames:
         """Bracket form of the curvature components (needs a graph extension)."""
         n, m = self.n, self.m
         theta = self.theta(d)
-        coeffs = self.tangent_coeffs(d)
-        E_cols = [[self.E_amb[i][a] for i in range(n)] for a in range(m)]
-        # xi matrix
-        xi = []
-        for i in range(m):
-            row = []
-            for jn in range(n - m):
-                ncol = [self.normal_amb[q][jn] for q in range(n)]
-                acc = ZERO
-                for J, cJ in coeffs.items():
-                    mat = []
-                    for a in range(m):
-                        rr = []
-                        for b, jj in enumerate(J):
-                            rr.append(ncol[jj - 1] if a == i else E_cols[a][jj - 1])
-                        mat.append(rr)
-                    acc = acc + cJ * edet(mat)
-                row.append(div(acc, theta))
-            xi.append(row)
+        xi = self._xi(d)
         coords = self.mani.coords
-        E_ext = [
-            self.graph_extend_field([self.E_amb[q][i] for q in range(n)])
-            for i in range(m)
-        ]
-        N_ext = [
-            self.graph_extend_field([self.normal_amb[q][j] for q in range(n)])
-            for j in range(n - m)
-        ]
+        E_ext = [self.graph_extend_field(col) for col in self.E_cols]
+        N_ext = [self.graph_extend_field(col) for col in self.N_cols]
+        theta_ext = self.graph_extend(theta)
         out = []
-        for j in range(n - m):
-            ncol = [self.normal_amb[i][j] for i in range(n)]
+        for j, ncol in enumerate(self.N_cols):
             # div_M(theta N_j - sum_i xi_ij E_i): tangential part is intrinsic,
             # normal part via sum_i <nabla_{E_i} (theta N_j), E_i>.
             tangential = [
@@ -731,9 +635,8 @@ class ImmersionFrames:
             for i in range(m):
                 param_col = [self.E_param[a][i] for a in range(m)]
                 dW = self.to_ortho_comps(self.nabla_field_along(param_col, theta_ncoord))
-                div_term = div_term + edot(dW, [self.E_amb[q][i] for q in range(n)])
+                div_term = div_term + edot(dW, self.E_cols[i])
             # N_j(theta) through the graph extension
-            theta_ext = self.graph_extend(theta)
             njtheta = self.compose(
                 sum_exprs([N_ext[j][c] * theta_ext.diff(coords[c]) for c in range(n)])
             )
@@ -741,8 +644,7 @@ class ImmersionFrames:
             for i in range(m):
                 lie = lie_bracket_exprs(E_ext[i], N_ext[j], coords)
                 lie_on_m = self.to_ortho_comps([self.compose(c) for c in lie])
-                for kk in range(n - m):
-                    nk = [self.normal_amb[q][kk] for q in range(n)]
+                for kk, nk in enumerate(self.N_cols):
                     bracket_term = bracket_term + xi[i][kk] * edot(lie_on_m, nk)
             out.append(div_term + njtheta + bracket_term)
         return out

@@ -22,6 +22,11 @@ __all__ = [
     "MVector",
     "DEGREE_EPS",
     "RANK_TOL",
+    "NORMAL_PIVOT_TOL",
+    "SUPPORT_TOL",
+    "ACTIVE_REL_TOL",
+    "THETA_FLOOR",
+    "CONTROL_DET_TOL",
     "all_multi_indices",
     "index_degrees",
     "degree_of_index",
@@ -39,6 +44,16 @@ __all__ = [
 # noise from minors must not inflate the degree.
 DEGREE_EPS = 1e-9
 RANK_TOL = 1e-8  # relative singular-value threshold shared across the toolkit
+# Squared norm below which a normal Gram-Schmidt candidate counts as dependent.
+NORMAL_PIVOT_TOL = 1e-8
+# Largest |V| on the domain boundary accepted as "compactly supported".
+SUPPORT_TOL = 1e-8
+# A field is active where |V| exceeds this fraction of its peak over the grid.
+ACTIVE_REL_TOL = 1e-12
+# Degree-d density below which it counts as vanishing inside the support.
+THETA_FLOOR = 1e-10
+# |det| of the best control block below which no invertible block exists.
+CONTROL_DET_TOL = 1e-12
 
 
 class DegenerateInputError(ValueError):

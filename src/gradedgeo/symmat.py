@@ -12,11 +12,9 @@ import numpy as np
 from .exprs import Expr, call, const, div, evaluate_many, mul, sub
 
 __all__ = [
-    "emat",
     "ezeros",
     "eidentity",
     "emat_mul",
-    "emat_vec",
     "etranspose",
     "edet",
     "eadjugate",
@@ -29,10 +27,6 @@ __all__ = [
 
 ZERO = const(0.0)
 ONE = const(1.0)
-
-
-def emat(rows) -> list[list[Expr]]:
-    return [list(r) for r in rows]
 
 
 def ezeros(r: int, c: int) -> list[list[Expr]]:
@@ -58,10 +52,6 @@ def emat_mul(A, B):
             for j in range(cols):
                 out[i][j] = out[i][j] + aik * B[k][j]
     return out
-
-
-def emat_vec(A, v):
-    return [sum_exprs([A[i][k] * v[k] for k in range(len(v))]) for i in range(len(A))]
 
 
 def sum_exprs(items):

@@ -24,6 +24,7 @@ from .area import QuadratureGrid
 from .exprs import Expr, const, evaluate_many
 from .immersion import Immersion
 from .moving_frames import ImmersionFrames
+from .multivec import ACTIVE_REL_TOL, CONTROL_DET_TOL, SUPPORT_TOL, THETA_FLOOR
 from .symmat import edot, einverse, eval_matrix, sum_exprs
 
 __all__ = [
@@ -59,14 +60,13 @@ def f_linear(imm: Immersion, vp, pbar, d: int) -> float:
     return float(expr.eval(imm.param_env(pbar)))
 
 
-def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationField,
-                   samples_per_edge: int = 33, tol: float = 1e-8):
+def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationField):
     comps = frames.ambient_field_from_variation(field)
     m = imm.m
     pts = []
     for axis in range(m):
         for end in (0, 1):
-            for t in np.linspace(0.0, 1.0, samples_per_edge):
+            for t in np.linspace(0.0, 1.0, 33):
                 p = [lo + t * (hi - lo) for lo, hi in imm.domain]
                 p[axis] = imm.domain[axis][end]
                 pts.append(p)
@@ -74,18 +74,17 @@ def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationFiel
     env = {name: pts[:, i] for i, name in enumerate(imm.params)}
     vals = evaluate_many(comps, env)
     peak = max(float(np.max(np.abs(np.broadcast_to(v, (pts.shape[0],))))) for v in vals)
-    if peak > tol:
+    if peak > SUPPORT_TOL:
         raise ValueError(
             f"variation field does not vanish on the domain boundary (max {peak:.2e})"
         )
 
 
 def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
-                    d: int, check_support: bool = True) -> float:
+                    d: int) -> float:
     """First variation of the degree-d area along a compactly supported field."""
     frames = frames_for(imm)
-    if check_support:
-        _support_check(imm, frames, field)
+    _support_check(imm, frames, field)
     theta = frames.theta(d)
     integrand = (
         (frames.div_degree_d_expr(field, d) + frames.f_linear_expr(field, d))
@@ -99,8 +98,8 @@ def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
     vnorm = np.zeros(len(grid))
     for v in comp_vals:
         vnorm = np.maximum(vnorm, np.abs(np.broadcast_to(v, (len(grid),))))
-    active = vnorm > 1e-12 * max(vnorm.max(), 1e-300)
-    if np.any(active) and float(np.min(theta_vals[active])) < 1e-10:
+    active = vnorm > ACTIVE_REL_TOL * max(vnorm.max(), 1e-300)
+    if np.any(active) and float(np.min(theta_vals[active])) < THETA_FLOOR:
         raise ValueError("degree-d density vanishes inside the support of the field")
     vals = np.broadcast_to(integrand.eval(env), (len(grid),))
     return grid.integrate_values(np.asarray(vals, dtype=float))
@@ -142,7 +141,7 @@ def _hat_columns(frames: ImmersionFrames, d: int, columns=None) -> tuple[int, ..
         det = abs(float(np.linalg.det(A[:, cols])))
         if det > best_det:
             best, best_det = cols, det
-    if best is None or best_det <= 1e-12:
+    if best is None or best_det <= CONTROL_DET_TOL:
         raise ValueError("no invertible control block: immersion is not strongly regular")
     return tuple(best)
 
@@ -192,10 +191,8 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     triples = frames.mean_curvature_exprs(d)
     comps = frames.ambient_field_from_variation(field)
     total = ZERO
-    for j, (h1, h2, h3) in enumerate(triples):
-        hj = h1 + h2 + h3
-        ncol = [frames.normal_amb[i][j] for i in range(frames.n)]
-        total = total + hj * edot(comps, ncol)
+    for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
+        total = total + (h1 + h2 + h3) * edot(comps, ncol)
     integrand = total * frames.sqrt_detmu
     env = {name: grid.points[:, i] for i, name in enumerate(imm.params)}
     vals = np.broadcast_to(integrand.eval(env), (len(grid),))

@@ -364,9 +364,15 @@ ALL_CHECKS = [
 
 
 def run_checks(names=None) -> list[CheckResult]:
+    """Run the checks whose labels (``check_*`` suffixes) are in ``names``, or all."""
+    labels = [fn.__name__.removeprefix("check_") for fn in ALL_CHECKS]
+    unknown = sorted(set(names or ()) - set(labels))
+    if unknown:
+        raise ValueError(
+            f"unknown verify check {', '.join(unknown)} (known: {', '.join(labels)})"
+        )
     results = []
-    for fn in ALL_CHECKS:
-        label = fn.__name__.removeprefix("check_")
+    for label, fn in zip(labels, ALL_CHECKS):
         if names and label not in names:
             continue
         try:

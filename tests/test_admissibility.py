@@ -383,6 +383,27 @@ def test_c_coefficients_degree_criterion(engel_graph, plane):
     assert _c_column_vanishes(plane, 2, 3)
 
 
+def test_frames_cache_drops_collected_immersions():
+    import gc
+
+    from gradedgeo import admissibility
+
+    imm = catalog.immersion("isolated-plane")
+    frames = frames_for(imm)
+    assert frames_for(imm) is frames
+    key = id(imm)
+    assert admissibility._FRAMES_CACHE.get(key) is frames
+    del imm, frames
+    gc.collect()
+    assert admissibility._FRAMES_CACHE.get(key) is None
+
+
+def test_system_shape_error_prints_plain_floats():
+    h = catalog.immersion("h1xh1-surface", u="s^2")  # singular at the base point s = 0
+    with pytest.raises(ValueError, match=r"at \(0\.5, 0\.5\)$"):
+        system_shape(h, np.array([[0.5, 0.5]]), 3)
+
+
 def test_variation_field_json():
     field = VariationField.from_json(
         '{"frame": "adapted", "components": ["0", "x*y", "1", "0"]}', ["x", "y"]

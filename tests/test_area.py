@@ -190,6 +190,23 @@ def test_area_singular_set_vanishes():
     assert area_singular_set(eg, QuadratureGrid(eg.domain, 32)) == 0.0
 
 
+def test_area_singular_set_evaluates_tangent_grid_once(monkeypatch):
+    h = catalog.immersion("h1xh1-surface", u="s^2")
+    grid = QuadratureGrid(h.domain, 33)  # odd order: the singular line s = 0 is a node
+    explicit = area_singular_set(h, grid, d=3)
+    calls = []
+    original = Immersion.ortho_tangent_grid
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Immersion, "ortho_tangent_grid", counted)
+    assert area_singular_set(h, grid) == explicit
+    assert calls == [len(grid)]
+    assert area_singular_set(h, grid, d=2) > 0.1  # the mask is not empty
+
+
 def test_area_invariant_under_reparametrization(grid64):
     eg = catalog.immersion("engel-graph", theta="0.1*x + 0.4*y")
     a_ref = area_degree(eg, 4, grid64).value

@@ -1,12 +1,21 @@
 """Command-line interface: outputs, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gradedgeo
 from gradedgeo.cli import main
+
+# Subprocesses import the same gradedgeo as this process, installed or not.
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gradedgeo.__file__)))
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(args, tmp_path=None):
@@ -207,6 +216,7 @@ def test_cli_entry_point_subprocess():
         capture_output=True,
         text=True,
         timeout=300,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -221,9 +231,20 @@ def test_cli_bad_catalog_errors():
 
 
 def test_verify_subset_command():
-    code, out = run_cli(["verify", "--catalog", "dimension-counts,flags"])
+    code, out = run_cli(["verify", "--catalog", "dimensions,flags"])
     assert code == 0
-    assert "PASS" in out
+    assert out.endswith("2/2 checks passed\n")
+
+
+def test_verify_refuses_unknown_check_names(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--catalog", "stationarity-residual,flags"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("gradedgeo: error: ") and err.count("\n") == 1
+    assert "stationarity-residual" in err and "el_residual" in err and "isolation" in err
 
 
 def test_cli_refuses_non_finite_area(capsys):
@@ -253,6 +274,7 @@ def test_cli_subprocess_bad_input_exit_status():
         capture_output=True,
         text=True,
         timeout=300,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

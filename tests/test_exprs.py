@@ -8,6 +8,7 @@ import pytest
 from gradedgeo.exprs import (
     EvaluationError,
     ParseError,
+    Var,
     call,
     const,
     derive,
@@ -202,3 +203,30 @@ def test_evaluate_many_shares_work():
     v1, v2 = evaluate_many([e1, e2], {"x": 0.3})
     assert v1 == pytest.approx(math.sin(0.3) * math.cos(0.3))
     assert v2 == pytest.approx(math.sin(0.3) + math.cos(0.3))
+
+
+def _variables_by_walk(e):
+    """Reference: collect Var names over the whole sub-DAG."""
+    names, stack, seen = set(), [e], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Var):
+                names.add(node.name)
+            stack.extend(node._args())
+    return frozenset(names)
+
+
+def test_variables_bottom_up_matches_walk():
+    x, y, z = var("x"), var("y"), var("z")
+    chain = x
+    for k in range(5000):  # deeper than the recursion limit
+        chain = chain * const(1.0 + k) + call("sin", chain)
+    mixed = chain * y + call("exp", z * y)
+    for e in (chain, mixed, mixed.diff("y"), const(2.0), y):
+        assert e.variables() == _variables_by_walk(e)
+    assert chain.variables() == {"x"}
+    assert mixed.variables() == {"x", "y", "z"}
+    # a child's set that already covers the union is shared, not copied
+    assert (chain * x).variables() is chain.variables()

@@ -88,6 +88,22 @@ def test_degree_scan_rejects_degenerate():
         degree_scan(constant, (4, 4))
 
 
+def test_degenerate_point_errors_print_plain_floats():
+    mani = catalog.manifold("engel-group")
+    cusp = Immersion(
+        mani,
+        ("x", "y"),
+        tuple(parse(src, ("x", "y")) for src in ("x^3", "y", "x^3", "0")),
+        ((-1.0, 1.0), (0.0, 1.0)),
+    )
+    with pytest.raises(DegenerateInputError, match=r"grid point \(0\.0, 0\.125\)$"):
+        degree_scan(cusp, (15, 4))
+    with pytest.raises(DegenerateInputError, match=r"at \(0\.0, 0\.5\)$"):
+        cusp.tangent_data(np.array([0.0, 0.5]))
+    with pytest.raises(DegenerateInputError, match=r"degenerate at \(0\.5, 0\.5\)$"):
+        cusp.adapted_tangent_at(np.array([0.5, 0.5]), pivots=(1, 1))
+
+
 def test_tangent_flags(engel_graph, plane):
     dims, deg = tangent_flag(engel_graph, [0.4, 0.6])
     assert dims == (1, 1, 2)
