@@ -114,6 +114,14 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
+def _at_grid_point(p, fn, *args):
+    """``fn(*args)``, naming the grid point ``p`` in a bad-input error."""
+    try:
+        return fn(*args)
+    except (ValueError, ExprError) as exc:
+        raise ValueError(f"{exc} at grid point {tuple(map(float, p))}") from None
+
+
 def _resolve_degree(args, imm: Immersion, grid_shape=(12, 12)) -> int:
     if args.degree != "auto":
         return int(args.degree)
@@ -182,7 +190,7 @@ def cmd_admissibility(args):
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
     rows = []
     for p in pts:
-        r = residual(imm, field, p, d)
+        r = _at_grid_point(p, residual, imm, field, p, d)
         rows.append([*map(float, p), float(np.linalg.norm(r))])
     payload = {
         "d": d,
@@ -201,7 +209,7 @@ def cmd_regularity(args):
     rows = []
     all_flags = True
     for p in pts:
-        reg = is_strongly_regular(imm, p, d)
+        reg = _at_grid_point(p, is_strongly_regular, imm, p, d)
         sigma_min = min(reg.singular_values) if reg.singular_values else 0.0
         rows.append(
             {
@@ -227,7 +235,7 @@ def cmd_mean_curvature(args):
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
     rows = []
     for p in pts:
-        mc = mean_curvature(imm, p, d)
+        mc = _at_grid_point(p, mean_curvature, imm, p, d)
         rows.append({"point": [float(x) for x in p], "H": [float(h) for h in mc.components]})
     payload = {"d": d, "points": rows}
     csv_rows = [[*r["point"], *r["H"]] for r in rows]

@@ -7,15 +7,17 @@ and closed under the node set; the only power operator allowed is ``base^k``
 with a constant integer exponent, which keeps differentiation closed and
 avoids branch cuts.
 
-Evaluation accepts scalar or numpy-array variable bindings.  Scalar
-evaluation raises :class:`EvaluationError` on domain errors (log of a
-negative number, division by zero); array evaluation follows numpy semantics
-and lets non-finite values propagate.
+Evaluation accepts scalar or numpy-array variable bindings and runs a
+compiled tape, cached per tuple of roots.  Scalar evaluation raises
+:class:`EvaluationError` on domain errors (log of a negative number,
+division by zero) and on overflow; array evaluation follows numpy semantics,
+lets non-finite values propagate, and keeps only live values in memory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -541,75 +543,240 @@ def call(fn: str, a: Expr) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# A root tuple is compiled once into a tape: its nodes in post-order, one
+# register each.  Leaves are preloaded (constants, and each ``Pow``
+# exponent as an int register) or loaded from the env (variables); every
+# other node is one instruction ``(fn, a, b, dst)`` computing
+# ``regs[dst] = fn(regs[a], regs[b])``, or ``fn(regs[a])`` when ``b < 0``.
+# ``fn`` is the scalar operation; array evaluation maps it to the ufunc
+# that computes the same IEEE operation and writes into a recycled buffer.
+# Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
+
+_BINARY_OPS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+}
+_ARRAY_OPS = {
+    operator.add: np.add,
+    operator.sub: np.subtract,
+    operator.mul: np.multiply,
+    operator.truediv: np.divide,
+    operator.neg: np.negative,
+    operator.pow: np.power,
+    **{_MATH_FUNCS[fn]: _NP_FUNCS[fn] for fn in FUNCTION_NAMES},
+}
+# In an array evaluation, scalar-valued call nodes use numpy's functions
+# too; libm's exp, log, tan and atan may differ from numpy's in the last bit.
+_MIXED_OPS = {_MATH_FUNCS[fn]: _NP_FUNCS[fn] for fn in FUNCTION_NAMES}
+
+TAPE_CACHE_SIZE = 64  # root tuples whose tapes stay compiled
+_TAPES: "dict[tuple[int, ...], _Tape]" = {}
+
+
+class _Tape:
+    """Post-order instruction list of one root tuple (see above)."""
+
+    __slots__ = ("roots", "init", "loads", "code", "last_use", "out", "plans")
+
+    def __init__(self, roots: tuple):
+        self.roots = roots  # holds the nodes, so the cache key's ids stay valid
+        index: dict = {}  # node -> register
+        init: list = []  # register file template
+        loads = []  # (register, variable name)
+        code = []
+        last_use: list = []  # register -> position of the last instruction reading it
+        exponents: dict[int, int] = {}
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node in index:
+                    continue
+                kind = type(node)
+                if kind is Const or kind is Var:
+                    index[node] = len(init)
+                    if kind is Var:
+                        loads.append((len(init), node.name))
+                    init.append(node.value if kind is Const else None)
+                    last_use.append(-1)
+                    continue
+                a = index.get(node.a)
+                fn = _BINARY_OPS.get(kind)
+                if fn is not None:
+                    b = index.get(node.b)
+                    if a is None or b is None:
+                        stack.append(node)
+                        if a is None:
+                            stack.append(node.a)
+                        if b is None:
+                            stack.append(node.b)
+                        continue
+                    last_use[b] = len(code)
+                elif a is None:
+                    stack.append(node)
+                    stack.append(node.a)
+                    continue
+                elif kind is Pow:
+                    fn = operator.pow
+                    b = exponents.get(node.k)
+                    if b is None:
+                        b = exponents[node.k] = len(init)
+                        init.append(node.k)
+                        last_use.append(-1)
+                elif kind is Neg:
+                    fn, b = operator.neg, -1
+                else:
+                    fn, b = _MATH_FUNCS[node.fn], -1
+                last_use[a] = len(code)
+                reg = index[node] = len(init)
+                init.append(None)
+                last_use.append(-1)
+                code.append((fn, a, b, reg))
+        self.out = [index[root] for root in roots]
+        for reg in self.out:
+            last_use[reg] = len(code)  # results are never recycled
+        self.init = init
+        self.loads = loads
+        self.code = code
+        self.last_use = last_use
+        self.plans: dict = {}
+
+    def run_scalar(self, env) -> list:
+        regs = self._bind(env, float)
+        try:
+            for fn, a, b, dst in self.code:
+                regs[dst] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+        except (ArithmeticError, ValueError) as exc:
+            raise _error(exc, fn, regs[a], regs[b]) from None
+        return [regs[r] for r in self.out]
+
+    def run_array(self, env) -> list:
+        regs = self._bind(env, _array_or_float)
+        arrays = [reg for reg, _ in self.loads if isinstance(regs[reg], np.ndarray)]
+        shape = np.broadcast_shapes(*(regs[reg].shape for reg in arrays))
+        for reg in arrays:
+            if regs[reg].shape != shape:
+                regs[reg] = np.broadcast_to(regs[reg], shape)
+        key = tuple(arrays)  # a subset of the tape's variables: few keys
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = self._plan(arrays)
+        code, nbufs = plan
+        bufs = [np.empty(shape) for _ in range(nbufs)]  # per call: results never alias
+        with np.errstate(all="ignore"):
+            try:
+                for fn, a, b, dst, o in code:
+                    if o < 0:
+                        regs[dst] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+                    elif b < 0:
+                        regs[dst] = fn(regs[a], out=bufs[o])
+                    else:
+                        regs[dst] = fn(regs[a], regs[b], out=bufs[o])
+            except (ArithmeticError, ValueError) as exc:
+                raise _error(exc, fn, regs[a], regs[b]) from None
+        return [regs[r] for r in self.out]
+
+    def _bind(self, env, convert) -> list:
+        regs = self.init.copy()
+        for reg, name in self.loads:
+            try:
+                regs[reg] = convert(env[name])
+            except KeyError:
+                raise EvaluationError(f"no value bound for variable {name!r}") from None
+        return regs
+
+    def _plan(self, arrays):
+        """Array-mode code for one set of array-bound variable registers.
+
+        A node is array-valued iff it reads an array-valued register, i.e.
+        iff its variables meet the array-bound names.  Each array-valued
+        node writes into a buffer that returns to the free list after its
+        node's last use, so the buffer count is the peak number of live
+        array values plus the results.
+        """
+        is_array = [False] * len(self.init)
+        for reg in arrays:
+            is_array[reg] = True
+        buf_of = [-1] * len(self.init)  # register -> its buffer while live
+        free: list[int] = []
+        nbufs = 0
+        code = []
+        last_use = self.last_use
+        for pos, (fn, a, b, dst) in enumerate(self.code):
+            if not (is_array[a] or (b >= 0 and is_array[b])):
+                code.append((_MIXED_OPS.get(fn, fn), a, b, dst, -1))
+                continue
+            if free:
+                o = free.pop()
+            else:
+                o = nbufs
+                nbufs += 1
+            is_array[dst] = True
+            buf_of[dst] = o
+            code.append((_ARRAY_OPS[fn], a, b, dst, o))
+            if last_use[a] == pos and buf_of[a] >= 0:
+                free.append(buf_of[a])
+                buf_of[a] = -1
+            if b >= 0 and last_use[b] == pos and buf_of[b] >= 0:
+                free.append(buf_of[b])
+                buf_of[b] = -1
+        return code, nbufs
+
+
+def _error(exc, fn, x, k) -> EvaluationError:
+    """The error of a scalar ``fn(x)``, ``x / y`` or ``x ** k`` that raised."""
+    if fn is operator.truediv:
+        return EvaluationError("division by zero")
+    if fn is operator.pow:
+        if isinstance(exc, ZeroDivisionError):
+            return EvaluationError("zero raised to a negative power")
+        what = f"({x!r})^{k}"
+    else:
+        what = f"{fn.__name__}({x!r})"
+    if isinstance(exc, OverflowError):
+        return EvaluationError(f"overflow in {what}")
+    return EvaluationError(f"domain error in {what}")
+
+
+def _array_or_float(value):
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float)
+    return float(value)
+
+
+def _tape(roots: tuple) -> _Tape:
+    key = tuple(map(id, roots))
+    tape = _TAPES.pop(key, None)
+    if tape is None:
+        tape = _Tape(roots)
+        if len(_TAPES) >= TAPE_CACHE_SIZE:
+            del _TAPES[next(iter(_TAPES))]
+    _TAPES[key] = tape  # most recently used last
+    return tape
+
+
 def evaluate_many(exprs, env):
     """Evaluate several expressions in one shared pass over the DAG.
 
     ``env`` maps variable name to float or ndarray; mixing is allowed and
     broadcasts.  Returns a list of values, one per expression.
+
+    The root tuple is compiled once into a cached tape (see ``_Tape``).
+    Scalars are bound as Python floats and arrays as float64.  When no
+    binding is an array, every node computes with ``operator``/``math``
+    and a domain error, division by zero or overflow raises
+    :class:`EvaluationError`.  Otherwise array-valued nodes follow numpy
+    semantics (non-finite values propagate, warnings are silenced), take
+    the common broadcast shape of the array bindings, and write into
+    buffers recycled after their last use, so memory is O(live nodes), not
+    O(all nodes).  Returned arrays are fresh: no later call writes to them.
     """
-    array_mode = any(isinstance(v, np.ndarray) for v in env.values())
-    memo: dict[int, object] = {}
-    for root in exprs:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            nid = id(node)
-            if nid in memo:
-                stack.pop()
-                continue
-            args = node._args()
-            pending = [c for c in args if id(c) not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[nid] = _apply(node, [memo[id(c)] for c in args], env, array_mode)
-    return [memo[id(e)] for e in exprs]
-
-
-def _apply(node, vals, env, array_mode):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvaluationError(f"no value bound for variable {node.name!r}") from None
-    if isinstance(node, Add):
-        return vals[0] + vals[1]
-    if isinstance(node, Sub):
-        return vals[0] - vals[1]
-    if isinstance(node, Mul):
-        return vals[0] * vals[1]
-    if isinstance(node, Div):
-        if array_mode:
-            with np.errstate(all="ignore"):
-                return vals[0] / vals[1]
-        try:
-            return vals[0] / vals[1]
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero") from None
-    if isinstance(node, Neg):
-        return -vals[0]
-    if isinstance(node, Pow):
-        if array_mode:
-            with np.errstate(all="ignore"):
-                return vals[0] ** node.k
-        try:
-            return vals[0] ** node.k
-        except ZeroDivisionError:
-            raise EvaluationError("zero raised to a negative power") from None
-    if isinstance(node, Call):
-        if array_mode:
-            with np.errstate(all="ignore"):
-                return _NP_FUNCS[node.fn](np.asarray(vals[0], dtype=float))
-        try:
-            return _MATH_FUNCS[node.fn](vals[0])
-        except ValueError:
-            raise EvaluationError(
-                f"domain error in {node.fn}({vals[0]!r})"
-            ) from None
-    raise ExprError(f"cannot evaluate node {node!r}")  # pragma: no cover
+    tape = _tape(tuple(exprs))
+    if any(isinstance(v, np.ndarray) for v in env.values()):
+        return tape.run_array(env)
+    return tape.run_scalar(env)
 
 
 # ---------------------------------------------------------------------------

@@ -279,3 +279,15 @@ def test_cli_subprocess_bad_input_exit_status():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("gradedgeo: error: ") and "Traceback" not in proc.stderr
+
+
+def test_pointwise_commands_name_the_singular_grid_point(capsys):
+    # u = s^2 + s is singular at s = -0.5, the first grid point of a 2x2 grid
+    for command in ("regularity", "mean-curvature"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--catalog", "h1xh1-surface:u=s^2+s", "--degree", "3",
+                     "--grid", "2x2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gradedgeo: error: division by zero at grid point (-0.5, -0.5)\n"

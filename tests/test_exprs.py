@@ -1,13 +1,24 @@
-"""Parser and exact-differentiation tests, with finite-difference oracles."""
+"""Parser, differentiation and evaluation tests, with finite-difference and memo-walk oracles."""
 
+import json
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from gradedgeo import catalog, exprs
+from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.exprs import (
+    Add,
+    Const,
+    Div,
     EvaluationError,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
+    Sub,
     Var,
     call,
     const,
@@ -230,3 +241,154 @@ def test_variables_bottom_up_matches_walk():
     assert mixed.variables() == {"x", "y", "z"}
     # a child's set that already covers the union is shared, not copied
     assert (chain * x).variables() is chain.variables()
+
+
+# -- the compiled tape against the memo walk it replaced ------------------------
+
+_REF_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _reference_evaluate(roots, env):
+    """Reference: the per-node memo walk, one value per node kept to the end."""
+    array_mode = any(isinstance(v, np.ndarray) for v in env.values())
+    memo = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            pending = [c for c in node._args() if id(c) not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            vals = [memo[id(c)] for c in node._args()]
+            with np.errstate(all="ignore"):
+                if isinstance(node, Const):
+                    value = node.value
+                elif isinstance(node, Var):
+                    value = env[node.name]
+                elif type(node) in _REF_OPS:
+                    value = _REF_OPS[type(node)](*vals)
+                elif isinstance(node, Neg):
+                    value = -vals[0]
+                elif isinstance(node, Pow):
+                    value = vals[0] ** node.k
+                elif array_mode:
+                    value = exprs._NP_FUNCS[node.fn](np.asarray(vals[0], dtype=float))
+                else:
+                    value = exprs._MATH_FUNCS[node.fn](vals[0])
+            memo[id(node)] = value
+    return [memo[id(e)] for e in roots]
+
+
+def _same_bytes(got, want):
+    return len(got) == len(want) and all(
+        np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.fixture(scope="module")
+def catalog_roots():
+    """EL residual, first-variation integrand and mean-curvature triples."""
+    eg = catalog.immersion("engel-graph", theta="0.2*x+0.3*y")
+    resid, _ = catalog.engel_el_residual_exprs(eg)
+    fr = frames_for(eg)
+    field = VariationField.from_json(
+        json.dumps({"frame": "normal", "components": ["0", "(16*x*(1-x)*y*(1-y))^2"]}),
+        eg.params,
+    )
+    integrand = (
+        (fr.div_degree_d_expr(field, 4) + fr.f_linear_expr(field, 4)) / fr.theta(4)
+        * fr.sqrt_detmu
+    )
+    rt = catalog.immersion("rt-graph", u="0.3*x+0.2*y^2")
+    triples = [e for tri in frames_for(rt).mean_curvature_exprs(3) for e in tri]
+    return {"el": ((resid,), eg), "fv": ((integrand,), eg), "mc": (tuple(triples), rt)}
+
+
+@pytest.mark.parametrize("case", ["el", "fv", "mc"])
+def test_tape_matches_memo_walk_bit_for_bit(catalog_roots, case):
+    roots, imm = catalog_roots[case]
+    rng = np.random.default_rng(3)
+    lo, hi = zip(*imm.domain)
+    pts = rng.uniform(lo, hi, size=(97, len(lo)))
+    p, q = imm.params[:2]
+    envs = {
+        "array": {p: pts[:, 0], q: pts[:, 1]},
+        "scalar": {p: float(pts[5, 0]), q: float(pts[5, 1])},
+        "mixed": {p: pts[:, 0], q: float(pts[5, 1])},
+    }
+    for label, env in envs.items():
+        got = evaluate_many(roots, env)
+        assert _same_bytes(got, _reference_evaluate(roots, env)), label
+        if label == "scalar":  # param_env binds np.float64: same values as floats
+            env64 = imm.param_env(pts[5])
+            assert _same_bytes(evaluate_many(roots, env64), got)
+
+
+def test_mixed_bindings_keep_numpy_calls_on_scalar_nodes():
+    # exp, log, tan and atan of a scalar-bound variable: the memo walk used
+    # numpy's functions there, which may differ from math's in the last bit
+    e = parse("x*exp(y) + log(y) - tan(y)*atan(y) + x^2*y^3", ["x", "y"])
+    xs = np.linspace(-1.0, 1.0, 7)
+    for y in np.random.default_rng(5).uniform(0.1, 1.4, 200):
+        env = {"x": xs, "y": float(y)}
+        assert _same_bytes(evaluate_many([e], env), _reference_evaluate([e], env))
+
+
+def test_results_survive_later_calls(catalog_roots):
+    roots, imm = catalog_roots["mc"]
+    pts = np.random.default_rng(4).uniform(*zip(*imm.domain), size=(33, 2))
+    env1 = {"x": pts[:, 0], "y": pts[:, 1]}
+    first = evaluate_many(roots, env1)
+    kept = [np.array(v, copy=True) for v in first]
+    evaluate_many(roots, {"x": pts[::-1, 0], "y": pts[::-1, 1]})
+    evaluate_many(roots, {"x": pts[:, 1], "y": 0.25})
+    assert _same_bytes(first, kept)
+    assert len({id(v) for v in first}) == len(roots)  # distinct roots, distinct arrays
+
+
+def test_tape_cache_is_bounded_and_hit_by_rebuilt_roots():
+    src = "sin(x)*y + (x - y)^3/(1 + y^2)"
+    e = parse(src, ["x", "y"])
+    tape = exprs._tape((e,))
+    assert exprs._tape((parse(src, ["x", "y"]),)) is tape
+    for k in range(exprs.TAPE_CACHE_SIZE + 10):
+        evaluate_many([e * const(2.0 + k)], {"x": 0.5, "y": 0.25})
+        assert len(exprs._TAPES) <= exprs.TAPE_CACHE_SIZE
+    assert (id(e),) not in exprs._TAPES  # least recently used, evicted
+
+
+def test_array_buffers_are_recycled():
+    x = var("x")
+    chain = x
+    for k in range(300):
+        chain = call("sin", chain * const(2.0 + k)) + x
+    tape = exprs._tape((chain,))
+    xs = np.linspace(0.0, 1.0, 16)
+    (got,) = evaluate_many([chain], {"x": xs})
+    code, nbufs = next(iter(tape.plans.values()))
+    assert len(code) == 900 and nbufs <= 3
+    assert _same_bytes([got], _reference_evaluate([chain], {"x": xs}))
+
+
+def test_scalar_overflow_is_an_evaluation_error():
+    with pytest.raises(EvaluationError, match="overflow in exp"):
+        parse("exp(x)", ["x"]).eval({"x": 1000.0})
+    with pytest.raises(EvaluationError, match="overflow"):
+        parse("x^400", ["x"]).eval({"x": 10.0})
+
+
+def test_numpy_scalar_bindings_are_refused_like_floats():
+    imm = catalog.immersion("rt-graph", u="x")
+    env = imm.param_env([0.0, 0.5])  # binds np.float64
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate_many([parse("1/x", imm.params)], env)
+    with pytest.raises(EvaluationError, match=r"domain error in log\(-1\.0\)"):
+        parse("log(x - 1)", ["x"]).eval({"x": np.float64(0.0)})
+    (value,) = evaluate_many([parse("x + y", imm.params)], env)
+    assert type(value) is float and value == 0.5

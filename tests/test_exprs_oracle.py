@@ -1,0 +1,101 @@
+"""Property tests of evaluation and printing, with sympy as the oracle.
+
+Random expression trees are built from the smart constructors over x and y.
+Denominators, logarithms and square roots get arguments bounded away from
+their singularities, so every tree is finite on [-1, 1]^2.
+"""
+
+import math
+
+import numpy as np
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedgeo.exprs import add, call, const, div, evaluate_many, mul, neg, parse, powi, sub, var
+
+NAMES = ("x", "y")
+CONSTS = (0.5, 1.5, 2.0, 3.0, 0.25, -1.5, 1.0 / 3.0)
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+leaves = st.one_of(st.sampled_from(NAMES).map(var), st.sampled_from(CONSTS).map(const))
+
+
+def _positive(e):
+    return add(mul(e, e), const(1.0))
+
+
+def _arithmetic(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: add(*p)),
+        pairs.map(lambda p: sub(*p)),
+        pairs.map(lambda p: mul(*p)),
+        pairs.map(lambda p: div(p[0], _positive(p[1]))),
+        children.map(neg),
+    )
+
+
+def _with_powers_and_calls(children):
+    return st.one_of(
+        _arithmetic(children),
+        st.tuples(children, st.sampled_from((2, 3))).map(lambda p: powi(*p)),
+        st.tuples(children, st.sampled_from((-1, -2))).map(lambda p: powi(_positive(p[0]), p[1])),
+        st.tuples(st.sampled_from(("sin", "cos", "atan")), children).map(lambda p: call(*p)),
+        children.map(lambda c: call("exp", call("sin", c))),
+        children.map(lambda c: call("tan", mul(const(0.5), call("sin", c)))),
+        children.map(lambda c: call("sqrt", _positive(c))),
+        children.map(lambda c: call("log", _positive(c))),
+    )
+
+
+trees = st.recursive(leaves, _with_powers_and_calls, max_leaves=10)
+arithmetic_trees = st.recursive(leaves, _arithmetic, max_leaves=12)
+points = st.tuples(
+    st.floats(-1.0, 1.0, allow_nan=False), st.floats(-1.0, 1.0, allow_nan=False)
+)
+
+
+def _oracle(e):
+    symbols = sympy.symbols(NAMES)
+    expr = sympy.sympify(e.to_source().replace("^", "**"), locals=dict(zip(NAMES, symbols)))
+    return sympy.lambdify(symbols, expr, modules="math")
+
+
+@SETTINGS
+@given(trees, points)
+def test_evaluation_agrees_with_sympy(e, point):
+    env = dict(zip(NAMES, point))
+    (got,) = evaluate_many([e], env)
+    want = _oracle(e)(*point)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@SETTINGS
+@given(arithmetic_trees, st.lists(points, min_size=1, max_size=8))
+def test_scalar_and_array_evaluation_agree_bit_for_bit(e, pts):
+    # Only + - * / and negation: scalar powers and calls use libm (math),
+    # array ones numpy's ufuncs, which may round differently in the last bit.
+    xs, ys = (np.array(col) for col in zip(*pts))
+    (arr,) = evaluate_many([e], {"x": xs, "y": ys})
+    arr = np.broadcast_to(arr, xs.shape)
+    for i, (x, y) in enumerate(pts):
+        (scalar,) = evaluate_many([e], {"x": x, "y": y})
+        assert np.float64(scalar).tobytes() == arr[i].tobytes()
+
+
+@SETTINGS
+@given(trees, st.lists(points, min_size=1, max_size=8))
+def test_array_evaluation_is_pointwise(e, pts):
+    xs, ys = (np.array(col) for col in zip(*pts))
+    (arr,) = evaluate_many([e], {"x": xs, "y": ys})
+    arr = np.broadcast_to(arr, xs.shape)
+    for i in range(len(pts)):
+        (one,) = evaluate_many([e], {"x": xs[i : i + 1], "y": ys[i : i + 1]})
+        assert np.broadcast_to(one, (1,)).tobytes() == arr[i : i + 1].tobytes()
+
+
+@SETTINGS
+@given(trees)
+def test_print_parse_roundtrip_is_identity(e):
+    assert parse(e.to_source(), NAMES) is e
