@@ -20,11 +20,9 @@ from .multivec import (
 )
 from .manifold import (
     AdaptedFrame,
-    DegenerateFrameError,
     Manifold,
     MetricField,
     carnot_flag,
-    dilated_metric,
     lie_bracket_at,
     verify_filtration,
 )
@@ -76,11 +74,9 @@ __all__ = [
     "AdaptedFrame",
     "MetricField",
     "Manifold",
-    "DegenerateFrameError",
     "lie_bracket_at",
     "verify_filtration",
     "carnot_flag",
-    "dilated_metric",
     "Immersion",
     "uniform_grid",
     "degree_scan",

@@ -26,7 +26,7 @@ from .exprs import Expr, const, parse
 from .immersion import Immersion
 from .manifold import numeric_rank
 from .moving_frames import ImmersionFrames, SymbolicSystem, SystemShape
-from .multivec import DegenerateInputError
+from .multivec import TRANSPORT_TOL, DegenerateInputError
 from .symmat import emat_mul, eval_matrix, upper_triangular_inverse
 
 __all__ = [
@@ -222,10 +222,10 @@ class MetricChangeReport:
     @property
     def ok(self) -> bool:
         return (
-            self.residual_transport_error <= 1e-7
-            and self.a_identity_error <= 1e-7
-            and self.b_identity_error <= 1e-7
-            and self.c_identity_error <= 1e-7
+            self.residual_transport_error <= TRANSPORT_TOL
+            and self.a_identity_error <= TRANSPORT_TOL
+            and self.b_identity_error <= TRANSPORT_TOL
+            and self.c_identity_error <= TRANSPORT_TOL
             and self.rank_equal
         )
 
@@ -253,8 +253,8 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     n, m = frames_g.n, frames_g.m
     mani = imm.manifold
 
-    Ug = mani.ortho.change_exprs
-    Ub = imm_b.manifold.ortho.change_exprs
+    Ug = mani.ortho_change_exprs
+    Ub = imm_b.manifold.ortho_change_exprs
     D = emat_mul(upper_triangular_inverse(Ug), Ub)
     Dm = [[frames_g.compose(D[i][j]) for j in range(n)] for i in range(n)]
     Dinv = upper_triangular_inverse(D)

@@ -46,6 +46,8 @@ __all__ = [
     "contact_mean_curvature_exprs",
     "engel_el_residual_exprs",
     "engel_theta_gradient_expr",
+    "engel_family_field",
+    "engel_admissible_normal_field",
 ]
 
 
@@ -347,6 +349,45 @@ def contact_mean_curvature_exprs(imm: Immersion):
     lie_on_m = frames.to_ortho_comps([frames.compose(c) for c in lie])
     bracket_term = lie_on_m[2]  # <[nu_h, T], T> with T the third ortho field
     return -div_h + bracket_term, n_comps
+
+
+def engel_family_field(imm: Immersion, psi: Expr):
+    """Variation field of the ruled-graph family theta -> theta + t psi.
+
+    V = -psi X3 + (X1bar(psi) + X4bar(theta) psi) X2, in the adapted frame;
+    the family keeps kappa = X1(theta), so V is admissible for degree 4.
+    """
+    from .admissibility import VariationField
+
+    if imm.name != "engel-graph":
+        raise ValueError("the theta family is specific to engel-graph")
+    theta = imm.components[2]
+    cos_t, sin_t = call("cos", theta), call("sin", theta)
+    x1bar_psi = cos_t * psi.diff("x") + sin_t * psi.diff("y")
+    x4bar_theta = -sin_t * theta.diff("x") + cos_t * theta.diff("y")
+    return VariationField(
+        "adapted", (const(0.0), x1bar_psi + x4bar_theta * psi, -psi, const(0.0))
+    )
+
+
+def engel_admissible_normal_field(imm: Immersion, psi: Expr):
+    """Admissible normal field with free component psi on an Engel graph.
+
+    Solves the one-row degree-4 normal system A a + B psi + sum_j C_j
+    E_j(psi) = 0 for the control component a.
+    """
+    from .admissibility import VariationField, frames_for
+
+    if imm.name != "engel-graph":
+        raise ValueError("the one-row normal system is specific to engel-graph")
+    fr = frames_for(imm)
+    sym = fr.normal_system(4)
+    deriv = const(0.0)
+    for j in range(imm.m):
+        pc = [sym.tangent_param[a][j] for a in range(imm.m)]
+        deriv = deriv + sym.C[j][0][0] * fr.tangent_derivative(pc, psi)
+    psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
+    return VariationField("normal", (psi_ctrl, psi))
 
 
 def engel_el_residual_exprs(imm: Immersion):

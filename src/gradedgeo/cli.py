@@ -66,14 +66,10 @@ def _load_immersion(args) -> Immersion:
         mdata = json.load(fh)
     frame = AdaptedFrame.from_json(mdata)
     metric_spec = args.metric or mdata.get("metric", "frame-orthonormal")
-    if metric_spec in ("frame-orthonormal", "euclidean"):
-        metric = MetricField.from_json(json.dumps(metric_spec), frame.coords)
-    elif isinstance(metric_spec, str) and metric_spec.endswith(".json"):
+    if isinstance(metric_spec, str) and metric_spec.endswith(".json"):
         with open(metric_spec, encoding="utf-8") as fh:
-            metric = MetricField.from_json(fh.read(), frame.coords)
-    else:
-        metric = MetricField.from_json(metric_spec, frame.coords)
-    mani = Manifold(frame, metric)
+            metric_spec = json.load(fh)
+    mani = Manifold(frame, MetricField.from_json(metric_spec, frame.coords))
     with open(args.immersion, encoding="utf-8") as fh:
         idata = json.load(fh)
     comps = tuple(parse_expr(src, idata["params"]) for src in idata["components"])

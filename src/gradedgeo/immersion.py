@@ -124,7 +124,9 @@ class Immersion:
     def midpoint(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
 
-    def sample_points(self, count: int, seed: int = 0, margin: float = 0.05) -> np.ndarray:
+    def sample_points(self, count: int, seed: int = 0) -> np.ndarray:
+        """Seeded uniform points of the domain, kept 5% of each side off its boundary."""
+        margin = 0.05
         rng = np.random.default_rng(seed)
         lo = np.array([a for a, _ in self.domain])
         hi = np.array([b for _, b in self.domain])
@@ -279,7 +281,7 @@ class DegreeScanReport:
         return int(np.sum(self.mask))
 
 
-def degree_scan(imm: Immersion, grid_shape, eps: float = DEGREE_EPS) -> DegreeScanReport:
+def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     """Grid certificate of the degree map and the singular mask."""
     points, shape = uniform_grid(imm.domain, grid_shape)
     tau = imm.ortho_tangent_grid(points)
@@ -292,7 +294,7 @@ def degree_scan(imm: Immersion, grid_shape, eps: float = DEGREE_EPS) -> DegreeSc
             f"immersion is rank deficient at grid point {tuple(map(float, points[idx]))}"
         )
     degrees = max_degrees(
-        imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), eps
+        imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), DEGREE_EPS
     )
     deg_max = int(degrees.max())
     mask = degrees < deg_max

@@ -5,7 +5,9 @@ as expressions) whose first n_i members span the i-th layer of the flag.
 A manifold bundles a frame with a Riemannian metric and lazily builds the
 symbolic machinery shared by the rest of the toolkit: the co-frame, the
 orthonormal adapted frame respecting the orthogonal layer splitting, metric
-derivatives, and Christoffel symbols.
+derivatives, and Christoffel symbols.  A frame-orthonormal metric is the
+frame-diagonal metric with unit lengths, so every metric kind runs the same
+Gram-Schmidt path; constant folding removes the unit factors.
 
 Filtration and bracket-generation checks are sample based: a pass is a
 certificate at the tested points only, not a symbolic proof.
@@ -13,18 +15,16 @@ certificate at the tested points only, not a symbolic proof.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, const, div, evaluate_many, parse
-from .multivec import RANK_TOL, GrowthVector, MVector, wedge
+from .exprs import Expr, const, evaluate_many, parse
+from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector, MVector, wedge
 from .symmat import (
-    edet,
-    eadjugate,
     eidentity,
+    einverse,
     emat_mul,
     etranspose,
     eval_matrix,
@@ -36,32 +36,28 @@ __all__ = [
     "AdaptedFrame",
     "MetricField",
     "Manifold",
-    "OrthoAdaptedFrame",
-    "DilatedMetric",
-    "DegenerateFrameError",
     "FiltrationReport",
     "CarnotFlagResult",
     "lie_bracket_exprs",
     "lie_bracket_at",
     "verify_filtration",
     "carnot_flag",
-    "orthonormalize",
-    "dilated_metric",
     "numeric_rank",
 ]
 
-class DegenerateFrameError(ValueError):
-    pass
+# Bracket-generation stops after this many steps when the flag has not
+# reached the full tangent space (or stalled) earlier.
+MAX_FLAG_STEP = 8
 
 
-def numeric_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:
+def numeric_rank(mat: np.ndarray) -> int:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
 class AdaptedFrame:
@@ -95,30 +91,16 @@ class AdaptedFrame:
         return [[self.fields[j][i] for j in range(n)] for i in range(n)]
 
     @cached_property
-    def det_expr(self) -> Expr:
-        return edet(self.matrix_exprs)
-
-    @cached_property
     def coframe_exprs(self) -> list[list[Expr]]:
         """Symbolic inverse of the frame matrix (adjugate over determinant)."""
-        adj = eadjugate(self.matrix_exprs)
-        d = self.det_expr
-        n = self.n
-        return [[div(adj[i][j], d) for j in range(n)] for i in range(n)]
+        return einverse(self.matrix_exprs)
 
     def matrix_at(self, point) -> np.ndarray:
         return eval_matrix(self.matrix_exprs, self.env(point))
 
-    def coframe_at(self, point) -> np.ndarray:
-        mat = self.matrix_at(point)
-        try:
-            return np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            raise DegenerateFrameError("frame matrix is singular at the point") from None
-
     @classmethod
-    def from_json(cls, text: str) -> "AdaptedFrame":
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, data: dict) -> "AdaptedFrame":
+        """Frame from a parsed manifold spec (``coordinates`` and ``frame`` keys)."""
         coords = data["coordinates"]
         entries = data["frame"]
         degrees = [int(e["degree"]) for e in entries]
@@ -134,8 +116,17 @@ class AdaptedFrame:
         return cls(coords, fields, growth)
 
 
+def _ediag(values) -> list[list[Expr]]:
+    n = len(values)
+    return [[const(values[i]) if i == j else const(0.0) for j in range(n)] for i in range(n)]
+
+
 class MetricField:
-    """Riemannian metric: frame-orthonormal, frame-diagonal or a coordinate matrix."""
+    """Riemannian metric: frame-diagonal or a coordinate matrix of expressions.
+
+    A frame-orthonormal metric is the frame-diagonal one with unit lengths;
+    it keeps its own ``kind`` label, which the CLI reports.
+    """
 
     def __init__(self, kind: str, matrix=None, diagonal=None):
         if kind not in ("frame-orthonormal", "frame-diagonal", "coordinate"):
@@ -165,53 +156,45 @@ class MetricField:
         return cls.coordinate(eidentity(n))
 
     @classmethod
-    def from_json(cls, text, coords=None) -> "MetricField":
-        data = json.loads(text) if isinstance(text, str) else text
-        if data == "frame-orthonormal":
+    def from_json(cls, spec, coords) -> "MetricField":
+        """Metric from a parsed spec: a kind name or ``{"matrix": [[...], ...]}``."""
+        if spec == "frame-orthonormal":
             return cls.frame_orthonormal()
-        if data == "euclidean":
+        if spec == "euclidean":
             return cls.euclidean(len(coords))
-        mat = [[parse(src, coords) for src in row] for row in data["matrix"]]
-        return cls.coordinate(mat)
+        if not (isinstance(spec, dict) and "matrix" in spec):
+            raise ValueError(
+                f"unknown metric {spec!r} (expected frame-orthonormal, euclidean, "
+                "FILE.json or an object with a \"matrix\" of expressions)"
+            )
+        rows, n = spec["matrix"], len(coords)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"metric matrix must be {n} x {n}, one entry per coordinate pair")
+        return cls.coordinate([[parse(src, coords) for src in row] for row in rows])
+
+    def _lengths(self, n: int) -> tuple[float, ...]:
+        """Squared frame lengths g(X_i, X_i) of a frame kind (all ones if orthonormal)."""
+        return self.diagonal if self.diagonal is not None else (1.0,) * n
 
     def frame_gram_exprs(self, frame: AdaptedFrame) -> list[list[Expr]]:
         """g(X_i, X_j) as expressions."""
-        n = frame.n
-        if self.kind == "frame-orthonormal":
-            return eidentity(n)
-        if self.kind == "frame-diagonal":
-            return [
-                [const(self.diagonal[i]) if i == j else const(0.0) for j in range(n)]
-                for i in range(n)
-            ]
-        F = frame.matrix_exprs
-        return emat_mul(etranspose(F), emat_mul(self.matrix, F))
+        if self.kind == "coordinate":
+            F = frame.matrix_exprs
+            return emat_mul(etranspose(F), emat_mul(self.matrix, F))
+        return _ediag(self._lengths(frame.n))
 
     def coordinate_exprs(self, frame: AdaptedFrame) -> list[list[Expr]]:
         """Metric matrix in coordinates (builds C^T D C for frame kinds)."""
         if self.kind == "coordinate":
             return self.matrix
         C = frame.coframe_exprs
-        if self.kind == "frame-orthonormal":
-            return emat_mul(etranspose(C), C)
-        D = [
-            [const(self.diagonal[i]) if i == j else const(0.0) for j in range(frame.n)]
-            for i in range(frame.n)
-        ]
-        return emat_mul(etranspose(C), emat_mul(D, C))
+        return emat_mul(etranspose(C), emat_mul(_ediag(self._lengths(frame.n)), C))
 
     def inverse_coordinate_exprs(self, frame: AdaptedFrame) -> list[list[Expr]]:
         if self.kind == "coordinate":
-            from .symmat import einverse
-
             return einverse(self.matrix)
         F = frame.matrix_exprs
-        if self.kind == "frame-orthonormal":
-            return emat_mul(F, etranspose(F))
-        Dinv = [
-            [const(1.0 / self.diagonal[i]) if i == j else const(0.0) for j in range(frame.n)]
-            for i in range(frame.n)
-        ]
+        Dinv = _ediag([1.0 / length for length in self._lengths(frame.n)])
         return emat_mul(F, emat_mul(Dinv, etranspose(F)))
 
 
@@ -249,10 +232,9 @@ class FiltrationReport:
     ok: bool
     max_residual: float
     violations: list[FiltrationViolation] = field(default_factory=list)
-    tolerance: float = 1e-8
 
 
-def verify_filtration(frame: AdaptedFrame, samples, tolerance: float = 1e-8) -> FiltrationReport:
+def verify_filtration(frame: AdaptedFrame, samples) -> FiltrationReport:
     """Check [H^i, H^j] in H^{i+j} at the sample points (least-squares residual)."""
     growth = frame.growth
     s = growth.step
@@ -277,11 +259,11 @@ def verify_filtration(frame: AdaptedFrame, samples, tolerance: float = 1e-8) -> 
             scale = max(1.0, float(np.linalg.norm(vec)))
             rel = res / scale
             max_res = max(max_res, rel)
-            if rel > tolerance:
+            if rel > FILTRATION_TOL:
                 violations.append(
                     FiltrationViolation(tuple(point), la, lb, a + 1, b + 1, rel)
                 )
-    return FiltrationReport(not violations, max_res, violations, tolerance)
+    return FiltrationReport(not violations, max_res, violations)
 
 
 @dataclass
@@ -291,7 +273,7 @@ class CarnotFlagResult:
     steps_used: int
 
 
-def carnot_flag(horizontal_fields, coords, point, max_step: int = 8) -> CarnotFlagResult:
+def carnot_flag(horizontal_fields, coords, point) -> CarnotFlagResult:
     """Iterate H^{i+1} = H^i + [H, H^i] and report the flag dimensions at a point."""
     n = len(coords)
     env = dict(zip(coords, np.asarray(point, dtype=float)))
@@ -305,7 +287,7 @@ def carnot_flag(horizontal_fields, coords, point, max_step: int = 8) -> CarnotFl
     levels = [list(horizontal_fields)]
     dims = [dim_of(levels[0])]
     all_fields = list(levels[0])
-    for step in range(1, max_step):
+    for step in range(1, MAX_FLAG_STEP):
         new_level = []
         for h in horizontal_fields:
             for f in levels[-1]:
@@ -318,26 +300,7 @@ def carnot_flag(horizontal_fields, coords, point, max_step: int = 8) -> CarnotFl
             return CarnotFlagResult(tuple(dims), True, step + 1)
         if d == dims[-2]:
             return CarnotFlagResult(tuple(dims), False, step + 1)
-    return CarnotFlagResult(tuple(dims), dims[-1] == n, max_step)
-
-
-class OrthoAdaptedFrame:
-    """Block-triangular change from a raw adapted frame to a g-orthonormal one."""
-
-    def __init__(self, manifold: "Manifold", change_exprs):
-        self.manifold = manifold
-        self.change_exprs = change_exprs  # upper-triangular U: new_j = sum_i U[i][j] X_i
-
-    def change_at(self, point) -> np.ndarray:
-        return eval_matrix(self.change_exprs, self.manifold.frame.env(point))
-
-    def frame_at(self, point) -> np.ndarray:
-        """Coordinate components of the orthonormal adapted frame (columns)."""
-        return self.manifold.frame.matrix_at(point) @ self.change_at(point)
-
-    def layer_slices(self):
-        growth = self.manifold.frame.growth
-        return [growth.layer_slice(i) for i in range(1, growth.step + 1)]
+    return CarnotFlagResult(tuple(dims), dims[-1] == n, MAX_FLAG_STEP)
 
 
 class Manifold:
@@ -373,26 +336,18 @@ class Manifold:
     # -- orthonormal adapted frame ------------------------------------------
 
     @cached_property
-    def ortho(self) -> OrthoAdaptedFrame:
-        gram = self.metric.frame_gram_exprs(self.frame)
-        if self.metric.kind == "frame-orthonormal":
-            change = eidentity(self.n)
-        else:
-            change = gram_schmidt_from_gram(gram)
-        return OrthoAdaptedFrame(self, change)
+    def ortho_change_exprs(self) -> list[list[Expr]]:
+        """Upper-triangular U with g-orthonormal adapted field j = sum_i U[i][j] X_i."""
+        return gram_schmidt_from_gram(self.metric.frame_gram_exprs(self.frame))
 
     @cached_property
     def ortho_matrix_exprs(self) -> list[list[Expr]]:
         """Coordinate components of the orthonormal adapted frame (columns)."""
-        if self.metric.kind == "frame-orthonormal":
-            return self.frame.matrix_exprs
-        return emat_mul(self.frame.matrix_exprs, self.ortho.change_exprs)
+        return emat_mul(self.frame.matrix_exprs, self.ortho_change_exprs)
 
     @cached_property
     def ortho_coframe_exprs(self) -> list[list[Expr]]:
-        if self.metric.kind == "frame-orthonormal":
-            return self.frame.coframe_exprs
-        Uinv = upper_triangular_inverse(self.ortho.change_exprs)
+        Uinv = upper_triangular_inverse(self.ortho_change_exprs)
         return emat_mul(Uinv, self.frame.coframe_exprs)
 
     def ortho_matrix_at(self, point) -> np.ndarray:
@@ -515,42 +470,3 @@ class Manifold:
                     cols[j - 1, a] = 1.0
             result = result.plus(wedge(cols))
         return result
-
-    def frame_gram_at(self, point) -> np.ndarray:
-        return eval_matrix(self.metric.frame_gram_exprs(self.frame), self.env(point))
-
-
-def orthonormalize(frame: AdaptedFrame, metric: MetricField) -> OrthoAdaptedFrame:
-    return Manifold(frame, metric).ortho
-
-
-class DilatedMetric:
-    """Metric g_r scaling the orthogonal layer subspaces K^i by r^{1-i}."""
-
-    def __init__(self, manifold: Manifold, r: float):
-        if r <= 0:
-            raise ValueError("dilation parameter r must be positive")
-        self.manifold = manifold
-        self.r = float(r)
-
-    def scale_vector(self) -> np.ndarray:
-        """Per orthonormal-frame-field factors r^{-(deg-1)} on the diagonal."""
-        w = np.array(self.manifold.weights, dtype=float)
-        return self.r ** (1.0 - w)
-
-    def matrix_at(self, point) -> np.ndarray:
-        C = self.manifold.ortho_coframe_at(point)
-        return C.T @ np.diag(self.scale_vector()) @ C
-
-    def norm_at(self, point, vec) -> float:
-        comps = self.manifold.expand_in_ortho(vec, point)
-        return float(np.sqrt(np.sum(self.scale_vector() * comps**2)))
-
-    def frame_gram_at(self, point) -> np.ndarray:
-        F = self.manifold.ortho_matrix_at(point)
-        G = self.matrix_at(point)
-        return F.T @ G @ F
-
-
-def dilated_metric(manifold: Manifold, r: float) -> DilatedMetric:
-    return DilatedMetric(manifold, r)

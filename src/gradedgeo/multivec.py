@@ -27,6 +27,8 @@ __all__ = [
     "ACTIVE_REL_TOL",
     "THETA_FLOOR",
     "CONTROL_DET_TOL",
+    "FILTRATION_TOL",
+    "TRANSPORT_TOL",
     "all_multi_indices",
     "index_degrees",
     "degree_of_index",
@@ -54,6 +56,10 @@ ACTIVE_REL_TOL = 1e-12
 THETA_FLOOR = 1e-10
 # |det| of the best control block below which no invertible block exists.
 CONTROL_DET_TOL = 1e-12
+# Relative least-squares residual of [H^i, H^j] off H^{i+j} counted as a violation.
+FILTRATION_TOL = 1e-8
+# Largest error of a metric-change transport identity accepted as exact.
+TRANSPORT_TOL = 1e-7
 
 
 class DegenerateInputError(ValueError):
@@ -311,7 +317,7 @@ def wedge(columns: np.ndarray) -> MVector:
     return MVector(m, {J: float(c) for J, c in zip(all_multi_indices(n, m), coeffs) if c != 0.0})
 
 
-def wedge_from_columns(columns: np.ndarray, rank_tol: float = RANK_TOL) -> MVector:
+def wedge_from_columns(columns: np.ndarray) -> MVector:
     """Wedge of m numerically independent column vectors."""
     mat = np.asarray(columns, dtype=float)
     if mat.ndim != 2:
@@ -320,7 +326,7 @@ def wedge_from_columns(columns: np.ndarray, rank_tol: float = RANK_TOL) -> MVect
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] <= rank_tol * max(svals[0], 1e-300):
+    if svals[-1] <= RANK_TOL * max(svals[0], 1e-300):
         raise DegenerateInputError("columns are numerically rank deficient")
     return wedge(mat)
 

@@ -24,7 +24,7 @@ from .admissibility import (
     residual,
 )
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
-from .exprs import call, const, parse
+from .exprs import const, parse
 from .immersion import degree_scan, tangent_flag
 from .manifold import MetricField, carnot_flag, verify_filtration
 from .multivec import GrowthVector, all_multi_indices, degree_of_index, dim_gt, dim_leq
@@ -246,11 +246,7 @@ def check_variation() -> CheckResult:
     grid = QuadratureGrid(eg.domain, 48)
     theta = eg.components[2]
     psi = parse("(x*(1-x)*y*(1-y))^2", ["x", "y"])
-    cos_t, sin_t = call("cos", theta), call("sin", theta)
-    f2 = cos_t * psi.diff("x") + sin_t * psi.diff("y") + (
-        -sin_t * theta.diff("x") + cos_t * theta.diff("y")
-    ) * psi
-    fam = VariationField("adapted", (const(0.0), f2, -psi, const(0.0)))
+    fam = catalog.engel_family_field(eg, psi)
     fv = first_variation(eg, fam, grid, 4)
     dual = duality_integral(eg, fam, grid, 4)
     if abs(fv - dual) > 1e-4 * (1 + abs(dual)):
@@ -269,18 +265,10 @@ def check_el_residual() -> CheckResult:
     fr = frames_for(eg)
     grid = QuadratureGrid(eg.domain, 48)
     resid, _ = catalog.engel_el_residual_exprs(eg)
-    sym = fr.normal_system(4)
     env = {nm: grid.points[:, i] for i, nm in enumerate(eg.params)}
     for src in ("(x*(1-x)*y*(1-y))^2", "(x*(1-x)*y*(1-y))^2*sin(3*x+y)"):
         psi = parse(src, ["x", "y"])
-        deriv = sum(
-            sym.C[j][0][0]
-            * fr.tangent_derivative([sym.tangent_param[a][j] for a in range(2)], psi)
-            for j in range(2)
-        )
-        psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
-        V = VariationField("normal", (psi_ctrl, psi))
-        fv = first_variation(eg, V, grid, 4)
+        fv = first_variation(eg, catalog.engel_admissible_normal_field(eg, psi), grid, 4)
         weak = grid.integrate_values(
             np.broadcast_to((resid * psi * fr.sqrt_detmu).eval(env), (len(grid),))
         )

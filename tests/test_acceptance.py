@@ -26,7 +26,7 @@ from gradedgeo.admissibility import (
     residual,
 )
 from gradedgeo.area import QuadratureGrid, area_degree, scaling_limit_probe
-from gradedgeo.exprs import call, const, parse, var
+from gradedgeo.exprs import const, parse, var
 from gradedgeo.immersion import Immersion, degree_scan, tangent_flag, uniform_grid
 from gradedgeo.manifold import MetricField, numeric_rank
 from gradedgeo.multivec import (
@@ -66,26 +66,6 @@ def grid64(engel_graph):
 
 def bump(power=2):
     return parse(f"(16*x*(1-x)*y*(1-y))^{power}", ["x", "y"])
-
-
-def family_field(imm, psi):
-    theta = imm.components[2]
-    cos_t, sin_t = call("cos", theta), call("sin", theta)
-    f2 = cos_t * psi.diff("x") + sin_t * psi.diff("y") + (
-        -sin_t * theta.diff("x") + cos_t * theta.diff("y")
-    ) * psi
-    return VariationField("adapted", (const(0.0), f2, -psi, const(0.0)))
-
-
-def admissible_normal_field(imm, psi):
-    fr = frames_for(imm)
-    sym = fr.normal_system(4)
-    deriv = const(0.0)
-    for j in range(2):
-        pc = [sym.tangent_param[a][j] for a in range(2)]
-        deriv = deriv + sym.C[j][0][0] * fr.tangent_derivative(pc, psi)
-    psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
-    return VariationField("normal", (psi_ctrl, psi))
 
 
 def test_criterion_01_combinatorics():
@@ -346,7 +326,7 @@ def test_criterion_09_family_oracle(engel_graph, grid64):
         c = rng.uniform(0.5, 1.5)
         f = int(rng.integers(1, 4))
         psi = bump() * parse(f"{c}*sin({f}*x + y)", ["x", "y"])
-        fv = first_variation(engel_graph, family_field(engel_graph, psi), grid64, 4)
+        fv = first_variation(engel_graph, catalog.engel_family_field(engel_graph, psi), grid64, 4)
         ap = area_degree(
             catalog.immersion("engel-graph", theta=theta0 + h * psi), 4, grid64
         ).value
@@ -369,7 +349,7 @@ def test_criterion_10_stationarity_residual(engel_graph, grid64):
         c = rng.uniform(0.5, 1.5)
         f = int(rng.integers(1, 5))
         psi = bump() * parse(f"{c}*sin({f}*x + 0.5*y)", ["x", "y"])
-        V = admissible_normal_field(engel_graph, psi)
+        V = catalog.engel_admissible_normal_field(engel_graph, psi)
         fv = first_variation(engel_graph, V, grid64, 4)
         weak = grid64.integrate_values(
             np.broadcast_to(

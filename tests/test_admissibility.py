@@ -17,7 +17,7 @@ from gradedgeo.admissibility import (
     split_tangent_normal,
     system_shape,
 )
-from gradedgeo.exprs import call, const, parse, var
+from gradedgeo.exprs import const, parse, var
 from gradedgeo.manifold import MetricField, numeric_rank, lie_bracket_exprs
 from gradedgeo.symmat import edot, eval_matrix
 from gradedgeo.verify import engel_closed_forms
@@ -38,17 +38,6 @@ def plane():
 @pytest.fixture(scope="module")
 def rt_graph():
     return catalog.immersion("rt-graph", u="0.3*x + 0.2*y^2")
-
-
-def family_field(imm, psi):
-    """Variational field of the ruled-graph family theta -> theta + t psi."""
-    theta = imm.components[2]
-    cos_t, sin_t = call("cos", theta), call("sin", theta)
-    x1bar_psi = cos_t * psi.diff("x") + sin_t * psi.diff("y")
-    x4bar_theta = -sin_t * theta.diff("x") + cos_t * theta.diff("y")
-    return VariationField(
-        "adapted", (const(0.0), x1bar_psi + x4bar_theta * psi, -psi, const(0.0))
-    )
 
 
 def test_system_shape_engel(engel_graph):
@@ -205,7 +194,7 @@ def test_residual_tangent_fields_vanish(engel_graph):
 
 def test_residual_family_field_vanishes(engel_graph):
     for src in ("x*y*(1-x)*(1-y)", "sin(3*x)*y^2", "x^3 - 2*y*x + 0.5*y^2"):
-        V = family_field(engel_graph, parse(src, ["x", "y"]))
+        V = catalog.engel_family_field(engel_graph, parse(src, ["x", "y"]))
         for p in engel_graph.sample_points(5, seed=11):
             r = residual(engel_graph, V, p, 4)
             assert abs(r[0]) <= 1e-12

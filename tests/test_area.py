@@ -125,6 +125,15 @@ def test_riemannian_area_trivially_graded_plane():
         assert riemannian_area(imm, r, grid) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_riemannian_area_scales_layer_two_directions():
+    # the plane is tangent to X1 ^ X3 (degree 3 = m + 1), so g_r stretches its
+    # area element by r^(-1/2) and the area over [-1, 1]^2 is 4 r^(-1/2)
+    plane = catalog.immersion("isolated-plane")
+    grid = QuadratureGrid(plane.domain, 8)
+    for r in (1.0, 1e-1, 1e-3):
+        assert riemannian_area(plane, r, grid) == pytest.approx(4 * r**-0.5, rel=1e-12)
+
+
 def test_riemannian_area_r1_is_plain_area(engel_graph, grid64):
     plain = riemannian_area(engel_graph, 1.0, grid64)
     td_area = grid64.integrate_values(

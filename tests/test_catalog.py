@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gradedgeo import catalog
-from gradedgeo.admissibility import VariationField, frames_for
+from gradedgeo.admissibility import frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
-from gradedgeo.exprs import const, parse
+from gradedgeo.exprs import parse
 from gradedgeo.immersion import degree_scan, uniform_grid
 from gradedgeo.manifold import verify_filtration
 from gradedgeo.variation import first_variation
@@ -79,14 +79,8 @@ def test_el_residual_weak_form_and_descent():
     grid = QuadratureGrid(eg.domain, 48)
     env = {nm: grid.points[:, i] for i, nm in enumerate(eg.params)}
     assert float(scale.eval(eg.param_env([0.4, 0.6]))) > 0
-    sym = fr.normal_system(4)
     psi = parse("(16*x*(1-x)*y*(1-y))^2", ["x", "y"])
-    deriv = const(0.0)
-    for j in range(2):
-        pc = [sym.tangent_param[a][j] for a in range(2)]
-        deriv = deriv + sym.C[j][0][0] * fr.tangent_derivative(pc, psi)
-    psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
-    fv = first_variation(eg, VariationField("normal", (psi_ctrl, psi)), grid, 4)
+    fv = first_variation(eg, catalog.engel_admissible_normal_field(eg, psi), grid, 4)
     weak = grid.integrate_values(
         np.broadcast_to((resid * psi * fr.sqrt_detmu).eval(env), (len(grid),))
     )

@@ -165,7 +165,8 @@ def test_mean_curvature_command():
     assert len(payload["points"][0]["H"]) == 1
 
 
-def test_manifold_immersion_files(tmp_path):
+def _spec_files(tmp_path):
+    """``--manifold``/``--immersion`` arguments for the rototrans graph theta = x."""
     manifold_spec = {
         "coordinates": ["x", "y", "theta"],
         "frame": [
@@ -185,21 +186,32 @@ def test_manifold_immersion_files(tmp_path):
     ipath = tmp_path / "immersion.json"
     mpath.write_text(json.dumps(manifold_spec))
     ipath.write_text(json.dumps(immersion_spec))
-    code, out = run_cli(
-        [
-            "area",
-            "--manifold",
-            str(mpath),
-            "--immersion",
-            str(ipath),
-            "--degree",
-            "3",
-            "--grid",
-            "64x64",
-        ]
-    )
+    return ["--manifold", str(mpath), "--immersion", str(ipath)]
+
+
+def test_manifold_immersion_files(tmp_path):
+    code, out = run_cli(["area", *_spec_files(tmp_path), "--degree", "3", "--grid", "64x64"])
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(1.311442498215547, rel=1e-10)
+
+
+def test_manifold_files_metric_spec(tmp_path, capsys):
+    area = ["area", *_spec_files(tmp_path), "--degree", "3", "--grid", "16x16"]
+    _, euclidean = run_cli(area + ["--metric", "euclidean"])
+    metric_path = tmp_path / "metric.json"
+    metric_path.write_text(json.dumps({"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    _, from_file = run_cli(area + ["--metric", str(metric_path)])
+    assert from_file == euclidean and json.loads(from_file)["metric"] == "coordinate"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(area + ["--metric", "foo"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gradedgeo: error: unknown metric 'foo'") and err.count("\n") == 1
+    metric_path.write_text(json.dumps({"matrix": [["1"]]}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(area + ["--metric", str(metric_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "gradedgeo: error: metric matrix must be 3 x 3, one entry per coordinate pair\n"
 
 
 def test_cli_rerun_is_byte_identical():

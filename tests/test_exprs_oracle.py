@@ -1,4 +1,4 @@
-"""Property tests of evaluation and printing, with sympy as the oracle.
+"""Property tests of evaluation, differentiation and printing, with sympy as the oracle.
 
 Random expression trees are built from the smart constructors over x and y.
 Denominators, logarithms and square roots get arguments bounded away from
@@ -12,7 +12,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedgeo.exprs import add, call, const, div, evaluate_many, mul, neg, parse, powi, sub, var
+from gradedgeo.exprs import (
+    add, call, const, derive, div, evaluate_many, mul, neg, parse, powi, sub, var,
+)
 
 NAMES = ("x", "y")
 CONSTS = (0.5, 1.5, 2.0, 3.0, 0.25, -1.5, 1.0 / 3.0)
@@ -56,9 +58,13 @@ points = st.tuples(
 )
 
 
-def _oracle(e):
+def _sympy(e):
     symbols = sympy.symbols(NAMES)
-    expr = sympy.sympify(e.to_source().replace("^", "**"), locals=dict(zip(NAMES, symbols)))
+    return symbols, sympy.sympify(e.to_source().replace("^", "**"), locals=dict(zip(NAMES, symbols)))
+
+
+def _oracle(e):
+    symbols, expr = _sympy(e)
     return sympy.lambdify(symbols, expr, modules="math")
 
 
@@ -69,6 +75,24 @@ def test_evaluation_agrees_with_sympy(e, point):
     (got,) = evaluate_many([e], env)
     want = _oracle(e)(*point)
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@SETTINGS
+@given(trees, points)
+def test_derivatives_to_order_3_agree_with_sympy(e, point):
+    # sympy's derivative is evaluated with 30 significant digits at the same
+    # binary point, so the reference is exact at double precision; the bound
+    # is the evaluation test's, far above rounding and far below a wrong rule
+    symbols, expr = _sympy(e)
+    env = dict(zip(NAMES, point))
+    subs = {s: sympy.Float(v, 30) for s, v in zip(symbols, point)}
+    for name, symbol in zip(NAMES, symbols):
+        ref = expr
+        for k in (1, 2, 3):
+            ref = sympy.diff(ref, symbol)
+            (got,) = evaluate_many([derive(e, name, k)], env)
+            want = float(ref.evalf(30, subs=subs))
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (name, k)
 
 
 @SETTINGS

@@ -12,12 +12,11 @@ from gradedgeo.manifold import (
     Manifold,
     MetricField,
     carnot_flag,
-    dilated_metric,
     lie_bracket_at,
-    orthonormalize,
     verify_filtration,
 )
 from gradedgeo.multivec import GrowthVector, MVector
+from gradedgeo.symmat import eidentity, emat_mul, etranspose, eval_matrix
 
 
 @pytest.fixture(scope="module")
@@ -113,19 +112,46 @@ def test_flag_constant_over_samples(engel):
 
 
 def test_orthonormalize_identity_for_frame_metric(engel):
-    ortho = engel.ortho
-    U = ortho.change_at([0.2, -0.1, 0.5, 0.3])
+    U = eval_matrix(engel.ortho_change_exprs, engel.env([0.2, -0.1, 0.5, 0.3]))
     assert np.allclose(U, np.eye(4))
+
+
+@pytest.mark.parametrize("name", ["rototrans", "engel-structure", "engel-group"])
+def test_frame_orthonormal_is_unit_frame_diagonal(name):
+    # the general Gram-Schmidt path folds the unit lengths away: it builds the
+    # raw frame, its coframe and the identity change, and every metric DAG is
+    # the same interned object as for the explicit unit frame-diagonal metric
+    mani = catalog.manifold(name)
+    assert mani.metric.kind == "frame-orthonormal"
+    unit = mani.with_metric(MetricField.frame_diagonal((1.0,) * mani.n))
+    F, C = mani.frame.matrix_exprs, mani.frame.coframe_exprs
+    expected = {
+        "ortho_change_exprs": eidentity(mani.n),
+        "ortho_matrix_exprs": F,
+        "ortho_coframe_exprs": C,
+        "metric_exprs": emat_mul(etranspose(C), C),
+        "metric_inverse_exprs": emat_mul(F, etranspose(F)),
+    }
+
+    def same(a, b):
+        if isinstance(a, list):
+            return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+        return a is b
+
+    for attr in (*expected, "christoffel_exprs"):
+        assert same(getattr(mani, attr), getattr(unit, attr)), attr
+        if attr in expected:
+            assert same(getattr(mani, attr), expected[attr]), attr
 
 
 def test_orthonormalize_h1xh1_layer_scaling():
     lam = 4.0
     mani = catalog.manifold("h1xh1", lam=lam, mu=1.0)
     p = [0.1, 0.2, 0.3, -0.1, 0.4, 0.0]
-    U = mani.ortho.change_at(p)
+    U = eval_matrix(mani.ortho_change_exprs, mani.env(p))
     # layer-2 field Z is rescaled to Z / sqrt(lam)
     assert U[4, 4] == pytest.approx(1.0 / math.sqrt(lam), rel=1e-12)
-    F = mani.ortho.frame_at(p)
+    F = mani.ortho_matrix_at(p)
     G = mani.metric_at(p)
     assert np.allclose(F.T @ G @ F, np.eye(6), atol=1e-10)
 
@@ -133,9 +159,9 @@ def test_orthonormalize_h1xh1_layer_scaling():
 def test_orthonormalize_engel_euclidean_block_triangular():
     mani = catalog.manifold("engel-structure", metric="euclidean")
     p = [0.3, 0.2, 0.4, 0.6]
-    U = mani.ortho.change_at(p)
+    U = eval_matrix(mani.ortho_change_exprs, mani.env(p))
     assert np.allclose(U, np.triu(U), atol=1e-14)  # adapted change stays triangular
-    F = mani.ortho.frame_at(p)
+    F = mani.ortho_matrix_at(p)
     assert np.allclose(F.T @ F, np.eye(4), atol=1e-10)
     # oracle: plain Gram-Schmidt of the raw frame columns in order
     raw = mani.frame.matrix_at(p)
@@ -158,36 +184,6 @@ def test_orthonormalized_frame_preserves_filtration():
     rng = np.random.default_rng(4)
     report = verify_filtration(frame, rng.uniform(-0.8, 0.8, (20, 4)))
     assert report.ok
-
-
-def test_dilated_metric_scalings(engel):
-    p = [0.3, 0.2, 0.4, 0.6]
-    g1 = dilated_metric(engel, 1.0)
-    assert np.allclose(g1.matrix_at(p), engel.metric_at(p), atol=1e-12)
-    r = 0.25
-    gr = dilated_metric(engel, r)
-    # unit layer-2 vector: X3 has squared g_r-norm 1/r
-    x3 = engel.ortho_matrix_at(p)[:, 2]
-    assert gr.norm_at(p, x3) == pytest.approx(2.0, rel=1e-12)
-    gram = gr.frame_gram_at(p)
-    expect = np.diag([r ** (1 - w) for w in engel.weights])
-    assert np.allclose(gram, expect, atol=1e-10)
-    with pytest.raises(ValueError):
-        dilated_metric(engel, 0.0)
-
-
-@pytest.mark.parametrize("name", ["rototrans", "engel-structure", "engel-group"])
-def test_dilated_norms_exact_power(name):
-    mani = catalog.manifold(name)
-    rng = np.random.default_rng(5)
-    for r in (0.5, 0.1, 1e-3):
-        gr = dilated_metric(mani, r)
-        for p in rng.uniform(-0.5, 0.5, (5, mani.n)):
-            F = mani.ortho_matrix_at(p)
-            for j, w in enumerate(mani.weights):
-                assert gr.norm_at(p, F[:, j]) == pytest.approx(
-                    r ** (-(w - 1) / 2.0), rel=1e-10
-                )
 
 
 def test_christoffel_constant_metric_vanishes():

@@ -8,7 +8,7 @@ import pytest
 from gradedgeo import catalog
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
-from gradedgeo.exprs import call, const, evaluate_many, parse, var
+from gradedgeo.exprs import const, evaluate_many, parse, var
 from gradedgeo.immersion import Immersion
 from gradedgeo.symmat import edot, eval_matrix
 from gradedgeo.variation import (
@@ -38,28 +38,6 @@ def grid48(engel_graph):
 
 def bump_expr(power=2):
     return parse(f"(16*x*(1-x)*y*(1-y))^{power}", ["x", "y"])
-
-
-def family_field(imm, psi):
-    theta = imm.components[2]
-    cos_t, sin_t = call("cos", theta), call("sin", theta)
-    x1bar_psi = cos_t * psi.diff("x") + sin_t * psi.diff("y")
-    x4bar_theta = -sin_t * theta.diff("x") + cos_t * theta.diff("y")
-    return VariationField(
-        "adapted", (const(0.0), x1bar_psi + x4bar_theta * psi, -psi, const(0.0))
-    )
-
-
-def admissible_normal_field(imm, psi):
-    """Solve the one-row normal system for the control component."""
-    fr = frames_for(imm)
-    sym = fr.normal_system(4)
-    deriv = const(0.0)
-    for j in range(2):
-        pc = [sym.tangent_param[a][j] for a in range(2)]
-        deriv = deriv + sym.C[j][0][0] * fr.tangent_derivative(pc, psi)
-    psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
-    return VariationField("normal", (psi_ctrl, psi))
 
 
 def test_div_degree_d_zero_field(engel_graph):
@@ -190,7 +168,7 @@ def test_first_variation_matches_family_finite_difference(engel_graph, grid48):
         coeff = rng.uniform(0.5, 1.5)
         freq = rng.integers(1, 4)
         psi = bump_expr() * parse(f"{coeff}*sin({freq}*x + y)", ["x", "y"])
-        fv = first_variation(engel_graph, family_field(engel_graph, psi), grid48, 4)
+        fv = first_variation(engel_graph, catalog.engel_family_field(engel_graph, psi), grid48, 4)
         ap = area_degree(catalog.immersion("engel-graph", theta=theta0 + h * psi), 4, grid48).value
         am = area_degree(catalog.immersion("engel-graph", theta=theta0 + (-h) * psi), 4, grid48).value
         fd = (ap - am) / (2 * h)
@@ -226,7 +204,7 @@ def test_mean_curvature_duality_random_normal_fields(engel_graph, grid48):
 
 def test_first_variation_invariant_under_tangent_addition(engel_graph, grid48):
     psi = bump_expr() * parse("sin(2*x + y)", ["x", "y"])
-    base = admissible_normal_field(engel_graph, psi)
+    base = catalog.engel_admissible_normal_field(engel_graph, psi)
     fv0 = first_variation(engel_graph, base, grid48, 4)
     fr = frames_for(engel_graph)
     tangent = tuple(bump_expr() * fr.E_amb[i][1] for i in range(4))
@@ -274,7 +252,7 @@ def test_critical_residual_weak_form(engel_graph, grid48):
         c = rng.uniform(0.5, 1.5)
         f = rng.integers(1, 5)
         psi = bump_expr() * parse(f"{c}*sin({f}*x + 0.5*y)", ["x", "y"])
-        V = admissible_normal_field(engel_graph, psi)
+        V = catalog.engel_admissible_normal_field(engel_graph, psi)
         fv = first_variation(engel_graph, V, grid48, 4)
         weak = grid48.integrate_values(
             np.broadcast_to(
