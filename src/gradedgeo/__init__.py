@@ -10,13 +10,10 @@ group, Engel-type structures) used as a regression suite.
 from .exprs import Expr, EvaluationError, ExprError, ParseError, derive, parse
 from .multivec import (
     GrowthVector,
-    MVector,
     d_max,
     degree_of_index,
     dim_gt,
     dim_leq,
-    gram_inner,
-    wedge_from_columns,
 )
 from .manifold import (
     AdaptedFrame,
@@ -64,13 +61,10 @@ __all__ = [
     "parse",
     "derive",
     "GrowthVector",
-    "MVector",
     "degree_of_index",
     "d_max",
     "dim_leq",
     "dim_gt",
-    "gram_inner",
-    "wedge_from_columns",
     "AdaptedFrame",
     "MetricField",
     "Manifold",

@@ -68,20 +68,36 @@ def _minors_and_volume(imm: Immersion, points: np.ndarray):
 
 
 def _theta(minors: np.ndarray, degrees: np.ndarray, d: int) -> np.ndarray:
-    """Degree-d density from the tangent minors: |degree-d part| / |all|."""
+    """Degree-d density from the tangent minors: |degree-d part| / |all|.
+
+    A zero minors row gives NaN, which callers refuse with ``_finite_at_nodes``.
+    """
     total_sq = np.zeros(minors.shape[0])
     deg_sq = np.zeros(minors.shape[0])
     for vals, deg in zip(minors.T, degrees):
         total_sq += vals**2
         if deg == d:
             deg_sq += vals**2
-    return np.sqrt(deg_sq) / np.sqrt(total_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(deg_sq) / np.sqrt(total_sq)
+
+
+def _finite_at_nodes(values: np.ndarray, points: np.ndarray, d: int) -> np.ndarray:
+    """``values``, refused at the first node where one is not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        node = tuple(float(x) for x in points[int(np.argmax(bad))])
+        raise DegenerateInputError(
+            f"degree-{d} area density is not finite at quadrature node {node}"
+        )
+    return values
 
 
 def density_theta(imm: Immersion, pbar, d: int) -> float:
     """Norm of the degree-d part of the unit tangent m-vector at a point."""
-    minors, degrees, _ = _minors_and_volume(imm, np.asarray(pbar, dtype=float)[None, :])
-    return float(_theta(minors, degrees, d)[0])
+    points = np.asarray(pbar, dtype=float)[None, :]
+    minors, degrees, _ = _minors_and_volume(imm, points)
+    return float(_finite_at_nodes(_theta(minors, degrees, d), points, d)[0])
 
 
 @dataclass
@@ -103,13 +119,7 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     +infinity in that case).
     """
     minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
-    density = _theta(minors, degrees, d) * sqrt_det
-    bad = ~np.isfinite(density)
-    if np.any(bad):
-        node = tuple(float(x) for x in grid.points[int(np.argmax(bad))])
-        raise DegenerateInputError(
-            f"degree-{d} area density is not finite at quadrature node {node}"
-        )
+    density = _finite_at_nodes(_theta(minors, degrees, d) * sqrt_det, grid.points, d)
     value = grid.integrate_values(density)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
@@ -200,5 +210,6 @@ def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None
     minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
-    theta = _theta(minors, degrees, deg_max if d is None else d)
-    return grid.integrate_values(np.where(pointwise < deg_max, theta * sqrt_det, 0.0))
+    d = deg_max if d is None else d
+    density = _finite_at_nodes(_theta(minors, degrees, d) * sqrt_det, grid.points, d)
+    return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0))

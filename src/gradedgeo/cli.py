@@ -22,7 +22,7 @@ from .admissibility import VariationField, is_strongly_regular, residual
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
-from .manifold import AdaptedFrame, Manifold, MetricField
+from .manifold import AdaptedFrame, Manifold, MetricField, require_keys
 from .variation import first_variation, mean_curvature
 
 __all__ = ["main"]
@@ -72,6 +72,7 @@ def _load_immersion(args) -> Immersion:
     mani = Manifold(frame, MetricField.from_json(metric_spec, frame.coords))
     with open(args.immersion, encoding="utf-8") as fh:
         idata = json.load(fh)
+    require_keys(idata, ("params", "components", "domain"), "immersion spec")
     comps = tuple(parse_expr(src, idata["params"]) for src in idata["components"])
     return Immersion(
         mani, idata["params"], comps, idata["domain"],

@@ -1,10 +1,12 @@
 """Parametrized immersions into a graded manifold.
 
 The central object expresses an immersion by n component expressions over m
-parameters, bound to a manifold.  Pointwise operations expand the tangent
-space in the orthonormal adapted frame; the tangent m-vector coefficients
-are the m x m minors of that coefficient matrix, normalized by the induced
-volume so they refer to an orthonormal tangent basis.
+parameters, bound to a manifold.  The tangent space is expanded in the
+orthonormal adapted frame; the tangent m-vector is the dense row of m x m
+minors of that coefficient matrix (``multivec.minors``), and dividing it by
+the induced volume sqrt(det mu) gives the unit tangent m-vector.  Pointwise
+operations run the batched grid path on a batch of one, so the pointwise
+degree is the grid degree rule applied to one row.
 
 The degree-adapted tangent basis used by the admissibility machinery is the
 column-echelon basis with one pivot row per tangent-flag layer: each basis
@@ -25,11 +27,9 @@ from .multivec import (
     DEGREE_EPS,
     RANK_TOL,
     DegenerateInputError,
-    MVector,
     index_degrees,
     max_degrees,
     minors,
-    wedge,
 )
 
 __all__ = [
@@ -59,8 +59,7 @@ class TangentFrameAtPoint:
     ortho_comps: np.ndarray  # n x m in the orthonormal adapted frame
     induced: np.ndarray  # m x m induced metric
     sqrt_det: float
-    tangent_mvector: MVector  # coefficients of the unit tangent m-vector
-    raw_mvector: MVector  # minors of ortho_comps, before normalization
+    minors: np.ndarray  # (C(n, m),) minors of ortho_comps; / sqrt_det is the unit m-vector
 
 
 class Immersion:
@@ -167,15 +166,14 @@ class Immersion:
         mu = tau.T @ tau
         det = float(np.linalg.det(mu))
         sqrt_det = float(np.sqrt(max(det, 0.0)))
-        raw = wedge(tau)
-        normalized = raw.scaled(1.0 / sqrt_det)
-        return TangentFrameAtPoint(tuple(pbar), jac, tau, mu, sqrt_det, normalized, raw)
-
-    def tangent_mvector(self, pbar) -> MVector:
-        return self.tangent_data(pbar).tangent_mvector
+        return TangentFrameAtPoint(
+            tuple(pbar), jac, tau, mu, sqrt_det, self.minors_grid(tau[None])[0]
+        )
 
     def pointwise_degree(self, pbar) -> int:
-        return self.tangent_data(pbar).raw_mvector.degree(self.manifold.weights)
+        row = self.tangent_data(pbar).minors
+        degrees = index_degrees(self.n, self.m, self.manifold.weights)
+        return int(max_degrees(row[None], degrees, DEGREE_EPS)[0])
 
     def induced_metric(self, pbar) -> np.ndarray:
         return self.tangent_data(pbar).induced

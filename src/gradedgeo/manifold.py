@@ -15,13 +15,14 @@ certificate at the tested points only, not a symbolic proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .exprs import Expr, const, evaluate_many, parse
-from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector, MVector, wedge
+from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector, minors
 from .symmat import (
     eidentity,
     einverse,
@@ -43,11 +44,21 @@ __all__ = [
     "verify_filtration",
     "carnot_flag",
     "numeric_rank",
+    "require_keys",
 ]
 
 # Bracket-generation stops after this many steps when the flag has not
 # reached the full tangent space (or stalled) earlier.
 MAX_FLAG_STEP = 8
+
+
+def require_keys(data, keys, what: str) -> None:
+    """Refuse a parsed JSON spec that is not an object or lacks one of ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the key {key!r}")
 
 
 def numeric_rank(mat: np.ndarray) -> int:
@@ -101,8 +112,11 @@ class AdaptedFrame:
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedFrame":
         """Frame from a parsed manifold spec (``coordinates`` and ``frame`` keys)."""
+        require_keys(data, ("coordinates", "frame"), "manifold spec")
         coords = data["coordinates"]
         entries = data["frame"]
+        for i, e in enumerate(entries):
+            require_keys(e, ("degree", "components"), f"manifold spec frame entry {i}")
         degrees = [int(e["degree"]) for e in entries]
         if degrees != sorted(degrees):
             raise ValueError("frame fields must be listed with nondecreasing degree")
@@ -453,12 +467,15 @@ class Manifold:
         out = out + np.einsum("kab,a,b->k", gamma, v, X)
         return out
 
-    def cov_derivative_simple_mvector(self, v_coords, J, point) -> MVector:
-        """Leibniz expansion of nabla_v (X_{j1} ^ ... ^ X_{jm}) in the orthonormal frame."""
+    def cov_derivative_simple_mvector(self, v_coords, J, point) -> np.ndarray:
+        """Leibniz expansion of nabla_v (X_{j1} ^ ... ^ X_{jm}) in the orthonormal frame.
+
+        The result is the dense m-vector row, (C(n, m),) in ``all_multi_indices`` order.
+        """
         m = len(J)
         n = self.n
         coframe = self.ortho_coframe_at(point)
-        result = MVector.zero(m)
+        result = np.zeros(math.comb(n, m))
         for slot in range(m):
             deriv = self.covariant_derivative_field(v_coords, J[slot] - 1, point)
             comps = coframe @ deriv
@@ -468,5 +485,5 @@ class Manifold:
                     cols[:, a] = comps
                 else:
                     cols[j - 1, a] = 1.0
-            result = result.plus(wedge(cols))
+            result = result + minors(cols[None])[0]
         return result

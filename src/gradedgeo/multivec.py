@@ -1,25 +1,26 @@
-"""Multi-index combinatorics, sparse m-vector algebra and the minors kernel.
+"""Multi-index combinatorics, the minors kernel and the shared tolerances.
 
 A multi-index is a strictly increasing tuple of frame indices (1-based).
-An m-vector is a sparse map from multi-indices to real coefficients; its
-degree relative to a weight vector is the largest weighted index sum among
-the coefficients that survive a relative sparsity threshold.  ``minors`` is
-the one batched m x m minors kernel: wedges, Gram inner products, tangent
-m-vectors, degree scans and areas all read their coefficients from it.  The
-tolerances shared across the toolkit live here too.
+An m-vector is a dense row of coefficients, one per multi-index in
+``all_multi_indices(n, m)`` order; a simple m-vector's row is the m x m
+minors of its column matrix, shape (C(n, m),) at a point or (N, C(n, m))
+over a batch.  ``minors`` is the one batched kernel that computes these
+rows: tangent m-vectors, degree scans and areas all read them.  The degree
+of a row relative to a weight vector (``max_degrees`` over
+``index_degrees``) is the largest weighted index sum among the coefficients
+above a relative threshold of the row peak.  The tolerances shared across
+the toolkit live here too.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GrowthVector",
-    "MVector",
     "DEGREE_EPS",
     "RANK_TOL",
     "NORMAL_PIVOT_TOL",
@@ -36,9 +37,6 @@ __all__ = [
     "dim_leq",
     "dim_gt",
     "minors",
-    "wedge",
-    "wedge_from_columns",
-    "gram_inner",
     "max_degrees",
 ]
 
@@ -147,10 +145,6 @@ def index_degrees(n: int, m: int, weights) -> np.ndarray:
     return np.array([degree_of_index(J, weights) for J in all_multi_indices(n, m)])
 
 
-def indices_with_degree(n: int, m: int, weights, predicate):
-    return [J for J in all_multi_indices(n, m) if predicate(degree_of_index(J, weights))]
-
-
 def _dim_count(growth: GrowthVector, m: int, keep) -> int:
     dims = growth.dims
     s = growth.step
@@ -192,98 +186,6 @@ def dim_gt(growth: GrowthVector, m: int, d: int) -> int:
     return _dim_count(growth, m, lambda deg: deg > d)
 
 
-@dataclass(frozen=True)
-class MVector:
-    """Sparse m-vector: map from increasing multi-indices to coefficients."""
-
-    m: int
-    terms: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for J in self.terms:
-            if len(J) != self.m:
-                raise ValueError(f"index {J} does not have order m={self.m}")
-            if any(b <= a for a, b in zip(J, J[1:])):
-                raise ValueError(f"multi-index {J} is not strictly increasing")
-        cleaned = {J: c for J, c in self.terms.items() if c != 0.0}
-        if len(cleaned) != len(self.terms):
-            object.__setattr__(self, "terms", cleaned)
-
-    @classmethod
-    def zero(cls, m: int) -> "MVector":
-        return cls(m, {})
-
-    @classmethod
-    def single(cls, J, coeff: float = 1.0) -> "MVector":
-        return cls(len(J), {tuple(J): float(coeff)})
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def coefficient(self, J) -> float:
-        return self.terms.get(tuple(J), 0.0)
-
-    def scaled(self, a: float) -> "MVector":
-        return MVector(self.m, {J: a * c for J, c in self.terms.items()})
-
-    def plus(self, other: "MVector") -> "MVector":
-        if other.m != self.m:
-            raise ValueError("order mismatch")
-        out = dict(self.terms)
-        for J, c in other.terms.items():
-            out[J] = out.get(J, 0.0) + c
-        return MVector(self.m, {J: c for J, c in out.items() if c != 0.0})
-
-    def degree(self, weights, eps: float = DEGREE_EPS) -> int:
-        """Max index degree among coefficients above ``eps`` relative to the peak."""
-        peak = self.max_abs()
-        if peak == 0.0:
-            raise DegenerateInputError("degree of the zero m-vector is undefined")
-        cut = eps * peak
-        return max(
-            degree_of_index(J, weights) for J, c in self.terms.items() if abs(c) > cut
-        )
-
-    def project_degree_eq(self, d: int, weights) -> "MVector":
-        return MVector(
-            self.m,
-            {J: c for J, c in self.terms.items() if degree_of_index(J, weights) == d},
-        )
-
-    def project_degree_gt(self, d: int, weights) -> "MVector":
-        return MVector(
-            self.m,
-            {J: c for J, c in self.terms.items() if degree_of_index(J, weights) > d},
-        )
-
-    def norm(self) -> float:
-        """Euclidean norm of the coefficients (orthonormal frame)."""
-        return float(np.sqrt(sum(c * c for c in self.terms.values())))
-
-    def dot(self, other: "MVector") -> float:
-        """Inner product assuming the underlying frame is orthonormal."""
-        if other.m != self.m:
-            raise ValueError("order mismatch")
-        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        return float(sum(c * big.get(J, 0.0) for J, c in small.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "terms": [{"J": list(J), "c": c} for J, c in self.sorted_terms()]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MVector":
-        data = json.loads(text)
-        return cls(int(data["m"]), {tuple(t["J"]): float(t["c"]) for t in data["terms"]})
-
-
 def minors(tau: np.ndarray) -> np.ndarray:
     """All m x m minors of a batch of n x m matrices: (N, n, m) -> (N, C(n, m)).
 
@@ -307,45 +209,3 @@ def max_degrees(values: np.ndarray, degrees: np.ndarray, eps: float) -> np.ndarr
     size = np.abs(values)
     keep = size > eps * size.max(axis=1, keepdims=True)
     return np.where(keep, degrees, 0).max(axis=1)
-
-
-def wedge(columns: np.ndarray) -> MVector:
-    """Wedge of the columns of an n x m matrix; zero results are allowed."""
-    mat = np.asarray(columns, dtype=float)
-    n, m = mat.shape
-    coeffs = minors(mat[None])[0]
-    return MVector(m, {J: float(c) for J, c in zip(all_multi_indices(n, m), coeffs) if c != 0.0})
-
-
-def wedge_from_columns(columns: np.ndarray) -> MVector:
-    """Wedge of m numerically independent column vectors."""
-    mat = np.asarray(columns, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("expected an n x m coefficient matrix")
-    n, m = mat.shape
-    if m < 1 or m > n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] <= RANK_TOL * max(svals[0], 1e-300):
-        raise DegenerateInputError("columns are numerically rank deficient")
-    return wedge(mat)
-
-
-def gram_inner(x: MVector, y: MVector, vector_gram: np.ndarray) -> float:
-    """Inner product of m-vectors induced by a vector Gram matrix.
-
-    ``<X_J, X_K>`` is the determinant of the Gram submatrix G[J, K], the J
-    minor of the columns G[:, K]; the result is the bilinear extension over
-    the sparse coefficients.
-    """
-    if x.m != y.m:
-        raise ValueError("order mismatch")
-    G = np.asarray(vector_gram, dtype=float)
-    row_of = {J: i for i, J in enumerate(all_multi_indices(G.shape[0], x.m))}
-    cols = np.array([[k - 1 for k in K] for K in y.terms], dtype=int).reshape(len(y.terms), x.m)
-    dets = minors(np.moveaxis(G[:, cols], 1, 0))  # dets[k, row_of[J]] = det G[J, K_k]
-    total = 0.0
-    for J, cj in x.terms.items():
-        for k, ck in enumerate(y.terms.values()):
-            total += cj * ck * dets[k, row_of[J]]
-    return float(total)

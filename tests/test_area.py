@@ -1,6 +1,7 @@
 """Degree-d densities, areas, dilated-metric areas and the scaling probe."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,25 @@ def test_h1xh1_metric_dependence():
     got = area_degree(imm, 3, grid).value
     # the kink at u_s = 0 limits plain Gauss quadrature accuracy
     assert got == pytest.approx(oracle, rel=1e-3)
+
+
+def test_rank_deficient_node_is_refused_everywhere():
+    # the cusp (x^3, y, x^3, 0) has a zero tangent minors row at x = 0, the
+    # middle node of a 5-point Gauss rule; no function may return NaN there
+    cusp = Immersion(
+        catalog.manifold("engel-group"),
+        ("x", "y"),
+        tuple(parse(src, ("x", "y")) for src in ("x^3", "y", "x^3", "0")),
+        ((-1.0, 1.0), (0.0, 1.0)),
+    )
+    grid = QuadratureGrid(cusp.domain, 5)
+    node = r"not finite at quadrature node \(0\.0, "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match=node):
+            area_degree(cusp, 3, grid)
+        for d in (None, 3):
+            with pytest.raises(DegenerateInputError, match=node):
+                area_singular_set(cusp, grid, d)
+        with pytest.raises(DegenerateInputError, match=r"at quadrature node \(0\.0, 0\.5\)$"):
+            density_theta(cusp, [0.0, 0.5], 3)

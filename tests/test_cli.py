@@ -165,8 +165,11 @@ def test_mean_curvature_command():
     assert len(payload["points"][0]["H"]) == 1
 
 
-def _spec_files(tmp_path):
-    """``--manifold``/``--immersion`` arguments for the rototrans graph theta = x."""
+def _spec_files(tmp_path, missing=None):
+    """``--manifold``/``--immersion`` arguments for the rototrans graph theta = x.
+
+    ``missing`` names a top-level key left out of whichever spec has it.
+    """
     manifold_spec = {
         "coordinates": ["x", "y", "theta"],
         "frame": [
@@ -182,6 +185,8 @@ def _spec_files(tmp_path):
         "domain": [[0.0, 1.0], [0.0, 1.0]],
         "base_coords": [0, 1],
     }
+    for spec in (manifold_spec, immersion_spec):
+        spec.pop(missing, None)
     mpath = tmp_path / "manifold.json"
     ipath = tmp_path / "immersion.json"
     mpath.write_text(json.dumps(manifold_spec))
@@ -193,6 +198,25 @@ def test_manifold_immersion_files(tmp_path):
     code, out = run_cli(["area", *_spec_files(tmp_path), "--degree", "3", "--grid", "64x64"])
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(1.311442498215547, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ("manifold", "coordinates"),
+        ("manifold", "frame"),
+        ("immersion", "params"),
+        ("immersion", "components"),
+        ("immersion", "domain"),
+    ],
+)
+def test_spec_missing_key_is_one_line_exit_2(tmp_path, capsys, spec, key):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["area", *_spec_files(tmp_path, missing=key), "--degree", "3", "--grid", "8x8"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gradedgeo: error: {spec} spec is missing the key '{key}'\n"
 
 
 def test_manifold_files_metric_spec(tmp_path, capsys):

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from gradedgeo import catalog
+from gradedgeo.area import QuadratureGrid, _minors_and_volume
 from gradedgeo.exprs import const, parse, var
 from gradedgeo.immersion import Immersion, degree_scan, tangent_flag, uniform_grid
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
-from gradedgeo.multivec import DegenerateInputError, GrowthVector
+from gradedgeo.multivec import DegenerateInputError, GrowthVector, all_multi_indices
 from gradedgeo.verify import engel_closed_forms
+
+
+CATALOG_IMMERSIONS = [n for n in catalog.names() if catalog.builtin(n).kind == "immersion"]
+
+
+def coefficient(td, J):
+    """Coefficient of the multi-index J in the tangent minors row."""
+    return td.minors[list(all_multi_indices(len(td.ortho_comps), len(J))).index(J)]
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +39,16 @@ def h1h1_parabola():
 
 def test_isolated_plane_tangent(plane):
     td = plane.tangent_data([0.3, -0.2])
-    assert td.tangent_mvector.terms == {(1, 3): 1.0}
+    unit = [1.0 if J == (1, 3) else 0.0 for J in all_multi_indices(4, 2)]
+    assert (td.minors / td.sqrt_det).tolist() == unit
     assert plane.pointwise_degree([0.3, -0.2]) == 3
 
 
 def test_engel_graph_ruling_kills_top_coefficient(engel_graph):
     for p in engel_graph.sample_points(10, seed=0):
         td = engel_graph.tangent_data(p)
-        assert abs(td.raw_mvector.coefficient((3, 4))) <= 1e-12
-        assert td.raw_mvector.coefficient((1, 4)) != 0.0
+        assert abs(coefficient(td, (3, 4))) <= 1e-12
+        assert coefficient(td, (1, 4)) != 0.0
         assert engel_graph.pointwise_degree(p) == 4
 
 
@@ -47,10 +57,10 @@ def test_h1xh1_tangent_formula(h1h1_parabola):
     p = [0.4, -0.3]
     td = h1h1_parabola.tangent_data(p)
     u_s = 2 * p[0]
-    assert td.raw_mvector.coefficient((1, 4)) == pytest.approx(1.0, abs=1e-12)
+    assert coefficient(td, (1, 4)) == pytest.approx(1.0, abs=1e-12)
     # (4,5) = Y' ^ Z and (4,6) = Y' ^ Z' carry a sign from index ordering
-    assert td.raw_mvector.coefficient((4, 5)) == pytest.approx(-u_s, abs=1e-12)
-    assert td.raw_mvector.coefficient((4, 6)) == pytest.approx(-u_s, abs=1e-12)
+    assert coefficient(td, (4, 5)) == pytest.approx(-u_s, abs=1e-12)
+    assert coefficient(td, (4, 6)) == pytest.approx(-u_s, abs=1e-12)
     assert h1h1_parabola.pointwise_degree(p) == 3
     assert h1h1_parabola.pointwise_degree([0.0, -0.3]) == 2
 
@@ -190,10 +200,16 @@ def test_induced_metric_engel_volume(engel_graph):
         assert np.allclose(td.induced, td.induced.T, atol=1e-15)
 
 
-def test_unit_tangent_mvector_is_normalized(engel_graph):
-    for p in engel_graph.sample_points(5, seed=4):
-        td = engel_graph.tangent_data(p)
-        assert td.tangent_mvector.norm() == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
+def test_minors_row_norm_is_sqrt_det(name):
+    # Cauchy-Binet: sum of the squared m x m minors of tau is det(tau^T tau),
+    # so minors / sqrt_det is the unit tangent m-vector
+    imm = catalog.immersion(name)
+    for p in imm.sample_points(5, seed=4):
+        td = imm.tangent_data(p)
+        assert np.linalg.norm(td.minors) == pytest.approx(td.sqrt_det, rel=1e-12)
+    minors, _, sqrt_det = _minors_and_volume(imm, QuadratureGrid(imm.domain, 8).points)
+    assert np.linalg.norm(minors, axis=1) == pytest.approx(sqrt_det, rel=1e-12)
 
 
 def test_adapted_tangent_matches_ruled_graph_basis(engel_graph):

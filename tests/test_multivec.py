@@ -1,6 +1,5 @@
-"""Multi-index combinatorics and sparse m-vector algebra."""
+"""Multi-index combinatorics, the minors kernel and dense m-vector rows."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,24 +7,34 @@ import pytest
 
 from gradedgeo.multivec import (
     DEGREE_EPS,
-    DegenerateInputError,
     GrowthVector,
-    MVector,
     all_multi_indices,
     d_max,
     degree_of_index,
     dim_gt,
     dim_leq,
-    gram_inner,
     index_degrees,
     max_degrees,
     minors,
-    wedge,
-    wedge_from_columns,
 )
 
 ENGEL = GrowthVector((2, 3, 4))
 H1H1 = GrowthVector((4, 6))
+
+
+def row(n, terms):
+    """Dense 2-vector row in ``all_multi_indices(n, 2)`` order from {J: coefficient}."""
+    return np.array([terms.get(J, 0.0) for J in all_multi_indices(n, 2)])
+
+
+def degree(values, weights, eps=DEGREE_EPS):
+    """Degree of one dense 2-vector row by the grid rule on a batch of one."""
+    return int(max_degrees(values[None], index_degrees(len(weights), 2, weights), eps)[0])
+
+
+def position(n, m, J):
+    """Column of the multi-index J in a dense row."""
+    return list(all_multi_indices(n, m)).index(J)
 
 
 def brute_force_dims(growth, m, d):
@@ -60,44 +69,41 @@ def test_mvector_degree_h1h1_tangent():
     # surface: X ^ Y' + u_s (Z ^ Y' + Z' ^ Y')
     w = H1H1.weights()
     for u_s in (0.7, -0.2):
-        x = MVector(2, {(1, 4): 1.0, (4, 5): -u_s, (4, 6): -u_s})
-        assert x.degree(w) == 3
-    x0 = MVector(2, {(1, 4): 1.0})
-    assert x0.degree(w) == 2
-    assert MVector.single((3, 4)).degree(ENGEL.weights()) == 5
-    with pytest.raises(DegenerateInputError):
-        MVector.zero(2).degree(w)
+        assert degree(row(6, {(1, 4): 1.0, (4, 5): -u_s, (4, 6): -u_s}), w) == 3
+    assert degree(row(6, {(1, 4): 1.0}), w) == 2
+    assert degree(row(4, {(3, 4): 1.0}), ENGEL.weights()) == 5
 
 
 def test_degree_threshold_is_relative():
     w = ENGEL.weights()
-    noisy = MVector(2, {(1, 2): 1.0, (3, 4): 1e-12})
-    assert noisy.degree(w) == 2
-    assert noisy.degree(w, eps=0.0) == 5
+    noisy = row(4, {(1, 2): 1.0, (3, 4): 1e-12})
+    assert degree(noisy, w) == 2
+    assert degree(noisy, w, eps=0.0) == 5
 
 
 def test_projections():
+    # the degree-d part of a row is the row masked by index_degrees == d
     w = H1H1.weights()
+    degs = index_degrees(6, 2, w)
     u_s = 0.4
-    x = MVector(2, {(1, 4): 1.0, (4, 5): u_s, (4, 6): u_s})
-    p3 = x.project_degree_eq(3, w)
-    assert p3.terms == {(4, 5): u_s, (4, 6): u_s}
-    p2 = x.project_degree_eq(2, w)
-    assert p2.terms == {(1, 4): 1.0}
-    assert MVector.zero(2).project_degree_eq(3, w).is_zero()
+    x = row(6, {(1, 4): 1.0, (4, 5): u_s, (4, 6): u_s})
+    assert (x * (degs == 3)).tolist() == row(6, {(4, 5): u_s, (4, 6): u_s}).tolist()
+    assert (x * (degs == 2)).tolist() == row(6, {(1, 4): 1.0}).tolist()
+    assert not np.any(row(6, {}) * (degs == 3))
     # reassembly: eq-parts over all degrees recover the original
-    total = MVector.zero(2)
+    total = np.zeros_like(x)
     for d in range(2, 7):
-        total = total.plus(x.project_degree_eq(d, w))
-    assert total.terms == x.terms
+        total = total + x * (degs == d)
+    assert total.tolist() == x.tolist()
 
 
 def test_project_gt():
     w = ENGEL.weights()
-    x = MVector(2, {(1, 2): 0.3, (1, 4): 1.0, (3, 4): 0.0})
-    assert x.project_degree_gt(4, w).is_zero()
-    assert x.project_degree_gt(1, w).terms == {(1, 2): 0.3, (1, 4): 1.0}
-    assert x.project_degree_gt(d_max(2, w), w).is_zero()
+    degs = index_degrees(4, 2, w)
+    x = row(4, {(1, 2): 0.3, (1, 4): 1.0, (3, 4): 0.0})
+    assert not np.any(x * (degs > 4))
+    assert (x * (degs > 1)).tolist() == row(4, {(1, 2): 0.3, (1, 4): 1.0}).tolist()
+    assert not np.any(x * (degs > d_max(2, w)))
 
 
 def test_d_max():
@@ -126,15 +132,14 @@ def test_dim_counts_match_brute_force():
                 assert leq + gt == math.comb(g.n, m)
 
 
-def test_wedge_from_columns_units():
+def test_minors_units():
     cols = np.zeros((4, 2))
     cols[0, 0] = 1.0
     cols[3, 1] = 1.0
-    x = wedge_from_columns(cols)
-    assert x.terms == {(1, 4): 1.0}
-    swapped = wedge_from_columns(cols[:, ::-1])
-    for J, c in x.terms.items():
-        assert swapped.coefficient(J) == -c
+    x = minors(cols[None])[0]
+    assert x.tolist() == row(4, {(1, 4): 1.0}).tolist()
+    swapped = minors(cols[None, :, ::-1])[0]
+    assert swapped.tolist() == (-x).tolist()
 
 
 def test_wedge_engel_graph_columns():
@@ -154,30 +159,24 @@ def test_wedge_engel_graph_columns():
                 [-math.sin(th), math.cos(th)],
             ]
         )
-        x = wedge_from_columns(cols)
-        assert x.coefficient((1, 2)) == pytest.approx(
+        x = minors(cols[None])[0]
+        assert x[position(4, 2, (1, 2))] == pytest.approx(
             math.cos(th) * kapy - math.sin(th) * kapx, abs=1e-12
         )
-        assert x.coefficient((1, 3)) == pytest.approx(
+        assert x[position(4, 2, (1, 3))] == pytest.approx(
             -(math.cos(th) * thy - math.sin(th) * thx), abs=1e-12
         )
-        assert x.coefficient((1, 4)) == pytest.approx(1.0, abs=1e-12)
-        assert x.coefficient((2, 3)) == pytest.approx(
+        assert x[position(4, 2, (1, 4))] == pytest.approx(1.0, abs=1e-12)
+        assert x[position(4, 2, (2, 3))] == pytest.approx(
             thx * kapy
             - thy * kapx
             - kap * (math.cos(th) * kapy - math.sin(th) * kapx),
             abs=1e-12,
         )
-        assert x.coefficient((2, 4)) == pytest.approx(
+        assert x[position(4, 2, (2, 4))] == pytest.approx(
             math.sin(th) * kapy + math.cos(th) * kapx, abs=1e-12
         )
-        assert x.coefficient((3, 4)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_wedge_rejects_rank_deficient():
-    cols = np.ones((3, 2))
-    with pytest.raises(DegenerateInputError):
-        wedge_from_columns(cols)
+        assert x[position(4, 2, (3, 4))] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (6, 2), (5, 3), (6, 3)])
@@ -187,9 +186,6 @@ def test_minors_kernel_matches_pointwise_wedge(n, m):
     batch = minors(tau)
     assert batch.shape == (7, math.comb(n, m))
     for p in range(7):
-        point = wedge(tau[p])
-        row = [point.coefficient(J) for J in all_multi_indices(n, m)]
-        assert batch[p].tolist() == row
         assert minors(tau[p : p + 1])[0].tolist() == batch[p].tolist()
         # loop reference: the entry, ad - bc, or the determinant of the rows J
         for k, J in enumerate(all_multi_indices(n, m)):
@@ -217,38 +213,22 @@ def test_minors_columns_follow_multi_index_order():
 
 
 def test_max_degrees_matches_mvector_degree():
+    # loop reference: the largest degree of an index whose |coefficient|
+    # exceeds DEGREE_EPS times the row's largest |coefficient|
     rng = np.random.default_rng(12)
     w = ENGEL.weights()
     tau = rng.uniform(-1, 1, (20, 4, 2))
     tau[:10, 2:, :] = 0.0  # horizontal tangent planes: degree 2
-    got = max_degrees(minors(tau), index_degrees(4, 2, w), DEGREE_EPS)
-    assert got.tolist() == [wedge(t).degree(w) for t in tau]
-    assert set(got[:10].tolist()) == {2}
-
-
-def test_gram_inner_orthonormal():
-    g = np.eye(4)
-    a = MVector.single((1, 3))
-    b = MVector.single((1, 4))
-    assert gram_inner(a, a, g) == 1.0
-    assert gram_inner(a, b, g) == 0.0
-
-
-def test_gram_inner_weighted():
-    # <Z ^ Y', Z ^ Y'> with |Z|^2 = lam: 2x2 Gram determinant oracle
-    lam, mu = 2.5, 0.7
-    g = np.diag([1.0, 1.0, 1.0, 1.0, lam, mu])
-    zy = MVector.single((4, 5))
-    oracle = np.linalg.det(np.array([[g[3, 3], 0.0], [0.0, g[4, 4]]]))
-    assert gram_inner(zy, zy, g) == pytest.approx(oracle, rel=1e-15)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = float(rng.uniform(-2, 2))
-        x = MVector(2, {(1, 2): float(rng.uniform(-1, 1)), (4, 5): float(rng.uniform(-1, 1))})
-        y = MVector(2, {(1, 2): float(rng.uniform(-1, 1)), (2, 3): float(rng.uniform(-1, 1))})
-        assert gram_inner(x.scaled(a), y, g) == pytest.approx(
-            a * gram_inner(x, y, g), rel=1e-12, abs=1e-14
+    values = minors(tau)
+    got = max_degrees(values, index_degrees(4, 2, w), DEGREE_EPS)
+    expect = []
+    for x in values:
+        cut = DEGREE_EPS * np.abs(x).max()
+        expect.append(
+            max(degree_of_index(J, w) for J, c in zip(all_multi_indices(4, 2), x) if abs(c) > cut)
         )
+    assert got.tolist() == expect
+    assert set(got[:10].tolist()) == {2}
 
 
 def _random_block_triangular(rng, growth):
@@ -276,14 +256,7 @@ def test_degree_invariant_under_adapted_change(growth):
     for _ in range(10):
         D = _random_block_triangular(rng, growth)
         cols_new = rng.uniform(-1, 1, (n, 2))
-        x_new = wedge_from_columns(cols_new)
+        x_new = minors(cols_new[None])[0]
         # same geometric 2-vector expressed in the original frame
-        x_old = wedge_from_columns(D @ cols_new)
-        assert x_new.degree(w) == x_old.degree(w)
-
-
-def test_json_roundtrip():
-    x = MVector(2, {(1, 4): 1.0, (3, 4): -0.25})
-    back = MVector.from_json(x.to_json())
-    assert back.terms == x.terms
-    assert back.m == 2
+        x_old = minors((D @ cols_new)[None])[0]
+        assert degree(x_new, w) == degree(x_old, w)
