@@ -63,7 +63,9 @@ def _minors_and_volume(imm: Immersion, points: np.ndarray):
     """Arrays (tangent minors (N, C), their index degrees, sqrt(det mu)) over the points."""
     tau = imm.ortho_tangent_grid(points)
     gram = np.einsum("pim,pil->pml", tau, tau)
-    sqrt_det = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    # a non-finite node gives NaN here, refused by the caller's ``_finite_at_nodes``
+    with np.errstate(invalid="ignore"):
+        sqrt_det = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
     return imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), sqrt_det
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,11 +74,41 @@ def _load_immersion(args) -> Immersion:
     with open(args.immersion, encoding="utf-8") as fh:
         idata = json.load(fh)
     require_keys(idata, ("params", "components", "domain"), "immersion spec")
-    comps = tuple(parse_expr(src, idata["params"]) for src in idata["components"])
-    return Immersion(
-        mani, idata["params"], comps, idata["domain"],
-        base_coords=idata.get("base_coords"),
-    )
+    params = _spec_list(idata, "params", _is_string, "strings")
+    sources = _spec_list(idata, "components", _is_string, "strings")
+    domain = _spec_list(idata, "domain", _is_interval, "finite [lo, hi] pairs with lo < hi")
+    base = None
+    if idata.get("base_coords") is not None:
+        n = mani.n
+        base = _spec_list(idata, "base_coords", lambda i: _is_int(i) and 0 <= i < n,
+                          f"coordinate indices in 0..{n - 1}")
+    comps = tuple(parse_expr(src, params) for src in sources)
+    return Immersion(mani, params, comps, domain, base_coords=base)
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_interval(value) -> bool:
+    if not (isinstance(value, list) and len(value) == 2):
+        return False
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+        return False
+    lo, hi = value
+    return math.isfinite(lo) and math.isfinite(hi) and lo < hi
+
+
+def _spec_list(data: dict, key: str, is_item, what: str) -> list:
+    """``data[key]``, refused unless it is a JSON list whose items pass ``is_item``."""
+    value = data[key]
+    if not (isinstance(value, list) and all(map(is_item, value))):
+        raise ValueError(f"immersion spec key {key!r} must be a list of {what}")
+    return value
 
 
 def _parse_grid(text: str):

@@ -8,6 +8,18 @@ the induced volume sqrt(det mu) gives the unit tangent m-vector.  Pointwise
 operations run the batched grid path on a batch of one, so the pointwise
 degree is the grid degree rule applied to one row.
 
+The grid path keeps tangent data points last, so every per-entry operation
+runs over one contiguous row of N values.  The components and the Jacobian
+are evaluated in one pass into row arrays (one row per expression, shape
+(k, N)).  The tangent coefficients tau = C J, with C the orthonormal
+coframe, are summed per row i over ascending j and only over the entries
+C[i][j] that are not the structural constant 0, in the order and from the
+zero start of a dense einsum, so finite values are bit-identical to it.
+``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays, which
+``multivec.minors`` reads back points last without a copy.  The degree
+scan's lower-semicontinuity check takes neighbour maxima with shifted
+slices, not a loop over grid points.
+
 The degree-adapted tangent basis used by the admissibility machinery is the
 column-echelon basis with one pivot row per tangent-flag layer: each basis
 vector carries coefficient 1 at its pivot row and 0 at the other pivots,
@@ -21,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import evaluate_many
+from .exprs import Const, evaluate_many
 from .manifold import Manifold, numeric_rank
 from .multivec import (
     DEGREE_EPS,
@@ -77,6 +89,8 @@ class Immersion:
         # Indices of ambient coordinates that restrict to the parameters on the
         # image (graph immersions); enables extending fields off the surface.
         self.base_coords = tuple(base_coords) if base_coords is not None else None
+        if self.base_coords is not None and len(self.base_coords) != len(self.params):
+            raise ValueError("one base coordinate per parameter required")
         self.name = name
         # Symbolic frame bundle, set by ``admissibility.frames_for``; holding it
         # here lets that cache reference it weakly.
@@ -117,9 +131,6 @@ class Immersion:
     def phi_at(self, pbar) -> np.ndarray:
         return np.array(evaluate_many(self.components, self.param_env(pbar)), dtype=float)
 
-    def phi_grid(self, points: np.ndarray) -> np.ndarray:
-        return _grid_values(self.components, self.grid_env(points), points.shape[0])
-
     def midpoint(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
 
@@ -134,18 +145,47 @@ class Immersion:
 
     # -- batched tangent data -------------------------------------------------
 
+    @cached_property
+    def _coframe_terms(self):
+        """Non-zero entries of the orthonormal coframe: (exprs, per row i the (k, j) pairs).
+
+        exprs[k] is entry (i, j); pairs are in ascending j.  An entry that is
+        the structural constant 0 (an exact ``Const``) is left out.
+        """
+        exprs, rows = [], []
+        for row in self.manifold.ortho_coframe_exprs:
+            terms = []
+            for j, e in enumerate(row):
+                if not (isinstance(e, Const) and e.value == 0.0):
+                    terms.append((len(exprs), j))
+                    exprs.append(e)
+            rows.append(terms)
+        return exprs, rows
+
     def _tangent_grids(self, points: np.ndarray):
-        """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame."""
+        """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame.
+
+        Both are views of points-last (n, m, N) arrays.
+        """
         pts = np.asarray(points, dtype=float)
         N = pts.shape[0]
         n, m = self.n, self.m
-        phi = self.phi_grid(pts)
-        ambient_env = {name: phi[:, i] for i, name in enumerate(self.manifold.coords)}
-        cof_flat = [e for row in self.manifold.ortho_coframe_exprs for e in row]
-        cof = _grid_values(cof_flat, ambient_env, N).reshape(N, n, n)
         jac_flat = [e for row in self.jacobian_exprs for e in row]
-        jac = _grid_values(jac_flat, self.grid_env(pts), N).reshape(N, n, m)
-        return jac, np.einsum("pij,pjm->pim", cof, jac)
+        values = np.empty((n + n * m, N))  # rows: components, then the Jacobian
+        for k, v in enumerate(evaluate_many([*self.components, *jac_flat], self.grid_env(pts))):
+            values[k] = v
+        jac = values[n:].reshape(n, m, N)
+        cof_exprs, cof_rows = self._coframe_terms
+        cof = evaluate_many(cof_exprs, dict(zip(self.manifold.coords, values[:n])))
+        # tau[i] = 0 + sum over ascending j of cof[i, j] * jac[j], the order and
+        # zero start of einsum("pij,pjm->pim"); with jac finite, a structural
+        # zero term adds +-0 to a sum that is never -0, so skipping it changes
+        # no bit
+        tau = np.zeros((n, m, N))
+        for i, terms in enumerate(cof_rows):
+            for k, j in terms:
+                tau[i] += cof[k] * jac[j]
+        return jac.transpose(2, 0, 1), tau.transpose(2, 0, 1)
 
     def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
         """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m)."""
@@ -179,7 +219,14 @@ class Immersion:
         return self.tangent_data(pbar).induced
 
     def tangent_flag_dims(self, pbar) -> tuple[int, ...]:
-        tau = self.tangent_data(pbar).ortho_comps
+        return self._flag_dims(self.tangent_data(pbar).ortho_comps)
+
+    def adapted_tangent_pivots(self, pbar) -> tuple[int, ...]:
+        """Pivot rows (1-based) of the degree-adapted echelon tangent basis."""
+        return self._adapted_pivots(self.tangent_data(pbar).ortho_comps, pbar)
+
+    def _flag_dims(self, tau: np.ndarray) -> tuple[int, ...]:
+        """dim(T cap H^j) for each layer j, from the ortho components tau (n x m)."""
         growth = self.manifold.growth
         dims = []
         for j in range(1, growth.step + 1):
@@ -191,17 +238,16 @@ class Immersion:
                 dims.append(self.m - numeric_rank(upper))
         return tuple(dims)
 
-    def adapted_tangent_pivots(self, pbar) -> tuple[int, ...]:
-        """Pivot rows (1-based) of the degree-adapted echelon tangent basis.
+    def _adapted_pivots(self, tau: np.ndarray, pbar) -> tuple[int, ...]:
+        """Pivot rows (1-based) of the echelon basis of tau (n x m); ``pbar`` names the point.
 
         Layer-j pivots are chosen so the pivot rows resolve the flag
         subspace T cap H^j itself (rank tested against a null-space basis of
         the higher-layer block), which makes the pivot submatrix invertible
         and each echelon vector land in its flag layer.
         """
-        tau = self.tangent_data(pbar).ortho_comps
         growth = self.manifold.growth
-        dims = self.tangent_flag_dims(pbar)
+        dims = self._flag_dims(tau)
         pivots: list[int] = []
         for j in range(1, growth.step + 1):
             target = dims[j - 1]
@@ -231,10 +277,9 @@ class Immersion:
 
     def adapted_tangent_at(self, pbar, pivots=None):
         """Echelon tangent basis: (ambient ortho comps n x m, parameter comps m x m)."""
-        data = self.tangent_data(pbar)
-        tau = data.ortho_comps
+        tau = self.tangent_data(pbar).ortho_comps
         if pivots is None:
-            pivots = self.adapted_tangent_pivots(pbar)
+            pivots = self._adapted_pivots(tau, pbar)
         P = tau[[p - 1 for p in pivots], :]
         try:
             Pinv = np.linalg.inv(P)
@@ -243,14 +288,6 @@ class Immersion:
                 f"adapted pivot rows {pivots} degenerate at {tuple(map(float, pbar))}"
             ) from None
         return tau @ Pinv, Pinv
-
-
-def _grid_values(exprs, env, N: int) -> np.ndarray:
-    """Values of the expressions over N points, (N, len(exprs))."""
-    out = np.empty((N, len(exprs)))
-    for k, v in enumerate(evaluate_many(exprs, env)):
-        out[:, k] = v
-    return out
 
 
 def tangent_flag(imm: Immersion, pbar):
@@ -296,19 +333,25 @@ def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     )
     deg_max = int(degrees.max())
     mask = degrees < deg_max
-    lsc_violations = []
-    grid = degrees.reshape(shape)
-    for idx in np.ndindex(*shape):
-        center = grid[idx]
-        best = -1
-        for axis in range(len(shape)):
-            for delta in (-1, 1):
-                nb = list(idx)
-                nb[axis] += delta
-                if 0 <= nb[axis] < shape[axis]:
-                    best = max(best, int(grid[tuple(nb)]))
-        if best >= 0 and center > best:
-            lsc_violations.append(tuple(idx))
+    lsc_violations = _lsc_violations(degrees.reshape(shape))
     return DegreeScanReport(
         shape, points, degrees, deg_max, mask, not lsc_violations, lsc_violations
     )
+
+
+def _lsc_violations(grid: np.ndarray) -> list:
+    """Grid indices, in C order, whose degree exceeds that of every axis neighbour.
+
+    ``best`` is the largest neighbour degree, or -1 where a cell has no
+    neighbour (every axis of length 1); such a cell is no violation.
+    """
+    best = np.full(grid.shape, -1)
+    for axis in range(grid.ndim):
+        head = [slice(None)] * grid.ndim
+        tail = [slice(None)] * grid.ndim
+        head[axis] = slice(None, -1)
+        tail[axis] = slice(1, None)
+        head, tail = tuple(head), tuple(tail)
+        np.maximum(best[head], grid[tail], out=best[head])  # neighbour at +1
+        np.maximum(best[tail], grid[head], out=best[tail])  # neighbour at -1
+    return [tuple(idx) for idx in np.argwhere((best >= 0) & (grid > best)).tolist()]

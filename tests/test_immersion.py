@@ -7,8 +7,14 @@ import pytest
 
 from gradedgeo import catalog
 from gradedgeo.area import QuadratureGrid, _minors_and_volume
-from gradedgeo.exprs import const, parse, var
-from gradedgeo.immersion import Immersion, degree_scan, tangent_flag, uniform_grid
+from gradedgeo.exprs import const, evaluate_many, parse, var
+from gradedgeo.immersion import (
+    Immersion,
+    _lsc_violations,
+    degree_scan,
+    tangent_flag,
+    uniform_grid,
+)
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
 from gradedgeo.multivec import DegenerateInputError, GrowthVector, all_multi_indices
 from gradedgeo.verify import engel_closed_forms
@@ -96,6 +102,13 @@ def test_degree_scan_rejects_degenerate():
     )
     with pytest.raises(DegenerateInputError):
         degree_scan(constant, (4, 4))
+
+
+def test_immersion_needs_one_base_coordinate_per_parameter():
+    mani = catalog.manifold("rototrans")
+    comps = (var("a"), var("b"), const(0.0))
+    with pytest.raises(ValueError, match="one base coordinate per parameter"):
+        Immersion(mani, ("a", "b"), comps, ((0.0, 1.0), (0.0, 1.0)), base_coords=(0,))
 
 
 def test_degenerate_point_errors_print_plain_floats():
@@ -227,3 +240,75 @@ def test_uniform_grid_shape():
     assert pts.shape == (32, 2)
     assert shape == (4, 8)
     assert pts[:, 0].min() > 0.0 and pts[:, 0].max() < 1.0
+
+
+def _dense_columns(exprs, env, N):
+    out = np.empty((N, len(exprs)))
+    for k, v in enumerate(evaluate_many(exprs, env)):
+        out[:, k] = v
+    return out
+
+
+def _dense_tangent_grids(imm, pts):
+    """Reference: every coframe entry evaluated, contracted by a dense einsum."""
+    N, n, m = pts.shape[0], imm.n, imm.m
+    env = imm.grid_env(pts)
+    phi = _dense_columns(imm.components, env, N)
+    ambient = {name: phi[:, i] for i, name in enumerate(imm.manifold.coords)}
+    cof_flat = [e for row in imm.manifold.ortho_coframe_exprs for e in row]
+    cof = _dense_columns(cof_flat, ambient, N).reshape(N, n, n)
+    jac_flat = [e for row in imm.jacobian_exprs for e in row]
+    jac = _dense_columns(jac_flat, env, N).reshape(N, n, m)
+    return jac, np.einsum("pij,pjm->pim", cof, jac)
+
+
+@pytest.mark.parametrize("metric", [None, "euclidean"])
+@pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
+def test_tangent_grids_bit_identical_to_dense_einsum(name, metric):
+    imm = catalog.immersion(name, **({"metric": metric} if metric else {}))
+    for pts in (imm.midpoint()[None, :], QuadratureGrid(imm.domain, 33).points):
+        got = imm._tangent_grids(pts)
+        want = _dense_tangent_grids(imm, pts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.ascontiguousarray(g).tobytes() == w.tobytes()
+
+
+def _lsc_violations_by_points(grid):
+    """Reference: the per-point neighbour loop."""
+    violations = []
+    for idx in np.ndindex(*grid.shape):
+        best = -1
+        for axis in range(grid.ndim):
+            for delta in (-1, 1):
+                nb = list(idx)
+                nb[axis] += delta
+                if 0 <= nb[axis] < grid.shape[axis]:
+                    best = max(best, int(grid[tuple(nb)]))
+        if best >= 0 and grid[idx] > best:
+            violations.append(tuple(idx))
+    return violations
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (7, 9), (5, 4, 3)])
+def test_lsc_violations_match_point_loop(shape):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        grid = rng.integers(2, 6, size=shape)
+        got = _lsc_violations(grid)
+        want = _lsc_violations_by_points(grid)
+        assert got == want  # order included
+        assert all(type(i) is int for idx in got for i in idx)
+
+
+def test_adapted_tangent_at_evaluates_tangent_grids_once(engel_graph, monkeypatch):
+    calls = []
+    original = Immersion._tangent_grids
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Immersion, "_tangent_grids", counted)
+    engel_graph.adapted_tangent_at([0.4, 0.6])
+    assert calls == [1]
