@@ -26,7 +26,7 @@ from .exprs import Expr, const, parse
 from .immersion import Immersion
 from .manifold import numeric_rank
 from .moving_frames import ImmersionFrames, SymbolicSystem, SystemShape
-from .multivec import TRANSPORT_TOL, DegenerateInputError
+from .multivec import TRANSPORT_TOL, DegenerateInputError, compound
 from .symmat import emat_mul, eval_matrix, upper_triangular_inverse
 
 __all__ = [
@@ -118,9 +118,7 @@ def system_shape(imm: Immersion, grid_points, d: int) -> SystemShape:
 
 
 def _assemble(imm: Immersion, pbar, sym: SymbolicSystem, kind: str) -> AdmissibilitySystem:
-    A, B, C = sym.at(imm, pbar)
-    tparam = eval_matrix(sym.tangent_param, imm.param_env(pbar))
-    return AdmissibilitySystem(sym.shape, tuple(pbar), A, B, C, tparam, kind)
+    return AdmissibilitySystem(sym.shape, tuple(pbar), *sym.at(imm, pbar), kind)
 
 
 def assemble_adapted(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
@@ -242,8 +240,6 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     Both systems use the same tangent basis (the g echelon basis).
     """
     from .exprs import evaluate_many
-    from .multivec import all_multi_indices, degree_of_index
-    from .symmat import edet
 
     if field.frame != "adapted":
         raise ValueError("metric change check expects an adapted-frame field")
@@ -251,9 +247,8 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     imm_b = imm.with_metric(metric_b)
     frames_b = frames_for(imm_b)
     n, m = frames_g.n, frames_g.m
-    mani = imm.manifold
 
-    Ug = mani.ortho_change_exprs
+    Ug = imm.manifold.ortho_change_exprs
     Ub = imm_b.manifold.ortho_change_exprs
     D = emat_mul(upper_triangular_inverse(Ug), Ub)
     Dm = [[frames_g.compose(D[i][j]) for j in range(n)] for i in range(n)]
@@ -261,8 +256,7 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     Dinv_m = [[frames_g.compose(Dinv[i][j]) for j in range(n)] for i in range(n)]
 
     sym_g = frames_g.adapted_system(d)
-    shape = sym_g.shape
-    rho, ell = shape.rho, shape.ell
+    rho, ell = sym_g.shape.rho, sym_g.shape.ell
     # shared tangent basis, expressed in the g~ orthonormal frame
     t_amb_b = emat_mul(frames_b.ortho_coframe, frames_g.adapted_coord)
     sym_b = frames_b.adapted_system_with_tangent(d, t_amb_b, frames_g.adapted_param)
@@ -276,32 +270,15 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     res_g = _residual_from_system(frames_g, sym_g, comps)
     res_b = _residual_from_system(frames_b, sym_b, comps_b)
 
-    weights = mani.weights
-    basis = shape.basis
-    lam_rows = []
-    for J in basis:
-        row = []
-        for I in basis:
-            row.append(edet([[Dm[a - 1][b - 1] for b in I] for a in J]))
-        lam_rows.append(row)
-    low_indices = [
-        J for J in all_multi_indices(n, m) if degree_of_index(J, weights) <= d
-    ]
-    lam_low = []
-    for J in basis:
-        for I in low_indices:
-            lam_low.append(edet([[Dm[a - 1][b - 1] for b in I] for a in J]))
-
-    Dh = [[Dm[i][j] for j in range(rho)] for i in range(rho)]
-    Dv = [[Dm[i + rho][j + rho] for j in range(n - rho)] for i in range(n - rho)]
-    Dhv = [[Dm[i][j + rho] for j in range(n - rho)] for i in range(rho)]
+    # Lambda rows and columns: the degree > d indices (the system's basis)
+    high = imm.multi_index_degrees > d
     EjDv = []
     for j in range(m):
         param_col = [frames_g.adapted_param[a][j] for a in range(m)]
         EjDv.append(
             [
-                [frames_g.tangent_derivative(param_col, Dv[i][r]) for r in range(n - rho)]
-                for i in range(n - rho)
+                [frames_g.tangent_derivative(param_col, Dm[i][r]) for r in range(rho, n)]
+                for i in range(rho, n)
             ]
         )
 
@@ -314,19 +291,21 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     for p in np.asarray(points, dtype=float):
         env = imm.param_env(p)
         if ell:
-            lam_v = eval_matrix(lam_rows, env)
+            Dp = eval_matrix(Dm, env)
+            lam = compound(Dp, m)
+            lam_v = lam[np.ix_(high, high)]
             lam_inv = np.linalg.inv(lam_v)
             rg = np.array(evaluate_many(res_g, env), dtype=float)
             rb = np.array(evaluate_many(res_b, env), dtype=float)
             max_res_err = max(max_res_err, float(np.max(np.abs(rb - lam_inv @ rg))))
-            if lam_low:
-                vals = np.abs(np.array(evaluate_many(lam_low, env), dtype=float))
-                max_block = max(max_block, float(vals.max()))
-            Ag, Bg, Cg = sym_g.at(imm, p)
-            Ab, Bb, Cb = sym_b.at(imm_b, p)
-            Dh_v = eval_matrix(Dh, env)
-            Dv_v = eval_matrix(Dv, env)
-            Dhv_v = eval_matrix(Dhv, env)
+            lam_low = lam[np.ix_(high, ~high)]
+            if lam_low.size:
+                max_block = max(max_block, float(np.abs(lam_low).max()))
+            Ag, Bg, Cg, _ = sym_g.at(imm, p)
+            Ab, Bb, Cb, _ = sym_b.at(imm_b, p)
+            Dh_v = Dp[:rho, :rho]
+            Dv_v = Dp[rho:, rho:]
+            Dhv_v = Dp[:rho, rho:]
             max_a = max(max_a, float(np.max(np.abs(Ab - lam_inv @ Ag @ Dh_v))))
             csum = np.zeros_like(Bg)
             for j in range(m):

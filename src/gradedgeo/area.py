@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .immersion import Immersion
-from .multivec import DEGREE_EPS, DegenerateInputError, index_degrees, max_degrees
+from .multivec import DEGREE_EPS, DegenerateInputError, max_degrees
 
 __all__ = [
     "QuadratureGrid",
@@ -66,7 +66,7 @@ def _minors_and_volume(imm: Immersion, points: np.ndarray):
     # a non-finite node gives NaN here, refused by the caller's ``_finite_at_nodes``
     with np.errstate(invalid="ignore"):
         sqrt_det = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    return imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), sqrt_det
+    return imm.minors_grid(tau), imm.multi_index_degrees, sqrt_det
 
 
 def _theta(minors: np.ndarray, degrees: np.ndarray, d: int) -> np.ndarray:
@@ -130,7 +130,7 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
 def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
     """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
     minors_sq = imm.minors_grid(imm.ortho_tangent_grid(grid.points)) ** 2
-    excess = (index_degrees(imm.n, imm.m, imm.manifold.weights) - imm.m).tolist()
+    excess = (imm.multi_index_degrees - imm.m).tolist()
     areas = []
     for r in rs:
         total = np.zeros(grid.points.shape[0])

@@ -207,15 +207,34 @@ def engel_graph_kappa(theta: Expr) -> Expr:
     return call("cos", theta) * theta.diff("x") + call("sin", theta) * theta.diff("y")
 
 
-def immersion(name: str, domain=None, metric: str = "default", lam: float = 1.0,
-              mu: float = 1.0, **params) -> Immersion:
+# Parameters each catalog immersion takes, besides ``domain`` and ``metric``.
+_IMMERSION_PARAMS = {
+    "h1xh1-surface": ("u", "lam", "mu"),
+    "rt-graph": ("u",),
+    "engel-graph": ("theta",),
+    "isolated-plane": (),
+}
+
+
+def immersion(name: str, domain=None, metric: str = "default", **params) -> Immersion:
     """Instantiate a catalog immersion.
 
     ``engel-graph`` takes ``theta`` (expression in x, y); the second graph
     function is always derived as kappa = X1(theta) so the ruling condition
     holds exactly.  ``rt-graph`` takes ``u`` in (x, y); ``h1xh1-surface``
-    takes ``u`` in (s,) (the surface construction needs u independent of t).
+    takes ``u`` in (s,) (the surface construction needs u independent of t)
+    and the vertical squared lengths ``lam``, ``mu`` (default 1).  Any other
+    parameter is refused with a ValueError.
     """
+    if name not in _IMMERSION_PARAMS:
+        raise KeyError(f"unknown catalog immersion {name!r}")
+    accepted = (*_IMMERSION_PARAMS[name], "metric")
+    for key in params:
+        if key not in accepted:
+            raise ValueError(
+                f"catalog entry {name!r} has no parameter {key!r} "
+                f"(accepted: {', '.join(accepted)})"
+            )
     if name == "engel-graph":
         theta = _as_expr(params.pop("theta", "0.2*x + 0.3*y"), ("x", "y"))
         kappa = engel_graph_kappa(theta)
@@ -245,6 +264,8 @@ def immersion(name: str, domain=None, metric: str = "default", lam: float = 1.0,
         u = _as_expr(params.pop("u", "s"), ("s", "t"))
         if "t" in u.variables():
             raise ValueError("h1xh1-surface needs u = u(s); see the catalog docs")
+        lam = float(params.pop("lam", 1.0))
+        mu = float(params.pop("mu", 1.0))
         mani = manifold("h1xh1", metric=metric, lam=lam, mu=mu)
         dom = domain or ((-1.0, 1.0), (-1.0, 1.0))
         return Immersion(
@@ -255,18 +276,16 @@ def immersion(name: str, domain=None, metric: str = "default", lam: float = 1.0,
             base_coords=(0, 4),
             name="h1xh1-surface",
         )
-    if name == "isolated-plane":
-        mani = manifold("engel-group", metric=metric)
-        dom = domain or ((-1.0, 1.0), (-1.0, 1.0))
-        return Immersion(
-            mani,
-            ("v", "w"),
-            (var("v"), const(0.0), var("w"), const(0.0)),
-            dom,
-            base_coords=(0, 2),
-            name="isolated-plane",
-        )
-    raise KeyError(f"unknown catalog immersion {name!r}")
+    mani = manifold("engel-group", metric=metric)
+    dom = domain or ((-1.0, 1.0), (-1.0, 1.0))
+    return Immersion(
+        mani,
+        ("v", "w"),
+        (var("v"), const(0.0), var("w"), const(0.0)),
+        dom,
+        base_coords=(0, 2),
+        name="isolated-plane",
+    )
 
 
 # ---------------------------------------------------------------------------

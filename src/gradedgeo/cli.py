@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .admissibility import VariationField, is_strongly_regular, residual
+from .admissibility import VariationField, frames_for, is_strongly_regular, residual, residual_exprs
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
@@ -46,15 +46,7 @@ def _parse_catalog_spec(spec: str):
 
 def _load_immersion(args) -> Immersion:
     if args.catalog:
-        name, params = _parse_catalog_spec(args.catalog)
-        kwargs = {}
-        for key, value in params.items():
-            if key in ("lam", "mu"):
-                kwargs[key] = float(value)
-            elif key == "metric":
-                kwargs["metric"] = value
-            else:
-                kwargs[key] = value
+        name, kwargs = _parse_catalog_spec(args.catalog)
         if args.metric:
             kwargs["metric"] = args.metric
         try:
@@ -216,6 +208,7 @@ def cmd_admissibility(args):
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    residual_exprs(imm, field, d)  # midpoint choices fail here, naming no grid point
     rows = []
     for p in pts:
         r = _at_grid_point(p, residual, imm, field, p, d)
@@ -234,6 +227,7 @@ def cmd_regularity(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    frames_for(imm).adapted_system(d)  # midpoint choices fail here, naming no grid point
     rows = []
     all_flags = True
     for p in pts:
@@ -261,6 +255,7 @@ def cmd_mean_curvature(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    frames_for(imm).control_columns(d)  # midpoint choices fail here, naming no grid point
     rows = []
     for p in pts:
         mc = _at_grid_point(p, mean_curvature, imm, p, d)
@@ -330,18 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default="16x16"):
+    def common(p, grid_default="16x16", degree=True):
         p.add_argument("--catalog", help="catalog entry, e.g. engel-graph:theta=x+0.3*y")
         p.add_argument("--manifold", help="manifold JSON file")
         p.add_argument("--immersion", help="immersion JSON file")
         p.add_argument("--metric", help="frame-orthonormal | euclidean | FILE.json")
-        p.add_argument("--degree", default="auto", help="degree d (default: scanned max)")
+        if degree:
+            p.add_argument("--degree", default="auto", help="degree d (default: scanned max)")
         p.add_argument("--grid", default=grid_default, help="grid, e.g. 64x64")
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("degree-scan", help="grid certificate of the degree map")
-    common(p)
+    common(p, degree=False)
     p.set_defaults(fn=cmd_degree_scan)
 
     p = sub.add_parser("area", help="degree-d area by quadrature")
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_first_variation)
 
     p = sub.add_parser("el-residual", help="third-order residual for ruled graphs")
-    common(p, "8x8")
+    common(p, "8x8", degree=False)
     p.set_defaults(fn=cmd_el_residual)
 
     p = sub.add_parser("verify", help="run the built-in regression checks")

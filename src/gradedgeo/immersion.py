@@ -122,6 +122,13 @@ class Immersion:
         return {name: pts[:, i] for i, name in enumerate(self.params)}
 
     @cached_property
+    def multi_index_degrees(self) -> np.ndarray:
+        """Read-only degrees of the multi-indices in ``all_multi_indices(n, m)`` order."""
+        degrees = index_degrees(self.n, self.m, self.manifold.weights)
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
     def jacobian_exprs(self):
         """J[c][a] = d components_c / d param_a."""
         return [
@@ -212,8 +219,7 @@ class Immersion:
 
     def pointwise_degree(self, pbar) -> int:
         row = self.tangent_data(pbar).minors
-        degrees = index_degrees(self.n, self.m, self.manifold.weights)
-        return int(max_degrees(row[None], degrees, DEGREE_EPS)[0])
+        return int(max_degrees(row[None], self.multi_index_degrees, DEGREE_EPS)[0])
 
     def induced_metric(self, pbar) -> np.ndarray:
         return self.tangent_data(pbar).induced
@@ -328,9 +334,7 @@ def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
         raise DegenerateInputError(
             f"immersion is rank deficient at grid point {tuple(map(float, points[idx]))}"
         )
-    degrees = max_degrees(
-        imm.minors_grid(tau), index_degrees(imm.n, imm.m, imm.manifold.weights), DEGREE_EPS
-    )
+    degrees = max_degrees(imm.minors_grid(tau), imm.multi_index_degrees, DEGREE_EPS)
     deg_max = int(degrees.max())
     mask = degrees < deg_max
     lsc_violations = _lsc_violations(degrees.reshape(shape))

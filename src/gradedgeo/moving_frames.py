@@ -5,7 +5,9 @@ is built once per immersion as expressions in the parameters: the ambient
 orthonormal adapted frame restricted to the surface, the degree-adapted
 (echelon) tangent basis, its orthonormalization, an adapted orthonormal
 frame of the normal bundle, the degree-d density, and covariant-derivative
-helpers.  Evaluating at a point is then a cached DAG evaluation.
+helpers.  Each degree-d object (systems, Theta_d, H_d, control columns) is
+built once through one per-instance memo, and a system's matrices are
+evaluated at a point in one tape pass.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
@@ -16,19 +18,21 @@ patterns valid away from degeneracies.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, call, const, div
+from .exprs import Expr, call, const, div, evaluate_many
 from .immersion import Immersion
 from .manifold import lie_bracket_exprs
 from .multivec import (
+    CONTROL_DET_TOL,
     NORMAL_PIVOT_TOL,
     DegenerateInputError,
     all_multi_indices,
-    degree_of_index,
     dim_gt,
 )
 from .symmat import (
@@ -36,7 +40,6 @@ from .symmat import (
     edot,
     einverse,
     emat_mul,
-    eval_matrix,
     gram_schmidt_from_gram,
     sum_exprs,
 )
@@ -81,20 +84,30 @@ class SymbolicSystem:
     other_cols: int
 
     def at(self, imm: Immersion, pbar):
-        """Numeric (A, B, [C_j]) matrices at a parameter point."""
-        env = imm.param_env(pbar)
-        ell = self.shape.ell
-
-        def _eval(M, cols):
-            if ell == 0 or cols == 0:
-                return np.zeros((ell, cols))
-            return eval_matrix(M, env)
-
-        return (
-            _eval(self.A, self.control_cols),
-            _eval(self.B, self.other_cols),
-            [_eval(Cj, self.other_cols) for Cj in self.C],
+        """Numeric (A, B, [C_j], tangent_param) at a parameter point, from one evaluation."""
+        ell, m = self.shape.ell, self.shape.m
+        mats = [self.A, self.B, *self.C, self.tangent_param]
+        shapes = [(ell, self.control_cols), *[(ell, self.other_cols)] * (m + 1), (m, m)]
+        flat = [e for M in mats for row in M for e in row]
+        vals = np.array(evaluate_many(flat, imm.param_env(pbar)), dtype=float)
+        ends = np.cumsum([rows * cols for rows, cols in shapes])
+        A, B, *C, tangent_param = (
+            v.reshape(shape) for v, shape in zip(np.split(vals, ends[:-1]), shapes)
         )
+        return A, B, C, tangent_param
+
+
+def _per_degree(build):
+    """Build ``build(self, d)`` once per degree d, in the instance's one ``_memo`` dict."""
+
+    @functools.wraps(build)
+    def memo(self, d: int):
+        key = (build.__name__, d)
+        if key not in self._memo:
+            self._memo[key] = build(self, d)
+        return self._memo[key]
+
+    return memo
 
 
 class ImmersionFrames:
@@ -104,12 +117,7 @@ class ImmersionFrames:
         self.imm = imm
         self.mani = imm.manifold
         self.base = imm.midpoint()
-        self._theta_cache: dict[int, Expr] = {}
-        self._tangent_coeff_cache: dict[int, dict] = {}
-        self._adapted_cache: dict[int, SymbolicSystem] = {}
-        self._normal_cache: dict[int, SymbolicSystem] = {}
-        self._mc_cache: dict[int, list] = {}
-        self._xi_cache: dict[int, list] = {}
+        self._memo: dict = {}
 
     # -- composition with the immersion ------------------------------------
 
@@ -228,16 +236,12 @@ class ImmersionFrames:
     def k(self) -> int:
         return self.rho - self.flag_dims[self.iota0 - 1]
 
-    def ell_basis(self, d: int) -> tuple[tuple[int, ...], ...]:
-        weights = self.mani.weights
-        return tuple(
-            J
-            for J in all_multi_indices(self.n, self.m)
-            if degree_of_index(J, weights) > d
-        )
-
+    @_per_degree
     def shape_for(self, d: int) -> SystemShape:
-        basis = self.ell_basis(d)
+        degrees = self.imm.multi_index_degrees
+        basis = tuple(
+            J for J, deg in zip(all_multi_indices(self.n, self.m), degrees) if deg > d
+        )
         ell = len(basis)
         assert ell == dim_gt(self.mani.growth, self.m, d)
         return SystemShape(
@@ -393,26 +397,20 @@ class ImmersionFrames:
 
     # -- degree-d data ------------------------------------------------------------
 
+    @_per_degree
     def tangent_coeffs(self, d: int) -> dict:
         """{J: <E_1 ^...^ E_m, X_J>} over indices of degree exactly d."""
-        got = self._tangent_coeff_cache.get(d)
-        if got is None:
-            weights = self.mani.weights
-            got = {
-                J: self._slot_det(self.E_cols, J)
-                for J in all_multi_indices(self.n, self.m)
-                if degree_of_index(J, weights) == d
-            }
-            self._tangent_coeff_cache[d] = got
-        return got
+        degrees = self.imm.multi_index_degrees
+        return {
+            J: self._slot_det(self.E_cols, J)
+            for J, deg in zip(all_multi_indices(self.n, self.m), degrees)
+            if deg == d
+        }
 
+    @_per_degree
     def theta(self, d: int) -> Expr:
-        got = self._theta_cache.get(d)
-        if got is None:
-            coeffs = self.tangent_coeffs(d)
-            got = call("sqrt", sum_exprs([c * c for c in coeffs.values()]))
-            self._theta_cache[d] = got
-        return got
+        coeffs = self.tangent_coeffs(d)
+        return call("sqrt", sum_exprs([c * c for c in coeffs.values()]))
 
     def div_tangent(self, param_comps) -> Expr:
         """Intrinsic divergence of a tangent field given in parameter comps."""
@@ -459,13 +457,10 @@ class ImmersionFrames:
             B.append(row[controls:])
         return SymbolicSystem(shape, A, B, C, t_param, controls, len(field_cols) - controls)
 
+    @_per_degree
     def adapted_system(self, d: int) -> SymbolicSystem:
         """System in the ambient orthonormal adapted frame, echelon tangent basis."""
-        got = self._adapted_cache.get(d)
-        if got is None:
-            got = self.adapted_system_with_tangent(d, self.adapted_amb, self.adapted_param)
-            self._adapted_cache[d] = got
-        return got
+        return self.adapted_system_with_tangent(d, self.adapted_amb, self.adapted_param)
 
     def adapted_system_with_tangent(self, d: int, t_amb, t_param) -> SymbolicSystem:
         """Adapted-frame system assembled on a caller-supplied tangent basis."""
@@ -473,13 +468,30 @@ class ImmersionFrames:
         units = [[ONE if i == h else ZERO for i in range(n)] for h in range(n)]
         return self._system(d, t_amb, t_param, units, self.rho)
 
+    @_per_degree
     def normal_system(self, d: int) -> SymbolicSystem:
         """System on the adapted normal frame, orthonormal tangent derivatives."""
-        got = self._normal_cache.get(d)
-        if got is None:
-            got = self._system(d, self.E_amb, self.E_param, self.N_cols, self.k)
-            self._normal_cache[d] = got
-        return got
+        return self._system(d, self.E_amb, self.E_param, self.N_cols, self.k)
+
+    @_per_degree
+    def control_columns(self, d: int) -> tuple[int, ...] | None:
+        """Control columns making the square block of A_perp invertible at the base point.
+
+        None when no block is invertible there (not strongly regular).
+        """
+        sym = self.normal_system(d)
+        ell, k = sym.shape.ell, sym.shape.k
+        if ell == 0:
+            return ()
+        A = sym.at(self.imm, self.base)[0]
+        best, best_det = None, 0.0
+        for cols in itertools.combinations(range(k), ell):
+            det = abs(float(np.linalg.det(A[:, cols])))
+            if det > best_det:
+                best, best_det = cols, det
+        if best is None or best_det <= CONTROL_DET_TOL:
+            return None
+        return tuple(best)
 
     # -- variational quantities -----------------------------------------------------
 
@@ -536,29 +548,25 @@ class ImmersionFrames:
             total = total + cJ * self.nabla_simple_mvector_inner(self.E_cols, coord, J)
         return total
 
+    @_per_degree
     def _xi(self, d: int):
         """xi[i][j] = <E_1^..(N_j at slot i)..^E_m, unit degree-d part>, m x (n-m)."""
-        got = self._xi_cache.get(d)
-        if got is None:
-            theta = self.theta(d)
-            coeffs = self.tangent_coeffs(d)
-            got = []
-            for i in range(self.m):
-                row = []
-                for ncol in self.N_cols:
-                    acc = ZERO
-                    for J, cJ in coeffs.items():
-                        acc = acc + cJ * self._slot_det(self.E_cols, J, i, ncol)
-                    row.append(div(acc, theta))
-                got.append(row)
-            self._xi_cache[d] = got
-        return got
+        theta = self.theta(d)
+        coeffs = self.tangent_coeffs(d)
+        out = []
+        for i in range(self.m):
+            row = []
+            for ncol in self.N_cols:
+                acc = ZERO
+                for J, cJ in coeffs.items():
+                    acc = acc + cJ * self._slot_det(self.E_cols, J, i, ncol)
+                row.append(div(acc, theta))
+            out.append(row)
+        return out
 
+    @_per_degree
     def mean_curvature_exprs(self, d: int):
         """Per normal field: (H1, H2, H3) expressions of the three summand groups."""
-        got = self._mc_cache.get(d)
-        if got is not None:
-            return got
         m = self.m
         theta = self.theta(d)
         coeffs = self.tangent_coeffs(d)
@@ -582,7 +590,6 @@ class ImmersionFrames:
                     self.E_cols, ncoord, J
                 )
             out.append((h1, h2, h3))
-        self._mc_cache[d] = out
         return out
 
     def graph_extend(self, expr: Expr) -> Expr:

@@ -5,7 +5,8 @@ An m-vector is a dense row of coefficients, one per multi-index in
 ``all_multi_indices(n, m)`` order; a simple m-vector's row is the m x m
 minors of its column matrix, shape (C(n, m),) at a point or (N, C(n, m))
 over a batch.  ``minors`` is the one batched kernel that computes these
-rows: tangent m-vectors, degree scans and areas all read them.  The degree
+rows: tangent m-vectors, degree scans and areas all read them, and the
+m-vector change of a frame change (``compound``) is built from it.  The degree
 of a row relative to a weight vector (``max_degrees`` over
 ``index_degrees``) is the largest weighted index sum among the coefficients
 above a relative threshold of the row peak.  The tolerances shared across
@@ -14,7 +15,9 @@ the toolkit live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "dim_leq",
     "dim_gt",
     "minors",
+    "compound",
     "max_degrees",
 ]
 
@@ -158,18 +162,9 @@ def _dim_count(growth: GrowthVector, m: int, keep) -> int:
             continue
         prod = 1
         for size, k in zip(sizes, ks):
-            prod *= _binom(size, k)
+            prod *= math.comb(size, k)
         total += prod
     return total
-
-
-def _binom(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
 
 
 def dim_leq(growth: GrowthVector, m: int, d: int) -> int:
@@ -186,6 +181,14 @@ def dim_gt(growth: GrowthVector, m: int, d: int) -> int:
     return _dim_count(growth, m, lambda deg: deg > d)
 
 
+@functools.lru_cache(maxsize=16)
+def _index_rows(n: int, m: int) -> np.ndarray:
+    """Read-only (C(n, m), m) array of the 0-based multi-indices, ``all_multi_indices`` order."""
+    rows = np.array(list(all_multi_indices(n, m))) - 1
+    rows.flags.writeable = False
+    return rows
+
+
 def minors(tau: np.ndarray) -> np.ndarray:
     """All m x m minors of a batch of n x m matrices: (N, n, m) -> (N, C(n, m)).
 
@@ -194,7 +197,7 @@ def minors(tau: np.ndarray) -> np.ndarray:
     """
     tau = np.asarray(tau, dtype=float)
     _, n, m = tau.shape
-    rows = np.array(list(all_multi_indices(n, m))) - 1
+    rows = _index_rows(n, m)
     if m >= 3:
         return np.linalg.det(tau[:, rows, :])
     # points last, so each minor is one contiguous row; returned transposed
@@ -202,6 +205,16 @@ def minors(tau: np.ndarray) -> np.ndarray:
     if m == 1:
         return sub[:, 0, 0].T
     return (sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]).T
+
+
+def compound(D: np.ndarray, m: int) -> np.ndarray:
+    """m-th compound of an n x n matrix: entry (J, I) is det D[J, I], ``all_multi_indices`` order.
+
+    It is the m-vector change induced by the frame change D.
+    """
+    D = np.asarray(D, dtype=float)
+    cols = _index_rows(D.shape[0], m)
+    return minors(np.moveaxis(D[:, cols], 1, 0)).T
 
 
 def max_degrees(values: np.ndarray, degrees: np.ndarray, eps: float) -> np.ndarray:

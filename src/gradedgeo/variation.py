@@ -14,7 +14,6 @@ residual is a third-order operator in the graph function.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .area import QuadratureGrid
 from .exprs import Expr, const, evaluate_many
 from .immersion import Immersion
 from .moving_frames import ImmersionFrames
-from .multivec import ACTIVE_REL_TOL, CONTROL_DET_TOL, SUPPORT_TOL, THETA_FLOOR
+from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
 from .symmat import edot, einverse, eval_matrix, sum_exprs
 
 __all__ = [
@@ -125,27 +124,6 @@ class MeanCurvatureAtPoint:
     normal_frame: np.ndarray  # ortho comps, n x (n - m)
 
 
-def _hat_columns(frames: ImmersionFrames, d: int, columns=None) -> tuple[int, ...]:
-    """Control columns making the square block of A_perp invertible at base."""
-    sym = frames.normal_system(d)
-    ell, k = sym.shape.ell, sym.shape.k
-    if columns is not None:
-        if len(columns) != ell:
-            raise ValueError(f"need exactly {ell} control columns")
-        return tuple(int(c) for c in columns)
-    if ell == 0:
-        return ()
-    A, _, _ = sym.at(frames.imm, frames.base)
-    best, best_det = None, 0.0
-    for cols in itertools.combinations(range(k), ell):
-        det = abs(float(np.linalg.det(A[:, cols])))
-        if det > best_det:
-            best, best_det = cols, det
-    if best is None or best_det <= CONTROL_DET_TOL:
-        raise ValueError("no invertible control block: immersion is not strongly regular")
-    return tuple(best)
-
-
 def mean_curvature(imm: Immersion, pbar, d: int) -> MeanCurvatureAtPoint:
     frames = frames_for(imm)
     triples = frames.mean_curvature_exprs(d)
@@ -154,10 +132,7 @@ def mean_curvature(imm: Immersion, pbar, d: int) -> MeanCurvatureAtPoint:
     vals = np.array(evaluate_many(flat, env), dtype=float).reshape(len(triples), 3)
     comps = vals.sum(axis=1)
     k = frames.k
-    try:
-        hat_cols = _hat_columns(frames, d)
-    except ValueError:
-        hat_cols = ()
+    hat_cols = frames.control_columns(d) or ()
     hat = comps[list(hat_cols)] if hat_cols else np.zeros(0)
     iota_cols = [j for j in range(k) if j not in hat_cols]
     iota = comps[iota_cols] if iota_cols else np.zeros(0)
@@ -224,7 +199,14 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
     n, m = frames.n, frames.m
     triples = frames.mean_curvature_exprs(d)
     H = [h1 + h2 + h3 for (h1, h2, h3) in triples]
-    hat_cols = _hat_columns(frames, d, columns)
+    if columns is not None:
+        if len(columns) != ell:
+            raise ValueError(f"need exactly {ell} control columns")
+        hat_cols = tuple(int(c) for c in columns)
+    else:
+        hat_cols = frames.control_columns(d)
+        if hat_cols is None:
+            raise ValueError("no invertible control block: immersion is not strongly regular")
     if ell == 0:
         return CriticalResidualExprs(list(H[:k]), list(H[k:]), (), const(1.0))
     iota_cols = [j for j in range(k) if j not in hat_cols]

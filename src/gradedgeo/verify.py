@@ -25,7 +25,7 @@ from .admissibility import (
 )
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import const, parse
-from .immersion import degree_scan, tangent_flag
+from .immersion import degree_scan, tangent_flag, uniform_grid
 from .manifold import MetricField, carnot_flag, verify_filtration
 from .multivec import GrowthVector, all_multi_indices, degree_of_index, dim_gt, dim_leq
 from .variation import duality_integral, first_variation
@@ -313,9 +313,7 @@ def check_contact() -> CheckResult:
 
 
 def check_isolation() -> CheckResult:
-    pts, _ = __import__("gradedgeo.immersion", fromlist=["uniform_grid"]).uniform_grid(
-        ((-1.0, 1.0), (-1.0, 1.0)), (64, 64)
-    )
+    pts, _ = uniform_grid(((-1.0, 1.0), (-1.0, 1.0)), (64, 64))
     bump = parse("(v^2-1)^2*(w^2-1)^2", ["v", "w"])
     zero = const(0.0)
     cases = [

@@ -19,7 +19,8 @@ from gradedgeo.admissibility import (
 )
 from gradedgeo.exprs import const, parse, var
 from gradedgeo.manifold import MetricField, numeric_rank, lie_bracket_exprs
-from gradedgeo.symmat import edot, eval_matrix
+from gradedgeo.multivec import all_multi_indices, compound, d_max
+from gradedgeo.symmat import edet, edot, emat_mul, eval_matrix, upper_triangular_inverse
 from gradedgeo.verify import engel_closed_forms
 
 THETA = "0.2*x + 0.3*y"
@@ -401,3 +402,72 @@ def test_variation_field_json():
     assert len(field.components) == 4
     with pytest.raises(ValueError):
         VariationField("sideways", (const(0.0),))
+
+
+CATALOG_IMMERSIONS = [n for n in catalog.names() if catalog.builtin(n).kind == "immersion"]
+
+
+def _per_matrix(sym, env):
+    """The system's matrices evaluated one ``eval_matrix`` at a time; zeros for an empty block."""
+    ell = sym.shape.ell
+
+    def one(M, cols):
+        if ell == 0 or cols == 0:
+            return np.zeros((ell, cols))
+        return eval_matrix(M, env)
+
+    return (
+        one(sym.A, sym.control_cols),
+        one(sym.B, sym.other_cols),
+        [one(Cj, sym.other_cols) for Cj in sym.C],
+        eval_matrix(sym.tangent_param, env),
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
+def test_system_at_is_bit_identical_to_per_matrix_evaluation(name):
+    imm = catalog.immersion(name)
+    fr = frames_for(imm)
+    degree = imm.pointwise_degree(imm.midpoint())
+    empty = 0
+    # every degree from the immersion's own to d_max, whose system has ell = 0
+    for d in range(degree, d_max(imm.m, imm.manifold.weights) + 1):
+        for sym in (fr.adapted_system(d), fr.normal_system(d)):
+            for p in [imm.midpoint(), *imm.sample_points(3, seed=20)]:
+                A, B, C, tparam = sym.at(imm, p)
+                rA, rB, rC, rt = _per_matrix(sym, imm.param_env(p))
+                assert len(C) == len(rC) == imm.m
+                for got, want in zip([A, B, *C, tparam], [rA, rB, *rC, rt]):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                    empty += got.size == 0
+    assert empty > 0  # the ell = 0 blocks were among the cases
+
+
+def _symbolic_lambda(imm, metric_b, env):
+    """Lambda[J][I] = det D[J, I], one symbolic ``edet`` per (J, I) pair, evaluated at ``env``."""
+    fr = frames_for(imm)
+    n, m = imm.n, imm.m
+    Ub = imm.with_metric(metric_b).manifold.ortho_change_exprs
+    D = emat_mul(upper_triangular_inverse(imm.manifold.ortho_change_exprs), Ub)
+    Dm = [[fr.compose(D[i][j]) for j in range(n)] for i in range(n)]
+    idx = list(all_multi_indices(n, m))
+    lam = [[edet([[Dm[a - 1][b - 1] for b in I] for a in J]) for I in idx] for J in idx]
+    return eval_matrix(lam, env), eval_matrix(Dm, env)
+
+
+@pytest.mark.parametrize(
+    "name,d,metric_b",
+    [
+        ("engel-graph", 4, MetricField.euclidean(4)),
+        ("h1xh1-surface", 3, MetricField.euclidean(6)),
+        ("isolated-plane", 3, MetricField.euclidean(4)),
+    ],
+)
+def test_minors_lambda_matches_symbolic_edet(name, d, metric_b):
+    imm = catalog.immersion(name)
+    for p in imm.sample_points(5, seed=21):
+        want, Dp = _symbolic_lambda(imm, metric_b, imm.param_env(p))
+        got = compound(Dp, imm.m)
+        assert np.array_equal(got, want)
+        assert not np.allclose(want, want.T)  # a transposed Lambda would fail

@@ -339,6 +339,32 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["area", "--catalog", "rt-graph:u=x", "--grid", "8x8", "--tol", "foo=bar"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # a catalog key the entry does not take is refused, naming the keys it takes
+    for spec, key, accepted in (
+        ("engel-graph:thta=x", "thta", "theta, metric"),
+        ("engel-graph:lam=2", "lam", "theta, metric"),
+        ("rt-graph:u=x,mu=2", "mu", "u, metric"),
+        ("isolated-plane:u=x", "u", "metric"),
+        ("h1xh1-surface:lam=2,nu=3", "nu", "u, lam, mu, metric"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["area", "--catalog", spec, "--degree", "4", "--grid", "8x8"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = spec.split(":")[0]
+        assert captured.err == (
+            f"gradedgeo: error: catalog entry '{name}' has no parameter '{key}' "
+            f"(accepted: {accepted})\n"
+        )
+    # --degree exists only where a degree is read
+    for command in ("degree-scan", "el-residual"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--catalog", "engel-graph", "--degree", "3", "--grid", "4x4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --degree 3" in captured.err
 
 
 def test_cli_subprocess_bad_input_exit_status():
@@ -365,3 +391,20 @@ def test_pointwise_commands_name_the_singular_grid_point(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "gradedgeo: error: division by zero at grid point (-0.5, -0.5)\n"
+
+
+def test_pointwise_commands_blame_the_midpoint_alone(tmp_path, capsys):
+    # a repeated parameter makes the Jacobian rank deficient everywhere; the
+    # structural choices at the domain midpoint fail before any grid point
+    spec = _spec_files(tmp_path, params=["x", "x"], components=["x", "x", "x"])
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"frame": "adapted", "components": ["0", "x", "1"]}))
+    for command in (["regularity"], ["mean-curvature"], ["admissibility", "--field", str(field)]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, *spec, "--degree", "3", "--grid", "2x2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gradedgeo: error: immersion Jacobian is rank deficient at (0.5, 0.5)\n"
+        )

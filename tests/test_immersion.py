@@ -16,7 +16,12 @@ from gradedgeo.immersion import (
     uniform_grid,
 )
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
-from gradedgeo.multivec import DegenerateInputError, GrowthVector, all_multi_indices
+from gradedgeo.multivec import (
+    DegenerateInputError,
+    GrowthVector,
+    all_multi_indices,
+    index_degrees,
+)
 from gradedgeo.verify import engel_closed_forms
 
 
@@ -312,3 +317,17 @@ def test_adapted_tangent_at_evaluates_tangent_grids_once(engel_graph, monkeypatc
     monkeypatch.setattr(Immersion, "_tangent_grids", counted)
     engel_graph.adapted_tangent_at([0.4, 0.6])
     assert calls == [1]
+
+
+@pytest.mark.parametrize("metric", [None, "euclidean"])
+@pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
+def test_multi_index_degrees_is_the_read_only_table(name, metric):
+    imm = catalog.immersion(name, **({"metric": metric} if metric else {}))
+    degrees = imm.multi_index_degrees
+    want = index_degrees(imm.n, imm.m, imm.manifold.weights)
+    assert degrees.dtype == want.dtype and np.array_equal(degrees, want)
+    assert imm.multi_index_degrees is degrees  # built once per immersion
+    assert not degrees.flags.writeable
+    with pytest.raises(ValueError):
+        degrees[0] = 99
+    assert np.array_equal(imm.with_metric(MetricField.euclidean(imm.n)).multi_index_degrees, want)

@@ -9,7 +9,8 @@ from gradedgeo import catalog
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
 from gradedgeo.exprs import const, evaluate_many, parse, var
-from gradedgeo.immersion import Immersion
+from gradedgeo.immersion import Immersion, uniform_grid
+from gradedgeo.moving_frames import SymbolicSystem
 from gradedgeo.multivec import minors
 from gradedgeo.symmat import edot, eval_matrix
 from gradedgeo.variation import (
@@ -343,3 +344,19 @@ def test_mean_curvature_field_exprs_match_components(engel_graph):
         # H is normal: no tangent component
         E = eval_matrix(fr.E_amb, env)
         assert np.allclose(E.T @ vals, 0.0, atol=1e-10)
+
+
+def test_mean_curvature_grid_loop_chooses_control_columns_once(monkeypatch):
+    imm = catalog.immersion("engel-graph", theta=THETA)  # fresh frames, empty memo
+    calls = []
+    original = SymbolicSystem.at
+
+    def counted(self, imm_, pbar):
+        calls.append(tuple(pbar))
+        return original(self, imm_, pbar)
+
+    monkeypatch.setattr(SymbolicSystem, "at", counted)
+    pts, _ = uniform_grid(imm.domain, (4, 4))
+    hats = {mean_curvature(imm, p, 4).hat_columns for p in pts}
+    assert hats == {(0,)}
+    assert calls == [tuple(frames_for(imm).base)]  # one evaluation, at the base point
