@@ -3,7 +3,8 @@
 The degree-d density at a parameter point is the norm of the degree-d part
 of the unit tangent m-vector; it lies in [0, 1] and vanishes exactly where
 the pointwise degree drops below d.  Areas integrate the density against the
-induced measure with tensor Gauss-Legendre quadrature (integrands in the
+induced measure sqrt(det mu), which by Cauchy-Binet is the norm of the same
+row of tangent minors, with tensor Gauss-Legendre quadrature (integrands in the
 catalog are smooth, so order 32 per axis is already overkill; acceptance
 runs use 64).
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .immersion import Immersion
-from .multivec import DEGREE_EPS, DegenerateInputError, max_degrees
+from .multivec import DEGREE_EPS, DegenerateInputError, max_degrees, minors_norm
 
 __all__ = [
     "QuadratureGrid",
@@ -60,28 +61,26 @@ class QuadratureGrid:
 
 
 def _minors_and_volume(imm: Immersion, points: np.ndarray):
-    """Arrays (tangent minors (N, C), their index degrees, sqrt(det mu)) over the points."""
-    tau = imm.ortho_tangent_grid(points)
-    gram = np.einsum("pim,pil->pml", tau, tau)
-    # a non-finite node gives NaN here, refused by the caller's ``_finite_at_nodes``
-    with np.errstate(invalid="ignore"):
-        sqrt_det = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    return imm.minors_grid(tau), imm.multi_index_degrees, sqrt_det
+    """Arrays (tangent minors (N, C), their index degrees, sqrt(det mu)) over the points.
 
-
-def _theta(minors: np.ndarray, degrees: np.ndarray, d: int) -> np.ndarray:
-    """Degree-d density from the tangent minors: |degree-d part| / |all|.
-
-    A zero minors row gives NaN, which callers refuse with ``_finite_at_nodes``.
+    By Cauchy-Binet the induced volume sqrt(det mu) is the norm of the minors row.
     """
-    total_sq = np.zeros(minors.shape[0])
+    minors = imm.minors_grid(imm.ortho_tangent_grid(points))
+    return minors, imm.multi_index_degrees, minors_norm(minors)
+
+
+def _theta(minors: np.ndarray, degrees: np.ndarray, d: int, volume: np.ndarray) -> np.ndarray:
+    """Degree-d density from the tangent minors: |degree-d part| / |all|, |all| = ``volume``.
+
+    A zero or non-finite minors row gives NaN (0/0, inf/inf) or a NaN density
+    (0 * inf), which callers refuse with ``_finite_at_nodes``.
+    """
     deg_sq = np.zeros(minors.shape[0])
     for vals, deg in zip(minors.T, degrees):
-        total_sq += vals**2
         if deg == d:
             deg_sq += vals**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sqrt(deg_sq) / np.sqrt(total_sq)
+        return np.sqrt(deg_sq) / volume
 
 
 def _finite_at_nodes(values: np.ndarray, points: np.ndarray, d: int) -> np.ndarray:
@@ -98,8 +97,8 @@ def _finite_at_nodes(values: np.ndarray, points: np.ndarray, d: int) -> np.ndarr
 def density_theta(imm: Immersion, pbar, d: int) -> float:
     """Norm of the degree-d part of the unit tangent m-vector at a point."""
     points = np.asarray(pbar, dtype=float)[None, :]
-    minors, degrees, _ = _minors_and_volume(imm, points)
-    return float(_finite_at_nodes(_theta(minors, degrees, d), points, d)[0])
+    minors, degrees, volume = _minors_and_volume(imm, points)
+    return float(_finite_at_nodes(_theta(minors, degrees, d, volume), points, d)[0])
 
 
 @dataclass
@@ -120,8 +119,8 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     is still returned but tagged divergent (the limit definition gives
     +infinity in that case).
     """
-    minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
-    density = _finite_at_nodes(_theta(minors, degrees, d) * sqrt_det, grid.points, d)
+    minors, degrees, volume = _minors_and_volume(imm, grid.points)
+    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, grid.points, d)
     value = grid.integrate_values(density)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
@@ -209,9 +208,9 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
 
 def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None) -> float:
     """Quadrature of the degree-d density restricted to the singular mask."""
-    minors, degrees, sqrt_det = _minors_and_volume(imm, grid.points)
+    minors, degrees, volume = _minors_and_volume(imm, grid.points)
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
     d = deg_max if d is None else d
-    density = _finite_at_nodes(_theta(minors, degrees, d) * sqrt_det, grid.points, d)
+    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, grid.points, d)
     return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0))

@@ -223,7 +223,8 @@ def immersion(name: str, domain=None, metric: str = "default", **params) -> Imme
     function is always derived as kappa = X1(theta) so the ruling condition
     holds exactly.  ``rt-graph`` takes ``u`` in (x, y); ``h1xh1-surface``
     takes ``u`` in (s,) (the surface construction needs u independent of t)
-    and the vertical squared lengths ``lam``, ``mu`` (default 1).  Any other
+    and the vertical squared lengths ``lam``, ``mu`` (default 1, each finite
+    and > 0: ``MetricField`` refuses any other).  Any other
     parameter is refused with a ValueError.
     """
     if name not in _IMMERSION_PARAMS:

@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import catalog
-from .admissibility import VariationField, frames_for, is_strongly_regular, residual, residual_exprs
+from .admissibility import VariationField, frames_for, is_strongly_regular, residual_exprs
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
-from .exprs import ExprError, parse as parse_expr
+from .exprs import ExprError, evaluate_many, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
 from .manifold import AdaptedFrame, Manifold, MetricField, require_keys
 from .variation import first_variation, mean_curvature
@@ -47,6 +47,11 @@ def _parse_catalog_spec(spec: str):
 def _load_immersion(args) -> Immersion:
     if args.catalog:
         name, kwargs = _parse_catalog_spec(args.catalog)
+        if "domain" in kwargs:
+            raise ValueError(
+                "catalog key 'domain' is not accepted on the command line; give the "
+                "domain in an immersion spec file (--manifold FILE --immersion FILE)"
+            )
         if args.metric:
             kwargs["metric"] = args.metric
         try:
@@ -208,10 +213,10 @@ def cmd_admissibility(args):
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    residual_exprs(imm, field, d)  # midpoint choices fail here, naming no grid point
+    exprs = residual_exprs(imm, field, d)  # midpoint choices fail here, naming no grid point
     rows = []
     for p in pts:
-        r = _at_grid_point(p, residual, imm, field, p, d)
+        r = _at_grid_point(p, evaluate_many, exprs, imm.param_env(p))
         rows.append([*map(float, p), float(np.linalg.norm(r))])
     payload = {
         "d": d,

@@ -4,9 +4,11 @@ The central object expresses an immersion by n component expressions over m
 parameters, bound to a manifold.  The tangent space is expanded in the
 orthonormal adapted frame; the tangent m-vector is the dense row of m x m
 minors of that coefficient matrix (``multivec.minors``), and dividing it by
-the induced volume sqrt(det mu) gives the unit tangent m-vector.  Pointwise
-operations run the batched grid path on a batch of one, so the pointwise
-degree is the grid degree rule applied to one row.
+the induced volume sqrt(det mu) gives the unit tangent m-vector.  By
+Cauchy-Binet that volume is the norm of the minors row
+(``multivec.minors_norm``), so no Gram matrix or determinant is formed.
+Pointwise operations run the batched grid path on a batch of one, so the
+pointwise degree is the grid degree rule applied to one row.
 
 The grid path keeps tangent data points last, so every per-entry operation
 runs over one contiguous row of N values.  The components and the Jacobian
@@ -17,8 +19,11 @@ C[i][j] that are not the structural constant 0, in the order and from the
 zero start of a dense einsum, so finite values are bit-identical to it.
 ``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays, which
 ``multivec.minors`` reads back points last without a copy.  The degree
-scan's lower-semicontinuity check takes neighbour maxima with shifted
-slices, not a loop over grid points.
+scan refuses rank-deficient points from the same minors row: for m = 2
+sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
+of tau (``_rank_deficient``), and only other m take singular values.  Its
+lower-semicontinuity check takes neighbour maxima with shifted slices, not a
+loop over grid points.
 
 The degree-adapted tangent basis used by the admissibility machinery is the
 column-echelon basis with one pivot row per tangent-flag layer: each basis
@@ -42,6 +47,7 @@ from .multivec import (
     index_degrees,
     max_degrees,
     minors,
+    minors_norm,
 )
 
 __all__ = [
@@ -210,11 +216,9 @@ class Immersion:
             raise DegenerateInputError(
                 f"immersion Jacobian is rank deficient at {tuple(map(float, pbar))}"
             )
-        mu = tau.T @ tau
-        det = float(np.linalg.det(mu))
-        sqrt_det = float(np.sqrt(max(det, 0.0)))
+        row = self.minors_grid(tau[None])
         return TangentFrameAtPoint(
-            tuple(pbar), jac, tau, mu, sqrt_det, self.minors_grid(tau[None])[0]
+            tuple(pbar), jac, tau, tau.T @ tau, float(minors_norm(row)[0]), row[0]
         )
 
     def pointwise_degree(self, pbar) -> int:
@@ -322,19 +326,41 @@ class DegreeScanReport:
         return int(np.sum(self.mask))
 
 
+def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
+    """Per point, True unless sigma_min > RANK_TOL * sigma_max for tau (N, n, m); NaN is True.
+
+    ``minors_rows`` are the (N, C) minors of tau.  For m = 2 the ratio is
+    closed form: with P = |minors row| = sigma_min sigma_max (Cauchy-Binet)
+    and F = |tau|_F^2 = sigma_min^2 + sigma_max^2,
+    sigma_max^2 = (F + sqrt(F^2 - 4 P^2)) / 2, and the test is
+    P > RANK_TOL sigma_max^2.  Other m take the singular values.
+    """
+    if tau.shape[2] != 2:
+        svals = np.linalg.svd(tau, compute_uv=False)
+        return ~(svals[:, -1] > RANK_TOL * np.maximum(svals[:, 0], 1e-300))
+    P = minors_norm(minors_rows)
+    F = np.zeros(tau.shape[0])
+    for entry in tau.transpose(1, 2, 0).reshape(-1, tau.shape[0]):  # points-last rows
+        F += entry**2
+    with np.errstate(invalid="ignore"):
+        sigma_max_sq = 0.5 * (F + np.sqrt(np.maximum(F * F - 4.0 * P * P, 0.0)))
+        return ~(P > RANK_TOL * sigma_max_sq)
+
+
 def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     """Grid certificate of the degree map and the singular mask."""
     points, shape = uniform_grid(imm.domain, grid_shape)
     tau = imm.ortho_tangent_grid(points)
+    rows = imm.minors_grid(tau)
     # reject rank-deficient tangent maps anywhere on the grid
-    svals = np.linalg.svd(tau, compute_uv=False)
-    bad = svals[:, -1] <= RANK_TOL * np.maximum(svals[:, 0], 1e-300)
+    bad = _rank_deficient(tau, rows)
     if np.any(bad):
         idx = int(np.argmax(bad))
+        what = "is rank deficient" if np.isfinite(tau[idx]).all() else "tangent is not finite"
         raise DegenerateInputError(
-            f"immersion is rank deficient at grid point {tuple(map(float, points[idx]))}"
+            f"immersion {what} at grid point {tuple(map(float, points[idx]))}"
         )
-    degrees = max_degrees(imm.minors_grid(tau), imm.multi_index_degrees, DEGREE_EPS)
+    degrees = max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS)
     deg_max = int(degrees.max())
     mask = degrees < deg_max
     lsc_violations = _lsc_violations(degrees.reshape(shape))

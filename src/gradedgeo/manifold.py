@@ -150,6 +150,12 @@ class MetricField:
         self.diagonal = tuple(float(d) for d in diagonal) if diagonal is not None else None
         if kind == "frame-diagonal" and self.diagonal is None:
             raise ValueError("frame-diagonal metric needs the diagonal values")
+        for i, length in enumerate(self.diagonal or (), start=1):
+            if not (math.isfinite(length) and length > 0.0):
+                raise ValueError(
+                    f"frame-diagonal metric: squared length g(X{i}, X{i}) = {length} "
+                    "must be finite and > 0"
+                )
         if kind == "coordinate" and matrix is None:
             raise ValueError("coordinate metric needs the matrix of expressions")
 

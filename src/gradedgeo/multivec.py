@@ -5,8 +5,9 @@ An m-vector is a dense row of coefficients, one per multi-index in
 ``all_multi_indices(n, m)`` order; a simple m-vector's row is the m x m
 minors of its column matrix, shape (C(n, m),) at a point or (N, C(n, m))
 over a batch.  ``minors`` is the one batched kernel that computes these
-rows: tangent m-vectors, degree scans and areas all read them, and the
-m-vector change of a frame change (``compound``) is built from it.  The degree
+rows: tangent m-vectors, degree scans and areas all read them, the induced
+volume is their norm (``minors_norm``, Cauchy-Binet), and the m-vector
+change of a frame change (``compound``) is built from the kernel.  The degree
 of a row relative to a weight vector (``max_degrees`` over
 ``index_degrees``) is the largest weighted index sum among the coefficients
 above a relative threshold of the row peak.  The tolerances shared across
@@ -40,6 +41,7 @@ __all__ = [
     "dim_leq",
     "dim_gt",
     "minors",
+    "minors_norm",
     "compound",
     "max_degrees",
 ]
@@ -193,18 +195,46 @@ def minors(tau: np.ndarray) -> np.ndarray:
     """All m x m minors of a batch of n x m matrices: (N, n, m) -> (N, C(n, m)).
 
     Column k is the minor on the rows of the k-th multi-index of
-    ``all_multi_indices(n, m)``.
+    ``all_multi_indices(n, m)``.  For m <= 2 each minor is written into one
+    contiguous row of a (C, N) array straight from the points-last rows of
+    ``tau`` (contiguous when ``tau`` is the transpose of an (n, m, N) array),
+    with no gathered copy, and the (N, C) transpose is returned.
     """
     tau = np.asarray(tau, dtype=float)
-    _, n, m = tau.shape
-    rows = _index_rows(n, m)
+    N, n, m = tau.shape
     if m >= 3:
-        return np.linalg.det(tau[:, rows, :])
-    # points last, so each minor is one contiguous row; returned transposed
-    sub = np.ascontiguousarray(np.moveaxis(tau, 0, -1))[rows]  # (C, m, m, N)
+        return np.linalg.det(tau[:, _index_rows(n, m), :])
+    out = np.empty((math.comb(n, m), N))
     if m == 1:
-        return sub[:, 0, 0].T
-    return (sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]).T
+        out[:] = tau[:, :, 0].T
+        return out.T
+    # points-last rows of the two columns; the indices (i, j), j > i, are one
+    # block of consecutive minors per i, so each block is
+    # col0[i] col1[j] - col1[i] col0[j] over the slice j > i
+    col0, col1 = tau[:, :, 0].T, tau[:, :, 1].T  # (n, N)
+    scratch = np.empty((n - 1, N))
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        block, other = out[start:stop], scratch[: stop - start]
+        np.multiply(col0[i], col1[i + 1 :], out=block)
+        np.multiply(col1[i], col0[i + 1 :], out=other)
+        np.subtract(block, other, out=block)
+        start = stop
+    return out.T
+
+
+def minors_norm(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of minors, (N, C) -> (N,), summed in index order.
+
+    By Cauchy-Binet it is sqrt(det(tau^T tau)) for the n x m matrices tau the
+    rows were taken from: the induced volume.  A non-finite row gives a
+    non-finite norm.
+    """
+    total_sq = np.zeros(values.shape[0])
+    for vals in values.T:  # contiguous rows when ``values`` came from ``minors``
+        total_sq += vals**2
+    return np.sqrt(total_sq)
 
 
 def compound(D: np.ndarray, m: int) -> np.ndarray:

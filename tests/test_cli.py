@@ -6,10 +6,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import gradedgeo
+from gradedgeo import admissibility, catalog, cli
+from gradedgeo.admissibility import VariationField, residual
 from gradedgeo.cli import main
+from gradedgeo.immersion import uniform_grid
 
 # Subprocesses import the same gradedgeo as this process, installed or not.
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gradedgeo.__file__)))
@@ -118,6 +122,32 @@ def test_admissibility_command(tmp_path):
     )
     payload = json.loads(out)
     assert payload["max_residual_norm"] > 0.1  # X3 alone is not admissible
+
+
+def test_admissibility_command_builds_residuals_once(tmp_path, monkeypatch):
+    original = admissibility.residual_exprs
+    builds = []
+
+    def counted(imm, field, d):
+        builds.append(d)
+        return original(imm, field, d)
+
+    components = ["0", "x*y", "1", "0"]
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({"frame": "adapted", "components": components}))
+    monkeypatch.setattr(admissibility, "residual_exprs", counted)
+    monkeypatch.setattr(cli, "residual_exprs", counted)
+    theta = "0.2*x+0.3*y"
+    code, out = run_cli(["admissibility", "--catalog", f"engel-graph:theta={theta}",
+                         "--degree", "4", "--grid", "4x4", "--field", str(field_path)])
+    assert code == 0 and builds == [4]
+    # each row is still the norm of the pointwise residual
+    monkeypatch.setattr(admissibility, "residual_exprs", original)
+    imm = catalog.immersion("engel-graph", theta=theta)
+    field = VariationField.from_json(field_path.read_text(), imm.params)
+    points, _ = uniform_grid(imm.domain, (4, 4))
+    norms = [float(np.linalg.norm(residual(imm, field, p, 4))) for p in points]
+    assert [row[-1] for row in json.loads(out)["points"]] == norms
 
 
 def test_first_variation_command(tmp_path):
@@ -358,6 +388,32 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
             f"gradedgeo: error: catalog entry '{name}' has no parameter '{key}' "
             f"(accepted: {accepted})\n"
         )
+    # a frame-diagonal squared length must be finite and > 0 (lam, mu are
+    # g(X5, X5), g(X6, X6) of h1xh1), the command line takes no domain
+    domain = (
+        "catalog key 'domain' is not accepted on the command line; give the domain "
+        "in an immersion spec file (--manifold FILE --immersion FILE)"
+    )
+    for argv, message in (
+        (["regularity", "--catalog", "h1xh1-surface:u=s^3+s,lam=-1"],
+         "frame-diagonal metric: squared length g(X5, X5) = -1.0 must be finite and > 0"),
+        (["regularity", "--catalog", "h1xh1-surface:u=s^3+s,lam=0"],
+         "frame-diagonal metric: squared length g(X5, X5) = 0.0 must be finite and > 0"),
+        (["area", "--catalog", "h1xh1-surface:mu=nan", "--degree", "3"],
+         "frame-diagonal metric: squared length g(X6, X6) = nan must be finite and > 0"),
+        (["area", "--catalog", "h1xh1-surface:mu=inf", "--degree", "3"],
+         "frame-diagonal metric: squared length g(X6, X6) = inf must be finite and > 0"),
+        (["area", "--catalog", "rt-graph:domain=12", "--degree", "3"], domain),
+        # a non-finite tangent is refused at the first grid point, not by an SVD
+        (["degree-scan", "--catalog", "rt-graph:u=sqrt(x-0.5)"],
+         "immersion tangent is not finite at grid point (0.125, 0.125)"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", "4x4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gradedgeo: error: {message}\n"
     # --degree exists only where a degree is read
     for command in ("degree-scan", "el-residual"):
         with pytest.raises(SystemExit) as exc:

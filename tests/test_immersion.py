@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from gradedgeo import catalog
-from gradedgeo.area import QuadratureGrid, _minors_and_volume
+from gradedgeo.area import QuadratureGrid, _minors_and_volume, area_degree, area_singular_set
 from gradedgeo.exprs import const, evaluate_many, parse, var
 from gradedgeo.immersion import (
     Immersion,
     _lsc_violations,
+    _rank_deficient,
     degree_scan,
     tangent_flag,
     uniform_grid,
 )
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
 from gradedgeo.multivec import (
+    RANK_TOL,
     DegenerateInputError,
     GrowthVector,
     all_multi_indices,
     index_degrees,
+    minors,
 )
 from gradedgeo.verify import engel_closed_forms
 
@@ -220,14 +223,72 @@ def test_induced_metric_engel_volume(engel_graph):
 
 @pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
 def test_minors_row_norm_is_sqrt_det(name):
-    # Cauchy-Binet: sum of the squared m x m minors of tau is det(tau^T tau),
-    # so minors / sqrt_det is the unit tangent m-vector
+    # Cauchy-Binet: the sum of the squared m x m minors of tau is det(tau^T tau),
+    # so minors / sqrt_det is the unit tangent m-vector; the oracle takes the
+    # determinant of the Gram matrix itself
     imm = catalog.immersion(name)
     for p in imm.sample_points(5, seed=4):
         td = imm.tangent_data(p)
-        assert np.linalg.norm(td.minors) == pytest.approx(td.sqrt_det, rel=1e-12)
-    minors, _, sqrt_det = _minors_and_volume(imm, QuadratureGrid(imm.domain, 8).points)
-    assert np.linalg.norm(minors, axis=1) == pytest.approx(sqrt_det, rel=1e-12)
+        oracle = math.sqrt(np.linalg.det(td.ortho_comps.T @ td.ortho_comps))
+        assert td.sqrt_det == pytest.approx(oracle, rel=1e-12)
+        assert np.linalg.norm(td.minors) == pytest.approx(oracle, rel=1e-12)
+    points = QuadratureGrid(imm.domain, 8).points
+    tau = imm.ortho_tangent_grid(points)
+    oracle = np.sqrt(np.linalg.det(np.einsum("pim,pil->pml", tau, tau)))
+    minors, _, volume = _minors_and_volume(imm, points)
+    assert volume == pytest.approx(oracle, rel=1e-12)
+    assert np.linalg.norm(minors, axis=1) == pytest.approx(oracle, rel=1e-12)
+
+
+def _svd_refuses(tau):
+    """The singular-value rank rule: refused unless sigma_min > RANK_TOL * sigma_max."""
+    svals = np.linalg.svd(tau, compute_uv=False)
+    return ~(svals[:, -1] > RANK_TOL * np.maximum(svals[:, 0], 1e-300))
+
+
+def test_closed_form_rank_rule_agrees_with_svd():
+    rng = np.random.default_rng(19)
+    near = RANK_TOL * np.array([1 - 1e-5, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-5])
+    ratios = np.concatenate([np.logspace(0, -14, 57), near])
+    for n in (2, 3, 4, 6):
+        taus, rows = [], []
+        for ratio in ratios:
+            for scale in (1e-3, 1.0, 1e3):
+                u, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+                angle = rng.uniform(0, 2 * np.pi)
+                v = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+                taus.append(u @ np.diag([scale, scale * ratio]) @ v.T)
+                rows.append(ratio)
+        tau = np.array(taus)
+        got = _rank_deficient(tau, minors(tau))
+        want = _svd_refuses(tau)
+        rows = np.array(rows)
+        differ = rows[got != want]
+        assert np.all(np.abs(differ / RANK_TOL - 1) <= 1e-6), differ
+        assert not got[rows > 1e-7].any() and got[rows < 1e-9].all()
+        # exact zeros: the zero matrix, a zero column, a column twice the other
+        col = rng.normal(size=n)
+        zero = np.zeros((n, 2))
+        exact = np.array([zero, np.stack([col, 0 * col], 1), np.stack([col, 2 * col], 1)])
+        assert _rank_deficient(exact, minors(exact)).all() and _svd_refuses(exact).all()
+        # a NaN entry counts as refused
+        nan = np.array([np.eye(n, 2)] * 3)
+        nan[0, 0, 0] = nan[1, n - 1, 1] = np.nan
+        nan[2] = np.nan
+        assert _rank_deficient(nan, minors(nan)).all()
+
+
+def test_grid_reductions_take_no_det_or_svd(monkeypatch):
+    # for m = 2 the volume and the rank refusal come from the minors row
+    def refused(*args, **kwargs):
+        raise AssertionError("the m = 2 grid path took a determinant or an SVD")
+
+    imm = catalog.immersion("engel-graph")
+    monkeypatch.setattr(np.linalg, "det", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    area_degree(imm, 4, QuadratureGrid(imm.domain, 8))
+    area_singular_set(imm, QuadratureGrid(imm.domain, 8))
+    assert degree_scan(imm, (8, 8)).degree == 4
 
 
 def test_adapted_tangent_matches_ruled_graph_basis(engel_graph):

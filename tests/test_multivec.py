@@ -13,6 +13,7 @@ from gradedgeo.multivec import (
     degree_of_index,
     dim_gt,
     dim_leq,
+    compound,
     index_degrees,
     max_degrees,
     minors,
@@ -197,6 +198,46 @@ def test_minors_kernel_matches_pointwise_wedge(n, m):
             else:
                 ref = np.linalg.det(sub)
             assert batch[p, k] == ref
+
+
+def _gather_minors(tau):
+    """The earlier kernel for m <= 2, kept as the bit-for-bit reference.
+
+    It gathers a (C, m, m, N) copy of the points-last rows with the
+    multi-index rows, then takes the entry or ad - bc.
+    """
+    tau = np.asarray(tau, dtype=float)
+    _, n, m = tau.shape
+    rows = np.array(list(all_multi_indices(n, m))) - 1
+    sub = np.ascontiguousarray(np.moveaxis(tau, 0, -1))[rows]
+    if m == 1:
+        return sub[:, 0, 0].T
+    return (sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]).T
+
+
+@pytest.mark.parametrize("N", [1, 33 * 33])
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 1), (2, 2), (4, 2), (6, 2)])
+def test_minors_matches_gather_kernel_bit_for_bit(n, m, N):
+    rng = np.random.default_rng(n * 10 + m)
+    points_last = rng.uniform(-2, 2, (n, m, N))
+    points_last[:, :, ::5] = np.round(points_last[:, :, ::5])  # exact zeros and cancellations
+    if N > 1:
+        points_last[0, 0, 1] = np.inf
+        points_last[n - 1, m - 1, 2] = np.nan
+    grid_view = points_last.transpose(2, 0, 1)  # how the tangent grids hand tau over
+    for tau in (grid_view, np.ascontiguousarray(grid_view)):
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got, want = minors(tau), _gather_minors(tau)
+        assert got.shape == (N, math.comb(n, m))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (6, 2)])
+def test_compound_matches_gather_kernel_bit_for_bit(n, m):
+    D = np.random.default_rng(n + m).uniform(-1, 1, (n, n))
+    cols = np.array(list(all_multi_indices(n, m))) - 1
+    want = _gather_minors(np.moveaxis(D[:, cols], 1, 0)).T
+    assert compound(D, m).tobytes() == want.tobytes()
 
 
 def test_minors_columns_follow_multi_index_order():
