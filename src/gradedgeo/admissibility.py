@@ -258,7 +258,7 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     sym_g = frames_g.adapted_system(d)
     rho, ell = sym_g.shape.rho, sym_g.shape.ell
     # shared tangent basis, expressed in the g~ orthonormal frame
-    t_amb_b = emat_mul(frames_b.ortho_coframe, frames_g.adapted_coord)
+    t_amb_b = emat_mul(imm_b.ortho_coframe_exprs, frames_g.adapted_coord)
     sym_b = frames_b.adapted_system_with_tangent(d, t_amb_b, frames_g.adapted_param)
 
     # transported field components: v_X = D v_Y  =>  v_Y = D^{-1} v_X

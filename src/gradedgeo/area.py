@@ -83,13 +83,16 @@ def _theta(minors: np.ndarray, degrees: np.ndarray, d: int, volume: np.ndarray) 
         return np.sqrt(deg_sq) / volume
 
 
-def _finite_at_nodes(values: np.ndarray, points: np.ndarray, d: int) -> np.ndarray:
-    """``values``, refused at the first node where one is not finite."""
+def _finite_at_nodes(values: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
+    """``values``, refused at the first node where one is not finite.
+
+    ``what`` names the area: "degree-d" or "g_r (r = ...)".
+    """
     bad = ~np.isfinite(values)
     if np.any(bad):
         node = tuple(float(x) for x in points[int(np.argmax(bad))])
         raise DegenerateInputError(
-            f"degree-{d} area density is not finite at quadrature node {node}"
+            f"{what} area density is not finite at quadrature node {node}"
         )
     return values
 
@@ -98,7 +101,7 @@ def density_theta(imm: Immersion, pbar, d: int) -> float:
     """Norm of the degree-d part of the unit tangent m-vector at a point."""
     points = np.asarray(pbar, dtype=float)[None, :]
     minors, degrees, volume = _minors_and_volume(imm, points)
-    return float(_finite_at_nodes(_theta(minors, degrees, d, volume), points, d)[0])
+    return float(_finite_at_nodes(_theta(minors, degrees, d, volume), points, f"degree-{d}")[0])
 
 
 @dataclass
@@ -120,7 +123,9 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     +infinity in that case).
     """
     minors, degrees, volume = _minors_and_volume(imm, grid.points)
-    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, grid.points, d)
+    density = _finite_at_nodes(
+        _theta(minors, degrees, d, volume) * volume, grid.points, f"degree-{d}"
+    )
     value = grid.integrate_values(density)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
@@ -135,7 +140,8 @@ def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
         total = np.zeros(grid.points.shape[0])
         for vals_sq, e in zip(minors_sq.T, excess):
             total += vals_sq * r ** (-e)
-        areas.append(grid.integrate_values(np.sqrt(total)))
+        density = _finite_at_nodes(np.sqrt(total), grid.points, f"g_r (r = {r})")
+        areas.append(grid.integrate_values(density))
     return areas
 
 
@@ -212,5 +218,7 @@ def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
     d = deg_max if d is None else d
-    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, grid.points, d)
+    density = _finite_at_nodes(
+        _theta(minors, degrees, d, volume) * volume, grid.points, f"degree-{d}"
+    )
     return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0))

@@ -346,7 +346,6 @@ def contact_mean_curvature_exprs(imm: Immersion):
     if imm.name != "rt-graph":
         raise ValueError("contact curvature is defined for rt-graph immersions")
     frames = frames_for(imm)
-    m = imm.m
     u = imm.components[2]
     xu = call("cos", u) * u.diff("x") + call("sin", u) * u.diff("y")
     tu = call("sin", u) * u.diff("x") - call("cos", u) * u.diff("y")
@@ -356,12 +355,10 @@ def contact_mean_curvature_exprs(imm: Immersion):
     nh_norm = call("sqrt", xu * xu + const(1.0)) / norm_grad
     nu_h = [xu / (norm_grad * nh_norm), -const(1.0) / (norm_grad * nh_norm), const(0.0)]
     nu_coord = frames.coord_comps(nu_h)
-    horizontal_count = frames.flag_dims[0]
+    horizontal = [row[: frames.flag_dims[0]] for row in frames.E_param]
     div_h = const(0.0)
-    for i in range(horizontal_count):
-        param_col = [frames.E_param[a][i] for a in range(m)]
-        dnu = frames.to_ortho_comps(frames.nabla_field_along(param_col, nu_coord))
-        div_h = div_h + edot(dnu, frames.E_cols[i])
+    for dnu, e in zip(frames.nabla_table(horizontal, nu_coord), frames.E_cols):
+        div_h = div_h + edot(dnu, e)
     # bracket term via the graph extension (frame components held constant)
     nu_ext = frames.graph_extend_field(nu_h)
     t_field = [list(f) for f in imm.manifold.frame.fields][2]
@@ -396,17 +393,14 @@ def engel_admissible_normal_field(imm: Immersion, psi: Expr):
     Solves the one-row degree-4 normal system A a + B psi + sum_j C_j
     E_j(psi) = 0 for the control component a.
     """
-    from .admissibility import VariationField, frames_for
+    from .admissibility import VariationField, _residual_from_system, frames_for
 
     if imm.name != "engel-graph":
         raise ValueError("the one-row normal system is specific to engel-graph")
     fr = frames_for(imm)
     sym = fr.normal_system(4)
-    deriv = const(0.0)
-    for j in range(imm.m):
-        pc = [sym.tangent_param[a][j] for a in range(imm.m)]
-        deriv = deriv + sym.C[j][0][0] * fr.tangent_derivative(pc, psi)
-    psi_ctrl = -(deriv + sym.B[0][0] * psi) / sym.A[0][0]
+    (rest,) = _residual_from_system(fr, sym, [const(0.0), psi])  # control set to 0
+    psi_ctrl = -rest / sym.A[0][0]
     return VariationField("normal", (psi_ctrl, psi))
 
 

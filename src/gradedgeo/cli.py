@@ -147,10 +147,10 @@ def _at_grid_point(p, fn, *args):
         raise ValueError(f"{exc} at grid point {tuple(map(float, p))}") from None
 
 
-def _resolve_degree(args, imm: Immersion, grid_shape=(12, 12)) -> int:
+def _resolve_degree(args, imm: Immersion) -> int:
     if args.degree != "auto":
         return int(args.degree)
-    return degree_scan(imm, grid_shape[: imm.m] if len(grid_shape) >= imm.m else (8,) * imm.m).degree
+    return degree_scan(imm, (12,) * imm.m if imm.m <= 2 else (8,) * imm.m).degree
 
 
 def cmd_degree_scan(args):
@@ -288,8 +288,7 @@ def cmd_el_residual(args):
         raise ValueError("el-residual expects --catalog engel-graph:theta=...")
     resid, scale = catalog.engel_el_residual_exprs(imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    env = {nm: pts[:, i] for i, nm in enumerate(imm.params)}
-    vals = np.broadcast_to(resid.eval(env), (pts.shape[0],))
+    vals = np.broadcast_to(resid.eval(imm.grid_env(pts)), (pts.shape[0],))
     rows = [[*map(float, p), float(v)] for p, v in zip(pts, vals)]
     payload = {
         "d": 4,

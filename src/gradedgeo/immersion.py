@@ -10,15 +10,19 @@ Cauchy-Binet that volume is the norm of the minors row
 Pointwise operations run the batched grid path on a batch of one, so the
 pointwise degree is the grid degree rule applied to one row.
 
-The grid path keeps tangent data points last, so every per-entry operation
-runs over one contiguous row of N values.  The components and the Jacobian
-are evaluated in one pass into row arrays (one row per expression, shape
-(k, N)).  The tangent coefficients tau = C J, with C the orthonormal
-coframe, are summed per row i over ascending j and only over the entries
-C[i][j] that are not the structural constant 0, in the order and from the
-zero start of a dense einsum, so finite values are bit-identical to it.
-``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays, which
-``multivec.minors`` reads back points last without a copy.  The degree
+The tangent map has one implementation: ``tau_exprs``, the expressions
+tau = (C o Phi) J with C the orthonormal coframe and J the Jacobian, which
+the symbolic frames build on too.  The grid path keeps tangent data points
+last, so every per-entry operation runs over one contiguous row of N
+values: the Jacobian, tau and the sum of the squared entries of C o Phi are
+evaluated in one tape pass into row arrays (one row per expression, shape
+(k, N)).  The symbolic product sums over ascending j and drops the terms
+whose factor is the structural constant 0, so adding 0 times that sum gives
+the values of a dense einsum from its zero start, bit for bit, and NaN
+wherever an entry of C o Phi is not finite, even one the product dropped
+against a structurally zero row of J (a frame that is no basis on the
+image).  ``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays,
+which ``multivec.minors`` reads back points last without a copy.  The degree
 scan refuses rank-deficient points from the same minors row: for m = 2
 sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
 of tau (``_rank_deficient``), and only other m take singular values.  Its
@@ -38,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Const, evaluate_many
+from .exprs import Expr, evaluate_many
 from .manifold import Manifold, numeric_rank
 from .multivec import (
     DEGREE_EPS,
@@ -49,6 +53,7 @@ from .multivec import (
     minors,
     minors_norm,
 )
+from .symmat import emat_mul, sum_exprs
 
 __all__ = [
     "Immersion",
@@ -156,48 +161,52 @@ class Immersion:
         span = hi - lo
         return lo + span * (margin + (1 - 2 * margin) * rng.random((count, self.m)))
 
-    # -- batched tangent data -------------------------------------------------
+    # -- the tangent map tau = (coframe o Phi) J -------------------------------
 
     @cached_property
-    def _coframe_terms(self):
-        """Non-zero entries of the orthonormal coframe: (exprs, per row i the (k, j) pairs).
+    def _phi_map(self) -> dict:
+        return dict(zip(self.manifold.coords, self.components))
 
-        exprs[k] is entry (i, j); pairs are in ascending j.  An entry that is
-        the structural constant 0 (an exact ``Const``) is left out.
-        """
-        exprs, rows = [], []
-        for row in self.manifold.ortho_coframe_exprs:
-            terms = []
-            for j, e in enumerate(row):
-                if not (isinstance(e, Const) and e.value == 0.0):
-                    terms.append((len(exprs), j))
-                    exprs.append(e)
-            rows.append(terms)
-        return exprs, rows
+    def compose(self, expr: Expr) -> Expr:
+        """Restrict an ambient expression to the image (substitute Phi)."""
+        return expr.substitute(self._phi_map)
+
+    @cached_property
+    def ortho_coframe_exprs(self):
+        """The orthonormal coframe composed with Phi, n x n expressions in the parameters."""
+        return [[self.compose(e) for e in row] for row in self.manifold.ortho_coframe_exprs]
+
+    @cached_property
+    def tau_exprs(self):
+        """Orthonormal-frame components of dPhi, (coframe o Phi) J: n x m expressions."""
+        return emat_mul(self.ortho_coframe_exprs, self.jacobian_exprs)
+
+    @cached_property
+    def _tangent_roots(self) -> list:
+        """The Jacobian, tau (both row-major) and the sum of squared coframe entries."""
+        coframe_sq = sum_exprs([e * e for row in self.ortho_coframe_exprs for e in row])
+        return [
+            *(e for row in self.jacobian_exprs for e in row),
+            *(e for row in self.tau_exprs for e in row),
+            coframe_sq,
+        ]
 
     def _tangent_grids(self, points: np.ndarray):
         """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame.
 
-        Both are views of points-last (n, m, N) arrays.
+        Both are views of points-last (n, m, N) arrays from one evaluation.
         """
         pts = np.asarray(points, dtype=float)
-        N = pts.shape[0]
-        n, m = self.n, self.m
-        jac_flat = [e for row in self.jacobian_exprs for e in row]
-        values = np.empty((n + n * m, N))  # rows: components, then the Jacobian
-        for k, v in enumerate(evaluate_many([*self.components, *jac_flat], self.grid_env(pts))):
+        n, m, N = self.n, self.m, pts.shape[0]
+        values = np.empty((2 * n * m + 1, N))
+        for k, v in enumerate(evaluate_many(self._tangent_roots, self.grid_env(pts))):
             values[k] = v
-        jac = values[n:].reshape(n, m, N)
-        cof_exprs, cof_rows = self._coframe_terms
-        cof = evaluate_many(cof_exprs, dict(zip(self.manifold.coords, values[:n])))
-        # tau[i] = 0 + sum over ascending j of cof[i, j] * jac[j], the order and
-        # zero start of einsum("pij,pjm->pim"); with jac finite, a structural
-        # zero term adds +-0 to a sum that is never -0, so skipping it changes
-        # no bit
-        tau = np.zeros((n, m, N))
-        for i, terms in enumerate(cof_rows):
-            for k, j in terms:
-                tau[i] += cof[k] * jac[j]
+        jac = values[: n * m].reshape(n, m, N)
+        tau = values[n * m : -1].reshape(n, m, N)
+        # the dense contraction's zero start (-0 becomes +0), and NaN where
+        # C o Phi is not finite (module docstring)
+        with np.errstate(invalid="ignore"):
+            tau += 0.0 * values[-1]
         return jac.transpose(2, 0, 1), tau.transpose(2, 0, 1)
 
     def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:

@@ -1,13 +1,19 @@
 """Symbolic moving frames along an immersion.
 
 Everything needed by the admissibility systems and the variational formulas
-is built once per immersion as expressions in the parameters: the ambient
-orthonormal adapted frame restricted to the surface, the degree-adapted
-(echelon) tangent basis, its orthonormalization, an adapted orthonormal
-frame of the normal bundle, the degree-d density, and covariant-derivative
-helpers.  Each degree-d object (systems, Theta_d, H_d, control columns) is
-built once through one per-instance memo, and a system's matrices are
-evaluated at a point in one tape pass.
+is built once per immersion as expressions in the parameters, from the
+immersion's tangent map tau = (coframe o Phi) J (``Immersion.tau_exprs``):
+the ambient orthonormal adapted frame restricted to the surface, the
+degree-adapted (echelon) tangent basis, its orthonormalization, an adapted
+orthonormal frame of the normal bundle, the degree-d density, and
+covariant-derivative helpers.  Covariant derivatives of a field W along the
+tangent fields t_i form one table (``nabla_table``); the divergence, the
+curvature summands and the system coefficients read it through one slot
+pairing (nabla_{t_i} W at slot i of the tangent wedge) and one Leibniz
+pairing (the tangent wedge against nabla_W X_J).  Each degree-d object
+(systems, Theta_d, H_d, control columns) is built once through one
+per-instance memo, and a system's matrices are evaluated at a point in one
+tape pass.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
@@ -119,17 +125,9 @@ class ImmersionFrames:
         self.base = imm.midpoint()
         self._memo: dict = {}
 
-    # -- composition with the immersion ------------------------------------
-
-    @cached_property
-    def _phi_map(self) -> dict:
-        return {
-            name: comp for name, comp in zip(self.mani.coords, self.imm.components)
-        }
-
     def compose(self, expr: Expr) -> Expr:
-        """Restrict an ambient expression to the surface (substitute Phi)."""
-        return expr.substitute(self._phi_map)
+        """Restrict an ambient expression to the surface (``Immersion.compose``)."""
+        return self.imm.compose(expr)
 
     # -- frames --------------------------------------------------------------
 
@@ -144,25 +142,17 @@ class ImmersionFrames:
     @cached_property
     def ortho_mat(self):
         """Ambient orthonormal adapted frame along M (coordinate comps, columns)."""
-        return [[self.compose(e) for e in row] for row in self.mani.ortho_matrix_exprs]
-
-    @cached_property
-    def ortho_coframe(self):
-        return [[self.compose(e) for e in row] for row in self.mani.ortho_coframe_exprs]
-
-    @cached_property
-    def tau(self):
-        """Orthonormal-frame components of dPhi (n x m expressions)."""
-        return emat_mul(self.ortho_coframe, self.imm.jacobian_exprs)
+        return [[self.imm.compose(e) for e in row] for row in self.mani.ortho_matrix_exprs]
 
     @cached_property
     def mu_param(self):
         """Induced metric on the parameter basis: tau^T tau."""
         n, m = self.n, self.m
+        tau = self.imm.tau_exprs
         out = [[ZERO for _ in range(m)] for _ in range(m)]
         for a in range(m):
             for b in range(m):
-                out[a][b] = sum_exprs([self.tau[i][a] * self.tau[i][b] for i in range(n)])
+                out[a][b] = sum_exprs([tau[i][a] * tau[i][b] for i in range(n)])
         return out
 
     @cached_property
@@ -180,13 +170,13 @@ class ImmersionFrames:
     @cached_property
     def adapted_param(self):
         """Parameter components of the echelon tangent basis (columns)."""
-        P = [[self.tau[p - 1][a] for a in range(self.m)] for p in self.pivots]
+        P = [[self.imm.tau_exprs[p - 1][a] for a in range(self.m)] for p in self.pivots]
         return einverse(P)
 
     @cached_property
     def adapted_amb(self):
         """Orthonormal-frame components of the echelon tangent basis (n x m)."""
-        return emat_mul(self.tau, self.adapted_param)
+        return emat_mul(self.imm.tau_exprs, self.adapted_param)
 
     @cached_property
     def adapted_coord(self):
@@ -304,7 +294,7 @@ class ImmersionFrames:
         gam = self.mani.christoffel_exprs
         n = self.n
         return [
-            [[self.compose(gam[c][a][b]) for b in range(n)] for a in range(n)]
+            [[self.imm.compose(gam[c][a][b]) for b in range(n)] for a in range(n)]
             for c in range(n)
         ]
 
@@ -314,7 +304,7 @@ class ImmersionFrames:
         raw = self.mani.ortho_frame_derivative_exprs
         n = self.n
         return [
-            [[self.compose(raw[a][c][j]) for j in range(n)] for c in range(n)]
+            [[self.imm.compose(raw[a][c][j]) for j in range(n)] for c in range(n)]
             for a in range(n)
         ]
 
@@ -324,50 +314,56 @@ class ImmersionFrames:
             [param_col[a] * f.diff(name) for a, name in enumerate(self.imm.params)]
         )
 
+    def _christoffel_sum(self, c: int, v_coord, w_coord) -> Expr:
+        """sum_ab Gamma^c_ab v^a w^b over the symbols that are not the structural 0."""
+        gam = self.christoffel[c]
+        n = self.n
+        return sum_exprs(
+            [
+                gam[a][b] * v_coord[a] * w_coord[b]
+                for a in range(n)
+                for b in range(n)
+                if not (gam[a][b] is ZERO)
+            ]
+        )
+
     def nabla_field_along(self, param_col, field_coord) -> list[Expr]:
         """nabla_v W for W given along M (coordinate comps), v tangent (param comps)."""
-        n = self.n
         v_coord = [
             sum_exprs([self.imm.jacobian_exprs[c][a] * param_col[a] for a in range(self.m)])
-            for c in range(n)
+            for c in range(self.n)
         ]
-        out = []
-        for c in range(n):
-            deriv = self.tangent_derivative(param_col, field_coord[c])
-            gamma = sum_exprs(
-                [
-                    self.christoffel[c][a][b] * v_coord[a] * field_coord[b]
-                    for a in range(n)
-                    for b in range(n)
-                    if not (self.christoffel[c][a][b] is ZERO)
-                ]
-            )
-            out.append(deriv + gamma)
-        return out
+        return [
+            self.tangent_derivative(param_col, field_coord[c])
+            + self._christoffel_sum(c, v_coord, field_coord)
+            for c in range(self.n)
+        ]
 
     def nabla_ambient_field(self, v_coord, field_index: int) -> list[Expr]:
         """nabla_v X_field for an ambient orthonormal frame field, v in coord comps."""
         n = self.n
-        out = []
-        for c in range(n):
-            deriv = sum_exprs(
+        field = [self.ortho_mat[b][field_index] for b in range(n)]
+        return [
+            sum_exprs(
                 [v_coord[a] * self.frame_coord_derivs[a][c][field_index] for a in range(n)]
             )
-            gamma = sum_exprs(
-                [
-                    self.christoffel[c][a][b]
-                    * v_coord[a]
-                    * self.ortho_mat[b][field_index]
-                    for a in range(n)
-                    for b in range(n)
-                    if not (self.christoffel[c][a][b] is ZERO)
-                ]
-            )
-            out.append(deriv + gamma)
-        return out
+            + self._christoffel_sum(c, v_coord, field)
+            for c in range(n)
+        ]
 
     def to_ortho_comps(self, coord_col) -> list[Expr]:
-        return [edot(self.ortho_coframe[i], coord_col) for i in range(self.n)]
+        return [edot(row, coord_col) for row in self.imm.ortho_coframe_exprs]
+
+    def nabla_table(self, t_param, field_coord) -> list[list[Expr]]:
+        """nabla_{t_i} W (ortho comps) for each tangent field t_i, a column of ``t_param``.
+
+        ``t_param`` holds parameter comps (m rows); W is given along M in
+        coordinate comps.
+        """
+        return [
+            self.to_ortho_comps(self.nabla_field_along([row[i] for row in t_param], field_coord))
+            for i in range(len(t_param[0]))
+        ]
 
     def _slot_det(self, cols, J, slot=None, v=None) -> Expr:
         """<col_1 ^ .. (v at ``slot``) .. ^ col_m, X_J>, columns in ortho comps.
@@ -378,21 +374,33 @@ class ImmersionFrames:
             [[(v if a == slot else cols[a])[j - 1] for j in J] for a in range(self.m)]
         )
 
-    def nabla_simple_mvector_inner(self, wedge_cols, v_coord, J) -> Expr:
-        """<wedge_cols, nabla_v (X_J)> via the Leibniz rule."""
+    def _slot_pairing(self, cols, table, weights, total=ZERO) -> Expr:
+        """``total`` + sum over slots i, then J, of w_J <cols with table[i] at slot i, X_J>.
+
+        ``weights`` maps multi-indices J to w_J; ``table`` is a ``nabla_table``.
+        """
+        for i, dv in enumerate(table):
+            for J, w in weights.items():
+                total = total + w * self._slot_det(cols, J, i, dv)
+        return total
+
+    def _leibniz_pairing(self, cols, v_coord, weights) -> Expr:
+        """sum over J of w_J <col_1 ^..^ col_m, nabla_v X_J>, v in coord comps.
+
+        nabla_v X_J expands by the Leibniz rule over the slots of X_J.
+        """
         total = ZERO
-        for slot in range(self.m):
-            dcol = self.to_ortho_comps(self.nabla_ambient_field(v_coord, J[slot] - 1))
-            mat = []
-            for a in range(self.m):
-                row = []
-                for b, j in enumerate(J):
-                    if b == slot:
-                        row.append(edot(wedge_cols[a], dcol))
-                    else:
-                        row.append(wedge_cols[a][j - 1])
-                mat.append(row)
-            total = total + edet(mat)
+        for J, w in weights.items():
+            inner = ZERO
+            for slot in range(self.m):
+                dcol = self.to_ortho_comps(self.nabla_ambient_field(v_coord, J[slot] - 1))
+                inner = inner + edet(
+                    [
+                        [edot(col, dcol) if b == slot else col[j - 1] for b, j in enumerate(J)]
+                        for col in cols
+                    ]
+                )
+            total = total + w * inner
         return total
 
     # -- degree-d data ------------------------------------------------------------
@@ -422,18 +430,17 @@ class ImmersionFrames:
 
     # -- admissibility systems -----------------------------------------------------
 
-    def _beta_entry(self, t_cols, t_param, J, field_coord) -> Expr:
+    def _beta_entry(self, t_cols, table, J, field_coord) -> Expr:
         """One coefficient of the zeroth-order block, nabla form:
 
         beta = <e_1^..^e_m, nabla_X X_J> + sum_j <e_1^..(nabla_{e_j} X)..^e_m, X_J>
-        where X is the ambient field of the column (coordinate comps given).
+        where X is the ambient field of the column (coordinate comps given)
+        and ``table`` its ``nabla_table`` along the e_j.
         """
-        total = self.nabla_simple_mvector_inner(t_cols, field_coord, J)
-        for j in range(self.m):
-            param_col = [t_param[a][j] for a in range(self.m)]
-            dfield = self.to_ortho_comps(self.nabla_field_along(param_col, field_coord))
-            total = total + self._slot_det(t_cols, J, j, dfield)
-        return total
+        unit = {J: ONE}
+        return self._slot_pairing(
+            t_cols, table, unit, self._leibniz_pairing(t_cols, field_coord, unit)
+        )
 
     def _system(self, d: int, t_amb, t_param, field_cols, controls: int) -> SymbolicSystem:
         """(A, B, C_j) for fields on ``field_cols`` (ortho comps), controls first.
@@ -450,9 +457,13 @@ class ImmersionFrames:
             for j in range(m)
         ]
         field_coords = [self.coord_comps(col) for col in field_cols]
+        tables = [self.nabla_table(t_param, fc) for fc in field_coords]
         A, B = [], []
         for J in shape.basis:
-            row = [self._beta_entry(t_cols, t_param, J, fc) for fc in field_coords]
+            row = [
+                self._beta_entry(t_cols, table, J, fc)
+                for fc, table in zip(field_coords, tables)
+            ]
             A.append(row[:controls])
             B.append(row[controls:])
         return SymbolicSystem(shape, A, B, C, t_param, controls, len(field_cols) - controls)
@@ -527,26 +538,14 @@ class ImmersionFrames:
 
     def div_degree_d_expr(self, field, d: int) -> Expr:
         """Degree-d divergence of a variation field (expression in parameters)."""
-        comps = self.ambient_field_from_variation(field)
-        coord = self.coord_comps(comps)
-        coeffs = self.tangent_coeffs(d)
-        total = ZERO
-        for i in range(self.m):
-            param_col = [self.E_param[a][i] for a in range(self.m)]
-            dV = self.to_ortho_comps(self.nabla_field_along(param_col, coord))
-            for J, cJ in coeffs.items():
-                total = total + cJ * self._slot_det(self.E_cols, J, i, dV)
-        return total
+        coord = self.coord_comps(self.ambient_field_from_variation(field))
+        table = self.nabla_table(self.E_param, coord)
+        return self._slot_pairing(self.E_cols, table, self.tangent_coeffs(d))
 
     def f_linear_expr(self, field, d: int) -> Expr:
         """f(V) = sum_J <E-wedge, nabla_V X_J> <E-wedge, X_J>."""
-        comps = self.ambient_field_from_variation(field)
-        coord = self.coord_comps(comps)
-        coeffs = self.tangent_coeffs(d)
-        total = ZERO
-        for J, cJ in coeffs.items():
-            total = total + cJ * self.nabla_simple_mvector_inner(self.E_cols, coord, J)
-        return total
+        coord = self.coord_comps(self.ambient_field_from_variation(field))
+        return self._leibniz_pairing(self.E_cols, coord, self.tangent_coeffs(d))
 
     @_per_degree
     def _xi(self, d: int):
@@ -569,7 +568,7 @@ class ImmersionFrames:
         """Per normal field: (H1, H2, H3) expressions of the three summand groups."""
         m = self.m
         theta = self.theta(d)
-        coeffs = self.tangent_coeffs(d)
+        weights = {J: div(cJ, theta) for J, cJ in self.tangent_coeffs(d).items()}
         xi = self._xi(d)
         out = []
         for jn, ncol in enumerate(self.N_cols):
@@ -578,17 +577,8 @@ class ImmersionFrames:
             for i in range(m):
                 param_comps = [xi[i][jn] * self.E_param[a][i] for a in range(m)]
                 h1 = h1 - self.div_tangent(param_comps)
-            h2 = ZERO
-            for i in range(m):
-                param_col = [self.E_param[a][i] for a in range(m)]
-                dN = self.to_ortho_comps(self.nabla_field_along(param_col, ncoord))
-                for J, cJ in coeffs.items():
-                    h2 = h2 + div(cJ, theta) * self._slot_det(self.E_cols, J, i, dN)
-            h3 = ZERO
-            for J, cJ in coeffs.items():
-                h3 = h3 + div(cJ, theta) * self.nabla_simple_mvector_inner(
-                    self.E_cols, ncoord, J
-                )
+            h2 = self._slot_pairing(self.E_cols, self.nabla_table(self.E_param, ncoord), weights)
+            h3 = self._leibniz_pairing(self.E_cols, ncoord, weights)
             out.append((h1, h2, h3))
         return out
 
@@ -639,18 +629,16 @@ class ImmersionFrames:
             div_term = self.div_tangent(tangential)
             ncoord = self.coord_comps(ncol)
             theta_ncoord = [theta * c for c in ncoord]
-            for i in range(m):
-                param_col = [self.E_param[a][i] for a in range(m)]
-                dW = self.to_ortho_comps(self.nabla_field_along(param_col, theta_ncoord))
-                div_term = div_term + edot(dW, self.E_cols[i])
+            for dW, e in zip(self.nabla_table(self.E_param, theta_ncoord), self.E_cols):
+                div_term = div_term + edot(dW, e)
             # N_j(theta) through the graph extension
-            njtheta = self.compose(
+            njtheta = self.imm.compose(
                 sum_exprs([N_ext[j][c] * theta_ext.diff(coords[c]) for c in range(n)])
             )
             bracket_term = ZERO
             for i in range(m):
                 lie = lie_bracket_exprs(E_ext[i], N_ext[j], coords)
-                lie_on_m = self.to_ortho_comps([self.compose(c) for c in lie])
+                lie_on_m = self.to_ortho_comps([self.imm.compose(c) for c in lie])
                 for kk, nk in enumerate(self.N_cols):
                     bracket_term = bracket_term + xi[i][kk] * edot(lie_on_m, nk)
             out.append(div_term + njtheta + bracket_term)

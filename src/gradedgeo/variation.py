@@ -69,10 +69,8 @@ def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationFiel
                 p = [lo + t * (hi - lo) for lo, hi in imm.domain]
                 p[axis] = imm.domain[axis][end]
                 pts.append(p)
-    pts = np.asarray(pts)
-    env = {name: pts[:, i] for i, name in enumerate(imm.params)}
-    vals = evaluate_many(comps, env)
-    peak = max(float(np.max(np.abs(np.broadcast_to(v, (pts.shape[0],))))) for v in vals)
+    vals = evaluate_many(comps, imm.grid_env(pts))
+    peak = max(float(np.max(np.abs(np.broadcast_to(v, (len(pts),))))) for v in vals)
     if peak > SUPPORT_TOL:
         raise ValueError(
             f"variation field does not vanish on the domain boundary (max {peak:.2e})"
@@ -90,7 +88,7 @@ def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
         / theta
         * frames.sqrt_detmu
     )
-    env = {name: grid.points[:, i] for i, name in enumerate(imm.params)}
+    env = imm.grid_env(grid.points)
     comps = frames.ambient_field_from_variation(field)
     theta_vals, *comp_vals = evaluate_many([theta] + list(comps), env)
     theta_vals = np.broadcast_to(theta_vals, (len(grid),))
@@ -169,8 +167,7 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
         total = total + (h1 + h2 + h3) * edot(comps, ncol)
     integrand = total * frames.sqrt_detmu
-    env = {name: grid.points[:, i] for i, name in enumerate(imm.params)}
-    vals = np.broadcast_to(integrand.eval(env), (len(grid),))
+    vals = np.broadcast_to(integrand.eval(imm.grid_env(grid.points)), (len(grid),))
     return grid.integrate_values(np.asarray(vals, dtype=float))
 
 

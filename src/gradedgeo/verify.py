@@ -265,7 +265,7 @@ def check_el_residual() -> CheckResult:
     fr = frames_for(eg)
     grid = QuadratureGrid(eg.domain, 48)
     resid, _ = catalog.engel_el_residual_exprs(eg)
-    env = {nm: grid.points[:, i] for i, nm in enumerate(eg.params)}
+    env = eg.grid_env(grid.points)
     for src in ("(x*(1-x)*y*(1-y))^2", "(x*(1-x)*y*(1-y))^2*sin(3*x+y)"):
         psi = parse(src, ["x", "y"])
         fv = first_variation(eg, catalog.engel_admissible_normal_field(eg, psi), grid, 4)
@@ -305,7 +305,7 @@ def check_contact() -> CheckResult:
         worst = max(worst, abs(-mc.components[0] * orient - hc))
     dens = catalog.contact_area_density(rt.components[2])
     grid = QuadratureGrid(rt.domain, 48)
-    env = {nm: grid.points[:, i] for i, nm in enumerate(rt.params)}
+    env = rt.grid_env(grid.points)
     a3c = grid.integrate_values(np.broadcast_to(dens.eval(env), (len(grid),)))
     a3 = area_degree(rt, 3, grid).value
     ok = worst <= 1e-6 and abs(a3 - a3c) <= 1e-8 * max(1.0, a3)

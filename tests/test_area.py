@@ -177,6 +177,19 @@ def test_area_refuses_non_finite_density():
         area_degree(rt, 3, grid)
 
 
+def test_dilated_areas_refuse_non_finite_density():
+    # sqrt(x - 0.5) is NaN for x < 0.5: g_r areas are refused by node, not NaN
+    rt = catalog.immersion("rt-graph", u="sqrt(x-0.5)")
+    grid = QuadratureGrid(rt.domain, 8)
+    node = r"area density is not finite at quadrature node \(0\.0198550717512319\d*, "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match=r"^g_r \(r = 0\.5\) " + node):
+            riemannian_area(rt, 0.5, grid)
+        with pytest.raises(DegenerateInputError, match=r"^g_r \(r = 0\.1\) " + node):
+            scaling_limit_probe(rt, 3, grid, [0.1, 0.01, 0.001])
+
+
 def test_scaling_probe_divergence_below_degree(engel_graph, grid64):
     rs = [10.0**-i for i in range(1, 6)]
     probe = scaling_limit_probe(engel_graph, 3, grid64, rs)

@@ -360,6 +360,45 @@ def test_cli_refuses_non_finite_area(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command,z,message",
+    [
+        # z = 0 is folded into the composed coframe: 1/z is a constant node
+        (["area", "--degree", "3"], "0", "division by zero"),
+        (["degree-scan"], "0", "division by zero"),
+        (["area", "--degree", "3"], "(x-0.5)^2",
+         "degree-3 area density is not finite at quadrature node (0.5, 0.015919880246186957)"),
+        (["degree-scan"], "(x-0.5)^2",
+         "immersion tangent is not finite at grid point (0.5, 0.05555555555555555)"),
+    ],
+)
+def test_frame_degenerate_on_the_image_is_refused(tmp_path, capsys, command, z, message):
+    # X3 = z d/dz is no basis field where z = 0; the Jacobian row of a
+    # constant z is structurally zero, so tau alone would not see it
+    manifold_spec = {
+        "coordinates": ["x", "y", "z"],
+        "frame": [
+            {"degree": 1, "components": ["1", "0", "0"]},
+            {"degree": 1, "components": ["0", "1", "0"]},
+            {"degree": 2, "components": ["0", "0", "z"]},
+        ],
+    }
+    immersion_spec = {"params": ["x", "y"], "components": ["x", "y", z],
+                      "domain": [[0.0, 1.0], [0.0, 1.0]]}
+    mpath, ipath = tmp_path / "manifold.json", tmp_path / "immersion.json"
+    mpath.write_text(json.dumps(manifold_spec))
+    ipath.write_text(json.dumps(immersion_spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command[0], "--manifold", str(mpath), "--immersion", str(ipath),
+                     *command[1:], "--grid", "9x9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gradedgeo: error: {message}\n"
+
+
 def test_cli_bad_input_is_one_line_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["area", "--catalog", "rt-graph:u=x", "--degree", "3", "--grid", "1x1"])
@@ -407,6 +446,9 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
         # a non-finite tangent is refused at the first grid point, not by an SVD
         (["degree-scan", "--catalog", "rt-graph:u=sqrt(x-0.5)"],
          "immersion tangent is not finite at grid point (0.125, 0.125)"),
+        (["gr-limit", "--catalog", "rt-graph:u=sqrt(x-0.5)", "--degree", "3"],
+         "g_r (r = 0.1) area density is not finite at quadrature node "
+         "(0.06943184420297371, 0.06943184420297371)"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--grid", "4x4"])

@@ -380,6 +380,22 @@ def test_adapted_tangent_at_evaluates_tangent_grids_once(engel_graph, monkeypatc
     assert calls == [1]
 
 
+def test_tangent_grids_evaluate_once(engel_graph, monkeypatch):
+    # the Jacobian and tau come from one tape pass, not a second coframe pass
+    import gradedgeo.immersion as immersion_module
+
+    calls = []
+    original = immersion_module.evaluate_many
+
+    def counted(roots, env):
+        calls.append(len(roots))
+        return original(roots, env)
+
+    monkeypatch.setattr(immersion_module, "evaluate_many", counted)
+    engel_graph._tangent_grids(QuadratureGrid(engel_graph.domain, 8).points)
+    assert calls == [2 * 4 * 2 + 1]
+
+
 @pytest.mark.parametrize("metric", [None, "euclidean"])
 @pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
 def test_multi_index_degrees_is_the_read_only_table(name, metric):
