@@ -164,13 +164,10 @@ def residual_exprs(imm: Immersion, field: VariationField, d: int) -> list[Expr]:
     return _residual_from_system(frames, sym, comps)
 
 
-def residual(imm: Immersion, field: VariationField, pbar, d: int) -> np.ndarray:
-    from .exprs import evaluate_many
-
-    exprs = residual_exprs(imm, field, d)
-    if not exprs:
-        return np.zeros(0)
-    return np.array(evaluate_many(exprs, imm.param_env(pbar)), dtype=float)
+def residual(imm: Immersion, field: VariationField, points, d: int) -> np.ndarray:
+    """Admissibility residual at parameter points (N, m), (N, ell); at one point (m,), (ell,)."""
+    values = imm.values_at(residual_exprs(imm, field, d), points)
+    return values[:, 0] if np.ndim(points) == 1 else np.ascontiguousarray(values.T)
 
 
 @dataclass
@@ -183,27 +180,37 @@ class RegularityResult:
     singular_values: tuple[float, ...]
 
 
-def is_strongly_regular(imm: Immersion, pbar, d: int) -> RegularityResult:
-    """Rank test of A at a point: strong regularity needs rank(A) = ell <= rho."""
-    sys = assemble_adapted(imm, pbar, d)
-    shape = sys.shape
+def is_strongly_regular(imm: Immersion, points, d: int):
+    """Rank test of A: strong regularity needs rank(A) = ell <= rho.
+
+    Over points (N, m), one result per point from one evaluation and one
+    stacked SVD; at one point (m,), a batch of one, that point's result.
+    """
+    one = np.ndim(points) == 1
+    sym = frames_for(imm).adapted_system(d)
+    shape = sym.shape
+    A = sym.at(imm, points)[0]
+    if one:
+        A = A[None]
     if shape.ell == 0:
-        return RegularityResult(True, 0, 0, shape.rho, shape.k, ())
-    svals = np.linalg.svd(sys.A, compute_uv=False)
-    rank = numeric_rank(sys.A)
-    flag = shape.rho >= shape.ell and rank == shape.ell
-    return RegularityResult(flag, rank, shape.ell, shape.rho, shape.k, tuple(float(s) for s in svals))
+        results = [RegularityResult(True, 0, 0, shape.rho, shape.k, ()) for _ in A]
+    else:
+        svals = np.linalg.svd(A, compute_uv=False)
+        results = [
+            RegularityResult(
+                shape.rho >= shape.ell and rank == shape.ell,
+                rank, shape.ell, shape.rho, shape.k, tuple(s),
+            )
+            for rank, s in zip(numeric_rank(A).tolist(), svals.tolist())
+        ]
+    return results[0] if one else results
 
 
 def split_tangent_normal(imm: Immersion, field: VariationField, pbar):
     """g-orthogonal split of the field value at a point (ortho-frame comps)."""
-    from .exprs import evaluate_many
-
     frames = frames_for(imm)
-    comps = frames.ambient_field_from_variation(field)
-    env = imm.param_env(pbar)
-    v = np.array(evaluate_many(comps, env), dtype=float)
-    E = eval_matrix(frames.E_amb, env)
+    v = imm.values_at(frames.ambient_field_from_variation(field), pbar)[:, 0]
+    E = eval_matrix(frames.E_amb, imm.param_env(pbar))
     vtan = E @ (E.T @ v)
     return vtan, v - vtan
 
@@ -239,8 +246,6 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     C_j D_v and B~ = Lambda_v^{-1} (A D_hv + B D_v + sum_j C_j E_j(D_v)).
     Both systems use the same tangent basis (the g echelon basis).
     """
-    from .exprs import evaluate_many
-
     if field.frame != "adapted":
         raise ValueError("metric change check expects an adapted-frame field")
     frames_g = frames_for(imm)
@@ -295,8 +300,8 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
             lam = compound(Dp, m)
             lam_v = lam[np.ix_(high, high)]
             lam_inv = np.linalg.inv(lam_v)
-            rg = np.array(evaluate_many(res_g, env), dtype=float)
-            rb = np.array(evaluate_many(res_b, env), dtype=float)
+            rg = imm.values_at(res_g, p)[:, 0]
+            rb = imm.values_at(res_b, p)[:, 0]
             max_res_err = max(max_res_err, float(np.max(np.abs(rb - lam_inv @ rg))))
             lam_low = lam[np.ix_(high, ~high)]
             if lam_low.size:

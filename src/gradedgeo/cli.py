@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import catalog
-from .admissibility import VariationField, frames_for, is_strongly_regular, residual_exprs
+from .admissibility import VariationField, is_strongly_regular, residual_exprs
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
-from .exprs import ExprError, evaluate_many, parse as parse_expr
+from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
 from .manifold import AdaptedFrame, Manifold, MetricField, require_keys
 from .variation import first_variation, mean_curvature
@@ -139,14 +139,6 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
-def _at_grid_point(p, fn, *args):
-    """``fn(*args)``, naming the grid point ``p`` in a bad-input error."""
-    try:
-        return fn(*args)
-    except (ValueError, ExprError) as exc:
-        raise ValueError(f"{exc} at grid point {tuple(map(float, p))}") from None
-
-
 def _resolve_degree(args, imm: Immersion) -> int:
     if args.degree != "auto":
         return int(args.degree)
@@ -213,11 +205,10 @@ def cmd_admissibility(args):
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    exprs = residual_exprs(imm, field, d)  # midpoint choices fail here, naming no grid point
-    rows = []
-    for p in pts:
-        r = _at_grid_point(p, evaluate_many, exprs, imm.param_env(p))
-        rows.append([*map(float, p), float(np.linalg.norm(r))])
+    res = imm.values_at(residual_exprs(imm, field, d), pts).T.copy()  # (N, ell), rows contiguous
+    # per row the dot product that np.linalg.norm takes of a vector, bit for bit
+    norms = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
+    rows = [[*map(float, p), float(r)] for p, r in zip(pts, norms)]
     payload = {
         "d": d,
         "frame": field.frame,
@@ -232,22 +223,18 @@ def cmd_regularity(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    frames_for(imm).adapted_system(d)  # midpoint choices fail here, naming no grid point
-    rows = []
-    all_flags = True
-    for p in pts:
-        reg = _at_grid_point(p, is_strongly_regular, imm, p, d)
-        sigma_min = min(reg.singular_values) if reg.singular_values else 0.0
-        rows.append(
-            {
-                "point": [float(x) for x in p],
-                "rank": reg.rank,
-                "ell": reg.ell,
-                "flag": reg.strongly_regular,
-                "sigma_min": sigma_min,
-            }
-        )
-        all_flags = all_flags and reg.strongly_regular
+    regs = is_strongly_regular(imm, pts, d)
+    rows = [
+        {
+            "point": [float(x) for x in p],
+            "rank": reg.rank,
+            "ell": reg.ell,
+            "flag": reg.strongly_regular,
+            "sigma_min": min(reg.singular_values) if reg.singular_values else 0.0,
+        }
+        for p, reg in zip(pts, regs)
+    ]
+    all_flags = all(reg.strongly_regular for reg in regs)
     payload = {"d": d, "all_strongly_regular": all_flags, "points": rows}
     csv_rows = [
         [*r["point"], r["rank"], r["ell"], int(r["flag"]), r["sigma_min"]] for r in rows
@@ -260,11 +247,10 @@ def cmd_mean_curvature(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    frames_for(imm).control_columns(d)  # midpoint choices fail here, naming no grid point
-    rows = []
-    for p in pts:
-        mc = _at_grid_point(p, mean_curvature, imm, p, d)
-        rows.append({"point": [float(x) for x in p], "H": [float(h) for h in mc.components]})
+    rows = [
+        {"point": [float(x) for x in p], "H": [float(h) for h in mc.components]}
+        for p, mc in zip(pts, mean_curvature(imm, pts, d))
+    ]
     payload = {"d": d, "points": rows}
     csv_rows = [[*r["point"], *r["H"]] for r in rows]
     ncomps = len(rows[0]["H"]) if rows else 0

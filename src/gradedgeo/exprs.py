@@ -8,16 +8,17 @@ with a constant integer exponent, which keeps differentiation closed and
 avoids branch cuts.
 
 Evaluation accepts scalar or numpy-array variable bindings and runs a
-compiled tape, cached per tuple of roots.  Scalar evaluation raises
-:class:`EvaluationError` on domain errors (log of a negative number,
-division by zero) and on overflow; array evaluation follows numpy semantics,
-lets non-finite values propagate, and keeps only live values in memory.
+compiled tape of numpy ufuncs, cached per tuple of roots; it has one
+semantics.  Array evaluation lets non-finite values propagate and keeps only
+live values in memory.  Scalar bindings alone are a batch of one through the
+same ufuncs, so a point's value equals its value on a grid bit for bit, and
+it raises :class:`EvaluationError` on domain errors (log of a negative
+number), division by zero and overflow.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 
 import numpy as np
@@ -535,7 +536,7 @@ def call(fn: str, a: Expr) -> Expr:
         try:
             return const(_MATH_FUNCS[fn](a.value))
         except ValueError:
-            pass  # out of domain: leave symbolic, fail at eval time
+            pass  # out of domain: leave symbolic, refused when a tape is compiled
     return _interned(("f", fn, id(a)), lambda: Call(fn, a))
 
 
@@ -544,32 +545,25 @@ def call(fn: str, a: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 # A root tuple is compiled once into a tape: its nodes in post-order, one
-# register each.  Leaves are preloaded (constants, and each ``Pow``
-# exponent as an int register) or loaded from the env (variables); every
-# other node is one instruction ``(fn, a, b, dst)`` computing
-# ``regs[dst] = fn(regs[a], regs[b])``, or ``fn(regs[a])`` when ``b < 0``.
-# ``fn`` is the scalar operation; array evaluation maps it to the ufunc
-# that computes the same IEEE operation and writes into a recycled buffer.
+# register each.  Leaves are preloaded (constants, and each ``Pow`` exponent
+# as an int register) or loaded from the env (variables); every other node is
+# one instruction ``(ufunc, a, b, dst, buf)`` computing
+# ``regs[dst] = ufunc(regs[a], regs[b], out=bufs[buf])``, or
+# ``ufunc(regs[a], out=bufs[buf])`` when ``b < 0``.  The smart constructors
+# fold every node whose operands are all constants unless folding fails
+# (``1/0``, ``log(-1)``), and the tape refuses those, so every instruction
+# reads a variable and writes an array of the env's broadcast shape.  A
+# buffer returns to the free list after its node's last use, so the buffer
+# count is the peak number of live values plus the results.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
 
-_BINARY_OPS = {
-    Add: operator.add,
-    Sub: operator.sub,
-    Mul: operator.mul,
-    Div: operator.truediv,
-}
-_ARRAY_OPS = {
-    operator.add: np.add,
-    operator.sub: np.subtract,
-    operator.mul: np.multiply,
-    operator.truediv: np.divide,
-    operator.neg: np.negative,
-    operator.pow: np.power,
-    **{_MATH_FUNCS[fn]: _NP_FUNCS[fn] for fn in FUNCTION_NAMES},
-}
-# In an array evaluation, scalar-valued call nodes use numpy's functions
-# too; libm's exp, log, tan and atan may differ from numpy's in the last bit.
-_MIXED_OPS = {_MATH_FUNCS[fn]: _NP_FUNCS[fn] for fn in FUNCTION_NAMES}
+_BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+_SYMBOLS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.divide: "/"}
+_CALL_NAMES = {ufunc: fn for fn, ufunc in _NP_FUNCS.items()}
+
+# A batch of one refuses what an array lets propagate as inf or NaN.
+_POINT_ERRORS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
+_ARRAY_ERRORS = {"all": "ignore"}
 
 TAPE_CACHE_SIZE = 64  # root tuples whose tapes stay compiled
 _TAPES: "dict[tuple[int, ...], _Tape]" = {}
@@ -578,14 +572,14 @@ _TAPES: "dict[tuple[int, ...], _Tape]" = {}
 class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
-    __slots__ = ("roots", "init", "loads", "code", "last_use", "out", "plans")
+    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out")
 
     def __init__(self, roots: tuple):
         self.roots = roots  # holds the nodes, so the cache key's ids stay valid
         index: dict = {}  # node -> register
         init: list = []  # register file template
         loads = []  # (register, variable name)
-        code = []
+        code = []  # (ufunc, a, b, dst), then with its buffer appended
         last_use: list = []  # register -> position of the last instruction reading it
         exponents: dict[int, int] = {}
         for root in roots:
@@ -599,11 +593,11 @@ class _Tape:
                     index[node] = len(init)
                     if kind is Var:
                         loads.append((len(init), node.name))
-                    init.append(node.value if kind is Const else None)
+                    init.append(np.float64(node.value) if kind is Const else None)
                     last_use.append(-1)
                     continue
                 a = index.get(node.a)
-                fn = _BINARY_OPS.get(kind)
+                fn = _BINARY_UFUNCS.get(kind)
                 if fn is not None:
                     b = index.get(node.b)
                     if a is None or b is None:
@@ -619,16 +613,19 @@ class _Tape:
                     stack.append(node.a)
                     continue
                 elif kind is Pow:
-                    fn = operator.pow
+                    fn = np.power
                     b = exponents.get(node.k)
                     if b is None:
                         b = exponents[node.k] = len(init)
                         init.append(node.k)
                         last_use.append(-1)
                 elif kind is Neg:
-                    fn, b = operator.neg, -1
+                    fn, b = np.negative, -1
                 else:
-                    fn, b = _MATH_FUNCS[node.fn], -1
+                    fn, b = _NP_FUNCS[node.fn], -1
+                if type(node.a) is Const and (kind not in _BINARY_UFUNCS or type(node.b) is Const):
+                    what = "division by zero" if kind is Div else "domain error"
+                    raise EvaluationError(f"{what} in {node.to_source()}")
                 last_use[a] = len(code)
                 reg = index[node] = len(init)
                 init.append(None)
@@ -639,111 +636,72 @@ class _Tape:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
         self.loads = loads
-        self.code = code
-        self.last_use = last_use
-        self.plans: dict = {}
-
-    def run_scalar(self, env) -> list:
-        regs = self._bind(env, float)
-        try:
-            for fn, a, b, dst in self.code:
-                regs[dst] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
-        except (ArithmeticError, ValueError) as exc:
-            raise _error(exc, fn, regs[a], regs[b]) from None
-        return [regs[r] for r in self.out]
-
-    def run_array(self, env) -> list:
-        regs = self._bind(env, _array_or_float)
-        arrays = [reg for reg, _ in self.loads if isinstance(regs[reg], np.ndarray)]
-        shape = np.broadcast_shapes(*(regs[reg].shape for reg in arrays))
-        for reg in arrays:
-            if regs[reg].shape != shape:
-                regs[reg] = np.broadcast_to(regs[reg], shape)
-        key = tuple(arrays)  # a subset of the tape's variables: few keys
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = self.plans[key] = self._plan(arrays)
-        code, nbufs = plan
-        bufs = [np.empty(shape) for _ in range(nbufs)]  # per call: results never alias
-        with np.errstate(all="ignore"):
-            try:
-                for fn, a, b, dst, o in code:
-                    if o < 0:
-                        regs[dst] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
-                    elif b < 0:
-                        regs[dst] = fn(regs[a], out=bufs[o])
-                    else:
-                        regs[dst] = fn(regs[a], regs[b], out=bufs[o])
-            except (ArithmeticError, ValueError) as exc:
-                raise _error(exc, fn, regs[a], regs[b]) from None
-        return [regs[r] for r in self.out]
-
-    def _bind(self, env, convert) -> list:
-        regs = self.init.copy()
-        for reg, name in self.loads:
-            try:
-                regs[reg] = convert(env[name])
-            except KeyError:
-                raise EvaluationError(f"no value bound for variable {name!r}") from None
-        return regs
-
-    def _plan(self, arrays):
-        """Array-mode code for one set of array-bound variable registers.
-
-        A node is array-valued iff it reads an array-valued register, i.e.
-        iff its variables meet the array-bound names.  Each array-valued
-        node writes into a buffer that returns to the free list after its
-        node's last use, so the buffer count is the peak number of live
-        array values plus the results.
-        """
-        is_array = [False] * len(self.init)
-        for reg in arrays:
-            is_array[reg] = True
-        buf_of = [-1] * len(self.init)  # register -> its buffer while live
+        buf_of = [-1] * len(init)  # register -> its buffer while live
         free: list[int] = []
         nbufs = 0
-        code = []
-        last_use = self.last_use
-        for pos, (fn, a, b, dst) in enumerate(self.code):
-            if not (is_array[a] or (b >= 0 and is_array[b])):
-                code.append((_MIXED_OPS.get(fn, fn), a, b, dst, -1))
-                continue
+        for pos, (fn, a, b, dst) in enumerate(code):
             if free:
                 o = free.pop()
             else:
                 o = nbufs
                 nbufs += 1
-            is_array[dst] = True
             buf_of[dst] = o
-            code.append((_ARRAY_OPS[fn], a, b, dst, o))
+            code[pos] = (fn, a, b, dst, o)
             if last_use[a] == pos and buf_of[a] >= 0:
                 free.append(buf_of[a])
                 buf_of[a] = -1
             if b >= 0 and last_use[b] == pos and buf_of[b] >= 0:
                 free.append(buf_of[b])
                 buf_of[b] = -1
-        return code, nbufs
+        self.code = code
+        self.nbufs = nbufs
+
+    def run(self, env) -> list:
+        regs = self.init.copy()
+        values = []
+        for reg, name in self.loads:
+            try:
+                values.append(env[name])
+            except KeyError:
+                raise EvaluationError(f"no value bound for variable {name!r}") from None
+        one = not any(isinstance(v, np.ndarray) for v in values)
+        shape = (1,) if one else np.broadcast_shapes(*(np.shape(v) for v in values))
+        for (reg, _), value in zip(self.loads, values):
+            if one:
+                regs[reg] = np.array((value,), dtype=float)
+            else:
+                value = np.asarray(value, dtype=float)
+                regs[reg] = value if value.shape == shape else np.broadcast_to(value, shape)
+        bufs = [np.empty(shape) for _ in range(self.nbufs)]  # per call: results never alias
+        with np.errstate(**(_POINT_ERRORS if one else _ARRAY_ERRORS)):
+            try:
+                for fn, a, b, dst, o in self.code:
+                    if b < 0:
+                        regs[dst] = fn(regs[a], out=bufs[o])
+                    else:
+                        regs[dst] = fn(regs[a], regs[b], out=bufs[o])
+            except FloatingPointError as exc:
+                raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
+        if one:
+            return [np.asarray(regs[r]).item() for r in self.out]
+        return [regs[r] for r in self.out]
 
 
-def _error(exc, fn, x, k) -> EvaluationError:
-    """The error of a scalar ``fn(x)``, ``x / y`` or ``x ** k`` that raised."""
-    if fn is operator.truediv:
+def _error(exc, fn, x, y) -> EvaluationError:
+    """The refusal of a batch of one whose ``fn(x)`` or ``fn(x, y)`` raised ``exc``."""
+    overflow = "overflow" in str(exc)
+    if fn is np.divide and not overflow:
         return EvaluationError("division by zero")
-    if fn is operator.pow:
-        if isinstance(exc, ZeroDivisionError):
-            return EvaluationError("zero raised to a negative power")
-        what = f"({x!r})^{k}"
+    if fn is np.power and "divide by zero" in str(exc):
+        return EvaluationError("zero raised to a negative power")
+    a = repr(np.asarray(x).item())
+    if fn is np.power:
+        what = f"({a})^{y}"
+    elif y is None:
+        what = f"{_CALL_NAMES[fn]}({a})"
     else:
-        what = f"{fn.__name__}({x!r})"
-    if isinstance(exc, OverflowError):
-        return EvaluationError(f"overflow in {what}")
-    return EvaluationError(f"domain error in {what}")
-
-
-def _array_or_float(value):
-    if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float)
-    return float(value)
+        what = f"{a} {_SYMBOLS[fn]} {np.asarray(y).item()!r}"
+    return EvaluationError(f"{'overflow' if overflow else 'domain error'} in {what}")
 
 
 def _tape(roots: tuple) -> _Tape:
@@ -763,20 +721,20 @@ def evaluate_many(exprs, env):
     ``env`` maps variable name to float or ndarray; mixing is allowed and
     broadcasts.  Returns a list of values, one per expression.
 
-    The root tuple is compiled once into a cached tape (see ``_Tape``).
-    Scalars are bound as Python floats and arrays as float64.  When no
-    binding is an array, every node computes with ``operator``/``math``
-    and a domain error, division by zero or overflow raises
-    :class:`EvaluationError`.  Otherwise array-valued nodes follow numpy
-    semantics (non-finite values propagate, warnings are silenced), take
-    the common broadcast shape of the array bindings, and write into
-    buffers recycled after their last use, so memory is O(live nodes), not
-    O(all nodes).  Returned arrays are fresh: no later call writes to them.
+    The root tuple is compiled once into a cached tape (see ``_Tape``); a
+    node on constants alone that construction could not fold (``1/0``) is
+    refused there, naming the node.  Every binding is a float64 array of the
+    common broadcast shape, and every node runs one numpy ufunc into a
+    buffer recycled after the node's last use, so memory is O(live nodes),
+    not O(all nodes).  With an array binding, values follow numpy semantics
+    (non-finite values propagate, warnings are silenced) and returned arrays
+    are fresh: no later call writes to them.  Without one the env is a batch
+    of one: the same ufuncs run on one-element arrays, so a point's value is
+    bit for bit its value on a grid, the results come back as floats, and
+    division by zero, a domain error or overflow in any operation raises
+    :class:`EvaluationError`.
     """
-    tape = _tape(tuple(exprs))
-    if any(isinstance(v, np.ndarray) for v in env.values()):
-        return tape.run_array(env)
-    return tape.run_scalar(env)
+    return _tape(tuple(exprs)).run(env)
 
 
 # ---------------------------------------------------------------------------

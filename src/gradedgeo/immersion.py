@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, evaluate_many
+from .exprs import EvaluationError, Expr, evaluate_many
 from .manifold import Manifold, numeric_rank
 from .multivec import (
     DEGREE_EPS,
@@ -132,6 +132,38 @@ class Immersion:
         pts = np.asarray(points, dtype=float)
         return {name: pts[:, i] for i, name in enumerate(self.params)}
 
+    def _grid_values(self, exprs, points: np.ndarray) -> np.ndarray:
+        """Values of ``exprs`` over ``points`` (N, m) from one tape pass, (len(exprs), N).
+
+        Non-finite values propagate.
+        """
+        values = np.empty((len(exprs), len(points)))
+        for k, v in enumerate(evaluate_many(exprs, self.grid_env(points))):
+            values[k] = v
+        return values
+
+    def values_at(self, exprs, points) -> np.ndarray:
+        """Values of ``exprs`` at parameter points, one row per expression: (len(exprs), N).
+
+        Points (N, m) are evaluated in one tape pass.  The first of them
+        that holds a value that is not finite is evaluated again as a batch
+        of one, and its refusal is raised naming that grid point.  One
+        point (m,) is a batch of one (N = 1), whose refusal names no point.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            return np.array(evaluate_many(exprs, self.param_env(pts)), dtype=float)[:, None]
+        values = self._grid_values(exprs, pts)
+        bad = ~np.isfinite(values).all(axis=0)
+        if bad.any():
+            p = tuple(map(float, pts[int(np.argmax(bad))]))
+            try:
+                evaluate_many(exprs, self.param_env(p))
+            except EvaluationError as exc:
+                raise EvaluationError(f"{exc} at grid point {p}") from None
+            raise EvaluationError(f"value is not finite at grid point {p}")
+        return values
+
     @cached_property
     def multi_index_degrees(self) -> np.ndarray:
         """Read-only degrees of the multi-indices in ``all_multi_indices(n, m)`` order."""
@@ -198,9 +230,7 @@ class Immersion:
         """
         pts = np.asarray(points, dtype=float)
         n, m, N = self.n, self.m, pts.shape[0]
-        values = np.empty((2 * n * m + 1, N))
-        for k, v in enumerate(evaluate_many(self._tangent_roots, self.grid_env(pts))):
-            values[k] = v
+        values = self._grid_values(self._tangent_roots, pts)
         jac = values[: n * m].reshape(n, m, N)
         tau = values[n * m : -1].reshape(n, m, N)
         # the dense contraction's zero start (-0 becomes +0), and NaN where

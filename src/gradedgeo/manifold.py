@@ -61,14 +61,17 @@ def require_keys(data, keys, what: str) -> None:
             raise ValueError(f"{what} is missing the key {key!r}")
 
 
-def numeric_rank(mat: np.ndarray) -> int:
+def numeric_rank(mat: np.ndarray):
+    """Count of singular values above RANK_TOL times the largest; 0 for a zero or empty matrix.
+
+    A stack of matrices (..., r, c) gives an int array, one rank per matrix.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
     svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_TOL * svals[0]))
+    ranks = np.sum(svals > RANK_TOL * svals[..., :1], axis=-1)
+    return int(ranks) if mat.ndim == 2 else ranks
 
 
 class AdaptedFrame:

@@ -12,8 +12,8 @@ curvature summands and the system coefficients read it through one slot
 pairing (nabla_{t_i} W at slot i of the tangent wedge) and one Leibniz
 pairing (the tangent wedge against nabla_W X_J).  Each degree-d object
 (systems, Theta_d, H_d, control columns) is built once through one
-per-instance memo, and a system's matrices are evaluated at a point in one
-tape pass.
+per-instance memo, and a system's matrices are evaluated over a grid of
+points, or at one point as a batch of one, in one tape pass.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, call, const, div, evaluate_many
+from .exprs import Expr, call, const, div
 from .immersion import Immersion
 from .manifold import lie_bracket_exprs
 from .multivec import (
@@ -89,17 +89,26 @@ class SymbolicSystem:
     control_cols: int
     other_cols: int
 
-    def at(self, imm: Immersion, pbar):
-        """Numeric (A, B, [C_j], tangent_param) at a parameter point, from one evaluation."""
+    def at(self, imm: Immersion, points):
+        """Numeric (A, B, [C_j], tangent_param) at parameter points, from one evaluation.
+
+        Over points (N, m) each matrix is a stack (N, rows, cols); at one
+        point (m,), a batch of one, it is the (rows, cols) matrix.
+        """
         ell, m = self.shape.ell, self.shape.m
         mats = [self.A, self.B, *self.C, self.tangent_param]
         shapes = [(ell, self.control_cols), *[(ell, self.other_cols)] * (m + 1), (m, m)]
         flat = [e for M in mats for row in M for e in row]
-        vals = np.array(evaluate_many(flat, imm.param_env(pbar)), dtype=float)
+        vals = imm.values_at(flat, points)
+        N = vals.shape[1]
         ends = np.cumsum([rows * cols for rows, cols in shapes])
-        A, B, *C, tangent_param = (
-            v.reshape(shape) for v, shape in zip(np.split(vals, ends[:-1]), shapes)
-        )
+        stacks = [
+            v.reshape(*shape, N).transpose(2, 0, 1)
+            for v, shape in zip(np.split(vals, ends[:-1]), shapes)
+        ]
+        if np.ndim(points) == 1:
+            stacks = [stack[0] for stack in stacks]
+        A, B, *C, tangent_param = stacks
         return A, B, C, tangent_param
 
 

@@ -24,7 +24,7 @@ from .exprs import Expr, const, evaluate_many
 from .immersion import Immersion
 from .moving_frames import ImmersionFrames
 from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
-from .symmat import edot, einverse, eval_matrix, sum_exprs
+from .symmat import edot, einverse, sum_exprs
 
 __all__ = [
     "MeanCurvatureAtPoint",
@@ -122,21 +122,31 @@ class MeanCurvatureAtPoint:
     normal_frame: np.ndarray  # ortho comps, n x (n - m)
 
 
-def mean_curvature(imm: Immersion, pbar, d: int) -> MeanCurvatureAtPoint:
+def mean_curvature(imm: Immersion, points, d: int):
+    """Mean curvature of degree d at parameter points.
+
+    Over points (N, m), one result per point from one evaluation of the
+    summands and the normal frame; at one point (m,), a batch of one, that
+    point's result.
+    """
     frames = frames_for(imm)
     triples = frames.mean_curvature_exprs(d)
-    env = imm.param_env(pbar)
-    flat = [e for tri in triples for e in tri]
-    vals = np.array(evaluate_many(flat, env), dtype=float).reshape(len(triples), 3)
-    comps = vals.sum(axis=1)
-    k = frames.k
     hat_cols = frames.control_columns(d) or ()
-    hat = comps[list(hat_cols)] if hat_cols else np.zeros(0)
+    n, q, k = frames.n, len(triples), frames.k
+    flat = [e for tri in triples for e in tri] + [e for row in frames.normal_amb for e in row]
+    vals = imm.values_at(flat, points)
+    N = vals.shape[1]
+    parts = vals[: 3 * q].T.reshape(N, q, 3)
+    normal = vals[3 * q :].T.reshape(N, n, q)
+    comps = parts.sum(axis=2)
     iota_cols = [j for j in range(k) if j not in hat_cols]
-    iota = comps[iota_cols] if iota_cols else np.zeros(0)
-    vert = comps[k:]
-    normal = eval_matrix(frames.normal_amb, env)
-    return MeanCurvatureAtPoint(tuple(pbar), comps, vals, hat_cols, vert, hat, iota, normal)
+    rows = zip(np.reshape(points, (N, -1)), comps, parts, comps[:, k:],
+               comps[:, list(hat_cols)], comps[:, iota_cols], normal)
+    results = [
+        MeanCurvatureAtPoint(tuple(p), c, pp, hat_cols, vert, hat, iota, nf)
+        for p, c, pp, vert, hat, iota, nf in rows
+    ]
+    return results[0] if np.ndim(points) == 1 else results
 
 
 def mean_curvature_field_exprs(imm: Immersion, d: int) -> list[Expr]:
@@ -154,8 +164,7 @@ def mean_curvature_field_exprs(imm: Immersion, d: int) -> list[Expr]:
 def mean_curvature_bracket_at(imm: Immersion, pbar, d: int) -> np.ndarray:
     """Bracket-form curvature components (cross-check; needs a graph chart)."""
     frames = frames_for(imm)
-    exprs = frames.mean_curvature_bracket_exprs(d)
-    return np.array(evaluate_many(exprs, imm.param_env(pbar)), dtype=float)
+    return imm.values_at(frames.mean_curvature_bracket_exprs(d), pbar)[:, 0]
 
 
 def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid, d: int) -> float:
@@ -239,7 +248,4 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
 def critical_residuals(imm: Immersion, pbar, d: int, columns=None):
     """Numeric stationarity residuals (iota part, vert part) at a point."""
     res = critical_residual_exprs(imm, d, columns)
-    env = imm.param_env(pbar)
-    iota = np.array(evaluate_many(res.iota, env), dtype=float) if res.iota else np.zeros(0)
-    vert = np.array(evaluate_many(res.vert, env), dtype=float) if res.vert else np.zeros(0)
-    return iota, vert
+    return imm.values_at(res.iota, pbar)[:, 0], imm.values_at(res.vert, pbar)[:, 0]

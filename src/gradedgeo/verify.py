@@ -21,7 +21,6 @@ from .admissibility import (
     frames_for,
     is_strongly_regular,
     metric_change_check,
-    residual,
 )
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import const, parse
@@ -288,20 +287,14 @@ def check_el_residual() -> CheckResult:
 
 def check_contact() -> CheckResult:
     rt = catalog.immersion("rt-graph", u="0.3*x + 0.2*y^2")
-    from .exprs import evaluate_many
-    from .symmat import eval_matrix
     from .variation import mean_curvature
 
     H_contact, n_comps = catalog.contact_mean_curvature_exprs(rt)
-    fr = frames_for(rt)
+    pts = rt.sample_points(10, seed=4)
+    values = rt.values_at([H_contact, *n_comps], pts)
     worst = 0.0
-    for p in rt.sample_points(10, seed=4):
-        env = rt.param_env(p)
-        mc = mean_curvature(rt, p, 3)
-        hc = float(H_contact.eval(env))
-        N = eval_matrix(fr.normal_amb, env)[:, 0]
-        ngraph = np.array(evaluate_many(n_comps, env), dtype=float)
-        orient = float(N @ ngraph)
+    for mc, (hc, *ngraph) in zip(mean_curvature(rt, pts, 3), values.T):
+        orient = float(mc.normal_frame[:, 0] @ ngraph)
         worst = max(worst, abs(-mc.components[0] * orient - hc))
     dens = catalog.contact_area_density(rt.components[2])
     grid = QuadratureGrid(rt.domain, 48)

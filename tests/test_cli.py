@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gradedgeo
-from gradedgeo import admissibility, catalog, cli
+from gradedgeo import admissibility, catalog, cli, variation
 from gradedgeo.admissibility import VariationField, residual
 from gradedgeo.cli import main
 from gradedgeo.immersion import uniform_grid
@@ -364,8 +364,8 @@ def test_cli_refuses_non_finite_area(capsys):
     "command,z,message",
     [
         # z = 0 is folded into the composed coframe: 1/z is a constant node
-        (["area", "--degree", "3"], "0", "division by zero"),
-        (["degree-scan"], "0", "division by zero"),
+        (["area", "--degree", "3"], "0", "division by zero in 1/0"),
+        (["degree-scan"], "0", "division by zero in 1/0"),
         (["area", "--degree", "3"], "(x-0.5)^2",
          "degree-3 area density is not finite at quadrature node (0.5, 0.015919880246186957)"),
         (["degree-scan"], "(x-0.5)^2",
@@ -506,3 +506,60 @@ def test_pointwise_commands_blame_the_midpoint_alone(tmp_path, capsys):
         assert captured.err == (
             "gradedgeo: error: immersion Jacobian is rank deficient at (0.5, 0.5)\n"
         )
+
+
+README_FIELD = {"frame": "normal", "components": ["0", "(16*x*(1-x)*y*(1-y))^2"]}
+
+
+@pytest.mark.parametrize(
+    "command,entry,kwargs,d,shape",
+    [  # the README commands (admissibility at its default grid), and H_4 at 16x16
+        ("regularity", "isolated-plane", {}, 3, (6, 6)),
+        ("mean-curvature", "rt-graph", {"u": "0.3*x+0.2*y^2"}, 3, (4, 4)),
+        ("mean-curvature", "engel-graph", {"theta": "0.2*x+0.3*y"}, 4, (16, 16)),
+        ("admissibility", "engel-graph", {"theta": "0.2*x+0.3*y"}, 4, (8, 8)),
+    ],
+)
+def test_grid_commands_equal_pointwise_library_calls(tmp_path, command, entry, kwargs, d, shape):
+    # one grid pass per command; each row equals the batch of one at its point
+    imm = catalog.immersion(entry, **kwargs)
+    spec = entry + "".join(f":{key}={value}" for key, value in kwargs.items())
+    argv = [command, "--catalog", spec, "--degree", str(d), "--grid", "x".join(map(str, shape))]
+    if command == "admissibility":
+        field = VariationField.from_json(json.dumps(README_FIELD), imm.params)
+        field_path = tmp_path / "field.json"
+        field_path.write_text(json.dumps(README_FIELD))
+        argv += ["--field", str(field_path)]
+    code, out = run_cli(argv)
+    assert code == 0
+    rows = json.loads(out)["points"]
+    points, _ = uniform_grid(imm.domain, shape)
+    assert len(rows) == len(points)
+    for row, p in zip(rows, points):
+        if command == "regularity":
+            reg = admissibility.is_strongly_regular(imm, p, d)
+            sigma_min = min(reg.singular_values) if reg.singular_values else 0.0
+            assert (row["rank"], row["ell"], row["flag"]) == (reg.rank, reg.ell, reg.strongly_regular)
+            assert np.float64(row["sigma_min"]).tobytes() == np.float64(sigma_min).tobytes()
+        elif command == "mean-curvature":
+            want = variation.mean_curvature(imm, p, d).components
+            assert np.array(row["H"]).tobytes() == want.tobytes()
+        else:
+            want = np.linalg.norm(residual(imm, field, p, d))
+            assert np.float64(row[-1]).tobytes() == np.float64(want).tobytes()
+
+
+def test_grid_commands_name_a_singular_point_past_the_first(tmp_path, capsys):
+    # u = s^2 + s is singular at s = -0.5, the second s value of a 6x2 grid
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"frame": "normal", "components": ["0", "0", "0", "s*t"]}))
+    for command in (["regularity"], ["mean-curvature"], ["admissibility", "--field", str(field)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*command, "--catalog", "h1xh1-surface:u=s^2+s", "--degree", "3",
+                         "--grid", "6x2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gradedgeo: error: division by zero at grid point (-0.5, -0.5)\n"

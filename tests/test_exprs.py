@@ -249,8 +249,10 @@ _REF_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operat
 
 
 def _reference_evaluate(roots, env):
-    """Reference: the per-node memo walk, one value per node kept to the end."""
-    array_mode = any(isinstance(v, np.ndarray) for v in env.values())
+    """Reference: the per-node memo walk, one value per node kept to the end.
+
+    Scalar bindings are evaluated with numpy too: evaluation has one semantics.
+    """
     memo = {}
     for root in roots:
         stack = [root]
@@ -269,17 +271,15 @@ def _reference_evaluate(roots, env):
                 if isinstance(node, Const):
                     value = node.value
                 elif isinstance(node, Var):
-                    value = env[node.name]
+                    value = np.asarray(env[node.name], dtype=float)
                 elif type(node) in _REF_OPS:
                     value = _REF_OPS[type(node)](*vals)
                 elif isinstance(node, Neg):
                     value = -vals[0]
                 elif isinstance(node, Pow):
-                    value = vals[0] ** node.k
-                elif array_mode:
-                    value = exprs._NP_FUNCS[node.fn](np.asarray(vals[0], dtype=float))
+                    value = np.power(vals[0], node.k)
                 else:
-                    value = exprs._MATH_FUNCS[node.fn](vals[0])
+                    value = exprs._NP_FUNCS[node.fn](vals[0])
             memo[id(node)] = value
     return [memo[id(e)] for e in roots]
 
@@ -371,8 +371,7 @@ def test_array_buffers_are_recycled():
     tape = exprs._tape((chain,))
     xs = np.linspace(0.0, 1.0, 16)
     (got,) = evaluate_many([chain], {"x": xs})
-    code, nbufs = next(iter(tape.plans.values()))
-    assert len(code) == 900 and nbufs <= 3
+    assert len(tape.code) == 900 and tape.nbufs <= 3
     assert _same_bytes([got], _reference_evaluate([chain], {"x": xs}))
 
 
