@@ -76,9 +76,10 @@ def _theta(minors: np.ndarray, degrees: np.ndarray, d: int, volume: np.ndarray) 
     (0 * inf), which callers refuse with ``_finite_at_nodes``.
     """
     deg_sq = np.zeros(minors.shape[0])
-    for vals, deg in zip(minors.T, degrees):
-        if deg == d:
-            deg_sq += vals**2
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused like a NaN
+        for vals, deg in zip(minors.T, degrees):
+            if deg == d:
+                deg_sq += vals**2
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.sqrt(deg_sq) / volume
 
@@ -133,13 +134,15 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
 
 def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
     """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
-    minors_sq = imm.minors_grid(imm.ortho_tangent_grid(grid.points)) ** 2
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
+        minors_sq = imm.minors_grid(imm.ortho_tangent_grid(grid.points)) ** 2
     excess = (imm.multi_index_degrees - imm.m).tolist()
     areas = []
     for r in rs:
         total = np.zeros(grid.points.shape[0])
-        for vals_sq, e in zip(minors_sq.T, excess):
-            total += vals_sq * r ** (-e)
+        with np.errstate(over="ignore"):
+            for vals_sq, e in zip(minors_sq.T, excess):
+                total += vals_sq * r ** (-e)
         density = _finite_at_nodes(np.sqrt(total), grid.points, f"g_r (r = {r})")
         areas.append(grid.integrate_values(density))
     return areas
@@ -161,9 +164,6 @@ class ScalingProbe:
     converged: bool
     divergent: bool
     zero_limit: bool
-
-    def table(self):
-        return list(zip(self.r_values, self.values))
 
 
 def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence) -> ScalingProbe:

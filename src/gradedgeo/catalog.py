@@ -316,7 +316,7 @@ def isolated_plane_probe(phi: Expr, psi: Expr, grid_points: np.ndarray) -> dict:
     pts = np.asarray(grid_points, dtype=float)
     env = {"v": pts[:, 0], "w": pts[:, 1]}
     vals = evaluate_many(constraints, env)
-    res = [float(np.max(np.abs(np.broadcast_to(val, (pts.shape[0],))))) for val in vals]
+    res = [float(np.max(np.abs(val))) for val in vals]
     return {
         "max_residual": max(res),
         "per_constraint": res,
@@ -419,7 +419,7 @@ def engel_el_residual_exprs(imm: Immersion):
     if imm.name != "engel-graph":
         raise ValueError("the third-order residual is specific to engel-graph")
     res = critical_residual_exprs(imm, 4)
-    if len(res.vert) != 1:
+    if res.iota or len(res.vert) != 1:  # k = ell = 1: no free control, one free component
         raise RuntimeError("unexpected normal splitting for engel-graph")
     return res.vert[0], res.control_scale
 

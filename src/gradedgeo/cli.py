@@ -274,7 +274,7 @@ def cmd_el_residual(args):
         raise ValueError("el-residual expects --catalog engel-graph:theta=...")
     resid, scale = catalog.engel_el_residual_exprs(imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
-    vals = np.broadcast_to(resid.eval(imm.grid_env(pts)), (pts.shape[0],))
+    vals = resid.eval(imm.grid_env(pts))
     rows = [[*map(float, p), float(v)] for p, v in zip(pts, vals)]
     payload = {
         "d": 4,

@@ -525,7 +525,12 @@ def powi(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if _is_const(a):
-        return const(a.value**k)
+        try:
+            return const(a.value**k)
+        except OverflowError:
+            raise EvaluationError(f"overflow in ({a.value!r})^{k}") from None
+        except ZeroDivisionError:
+            raise EvaluationError("zero raised to a negative power") from None
     return _interned(("^", id(a), k), lambda: Pow(a, k))
 
 
@@ -535,6 +540,8 @@ def call(fn: str, a: Expr) -> Expr:
     if _is_const(a):
         try:
             return const(_MATH_FUNCS[fn](a.value))
+        except OverflowError:
+            raise EvaluationError(f"overflow in {fn}({a.value!r})") from None
         except ValueError:
             pass  # out of domain: leave symbolic, refused when a tape is compiled
     return _interned(("f", fn, id(a)), lambda: Call(fn, a))
@@ -572,7 +579,7 @@ _TAPES: "dict[tuple[int, ...], _Tape]" = {}
 class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
-    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out")
+    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out", "leaves")
 
     def __init__(self, roots: tuple):
         self.roots = roots  # holds the nodes, so the cache key's ids stay valid
@@ -632,6 +639,8 @@ class _Tape:
                 last_use.append(-1)
                 code.append((fn, a, b, reg))
         self.out = [index[root] for root in roots]
+        # roots that hold a preloaded constant or the caller's own binding
+        self.leaves = frozenset(index[root] for root in roots if type(root) in (Const, Var))
         for reg in self.out:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
@@ -664,8 +673,8 @@ class _Tape:
                 values.append(env[name])
             except KeyError:
                 raise EvaluationError(f"no value bound for variable {name!r}") from None
-        one = not any(isinstance(v, np.ndarray) for v in values)
-        shape = (1,) if one else np.broadcast_shapes(*(np.shape(v) for v in values))
+        one = not any(isinstance(v, np.ndarray) for v in env.values())
+        shape = (1,) if one else np.broadcast_shapes(*(np.shape(v) for v in env.values()))
         for (reg, _), value in zip(self.loads, values):
             if one:
                 regs[reg] = np.array((value,), dtype=float)
@@ -684,7 +693,14 @@ class _Tape:
                 raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
         if one:
             return [np.asarray(regs[r]).item() for r in self.out]
-        return [regs[r] for r in self.out]
+        # a constant root is a read-only broadcast of its value (no buffer to
+        # fill), a variable root a copy of the caller's binding
+        return [
+            regs[r] if r not in self.leaves
+            else np.broadcast_to(regs[r], shape) if self.init[r] is not None
+            else regs[r].copy()
+            for r in self.out
+        ]
 
 
 def _error(exc, fn, x, y) -> EvaluationError:
@@ -727,8 +743,10 @@ def evaluate_many(exprs, env):
     common broadcast shape, and every node runs one numpy ufunc into a
     buffer recycled after the node's last use, so memory is O(live nodes),
     not O(all nodes).  With an array binding, values follow numpy semantics
-    (non-finite values propagate, warnings are silenced) and returned arrays
-    are fresh: no later call writes to them.  Without one the env is a batch
+    (non-finite values propagate, warnings are silenced) and every result is
+    an array of the bindings' broadcast shape that no later call writes to:
+    a constant comes back as a read-only broadcast of its value, a bare
+    variable as a copy of its binding.  Without one the env is a batch
     of one: the same ufuncs run on one-element arrays, so a point's value is
     bit for bit its value on a grid, the results come back as floats, and
     division by zero, a domain error or overflow in any operation raises

@@ -251,6 +251,10 @@ class Immersion:
 
     def tangent_data(self, pbar) -> TangentFrameAtPoint:
         jac, tau = (a[0] for a in self._tangent_grids(np.asarray(pbar, dtype=float)[None, :]))
+        if not (np.isfinite(jac).all() and np.isfinite(tau).all()):
+            raise DegenerateInputError(
+                f"immersion tangent is not finite at {tuple(map(float, pbar))}"
+            )
         if numeric_rank(jac) < self.m:
             raise DegenerateInputError(
                 f"immersion Jacobian is rank deficient at {tuple(map(float, pbar))}"
@@ -379,9 +383,10 @@ def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
         return ~(svals[:, -1] > RANK_TOL * np.maximum(svals[:, 0], 1e-300))
     P = minors_norm(minors_rows)
     F = np.zeros(tau.shape[0])
-    for entry in tau.transpose(1, 2, 0).reshape(-1, tau.shape[0]):  # points-last rows
-        F += entry**2
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore"):  # an infinite F is refused with its point
+        for entry in tau.transpose(1, 2, 0).reshape(-1, tau.shape[0]):  # points-last rows
+            F += entry**2
+    with np.errstate(over="ignore", invalid="ignore"):
         sigma_max_sq = 0.5 * (F + np.sqrt(np.maximum(F * F - 4.0 * P * P, 0.0)))
         return ~(P > RANK_TOL * sigma_max_sq)
 

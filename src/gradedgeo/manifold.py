@@ -412,9 +412,9 @@ class Manifold:
         n = self.n
         flat = [e for plane in self.metric_derivative_exprs for row in plane for e in row]
         vals = evaluate_many(flat, env)
-        dG = np.stack([np.broadcast_to(v, (1,)) for v in vals], axis=-1).reshape(1, n, n, n)
+        dG = np.stack(vals, axis=-1).reshape(1, n, n, n)
         gvals = evaluate_many([self.metric_exprs[i][j] for i in range(n) for j in range(n)], env)
-        G = np.stack([np.broadcast_to(v, (1,)) for v in gvals], axis=-1).reshape(1, n, n)
+        G = np.stack(gvals, axis=-1).reshape(1, n, n)
         Ginv = np.linalg.inv(G)
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dG[p,a,i,j] = d_a g_ij
         gamma = np.einsum("pkl,pijl->pkij", Ginv, dG)

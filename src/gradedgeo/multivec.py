@@ -232,8 +232,9 @@ def minors_norm(values: np.ndarray) -> np.ndarray:
     non-finite norm.
     """
     total_sq = np.zeros(values.shape[0])
-    for vals in values.T:  # contiguous rows when ``values`` came from ``minors``
-        total_sq += vals**2
+    with np.errstate(over="ignore"):  # an overflow gives inf, which callers refuse
+        for vals in values.T:  # contiguous rows when ``values`` came from ``minors``
+            total_sq += vals**2
     return np.sqrt(total_sq)
 
 

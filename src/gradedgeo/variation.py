@@ -70,7 +70,7 @@ def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationFiel
                 p[axis] = imm.domain[axis][end]
                 pts.append(p)
     vals = evaluate_many(comps, imm.grid_env(pts))
-    peak = max(float(np.max(np.abs(np.broadcast_to(v, (len(pts),))))) for v in vals)
+    peak = max(float(np.max(np.abs(v))) for v in vals)
     if peak > SUPPORT_TOL:
         raise ValueError(
             f"variation field does not vanish on the domain boundary (max {peak:.2e})"
@@ -91,15 +91,13 @@ def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
     env = imm.grid_env(grid.points)
     comps = frames.ambient_field_from_variation(field)
     theta_vals, *comp_vals = evaluate_many([theta] + list(comps), env)
-    theta_vals = np.broadcast_to(theta_vals, (len(grid),))
     vnorm = np.zeros(len(grid))
     for v in comp_vals:
-        vnorm = np.maximum(vnorm, np.abs(np.broadcast_to(v, (len(grid),))))
+        vnorm = np.maximum(vnorm, np.abs(v))
     active = vnorm > ACTIVE_REL_TOL * max(vnorm.max(), 1e-300)
     if np.any(active) and float(np.min(theta_vals[active])) < THETA_FLOOR:
         raise ValueError("degree-d density vanishes inside the support of the field")
-    vals = np.broadcast_to(integrand.eval(env), (len(grid),))
-    return grid.integrate_values(np.asarray(vals, dtype=float))
+    return grid.integrate_values(integrand.eval(env))
 
 
 @dataclass
@@ -176,8 +174,7 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
         total = total + (h1 + h2 + h3) * edot(comps, ncol)
     integrand = total * frames.sqrt_detmu
-    vals = np.broadcast_to(integrand.eval(imm.grid_env(grid.points)), (len(grid),))
-    return grid.integrate_values(np.asarray(vals, dtype=float))
+    return grid.integrate_values(integrand.eval(imm.grid_env(grid.points)))
 
 
 @dataclass

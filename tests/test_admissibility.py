@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gradedgeo import catalog
+from gradedgeo import catalog, verify
 from gradedgeo.admissibility import (
     VariationField,
     assemble_adapted,
@@ -60,30 +60,24 @@ def test_system_shape_hypersurface(rt_graph):
     assert shape.k == 1
 
 
-def test_assemble_adapted_engel_closed_forms(engel_graph):
+def test_assemble_adapted_engel_closed_forms(engel_graph, plane):
     # the zeroth-order coefficients have closed forms; the f3 coefficient is
     # +X4(theta): both the covariant assembly and the commutator table give
     # that sign, and the degree-preserving family is annihilated only with it
-    for p in engel_graph.sample_points(100, seed=1):
-        f = engel_closed_forms(THETA, p)
-        sys = assemble_adapted(engel_graph, p, 4)
-        assert sys.A[0, 0] == pytest.approx(-f["x1k"], abs=1e-8)
-        assert sys.A[0, 1] == pytest.approx(1.0, abs=1e-8)
-        assert sys.B[0, 0] == pytest.approx(f["x4t"], abs=1e-8)
-        assert sys.B[0, 1] == pytest.approx(-f["kappa"] ** 2, abs=1e-8)
-        assert sys.C[0][0, 0] == pytest.approx(1.0, abs=1e-8)
-        assert sys.C[0][0, 1] == pytest.approx(f["x4t"], abs=1e-8)
-        assert np.allclose(sys.C[1], 0.0, atol=1e-8)
+    no_points = np.empty((0, 2))
+    result = verify.admissibility_matrices(
+        engel_graph, engel_graph.sample_points(100, seed=1), plane, no_points
+    )
+    assert result.passed, result.detail
 
 
-def test_assemble_adapted_plane_exact(plane):
-    for p in plane.sample_points(10, seed=2):
-        sys = assemble_adapted(plane, p, 3)
-        # rows: d f4 / d x3 + f2 = 0;  0 = 0;  -d f4 / d x1 = 0
-        assert np.max(np.abs(sys.A - [[0, 1], [0, 0], [0, 0]])) <= 1e-12
-        assert np.max(np.abs(sys.B)) <= 1e-12
-        assert np.max(np.abs(sys.C[0] - [[0, 0], [0, 0], [0, -1]])) <= 1e-12
-        assert np.max(np.abs(sys.C[1] - [[0, 1], [0, 0], [0, 0]])) <= 1e-12
+def test_assemble_adapted_plane_exact(engel_graph, plane):
+    # rows: d f4 / d x3 + f2 = 0;  0 = 0;  -d f4 / d x1 = 0
+    no_points = np.empty((0, 2))
+    result = verify.admissibility_matrices(
+        engel_graph, no_points, plane, plane.sample_points(10, seed=2)
+    )
+    assert result.passed, result.detail
 
 
 def test_assemble_hypersurface_empty(rt_graph):
@@ -91,23 +85,6 @@ def test_assemble_hypersurface_empty(rt_graph):
     assert sys.A.shape == (0, 2)
     assert sys.B.shape == (0, 1)
     assert all(c.shape == (0, 1) for c in sys.C)
-
-
-def test_assemble_normal_engel_closed_forms(engel_graph):
-    for p in engel_graph.sample_points(100, seed=3):
-        f = engel_closed_forms(THETA, p)
-        sys = assemble_normal(engel_graph, p, 4)
-        xi = sys.C[0][0, 0]
-        assert xi == pytest.approx(f["a3"] / f["a2"], abs=1e-8)
-        assert abs(sys.C[1][0, 0]) <= 1e-8
-        a_hat = f["a1"] * sys.A[0, 0] / xi
-        b_hat = f["a1"] * sys.B[0, 0] / xi
-        # normalized control coefficient: alpha1 alpha2 / alpha3^2 (positive)
-        assert a_hat == pytest.approx(f["a1"] * f["a2"] / f["a3"] ** 2, abs=1e-8)
-        assert a_hat > 0
-        assert b_hat == pytest.approx(
-            f["x4t"] * (1 - f["kappa"] ** 2) / f["a3"] ** 2, abs=1e-8
-        )
 
 
 def test_assemble_normal_plane(plane):

@@ -5,9 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from gradedgeo import catalog
+from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
     area_degree,
@@ -73,30 +72,14 @@ def test_density_contact_matches_unit_normal_projection():
         assert theta * td.sqrt_det == pytest.approx(math.sqrt(1 + xu * xu), rel=1e-12)
 
 
-def test_area_rt_graph_vs_1d_oracle(grid64):
-    rt = catalog.immersion("rt-graph", u="x")
-    a3 = area_degree(rt, 3, grid64)
-    oracle = quad(lambda x: math.sqrt(1 + math.cos(x) ** 2), 0.0, 1.0, epsabs=1e-13)[0]
-    assert a3.value == pytest.approx(oracle, rel=1e-8)
-    assert not a3.divergent_by_theory
+def test_area_rt_graph_vs_1d_oracle():
+    result = verify.areas(64, ["rt-graph"])
+    assert result.passed, result.detail
 
 
-def test_area_engel_graph_both_metrics(grid64):
-    eg = catalog.immersion("engel-graph", theta="x")
-    a4 = area_degree(eg, 4, grid64)
-    oracle = quad(
-        lambda x: math.sqrt(1 + (math.sin(x) * math.cos(x)) ** 2), 0.0, 1.0, epsabs=1e-13
-    )[0]
-    assert a4.value == pytest.approx(oracle, rel=1e-8)
-    eg0 = catalog.immersion("engel-graph", theta="x", metric="euclidean")
-    a40 = area_degree(eg0, 4, grid64)
-    oracle0 = quad(
-        lambda x: math.sqrt(1 + math.cos(x) ** 2 + (math.sin(x) * math.cos(x)) ** 2),
-        0.0,
-        1.0,
-        epsabs=1e-13,
-    )[0]
-    assert a40.value == pytest.approx(oracle0, rel=1e-8)
+def test_area_engel_graph_both_metrics():
+    result = verify.areas(64, ["engel frame metric", "engel euclidean"])
+    assert result.passed, result.detail
 
 
 def test_area_below_degree_is_tagged(engel_graph, grid64):
@@ -258,10 +241,8 @@ def test_h1xh1_metric_dependence():
     # absolute closed form: integral of |u_s| sqrt(lam + mu)
     lam, mu = 2.0, 0.8
     imm = catalog.immersion("h1xh1-surface", u=u, lam=lam, mu=mu)
-    oracle = (
-        quad(lambda s: abs(2 * s + 0.3), -1.0, -0.15, epsabs=1e-13)[0]
-        + quad(lambda s: abs(2 * s + 0.3), -0.15, 1.0, epsabs=1e-13)[0]
-    ) * 2.0 * math.sqrt(lam + mu)
+    # the integral of |2 s + 0.3| over [-1, 1] is (1.7^2 + 2.3^2) / 4 = 2.045
+    oracle = (1.7**2 + 2.3**2) / 4 * 2.0 * math.sqrt(lam + mu)
     got = area_degree(imm, 3, grid).value
     # the kink at u_s = 0 limits plain Gauss quadrature accuracy
     assert got == pytest.approx(oracle, rel=1e-3)

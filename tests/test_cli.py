@@ -465,6 +465,42 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
         assert captured.out == "" and "unrecognized arguments: --degree 3" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # constant folding overflows while the catalog spec is parsed
+        (["area", "--catalog", "rt-graph:u=exp(1000)*x", "--degree", "3"],
+         "overflow in exp(1000.0)"),
+        (["area", "--catalog", "rt-graph:u=1e200^2*x", "--degree", "3"],
+         "overflow in (1e+200)^2"),
+        (["area", "--catalog", "rt-graph:u=0^-1*x", "--degree", "3"],
+         "zero raised to a negative power"),
+        # a non-finite tangent at the frames' base point, not an SVD failure
+        (["regularity", "--catalog", "engel-graph:theta=1/(x-0.5)", "--degree", "4"],
+         "immersion tangent is not finite at (0.5, 0.5)"),
+        (["el-residual", "--catalog", "engel-graph:theta=1/(x-0.5)"],
+         "immersion tangent is not finite at (0.5, 0.5)"),
+        # squares that overflow are refused as non-finite densities, with no warning
+        (["area", "--catalog", "rt-graph:u=x^2000*1e300", "--degree", "3"],
+         "degree-3 area density is not finite at quadrature node "
+         "(0.9305681557970262, 0.06943184420297371)"),
+        (["gr-limit", "--catalog", "rt-graph:u=x^2000*1e300", "--degree", "3"],
+         "g_r (r = 0.1) area density is not finite at quadrature node "
+         "(0.9305681557970262, 0.06943184420297371)"),
+    ],
+)
+def test_refusal_is_one_line_without_warnings(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--grid", "4x4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gradedgeo: error: {message}\n"
+    assert "SVD" not in captured.err
+
+
 def test_cli_subprocess_bad_input_exit_status():
     proc = subprocess.run(
         [sys.executable, "-m", "gradedgeo.cli", "area", "--catalog", "rt-graph:u=x",

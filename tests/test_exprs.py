@@ -216,6 +216,19 @@ def test_evaluate_many_shares_work():
     assert v2 == pytest.approx(math.sin(0.3) + math.cos(0.3))
 
 
+def test_every_root_is_a_fresh_array_of_the_env_shape():
+    x = np.linspace(0.0, 1.0, 5)
+    env = {"x": x, "y": 2.0}
+    c, v, w, s = evaluate_many([const(2.0), var("x"), var("y"), var("x") * var("y")], env)
+    for value in (c, v, w, s):
+        assert isinstance(value, np.ndarray) and value.shape == (5,)
+    assert v is not x and not np.shares_memory(v, x)
+    assert np.array_equal(c, np.full(5, 2.0)) and np.array_equal(v, x)
+    assert np.array_equal(w, np.full(5, 2.0))
+    assert const(2.0).eval({"x": x}).shape == (5,)  # no variable read, the env's shape
+    assert const(2.0).eval({"x": 0.5}) == 2.0 and type(var("x").eval({"x": 0.5})) is float
+
+
 def _variables_by_walk(e):
     """Reference: collect Var names over the whole sub-DAG."""
     names, stack, seen = set(), [e], set()

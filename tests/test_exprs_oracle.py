@@ -101,7 +101,6 @@ def test_derivatives_to_order_3_agree_with_sympy(e, point):
 def test_scalar_and_array_evaluation_agree_bit_for_bit(e, pts):
     xs, ys = (np.array(col) for col in zip(*pts))
     (arr,) = evaluate_many([e], {"x": xs, "y": ys})
-    arr = np.broadcast_to(arr, xs.shape)
     compared = 0
     for i, (x, y) in enumerate(pts):
         try:
@@ -123,10 +122,9 @@ def test_pointwise_overflow_in_arithmetic_is_refused():
 def test_array_evaluation_is_pointwise(e, pts):
     xs, ys = (np.array(col) for col in zip(*pts))
     (arr,) = evaluate_many([e], {"x": xs, "y": ys})
-    arr = np.broadcast_to(arr, xs.shape)
     for i in range(len(pts)):
         (one,) = evaluate_many([e], {"x": xs[i : i + 1], "y": ys[i : i + 1]})
-        assert np.broadcast_to(one, (1,)).tobytes() == arr[i : i + 1].tobytes()
+        assert one.tobytes() == arr[i : i + 1].tobytes()
 
 
 @SETTINGS

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gradedgeo import catalog
+from gradedgeo import catalog, verify
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
 from gradedgeo.exprs import const, evaluate_many, parse, var
@@ -219,17 +219,8 @@ def test_first_variation_invariant_under_tangent_addition(engel_graph, grid48):
 
 def test_contact_hypersurface_curvature_crosscheck():
     rt = catalog.immersion("rt-graph", u="0.3*x + 0.2*y^2")
-    H_contact, n_comps = catalog.contact_mean_curvature_exprs(rt)
-    fr = frames_for(rt)
-    for p in rt.sample_points(10, seed=5):
-        env = rt.param_env(p)
-        mc = mean_curvature(rt, p, 3)
-        hc = float(H_contact.eval(env))
-        N = eval_matrix(fr.normal_amb, env)[:, 0]
-        ngraph = np.array(evaluate_many(n_comps, env), dtype=float)
-        orient = float(N @ ngraph)
-        assert abs(abs(orient) - 1.0) <= 1e-10
-        assert -mc.components[0] * orient == pytest.approx(hc, abs=1e-6)
+    result = verify.contact([rt], 10, 5, 48)
+    assert result.passed, result.detail
 
 
 def test_minimal_rt_plane_has_zero_curvature():
@@ -240,26 +231,6 @@ def test_minimal_rt_plane_has_zero_curvature():
         iota, vert = critical_residuals(rt, p, 3)
         assert np.allclose(iota, 0.0, atol=1e-12)
         assert vert.size == 0
-
-
-def test_critical_residual_weak_form(engel_graph, grid48):
-    fr = frames_for(engel_graph)
-    res = critical_residual_exprs(engel_graph, 4)
-    assert not res.iota  # k = ell = 1 leaves no free controls
-    env = {nm: grid48.points[:, i] for i, nm in enumerate(engel_graph.params)}
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        c = rng.uniform(0.5, 1.5)
-        f = rng.integers(1, 5)
-        psi = bump_expr() * parse(f"{c}*sin({f}*x + 0.5*y)", ["x", "y"])
-        V = catalog.engel_admissible_normal_field(engel_graph, psi)
-        fv = first_variation(engel_graph, V, grid48, 4)
-        weak = grid48.integrate_values(
-            np.broadcast_to(
-                (res.vert[0] * psi * fr.sqrt_detmu).eval(env), (len(grid48),)
-            )
-        )
-        assert abs(fv - weak) <= 1e-4 * (1 + abs(fv))
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +262,7 @@ def test_pivot_choice_represents_same_functional(twovar_product_surface):
     k, ell = sym.shape.k, sym.shape.ell
     assert (k, ell) == (3, 1)
     grid = QuadratureGrid(imm.domain, 32)
-    env = {nm: grid.points[:, i] for i, nm in enumerate(imm.params)}
+    env = imm.grid_env(grid.points)
     bump = parse("(s-0.1)^2*(1-s)^2*(1-t^2)^2*3", ["s", "t"])
     rng = np.random.default_rng(8)
     # admissible field built by solving for the control in column 0
@@ -318,9 +289,7 @@ def test_pivot_choice_represents_same_functional(twovar_product_surface):
         for pos, j in enumerate(iota_cols):
             integrand = integrand + res.iota[pos] * comps[j]
         integrand = integrand * fr.sqrt_detmu
-        pairing = grid.integrate_values(
-            np.broadcast_to(integrand.eval(env), (len(grid),))
-        )
+        pairing = grid.integrate_values(integrand.eval(env))
         pairings.append(pairing)
         assert pairing == pytest.approx(fv, rel=1e-7, abs=1e-10)
     assert pairings[0] == pytest.approx(pairings[1], rel=1e-7)
