@@ -57,7 +57,11 @@ class QuadratureGrid:
         return self.points.shape[0]
 
     def integrate_values(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        """Weighted sum of node values by numpy's pairwise sum, not BLAS.
+
+        One thread, so the result does not depend on core count or BLAS threads.
+        """
+        return float(np.add.reduce(self.weights * values))
 
 
 def _minors_and_volume(imm: Immersion, points: np.ndarray):

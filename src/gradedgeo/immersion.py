@@ -400,7 +400,12 @@ def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     bad = _rank_deficient(tau, rows)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        what = "is rank deficient" if np.isfinite(tau[idx]).all() else "tangent is not finite"
+        if not np.isfinite(tau[idx]).all():
+            what = "tangent is not finite"
+        elif not np.isfinite(minors_norm(rows[idx : idx + 1])[0]):
+            what = "tangent minors overflow"  # tau is finite, its minors or their squares are not
+        else:
+            what = "is rank deficient"
         raise DegenerateInputError(
             f"immersion {what} at grid point {tuple(map(float, points[idx]))}"
         )

@@ -1,11 +1,15 @@
 """Degree-d densities, areas, dilated-metric areas and the scaling probe."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gradedgeo
 from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
@@ -268,3 +272,46 @@ def test_rank_deficient_node_is_refused_everywhere():
                 area_singular_set(cusp, grid, d)
         with pytest.raises(DegenerateInputError, match=r"at quadrature node \(0\.0, 0\.5\)$"):
             density_theta(cusp, [0.0, 0.5], 3)
+
+
+# float.hex of the 128^2 and 256^2 areas, the 128^2 g_r probe values and a
+# 128^2 first variation: the grid reductions the BLAS thread count could reach
+_QUADRATURE_HEX = """
+from gradedgeo import catalog
+from gradedgeo.admissibility import VariationField
+from gradedgeo.area import QuadratureGrid, area_degree, scaling_limit_probe
+from gradedgeo.variation import first_variation
+
+box = ((0.0, 1.0), (0.0, 1.0))
+eg = catalog.immersion("engel-graph", theta="0.53*x")
+out = [area_degree(eg, 4, QuadratureGrid(box, n)).value.hex() for n in (128, 256)]
+probe = scaling_limit_probe(eg, 4, QuadratureGrid(box, 128), (1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
+out += [v.hex() for v in probe.values]
+ruled = catalog.immersion("engel-graph", theta="0.53*x+0.41*y")
+bump = '{"frame": "normal", "components": ["0", "(16*x*(1-x)*y*(1-y))^2*(1+0.23*x)"]}'
+field = VariationField.from_json(bump, ruled.params)
+out.append(first_variation(ruled, field, QuadratureGrid(box, 128), 4).hex())
+print(" ".join(out))
+"""
+
+
+def test_quadrature_is_independent_of_blas_threads():
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(gradedgeo.__file__)))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _QUADRATURE_HEX],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(out)
+    assert len(outs[0].split()) == 8
+    assert outs[0] == outs[1]

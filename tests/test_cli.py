@@ -487,6 +487,10 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
         (["gr-limit", "--catalog", "rt-graph:u=x^2000*1e300", "--degree", "3"],
          "g_r (r = 0.1) area density is not finite at quadrature node "
          "(0.9305681557970262, 0.06943184420297371)"),
+        # tau is finite there; the squares of its minors overflow, which is no
+        # rank deficiency
+        (["degree-scan", "--catalog", "rt-graph:u=x^2000*1e300"],
+         "immersion tangent minors overflow at grid point (0.875, 0.125)"),
     ],
 )
 def test_refusal_is_one_line_without_warnings(capsys, argv, message):
@@ -498,7 +502,7 @@ def test_refusal_is_one_line_without_warnings(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gradedgeo: error: {message}\n"
-    assert "SVD" not in captured.err
+    assert "SVD" not in captured.err and "rank deficient" not in captured.err
 
 
 def test_cli_subprocess_bad_input_exit_status():
