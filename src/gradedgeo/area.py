@@ -127,9 +127,10 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     is still returned but tagged divergent (the limit definition gives
     +infinity in that case).
     """
-    minors, degrees, volume = _minors_and_volume(imm, grid.points)
+    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
+    minors, degrees, volume = _minors_and_volume(imm, points)
     density = _finite_at_nodes(
-        _theta(minors, degrees, d, volume) * volume, grid.points, f"degree-{d}"
+        expand(_theta(minors, degrees, d, volume) * volume), grid.points, f"degree-{d}"
     )
     value = grid.integrate_values(density)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
@@ -138,16 +139,17 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
 
 def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
     """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
+    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
     with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
-        minors_sq = imm.minors_grid(imm.ortho_tangent_grid(grid.points)) ** 2
+        minors_sq = imm.minors_grid(imm.ortho_tangent_grid(points)) ** 2
     excess = (imm.multi_index_degrees - imm.m).tolist()
     areas = []
     for r in rs:
-        total = np.zeros(grid.points.shape[0])
+        total = np.zeros(points.shape[0])
         with np.errstate(over="ignore"):
             for vals_sq, e in zip(minors_sq.T, excess):
                 total += vals_sq * r ** (-e)
-        density = _finite_at_nodes(np.sqrt(total), grid.points, f"g_r (r = {r})")
+        density = _finite_at_nodes(expand(np.sqrt(total)), grid.points, f"g_r (r = {r})")
         areas.append(grid.integrate_values(density))
     return areas
 
@@ -218,11 +220,12 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
 
 def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None) -> float:
     """Quadrature of the degree-d density restricted to the singular mask."""
-    minors, degrees, volume = _minors_and_volume(imm, grid.points)
+    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
+    minors, degrees, volume = _minors_and_volume(imm, points)
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
     d = deg_max if d is None else d
     density = _finite_at_nodes(
-        _theta(minors, degrees, d, volume) * volume, grid.points, f"degree-{d}"
+        expand(_theta(minors, degrees, d, volume) * volume), grid.points, f"degree-{d}"
     )
-    return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0))
+    return grid.integrate_values(np.where(expand(pointwise) < deg_max, density, 0.0))

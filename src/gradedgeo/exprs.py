@@ -42,6 +42,7 @@ __all__ = [
     "powi",
     "call",
     "evaluate_many",
+    "variables_many",
     "FUNCTION_NAMES",
 ]
 
@@ -559,9 +560,13 @@ def call(fn: str, a: Expr) -> Expr:
 # ``ufunc(regs[a], out=bufs[buf])`` when ``b < 0``.  The smart constructors
 # fold every node whose operands are all constants unless folding fails
 # (``1/0``, ``log(-1)``), and the tape refuses those, so every instruction
-# reads a variable and writes an array of the env's broadcast shape.  A
-# buffer returns to the free list after its node's last use, so the buffer
-# count is the peak number of live values plus the results.
+# reads a variable and writes an array of the env's broadcast shape.  The
+# code runs over blocks of at most ``BLOCK_POINTS`` points.  A root writes
+# straight into its own result array; every other node writes into a row of
+# one work array that the run allocates once and reuses for every block.
+# A row returns to the free list after its node's last use, so the row
+# count is the peak number of live values and memory is O(live registers x
+# block) plus the results.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
@@ -573,13 +578,14 @@ _POINT_ERRORS = {"divide": "raise", "over": "raise", "invalid": "raise", "under"
 _ARRAY_ERRORS = {"all": "ignore"}
 
 TAPE_CACHE_SIZE = 64  # root tuples whose tapes stay compiled
+BLOCK_POINTS = 4096  # points per block of a tape run: a work row of 32 KiB
 _TAPES: "dict[tuple[int, ...], _Tape]" = {}
 
 
 class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
-    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out", "leaves")
+    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out", "leaves", "results")
 
     def __init__(self, roots: tuple):
         self.roots = roots  # holds the nodes, so the cache key's ids stay valid
@@ -645,15 +651,21 @@ class _Tape:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
         self.loads = loads
+        # buffer k < R is the result array of the k-th of the R computed
+        # roots, buffer R + i row i of the work array
+        self.results = tuple(dict.fromkeys(r for r in self.out if r not in self.leaves))
+        slot = {reg: k for k, reg in enumerate(self.results)}
         buf_of = [-1] * len(init)  # register -> its buffer while live
         free: list[int] = []
         nbufs = 0
         for pos, (fn, a, b, dst) in enumerate(code):
-            if free:
-                o = free.pop()
-            else:
-                o = nbufs
-                nbufs += 1
+            o = slot.get(dst)
+            if o is None:
+                if free:
+                    o = free.pop()
+                else:
+                    o = len(slot) + nbufs
+                    nbufs += 1
             buf_of[dst] = o
             code[pos] = (fn, a, b, dst, o)
             if last_use[a] == pos and buf_of[a] >= 0:
@@ -675,30 +687,40 @@ class _Tape:
                 raise EvaluationError(f"no value bound for variable {name!r}") from None
         one = not any(isinstance(v, np.ndarray) for v in env.values())
         shape = (1,) if one else np.broadcast_shapes(*(np.shape(v) for v in env.values()))
-        for (reg, _), value in zip(self.loads, values):
-            if one:
-                regs[reg] = np.array((value,), dtype=float)
-            else:
-                value = np.asarray(value, dtype=float)
-                regs[reg] = value if value.shape == shape else np.broadcast_to(value, shape)
-        bufs = [np.empty(shape) for _ in range(self.nbufs)]  # per call: results never alias
+        if one:
+            bound = [np.array((value,), dtype=float) for value in values]
+        else:
+            bound = [np.broadcast_to(np.asarray(value, dtype=float), shape) for value in values]
+        flat = [v.reshape(-1) for v in bound]
+        results = [np.empty(shape) for _ in self.results]  # per call: results never alias
+        flat_results = [r.reshape(-1) for r in results]
+        size = math.prod(shape)
+        block = min(size, BLOCK_POINTS)
+        work = np.empty((self.nbufs, block))
         with np.errstate(**(_POINT_ERRORS if one else _ARRAY_ERRORS)):
-            try:
-                for fn, a, b, dst, o in self.code:
-                    if b < 0:
-                        regs[dst] = fn(regs[a], out=bufs[o])
-                    else:
-                        regs[dst] = fn(regs[a], regs[b], out=bufs[o])
-            except FloatingPointError as exc:
-                raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
+            for lo in range(0, size, block or 1):
+                hi = min(lo + block, size)
+                bufs = [*(r[lo:hi] for r in flat_results), *work[:, : hi - lo]]
+                for (reg, _), v in zip(self.loads, flat):
+                    regs[reg] = v[lo:hi]
+                try:
+                    for fn, a, b, dst, o in self.code:
+                        if b < 0:
+                            regs[dst] = fn(regs[a], out=bufs[o])
+                        else:
+                            regs[dst] = fn(regs[a], regs[b], out=bufs[o])
+                except FloatingPointError as exc:
+                    raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
         if one:
             return [np.asarray(regs[r]).item() for r in self.out]
-        # a constant root is a read-only broadcast of its value (no buffer to
+        # a constant root is a read-only broadcast of its value (no result to
         # fill), a variable root a copy of the caller's binding
+        computed = dict(zip(self.results, results))
+        loaded = {reg: v for (reg, _), v in zip(self.loads, bound)}
         return [
-            regs[r] if r not in self.leaves
+            computed[r] if r not in self.leaves
             else np.broadcast_to(regs[r], shape) if self.init[r] is not None
-            else regs[r].copy()
+            else loaded[r].copy()
             for r in self.out
         ]
 
@@ -740,9 +762,11 @@ def evaluate_many(exprs, env):
     The root tuple is compiled once into a cached tape (see ``_Tape``); a
     node on constants alone that construction could not fold (``1/0``) is
     refused there, naming the node.  Every binding is a float64 array of the
-    common broadcast shape, and every node runs one numpy ufunc into a
-    buffer recycled after the node's last use, so memory is O(live nodes),
-    not O(all nodes).  With an array binding, values follow numpy semantics
+    common broadcast shape.  The tape runs over blocks of at most
+    ``BLOCK_POINTS`` points, each node one numpy ufunc into a row of one work
+    array recycled after the node's last use (a root into its result), so
+    memory is O(live registers x block) besides the results, not O(all
+    nodes x points).  With an array binding, values follow numpy semantics
     (non-finite values propagate, warnings are silenced) and every result is
     an array of the bindings' broadcast shape that no later call writes to:
     a constant comes back as a read-only broadcast of its value, a bare
@@ -753,6 +777,16 @@ def evaluate_many(exprs, env):
     :class:`EvaluationError`.
     """
     return _tape(tuple(exprs)).run(env)
+
+
+def variables_many(exprs) -> frozenset[str]:
+    """Names of the variables that ``exprs`` depend on, read from their tape.
+
+    The union of ``Expr.variables()`` over ``exprs``, without a second walk
+    of the DAG: the cached tape that ``evaluate_many`` of the same roots
+    runs is compiled here if it is not yet, and refuses the same nodes.
+    """
+    return frozenset(name for _, name in _tape(tuple(exprs)).loads)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ whose factor is the structural constant 0, so adding 0 times that sum gives
 the values of a dense einsum from its zero start, bit for bit, and NaN
 wherever an entry of C o Phi is not finite, even one the product dropped
 against a structurally zero row of J (a frame that is no basis on the
-image).  ``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays,
-which ``multivec.minors`` reads back points last without a copy.  The degree
+image).  On a tensor grid the tangent map is evaluated only on the
+sub-grid of the parameters its roots use (``tangent_subgrid``), and
+per-point results are broadcast back onto every node.  ``_tangent_grids``
+returns (N, n, m) views of the (n, m, N) arrays, which ``multivec.minors``
+reads back points last without a copy.  The degree
 scan refuses rank-deficient points from the same minors row: for m = 2
 sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
 of tau (``_rank_deficient``), and only other m take singular values.  Its
@@ -42,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import EvaluationError, Expr, evaluate_many
+from .exprs import Const, EvaluationError, Expr, evaluate_many, variables_many
 from .manifold import Manifold, numeric_rank
 from .multivec import (
     DEGREE_EPS,
@@ -205,7 +208,17 @@ class Immersion:
 
     @cached_property
     def ortho_coframe_exprs(self):
-        """The orthonormal coframe composed with Phi, n x n expressions in the parameters."""
+        """The orthonormal coframe composed with Phi, n x n expressions in the parameters.
+
+        A frame field whose components all compose to the constant 0 is no
+        basis field anywhere on the image; it is refused by name here, before
+        its coframe's constant 1/0 reaches a tape.
+        """
+        for j, field in enumerate(self.manifold.frame.fields, start=1):
+            if all(type(c) is Const and c.value == 0.0 for c in map(self.compose, field)):
+                raise DegenerateInputError(
+                    f"frame field X{j} vanishes on the image, so the frame is no basis there"
+                )
         return [[self.compose(e) for e in row] for row in self.manifold.ortho_coframe_exprs]
 
     @cached_property
@@ -222,6 +235,38 @@ class Immersion:
             *(e for row in self.tau_exprs for e in row),
             coframe_sq,
         ]
+
+    @cached_property
+    def _tangent_axes(self) -> tuple[int, ...]:
+        """Indices of the parameters that the tangent roots depend on."""
+        used = variables_many(self._tangent_roots)
+        return tuple(i for i, name in enumerate(self.params) if name in used)
+
+    def tangent_subgrid(self, points: np.ndarray, shape):
+        """The nodes of a tensor grid at which the tangent map can differ, and ``expand``.
+
+        ``points`` (N, m) are the nodes of a grid of ``shape`` in C order.
+        The sub-grid keeps every axis whose parameter the tangent map uses
+        and fixes each other axis at its first node, so the tangent map at a
+        node equals its value at the sub-grid point that shares the kept
+        coordinates.  ``expand`` broadcasts per-sub-point values (..., S)
+        back onto all N nodes in C order.
+        """
+        shape = tuple(int(c) for c in shape)
+        keep = self._tangent_axes
+        if len(keep) == len(shape):
+            return points, lambda values: values
+        sub_shape = tuple(c if axis in keep else 1 for axis, c in enumerate(shape))
+        corner = tuple(slice(None) if axis in keep else slice(0, 1) for axis in range(len(shape)))
+        sub = np.asarray(points).reshape(*shape, self.m)[corner].reshape(-1, self.m)
+
+        def expand(values):
+            values = np.asarray(values)
+            lead = values.shape[:-1]
+            grid = np.broadcast_to(values.reshape(*lead, *sub_shape), (*lead, *shape))
+            return grid.reshape(*lead, -1)
+
+        return sub, expand
 
     def _tangent_grids(self, points: np.ndarray):
         """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame.
@@ -394,22 +439,25 @@ def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
 def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     """Grid certificate of the degree map and the singular mask."""
     points, shape = uniform_grid(imm.domain, grid_shape)
-    tau = imm.ortho_tangent_grid(points)
+    sub, expand = imm.tangent_subgrid(points, shape)
+    tau = imm.ortho_tangent_grid(sub)
     rows = imm.minors_grid(tau)
-    # reject rank-deficient tangent maps anywhere on the grid
-    bad = _rank_deficient(tau, rows)
+    # reject rank-deficient tangent maps anywhere on the grid, naming the
+    # first such grid point in C order
+    bad = expand(_rank_deficient(tau, rows))
     if np.any(bad):
         idx = int(np.argmax(bad))
-        if not np.isfinite(tau[idx]).all():
+        k = int(expand(np.arange(len(sub)))[idx])  # its sub-grid point
+        if not np.isfinite(tau[k]).all():
             what = "tangent is not finite"
-        elif not np.isfinite(minors_norm(rows[idx : idx + 1])[0]):
+        elif not np.isfinite(minors_norm(rows[k : k + 1])[0]):
             what = "tangent minors overflow"  # tau is finite, its minors or their squares are not
         else:
             what = "is rank deficient"
         raise DegenerateInputError(
             f"immersion {what} at grid point {tuple(map(float, points[idx]))}"
         )
-    degrees = max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS)
+    degrees = expand(max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS))
     deg_max = int(degrees.max())
     mask = degrees < deg_max
     lsc_violations = _lsc_violations(degrees.reshape(shape))

@@ -90,14 +90,14 @@ def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
     )
     env = imm.grid_env(grid.points)
     comps = frames.ambient_field_from_variation(field)
-    theta_vals, *comp_vals = evaluate_many([theta] + list(comps), env)
+    integrand_vals, theta_vals, *comp_vals = evaluate_many([integrand, theta, *comps], env)
     vnorm = np.zeros(len(grid))
     for v in comp_vals:
         vnorm = np.maximum(vnorm, np.abs(v))
     active = vnorm > ACTIVE_REL_TOL * max(vnorm.max(), 1e-300)
     if np.any(active) and float(np.min(theta_vals[active])) < THETA_FLOOR:
         raise ValueError("degree-d density vanishes inside the support of the field")
-    return grid.integrate_values(integrand.eval(env))
+    return grid.integrate_values(integrand_vals)
 
 
 @dataclass

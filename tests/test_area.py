@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import gradedgeo
 from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
+    _theta,
     area_degree,
     area_singular_set,
     density_theta,
@@ -20,9 +22,15 @@ from gradedgeo.area import (
     scaling_limit_probe,
 )
 from gradedgeo.exprs import const, parse, var
-from gradedgeo.immersion import Immersion
+from gradedgeo.immersion import Immersion, _lsc_violations, degree_scan, uniform_grid
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
-from gradedgeo.multivec import DegenerateInputError, GrowthVector
+from gradedgeo.multivec import (
+    DEGREE_EPS,
+    DegenerateInputError,
+    GrowthVector,
+    max_degrees,
+    minors_norm,
+)
 from gradedgeo.verify import engel_closed_forms
 
 
@@ -272,6 +280,93 @@ def test_rank_deficient_node_is_refused_everywhere():
                 area_singular_set(cusp, grid, d)
         with pytest.raises(DegenerateInputError, match=r"at quadrature node \(0\.0, 0\.5\)$"):
             density_theta(cusp, [0.0, 0.5], 3)
+
+
+def _graded_parabola():
+    """(x, y, (x - 0.5)^2) in R^3 with X3 = d/dz of degree 2: degree 3, and 2 on x = 0.5."""
+    frame = AdaptedFrame.from_json({
+        "coordinates": ["x", "y", "z"],
+        "frame": [
+            {"degree": 1, "components": ["1", "0", "0"]},
+            {"degree": 1, "components": ["0", "1", "0"]},
+            {"degree": 2, "components": ["0", "0", "1"]},
+        ],
+    })
+    comps = tuple(parse(src, ("x", "y")) for src in ("x", "y", "(x-0.5)^2"))
+    return Immersion(Manifold(frame, MetricField.frame_orthonormal()), ("x", "y"), comps,
+                     ((0.0, 1.0), (0.0, 1.0)))
+
+
+_SUBGRID_CASES = {
+    "engel-frame": (lambda: catalog.immersion("engel-graph", theta="0.53*x"), 4, 1),
+    "engel-euclidean": (
+        lambda: catalog.immersion("engel-graph", theta="0.53*x", metric="euclidean"), 4, 1),
+    "rt": (lambda: catalog.immersion("rt-graph", u="x"), 3, 1),
+    "parabola": (_graded_parabola, 3, 1),
+    "two-parameter": (lambda: catalog.immersion("engel-graph", theta="0.53*x+0.41*y"), 4, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUBGRID_CASES))
+def test_subgrid_results_equal_the_full_grid_bit_for_bit(case):
+    build, d, kept = _SUBGRID_CASES[case]
+    imm = build()
+    grid = QuadratureGrid(imm.domain, (9, 8))  # odd along x: the parabola's line is a node
+    sub, _ = imm.tangent_subgrid(grid.points, grid.orders)
+    assert len(sub) == (9, 72)[kept - 1]
+    # reference: the tangent minors at every node, no sub-grid
+    minors = imm.minors_grid(imm.ortho_tangent_grid(grid.points))
+    degrees = imm.multi_index_degrees
+    volume = minors_norm(minors)
+    density = _theta(minors, degrees, d, volume) * volume
+    pointwise = max_degrees(minors, degrees, DEGREE_EPS)
+    deg_max = int(pointwise.max())
+
+    area = area_degree(imm, d, grid)
+    assert area.value.hex() == grid.integrate_values(density).hex()
+    assert area.degree_seen == deg_max
+    singular = grid.integrate_values(
+        np.where(pointwise < deg_max, _theta(minors, degrees, deg_max, volume) * volume, 0.0)
+    )
+    assert area_singular_set(imm, grid).hex() == singular.hex()
+    assert area_singular_set(imm, grid, d).hex() == grid.integrate_values(
+        np.where(pointwise < deg_max, density, 0.0)
+    ).hex()
+    if case == "parabola":
+        assert area_singular_set(imm, grid, 2) > 0.0  # the line x = 0.5 is masked
+
+    rs = (1e-1, 1e-2, 1e-3)
+    want = []
+    for r in rs:
+        total = np.zeros(len(grid))
+        for col, e in zip((minors**2).T, (degrees - imm.m).tolist()):
+            total += col * r ** (-e)
+        want.append((r ** ((d - imm.m) / 2.0) * grid.integrate_values(np.sqrt(total))).hex())
+    assert [v.hex() for v in scaling_limit_probe(imm, d, grid, rs).values] == want
+
+    report = degree_scan(imm, (9, 8))
+    points, shape = uniform_grid(imm.domain, (9, 8))
+    scan_degrees = max_degrees(imm.minors_grid(imm.ortho_tangent_grid(points)), degrees,
+                               DEGREE_EPS)
+    assert report.degrees.dtype == scan_degrees.dtype
+    assert report.degrees.tobytes() == scan_degrees.tobytes()
+    assert report.degree == int(scan_degrees.max())
+    assert np.array_equal(report.mask, scan_degrees < report.degree)
+    assert report.lsc_violations == _lsc_violations(scan_degrees.reshape(shape))
+    assert report.points.tobytes() == points.tobytes()
+
+
+def test_subgrid_refusal_names_the_first_node_in_c_order():
+    # the tangent map depends on y alone; its first non-finite node in C
+    # order over the whole grid is still the one named
+    imm = catalog.immersion("rt-graph", u="sqrt(y-0.5)")
+    grid = QuadratureGrid(imm.domain, 8)
+    assert len(imm.tangent_subgrid(grid.points, grid.orders)[0]) == 8
+    node = re.escape("quadrature node (0.019855071751231912, 0.019855071751231912)")
+    with pytest.raises(DegenerateInputError, match=node):
+        area_degree(imm, 3, grid)
+    with pytest.raises(DegenerateInputError, match=re.escape("grid point (0.125, 0.125)")):
+        degree_scan(imm, (4, 4))
 
 
 # float.hex of the 128^2 and 256^2 areas, the 128^2 g_r probe values and a

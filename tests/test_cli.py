@@ -363,9 +363,14 @@ def test_cli_refuses_non_finite_area(capsys):
 @pytest.mark.parametrize(
     "command,z,message",
     [
-        # z = 0 is folded into the composed coframe: 1/z is a constant node
-        (["area", "--degree", "3"], "0", "division by zero in 1/0"),
-        (["degree-scan"], "0", "division by zero in 1/0"),
+        # z = 0 makes X3 = z d/dz the zero field on the image, refused by name
+        # before its coframe's constant 1/z = 1/0 reaches a tape
+        pytest.param(["area", "--degree", "3"], "0",
+                     "frame field X3 vanishes on the image, so the frame is no basis there",
+                     id="command0-0-frame field X3 vanishes"),
+        pytest.param(["degree-scan"], "0",
+                     "frame field X3 vanishes on the image, so the frame is no basis there",
+                     id="command1-0-frame field X3 vanishes"),
         (["area", "--degree", "3"], "(x-0.5)^2",
          "degree-3 area density is not finite at quadrature node (0.5, 0.015919880246186957)"),
         (["degree-scan"], "(x-0.5)^2",

@@ -254,6 +254,10 @@ def test_variables_bottom_up_matches_walk():
     assert mixed.variables() == {"x", "y", "z"}
     # a child's set that already covers the union is shared, not copied
     assert (chain * x).variables() is chain.variables()
+    # the tape's loads name the same variables
+    assert exprs.variables_many([chain, const(2.0)]) == {"x"}
+    assert exprs.variables_many([chain, mixed.diff("y")]) == _variables_by_walk(mixed.diff("y"))
+    assert exprs.variables_many([const(2.0)]) == frozenset()
 
 
 # -- the compiled tape against the memo walk it replaced ------------------------
@@ -386,6 +390,34 @@ def test_array_buffers_are_recycled():
     (got,) = evaluate_many([chain], {"x": xs})
     assert len(tape.code) == 900 and tape.nbufs <= 3
     assert _same_bytes([got], _reference_evaluate([chain], {"x": xs}))
+
+
+@pytest.mark.parametrize("size", [0, 1, exprs.BLOCK_POINTS, exprs.BLOCK_POINTS + 3])
+def test_blocked_run_matches_memo_walk(size):
+    x, y = var("x"), var("y")
+    e = call("sin", x * y) + x / (y + const(2.0)) - exprs.powi(call("exp", -x), 3)
+    roots = (e, e, const(3.0), x, e * y, y)  # duplicate, constant and variable roots
+    rng = np.random.default_rng(size)
+    xs, ys = rng.uniform(-2.0, 2.0, size), rng.uniform(-1.0, 1.0, size)
+    envs = {
+        "arrays": {"x": xs, "y": ys},
+        "strided": {"x": np.stack([xs, ys], axis=-1)[:, 0], "y": ys},
+        "mixed": {"x": xs, "y": 0.75},
+        "2-d": {"x": xs[:, None], "y": np.array([-0.5, 0.25, 1.0])},
+    }
+    for label, env in envs.items():
+        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        got = evaluate_many(roots, env)
+        want = [np.broadcast_to(w, shape) for w in _reference_evaluate(roots, env)]
+        assert all(g.shape == shape for g in got), label
+        assert _same_bytes(got, want), label
+        assert got[0] is got[1] and len({id(g) for g in got[1:]}) == len(roots) - 1, label
+    # a batch of one is a one-point block on the same loop
+    if size:
+        point = {"x": float(xs[-1]), "y": float(ys[-1])}
+        values = evaluate_many(roots, point)
+        assert all(type(v) is float for v in values)
+        assert _same_bytes(values, [g[-1] for g in evaluate_many(roots, envs["arrays"])])
 
 
 def test_scalar_overflow_is_an_evaluation_error():
