@@ -1,11 +1,12 @@
 """Differentiable expression trees over named coordinates.
 
-Expressions are immutable and hash-consed: structurally identical trees are
-the same object, so evaluation and differentiation caches are shared across
-everything built in a session.  Derivatives are exact (no finite differences)
-and closed under the node set; the only power operator allowed is ``base^k``
-with a constant integer exponent, which keeps differentiation closed and
-avoids branch cuts.
+Expressions are immutable and hash-consed: the constructors keep every sum
+and product in a bounded normal form and intern nodes by it (see "Smart
+constructors"), so equal forms are the same object, and evaluation and
+differentiation caches are shared across everything built in a session.
+Derivatives are exact (no finite differences) and closed under the node
+set; the only power operator allowed is ``base^k`` with a constant integer
+exponent, which keeps differentiation closed and avoids branch cuts.
 
 Evaluation accepts scalar or numpy-array variable bindings and runs a
 compiled tape of numpy ufuncs, cached per tuple of roots; it has one
@@ -18,7 +19,9 @@ number), division by zero and overflow.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -41,8 +44,10 @@ __all__ = [
     "neg",
     "powi",
     "call",
+    "plain_arithmetic",
     "evaluate_many",
     "variables_many",
+    "variables_each",
     "FUNCTION_NAMES",
 ]
 
@@ -83,24 +88,61 @@ class EvaluationError(ExprError):
     pass
 
 
-_POOL: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+# key -> weak reference to the node: a node lives while something uses it
+_POOL: "dict[tuple, weakref.KeyedRef]" = {}
+
+
+def _drop(ref, pool=_POOL) -> None:
+    if pool.get(ref.key) is ref:  # not yet replaced by a newer node
+        del pool[ref.key]
 
 
 def _interned(key, factory):
-    node = _POOL.get(key)
+    ref = _POOL.get(key)
+    node = None if ref is None else ref()
     if node is None:
         node = factory()
-        _POOL[key] = node
+        _POOL[key] = weakref.KeyedRef(node, _drop, key)
     return node
+
+
+def _set_key(node, *content) -> None:
+    """Give a node built from its operands its structural key; it has no normal form.
+
+    The key hashes a tuple of ints and floats: the node's kind and its
+    children's keys, or its value, a variable's code points or a function's
+    index.  Such hashes do not depend on ``PYTHONHASHSEED`` (only ``str`` and
+    ``bytes`` hashes are salted) nor on ``id()``, so every order derived from
+    keys is the same in every process and for every construction history.
+    """
+    node._key = hash(content)
+    node._form = None
+    node._vars = None
+    node._dmemo = None
 
 
 class Expr:
     """Base node.  Use the module-level constructors, not the classes."""
 
-    __slots__ = ("_dmemo", "_vars", "__weakref__")
+    # ``_key``: a structural hash of the node's content (see ``_set_key``);
+    # ``_form``: the normal form of a node built from one, ``None`` for an atom
+    __slots__ = ("_dmemo", "_vars", "_key", "_form", "__weakref__")
     precedence = 5
 
     # -- structure ---------------------------------------------------------
+
+    def __getattr__(self, name):
+        # a slot still unset: the key or the operands of a node built from
+        # its normal form, made on first use
+        form = self._form
+        if form is not None:
+            if name == "_key":
+                self._key = hash((10, *[(c, mono[2]) for mono, c in form]))
+                return self._key
+            if name in ("a", "b", "k"):
+                _expand(self)
+                return object.__getattribute__(self, name)
+        raise AttributeError(name)
 
     def _args(self) -> tuple:
         return ()
@@ -110,16 +152,20 @@ class Expr:
 
         Built bottom-up (iterative post-order) from the children's cached
         sets, so each node is visited once over all calls; a child's set is
-        reused as-is when it already covers the union.
+        reused as-is when it already covers the union.  A node built from its
+        normal form reads the atoms of the form, so its children are not made.
         """
         stack = [self]
         while stack:
             node = stack[-1]
-            if getattr(node, "_vars", None) is not None:
+            if node._vars is not None:
                 stack.pop()
                 continue
-            args = node._args()
-            pending = [c for c in args if getattr(c, "_vars", None) is None]
+            form = node._form
+            args = node._args() if form is None else [
+                atom for (num, den, _), _ in form for atom, _ in (*num, *den)
+            ]
+            pending = [c for c in args if c._vars is None]
             if pending:
                 stack.extend(pending)
                 continue
@@ -146,7 +192,7 @@ class Expr:
             if name not in self.variables():
                 got = _ZERO
             else:
-                got = self._d(name)
+                got = (self._form is not None and _form_d(self._form, name)) or self._d(name)
             memo[name] = got
         return got
 
@@ -237,6 +283,7 @@ class Const(Expr):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", value)
+        _set_key(self, 0, value)
 
     def _d(self, name):
         return _ZERO
@@ -256,6 +303,7 @@ class Var(Expr):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
+        _set_key(self, 1, *map(ord, name))
 
     def _d(self, name):
         return _ONE if name == self.name else _ZERO
@@ -269,10 +317,12 @@ class Var(Expr):
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
+    tag = 0
 
     def __init__(self, a: Expr, b: Expr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        _set_key(self, self.tag, a._key, b._key)
 
     def _args(self):
         return (self.a, self.b)
@@ -280,6 +330,7 @@ class _Binary(Expr):
 
 class Add(_Binary):
     __slots__ = ()
+    tag = 3
     precedence = 1
 
     def _d(self, name):
@@ -299,6 +350,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
+    tag = 4
     precedence = 1
 
     def _d(self, name):
@@ -316,6 +368,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
+    tag = 5
     precedence = 2
 
     def _d(self, name):
@@ -333,6 +386,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
+    tag = 6
     precedence = 2
 
     def _d(self, name):
@@ -352,9 +406,11 @@ class Div(_Binary):
 class Neg(Expr):
     __slots__ = ("a",)
     precedence = 3
+    tag = 7
 
     def __init__(self, a: Expr):
         object.__setattr__(self, "a", a)
+        _set_key(self, 7, a._key)
 
     def _args(self):
         return (self.a,)
@@ -372,10 +428,12 @@ class Neg(Expr):
 class Pow(Expr):
     __slots__ = ("a", "k")
     precedence = 4
+    tag = 8
 
     def __init__(self, a: Expr, k: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k", k)
+        _set_key(self, 8, a._key, k)
 
     def _args(self):
         return (self.a,)
@@ -400,6 +458,7 @@ class Call(Expr):
     def __init__(self, fn: str, a: Expr):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "a", a)
+        _set_key(self, 9, FUNCTION_NAMES.index(fn), a._key)
 
     def _args(self):
         return (self.a,)
@@ -439,8 +498,55 @@ _TWO = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors (constant folding + interning)
+# Smart constructors (constant folding + normal forms + interning)
 # ---------------------------------------------------------------------------
+#
+# Every node that ``add``, ``sub``, ``mul``, ``div``, ``neg`` and ``powi``
+# return has a bounded normal form, and nodes are interned by that form:
+# value numbering modulo the commutative-ring laws (Alpern, Wegman & Zadeck,
+# POPL 1988), with the coefficient map of sympy's ``Add.flatten``.
+#
+# * A form is a linear combination: a map from monomials to nonzero float
+#   coefficients, at most ``FORM_CAP`` terms.  A monomial is a product of at
+#   most ``FACTOR_CAP`` atoms with positive integer exponents, numerator and
+#   denominator kept apart; the empty monomial holds the constant term.
+# * Atoms are variables, calls, negative powers, and any sum or quotient
+#   used as a factor (without its coefficient; a sum also without its sign
+#   and common magnitude).  A product that would have more atoms keeps its
+#   two factors whole, as atoms; a sum that would have more terms is built
+#   as a binary node, an atom of every form that uses it.
+# * What merges: like terms add and cancel (``sin(t)*cos(t) +
+#   cos(t)*-sin(t)`` is 0), factors commute (``a*b`` is ``b*a``), powers of
+#   one atom collect (``x*x`` is ``x^2``), signs and constants scale every
+#   term, and a quotient's coefficient moves out (``-(b/D)`` is ``-1 *
+#   (b/D)``).  What never cancels: a product of atoms never distributes over
+#   a sum; a numerator atom never cancels against a denominator atom
+#   (``x*y/y`` stays a ``Div``); and no node is ever folded because of its
+#   numeric value, so no singularity of a factor is lost.  ``div(a, a)`` is
+#   1 and ``sub(a, a)`` is 0.
+# * The node of a form is its canonical layout, which depends on the form
+#   alone: terms and atoms are ordered by structural keys (``_set_key``; a
+#   node built from a form hashes the form's coefficients and atom keys);
+#   the terms of one coefficient magnitude share one multiply
+#   (``0.5*(a + b - c)``); sums and products fold left; and every child is
+#   the canonical node of its own form, made on first use.  Hence
+#   ``parse(e.to_source()) is e``, and a node depends neither on what was
+#   built before it nor on what the weak pool has dropped.
+# * Measured on the Engel EL residual: flattening products of more than two
+#   atoms re-lays out shared sub-products and grows its tape, so
+#   ``FACTOR_CAP`` is 2; sums gain up to 16 terms.
+
+FORM_CAP = 16  # terms of a sum; a larger sum is a binary atom
+FACTOR_CAP = 2  # atoms of a monomial; a larger product keeps its two factors whole
+_UNIT = ((), (), ())  # the monomial of a constant term
+
+
+def _mono(num: tuple, den: tuple) -> tuple:
+    """A monomial: numerator and denominator ((atom, exponent) by atom key), and its sort key."""
+    if not den and len(num) == 1:
+        return num, den, ((num[0][0]._key, num[0][1]),)
+    return num, den, (*[(a._key, e) for a, e in num], *[(a._key, -e) for a, e in den])
+
 
 def const(value: float) -> Const:
     value = float(value)
@@ -459,45 +565,405 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def _form(e: Expr) -> tuple:
+    """The terms ``(monomial, coefficient)`` of ``e``, in canonical order."""
+    if type(e) is Const:
+        return ((_UNIT, e.value),) if e.value else ()
+    form = e._form
+    return form if form is not None else ((_mono(((e, 1),), ()), 1.0),)
+
+
+def _term_key(term):
+    """Canonical term order: magnitude 1 first, then by magnitude; the constant last.
+
+    Within one magnitude, monomials are ordered by the keys and exponents of
+    their atoms.  The order ignores signs, so negation keeps it.
+    """
+    mono, c = term
+    m = abs(c)
+    return (not mono[2], m != 1.0, m, mono[2])
+
+
+def _canonical(terms) -> tuple | None:
+    """The form of nonzero finite terms, or None past ``FORM_CAP`` terms."""
+    terms = [t for t in terms if t[1] != 0.0]
+    if len(terms) > FORM_CAP or not all(map(math.isfinite, [c for _, c in terms])):
+        return None
+    return tuple(sorted(terms, key=_term_key))
+
+
+def _unit_group(form: tuple):
+    """(m, G) with form = m * G and G's coefficients ±1, not all -1; None for mixed magnitudes."""
+    m = abs(form[0][1])
+    positive = False
+    for _, c in form:
+        if c == m:
+            positive = True
+        elif c != -m:
+            return None
+    if not positive:
+        m = -m
+    return m, tuple((mono, c / m) for mono, c in form)
+
+
+def _factor(e: Expr):
+    """``e`` as one factor of a product: (coefficient, numerator, denominator)."""
+    form = e._form
+    if form is None:
+        return (e.value, (), ()) if type(e) is Const else (1.0, ((e, 1),), ())
+    if len(form) == 1:
+        (num, den, _), c = form[0]
+        if den:  # a quotient is an atom too, without its coefficient
+            return c, ((_node(((_mono(num, den), 1.0),)), 1),), ()
+        return c, num, den
+    # a sum is an atom, without its sign and its common magnitude
+    if form[0][1] == 1.0:  # the common case: a leading +1 needs neither
+        return 1.0, ((e, 1),), ()
+    group = _unit_group(form)
+    if group is not None and group[0] != 1.0:
+        return group[0], ((_node(group[1]), 1),), ()
+    if group is None and all(c < 0.0 for _, c in form):
+        return -1.0, ((_node(tuple((mono, -c) for mono, c in form)), 1),), ()
+    return 1.0, ((e, 1),), ()
+
+
+def _whole(num: tuple, den: tuple) -> tuple:
+    """The monomial num / den as one atom of a product."""
+    if not den and len(num) == 1 and num[0][1] == 1:
+        return num
+    return ((_node(((_mono(num, den), 1.0),)), 1),)
+
+
+def _atom_key(item) -> int:
+    return item[0]._key
+
+
+def _merge(p: tuple, q: tuple) -> tuple:
+    """Product of two monomial parts: exponents of common atoms add."""
+    if not p:
+        return q
+    if not q:
+        return p
+    if len(p) == 1 and len(q) == 1:
+        (a, e), (b, f) = p[0], q[0]
+        if a is b:
+            return ((a, e + f),)
+        return (p[0], q[0]) if a._key < b._key else (q[0], p[0])
+    exps = dict(p)
+    for atom, e in q:
+        exps[atom] = exps.get(atom, 0) + e
+    return tuple(sorted(exps.items(), key=_atom_key))
+
+
+def _scaled(e: Expr, k: float) -> Expr | None:
+    """The node of k * form(e), or None where a coefficient leaves the floats."""
+    form = _form(e)
+    if k == -1.0:
+        return _node(tuple((mono, -c) for mono, c in form))
+    scaled = _canonical([(mono, c * k) for mono, c in form])
+    return None if scaled is None or len(scaled) < len(form) else _node(scaled)
+
+
+def _sum(a: Expr, b: Expr, sign: float) -> Expr | None:
+    """The node of form(a) + sign * form(b), or None past ``FORM_CAP`` terms."""
+    fa, fb = _form(a), _form(b)
+    coefs = dict(fa)
+    new = []
+    for mono, c in fb:
+        old = coefs.get(mono)
+        if old is None:
+            new.append((mono, sign * c))
+        else:
+            coefs[mono] = old + sign * c
+    if len(new) == len(fb):  # no like terms: the new ones slot into order
+        if len(fa) + len(new) > FORM_CAP:
+            return None
+        terms = list(fa)
+        for term in new:
+            bisect.insort(terms, term, key=_term_key)
+        return _node(tuple(terms))
+    form = _canonical([*coefs.items(), *new])
+    return None if form is None else _node(form)
+
+
+def _monomial(c: float, num: tuple, den: tuple) -> Expr | None:
+    """The node of the one-term form c * num / den, or None if c leaves the floats."""
+    if c == 0.0 or not math.isfinite(c):
+        return None
+    return _node(((_mono(num, den), c),))
+
+
+def _node(form: tuple) -> Expr:
+    """The canonical node of a form: interned by the form, laid out from it alone.
+
+    Its children are made on first use (``_expand``), so a partial sum that
+    only feeds a larger form never builds its own chain of nodes.
+    """
+    if len(form) == 1:
+        mono, c = form[0]
+        if not mono[2]:
+            return const(c)
+        num = mono[0]
+        if c == 1.0 and len(num) == 1 and not mono[1] and num[0][1] == 1:
+            return num[0][0]  # an atom is its own node
+    elif not form:
+        return _ZERO
+    ref = _POOL.get(form)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    cls = _kind(form)
+    node = cls.__new__(cls)
+    node._form = form
+    node._vars = None
+    node._dmemo = None
+    _POOL[form] = weakref.KeyedRef(node, _drop, form)
+    return node
+
+
+def _expand(node: Expr) -> None:
+    """Give a node built from its form its children: canonical nodes of sub-forms."""
+    cls, args = _layout(node._form)
+    if cls is Pow:
+        node.a, node.k = args
+    elif cls is Neg:
+        (node.a,) = args
+    else:
+        node.a, node.b = args
+
+
+def _product(factors: tuple) -> Expr:
+    """The node of a product of atoms with coefficient 1."""
+    if len(factors) == 1 and factors[0][1] == 1:
+        return factors[0][0]
+    return _node(((_mono(factors, ()), 1.0),))
+
+
+def _kind(form: tuple):
+    """The class of a form's canonical node, without making its operands (see ``_layout``)."""
+    mono, c = form[-1]
+    if len(form) == 1:
+        num, den, _ = mono
+        if c == -1.0:
+            return Div if not num else Neg
+        if c != 1.0:
+            return Div if not num else Mul
+        if den:
+            return Div
+        return Pow if len(num) == 1 else Mul
+    m = abs(c)
+    if mono == _UNIT or m == 1.0:  # the last term alone: the constant, or a negative one first
+        if mono != _UNIT:
+            for _, c in form:
+                if c < 0.0:
+                    return Sub
+        return Add if c > 0.0 else Sub
+    i = len(form) - 1
+    while i and abs(form[i - 1][1]) == m:
+        i -= 1
+    group = form[i:]
+    if not i:
+        return Mul
+    return Add if any(c > 0.0 for _, c in group) else Sub
+
+
+def _layout(form: tuple):
+    """The class of a form's canonical node and its operands (``_kind`` picks the same class)."""
+    if len(form) == 1:  # c * numerator / denominator, each a left fold
+        mono, c = form[0]
+        num, den, _ = mono
+        if not num and c != 1.0:
+            return Div, (const(c), _product(den))
+        if c == -1.0:
+            return Neg, (_node(((mono, 1.0),)),)
+        if c != 1.0:
+            return Mul, (const(c), _node(((mono, 1.0),)))
+        if den:
+            return Div, (_product(num) if num else _ONE, _product(den))
+        if len(num) == 1:
+            return Pow, num[0]
+        return Mul, (_product(num[:-1]), _product(num[-1:]))
+    # a sum: everything but the last group, then the last group.  A group is
+    # the constant, all the terms of one magnitude other than 1, or one term
+    # of magnitude 1: the terms of magnitude 1 fold positive ones first.
+    mono, c = form[-1]
+    m = abs(c)
+    cut = len(form) - 1
+    if mono != _UNIT and m != 1.0:
+        while cut and abs(form[cut - 1][1]) == m and form[cut - 1][0] != _UNIT:
+            cut -= 1
+        head, tail = form[:cut], form[cut:]
+    else:
+        if mono != _UNIT and c > 0.0:
+            for i, (_, c) in enumerate(form):
+                if c < 0.0:
+                    cut = i
+        head, tail = form[:cut] + form[cut + 1 :], form[cut : cut + 1]
+    if not head:  # one magnitude m != 1: m * (a ± b ...)
+        m, unit = _unit_group(tail)
+        return Mul, (const(m), _node(unit))
+    if tail[-1][1] > 0.0 or any(c > 0.0 for _, c in tail):
+        return Add, (_node(head), _node(tail))
+    return Sub, (_node(head), _node(tuple((mono, -c) for mono, c in tail)))
+
+
+def _form_d(form: tuple, name: str) -> Expr | None:
+    """The derivative of a node built from ``form``, by the product rule over the atoms.
+
+    Each term of each monomial is one monomial: the derivative of one atom
+    (a factor, whole if it is a sum) times the other atoms, a denominator
+    atom's exponent raised by one.  All terms merge into one form, so no
+    partial derivative sum is built; past ``FORM_CAP`` terms, None.
+    """
+    coefs: dict = {}
+    for (num, den, _), c in form:
+        for i, (a, e) in enumerate(num):
+            rest = (*num[:i], (a, e - 1), *num[i + 1 :]) if e > 1 else num[:i] + num[i + 1 :]
+            _add_product(coefs, c * e, rest, den, a.diff(name))
+        for j, (b, f) in enumerate(den):
+            _add_product(coefs, -c * f, num, (*den[:j], (b, f + 1), *den[j + 1 :]), b.diff(name))
+    form = _canonical(coefs.items())
+    return None if form is None else _node(form)
+
+
+def _add_product(coefs: dict, c: float, num: tuple, den: tuple, factor: Expr) -> None:
+    """coefs += c * num / den * factor, with ``mul``'s rule past ``FACTOR_CAP``."""
+    if factor is _ZERO:
+        return
+    cf, nf, df = _factor(factor)
+    n, d = _merge(num, nf), _merge(den, df)
+    if len(n) + len(d) > FACTOR_CAP:
+        n, d = _merge(_whole(num, den), _whole(nf, df)), ()
+    mono = _mono(n, d)
+    coefs[mono] = coefs.get(mono, 0.0) + c * cf
+
+
+# ---------------------------------------------------------------------------
+# Plain arithmetic: nodes as written
+# ---------------------------------------------------------------------------
+
+_PLAIN = False
+
+
+class plain_arithmetic:
+    """Context in which the constructors build nodes as written, with no normal form.
+
+    Only constants fold, and so do the identities 0 + a, a - 0, 0 - a,
+    1 * a, -1 * a, 0 * a, a / 1, 0 / a, a - a, a / a and -(-a).  Evaluating
+    an expression substituted here equals evaluating the original at the
+    substituted values, bit for bit: the immersion's tangent map is built so
+    that its grid values are those of a dense contraction.  The nodes are
+    atoms of every normal form built from them later.
+    """
+
+    def __enter__(self):
+        global _PLAIN
+        self.outer, _PLAIN = _PLAIN, True
+        return self
+
+    def __exit__(self, *exc):
+        global _PLAIN
+        _PLAIN = self.outer
+
+
+def _plain(cls, a: Expr, b: Expr) -> Expr:
+    if type(a) is Const and type(b) is Const and not (cls is Div and b.value == 0.0):
+        return const({Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                      Div: operator.truediv}[cls](a.value, b.value))
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if cls is Add:
+        if ka == 0.0:
+            return b
+        if kb == 0.0:
+            return a
+    elif cls is Sub:
+        if kb == 0.0:
+            return a
+        if ka == 0.0:
+            return neg(b)
+        if a is b:
+            return _ZERO
+    elif cls is Mul:
+        if ka == 0.0 or kb == 0.0:
+            return _ZERO
+        if ka == 1.0:
+            return b
+        if kb == 1.0:
+            return a
+        if ka == -1.0:
+            return neg(b)
+        if kb == -1.0:
+            return neg(a)
+    else:
+        if kb == 1.0:
+            return a
+        if ka == 0.0:
+            return _ZERO
+        if a is b:
+            return _ONE
+    return _interned((-cls.tag, id(a), id(b)), lambda: cls(a, b))
+
+
+def _binary(cls, a: Expr, b: Expr) -> Expr:
+    """A node past ``FORM_CAP``, or one that construction must not fold: an atom."""
+    if cls in (Add, Mul) and b._key < a._key:
+        a, b = b, a
+    return _interned((cls.tag, id(a), id(b)), lambda: cls(a, b))
+
+
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if _PLAIN:
+        return _plain(Add, a, b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
-    return _interned(("+", id(a), id(b)), lambda: Add(a, b))
+    return _sum(a, b, 1.0) or _binary(Add, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if _PLAIN:
+        return _plain(Sub, a, b)
+    if type(b) is Const:
+        if type(a) is Const:
+            return const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     if a is b:
         return const(0.0)
-    return _interned(("-", id(a), id(b)), lambda: Sub(a, b))
+    return _sum(a, b, -1.0) or _binary(Sub, a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
-    return _interned(("*", id(a), id(b)), lambda: Mul(a, b))
+    if _PLAIN:
+        return _plain(Mul, a, b)
+    if type(a) is Const or type(b) is Const:
+        if type(a) is Const and type(b) is Const:
+            return const(a.value * b.value)
+        k, e = (a.value, b) if type(a) is Const else (b.value, a)
+        if k == 0.0:
+            return const(0.0)
+        if k == 1.0:
+            return e
+        return _scaled(e, k) or _binary(Mul, a, b)  # a constant scales every term
+    ca, na, da = _factor(a)
+    cb, nb, db = _factor(b)
+    num, den = _merge(na, nb), _merge(da, db)
+    if len(num) + len(den) > FACTOR_CAP:  # the two factors stay whole
+        num, den = _merge(_whole(na, da), _whole(nb, db)), ()
+    return _monomial(ca * cb, num, den) or _binary(Mul, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    if _PLAIN:
+        return _plain(Div, a, b)
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0):
@@ -506,15 +972,26 @@ def div(a: Expr, b: Expr) -> Expr:
         return const(a.value / b.value)
     if a is b:
         return const(1.0)
-    return _interned(("/", id(a), id(b)), lambda: Div(a, b))
+    if _is_const(b):
+        if b.value == 0.0:
+            return _binary(Div, a, b)  # refused when a tape is compiled
+        return _scaled(a, 1.0 / b.value) or _binary(Div, a, b)
+    cb, nb, db = _factor(b)
+    if db:  # inverting b would move its denominator up: b stays whole
+        nb = _whole(nb, db)
+    ca, na, da = _factor(a)
+    den = _merge(da, nb)
+    if len(na) + len(den) > FACTOR_CAP:
+        na, den = _whole(na, da), nb if len(nb) == 1 else _whole(nb, ())
+    return _monomial(ca / cb, na, den) or _binary(Div, a, b)
 
 
 def neg(a: Expr) -> Expr:
     if _is_const(a):
         return const(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    return _interned(("u-", id(a)), lambda: Neg(a))
+    if _PLAIN:
+        return a.a if type(a) is Neg else _interned((Neg.tag, id(a)), lambda: Neg(a))
+    return _scaled(a, -1.0)
 
 
 def powi(a: Expr, k: int) -> Expr:
@@ -532,7 +1009,18 @@ def powi(a: Expr, k: int) -> Expr:
             raise EvaluationError(f"overflow in ({a.value!r})^{k}") from None
         except ZeroDivisionError:
             raise EvaluationError("zero raised to a negative power") from None
-    return _interned(("^", id(a), k), lambda: Pow(a, k))
+    if k > 0 and not _PLAIN:  # a negative power stays whole, an atom: it refuses like ``np.power``
+        c, num, den = _factor(a)
+        try:
+            c = c**k
+        except OverflowError:
+            c = math.inf
+        node = _monomial(
+            c, tuple((atom, e * k) for atom, e in num), tuple((atom, e * k) for atom, e in den)
+        )
+        if node is not None:
+            return node
+    return _interned((Pow.tag, id(a), k), lambda: Pow(a, k))
 
 
 def call(fn: str, a: Expr) -> Expr:
@@ -787,6 +1275,22 @@ def variables_many(exprs) -> frozenset[str]:
     runs is compiled here if it is not yet, and refuses the same nodes.
     """
     return frozenset(name for _, name in _tape(tuple(exprs)).loads)
+
+
+def variables_each(exprs) -> list[frozenset[str]]:
+    """Names of the variables that each of ``exprs`` depends on, read from their tape.
+
+    One pass over the instructions of the cached tape that ``evaluate_many``
+    of the same roots runs, with a bit per variable: no walk of the DAG.
+    """
+    tape = _tape(tuple(exprs))
+    names = [name for _, name in tape.loads]
+    masks = [0] * len(tape.init)
+    for bit, (reg, _) in enumerate(tape.loads):
+        masks[reg] = 1 << bit
+    for _, a, b, dst, _ in tape.code:
+        masks[dst] = masks[a] | masks[b] if b >= 0 else masks[a]
+    return [frozenset(n for bit, n in enumerate(names) if masks[r] >> bit & 1) for r in tape.out]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,18 @@ the symbolic frames build on too.  The grid path keeps tangent data points
 last, so every per-entry operation runs over one contiguous row of N
 values: the Jacobian, tau and the sum of the squared entries of C o Phi are
 evaluated in one tape pass into row arrays (one row per expression, shape
-(k, N)).  The symbolic product sums over ascending j and drops the terms
-whose factor is the structural constant 0, so adding 0 times that sum gives
-the values of a dense einsum from its zero start, bit for bit, and NaN
+(k, N)).  C o Phi and the product are built in plain arithmetic
+(``exprs.plain_arithmetic``: nodes as written, no normal form), so C o Phi
+evaluates as C at the values of Phi.  The product sums over ascending j and
+drops the terms whose factor is the structural constant 0, so adding 0
+times that sum gives the values of a dense einsum from its zero start, bit
+for bit, and NaN
 wherever an entry of C o Phi is not finite, even one the product dropped
 against a structurally zero row of J (a frame that is no basis on the
 image).  On a tensor grid the tangent map is evaluated only on the
-sub-grid of the parameters its roots use (``tangent_subgrid``), and
-per-point results are broadcast back onto every node.  ``_tangent_grids``
+sub-grid of the parameters J and tau use (``tangent_subgrid``; the NaN
+guard is checked on its own sub-grid), and per-point results are broadcast
+back onto every node.  ``_tangent_grids``
 returns (N, n, m) views of the (n, m, N) arrays, which ``multivec.minors``
 reads back points last without a copy.  The degree
 scan refuses rank-deficient points from the same minors row: for m = 2
@@ -45,7 +49,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Const, EvaluationError, Expr, evaluate_many, variables_many
+from .exprs import (
+    Const, EvaluationError, Expr, evaluate_many, plain_arithmetic, variables_each,
+)
 from .manifold import Manifold, numeric_rank
 from .multivec import (
     DEGREE_EPS,
@@ -219,12 +225,20 @@ class Immersion:
                 raise DegenerateInputError(
                     f"frame field X{j} vanishes on the image, so the frame is no basis there"
                 )
-        return [[self.compose(e) for e in row] for row in self.manifold.ortho_coframe_exprs]
+        coframe = self.manifold.ortho_coframe_exprs
+        with plain_arithmetic():  # evaluates as the coframe at the values of Phi
+            return [[self.compose(e) for e in row] for row in coframe]
 
     @cached_property
     def tau_exprs(self):
-        """Orthonormal-frame components of dPhi, (coframe o Phi) J: n x m expressions."""
-        return emat_mul(self.ortho_coframe_exprs, self.jacobian_exprs)
+        """Orthonormal-frame components of dPhi, (coframe o Phi) J: n x m expressions.
+
+        Built in plain arithmetic, so its values are those of the dense
+        contraction of the coframe's values with the Jacobian's.
+        """
+        cof, jac = self.ortho_coframe_exprs, self.jacobian_exprs
+        with plain_arithmetic():
+            return emat_mul(cof, jac)
 
     @cached_property
     def _tangent_roots(self) -> list:
@@ -237,23 +251,40 @@ class Immersion:
         ]
 
     @cached_property
-    def _tangent_axes(self) -> tuple[int, ...]:
-        """Indices of the parameters that the tangent roots depend on."""
-        used = variables_many(self._tangent_roots)
-        return tuple(i for i, name in enumerate(self.params) if name in used)
+    def _tangent_axes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Indices of the parameters that J and tau use, and those that the guard uses."""
+        *used, guard = variables_each(self._tangent_roots)
+        used = frozenset().union(*used)
+        return tuple(self._axes(used)), tuple(self._axes(guard))
+
+    def _axes(self, names) -> list[int]:
+        return [i for i, name in enumerate(self.params) if name in names]
 
     def tangent_subgrid(self, points: np.ndarray, shape):
         """The nodes of a tensor grid at which the tangent map can differ, and ``expand``.
 
         ``points`` (N, m) are the nodes of a grid of ``shape`` in C order.
-        The sub-grid keeps every axis whose parameter the tangent map uses
-        and fixes each other axis at its first node, so the tangent map at a
-        node equals its value at the sub-grid point that shares the kept
-        coordinates.  ``expand`` broadcasts per-sub-point values (..., S)
-        back onto all N nodes in C order.
+        The sub-grid keeps every axis whose parameter J or tau uses and fixes
+        each other axis at its first node, so the tangent map at a node
+        equals its value at the sub-grid point that shares the kept
+        coordinates.  The NaN guard (the squared entries of C o Phi) may use
+        more parameters; it is evaluated on its own sub-grid first, and
+        where it is not finite the whole grid is kept, so a refusal names
+        the same node as a full-grid pass.  ``expand`` broadcasts
+        per-sub-point values (..., S) back onto all N nodes in C order.
         """
         shape = tuple(int(c) for c in shape)
-        keep = self._tangent_axes
+        keep, guard_keep = self._tangent_axes
+        if not set(guard_keep) <= set(keep):
+            # the guard's NaN reaches every node: where C o Phi is not finite
+            # on the guard's own sub-grid, the whole grid is evaluated
+            guard_points, _ = self._subgrid(points, shape, guard_keep)
+            (guard,) = evaluate_many(self._tangent_roots[-1:], self.grid_env(guard_points))
+            if not np.isfinite(guard).all():
+                keep = tuple(range(len(shape)))
+        return self._subgrid(points, shape, keep)
+
+    def _subgrid(self, points, shape, keep):
         if len(keep) == len(shape):
             return points, lambda values: values
         sub_shape = tuple(c if axis in keep else 1 for axis, c in enumerate(shape))

@@ -54,6 +54,7 @@ __all__ = ["ImmersionFrames", "SystemShape", "SymbolicSystem"]
 
 ZERO = const(0.0)
 ONE = const(1.0)
+VARIATION_CACHE_SIZE = 8  # (field, d) pairs whose first-variation roots stay built
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,7 @@ class ImmersionFrames:
         self.mani = imm.manifold
         self.base = imm.midpoint()
         self._memo: dict = {}
+        self._variation_roots: dict = {}  # (field, d) -> roots, most recently used last
 
     def compose(self, expr: Expr) -> Expr:
         """Restrict an ambient expression to the surface (``Immersion.compose``)."""
@@ -544,6 +546,27 @@ class ImmersionFrames:
 
     def coord_comps(self, ortho_comps) -> list[Expr]:
         return [edot(self.ortho_mat[c], ortho_comps) for c in range(self.n)]
+
+    def first_variation_roots(self, field, d: int) -> tuple[Expr, ...]:
+        """(integrand, Theta_d, ambient field components) of the first variation.
+
+        The integrand is (div_d V + f(V)) / Theta_d * sqrt(det mu).  Built once
+        per (field, d); the last ``VARIATION_CACHE_SIZE`` pairs are kept.
+        """
+        key = (field, d)
+        roots = self._variation_roots.pop(key, None)
+        if roots is None:
+            theta = self.theta(d)
+            integrand = (
+                (self.div_degree_d_expr(field, d) + self.f_linear_expr(field, d))
+                / theta
+                * self.sqrt_detmu
+            )
+            roots = (integrand, theta, *self.ambient_field_from_variation(field))
+            if len(self._variation_roots) >= VARIATION_CACHE_SIZE:
+                del self._variation_roots[next(iter(self._variation_roots))]
+        self._variation_roots[key] = roots
+        return roots
 
     def div_degree_d_expr(self, field, d: int) -> Expr:
         """Degree-d divergence of a variation field (expression in parameters)."""

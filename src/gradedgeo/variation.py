@@ -22,7 +22,6 @@ from .admissibility import VariationField, frames_for
 from .area import QuadratureGrid
 from .exprs import Expr, const, evaluate_many
 from .immersion import Immersion
-from .moving_frames import ImmersionFrames
 from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
 from .symmat import edot, einverse, sum_exprs
 
@@ -59,8 +58,7 @@ def f_linear(imm: Immersion, vp, pbar, d: int) -> float:
     return float(expr.eval(imm.param_env(pbar)))
 
 
-def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationField):
-    comps = frames.ambient_field_from_variation(field)
+def _support_check(imm: Immersion, comps):
     m = imm.m
     pts = []
     for axis in range(m):
@@ -80,17 +78,10 @@ def _support_check(imm: Immersion, frames: ImmersionFrames, field: VariationFiel
 def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
                     d: int) -> float:
     """First variation of the degree-d area along a compactly supported field."""
-    frames = frames_for(imm)
-    _support_check(imm, frames, field)
-    theta = frames.theta(d)
-    integrand = (
-        (frames.div_degree_d_expr(field, d) + frames.f_linear_expr(field, d))
-        / theta
-        * frames.sqrt_detmu
-    )
+    roots = frames_for(imm).first_variation_roots(field, d)
+    _support_check(imm, roots[2:])
     env = imm.grid_env(grid.points)
-    comps = frames.ambient_field_from_variation(field)
-    integrand_vals, theta_vals, *comp_vals = evaluate_many([integrand, theta, *comps], env)
+    integrand_vals, theta_vals, *comp_vals = evaluate_many(roots, env)
     vnorm = np.zeros(len(grid))
     for v in comp_vals:
         vnorm = np.maximum(vnorm, np.abs(v))

@@ -3,6 +3,9 @@
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +439,105 @@ def test_numpy_scalar_bindings_are_refused_like_floats():
         parse("log(x - 1)", ["x"]).eval({"x": np.float64(0.0)})
     (value,) = evaluate_many([parse("x + y", imm.params)], env)
     assert type(value) is float and value == 0.5
+
+
+# -- normal forms ----------------------------------------------------------------
+
+
+def test_cancelling_products_fold_to_zero():
+    t = var("t")
+    s, c = call("sin", t), call("cos", t)
+    assert s * c + c * -s is const(0.0)
+    a, b, d, e = var("a"), var("b"), var("D"), var("E")
+    # products of adjugate-inverse entries that cancel as monomials
+    assert a / d * (-(b / d)) / e + b / d * (a / d) / e is const(0.0)
+    assert exprs.sub(s * c, c * s) is const(0.0)
+
+
+def test_factors_commute_and_like_terms_merge():
+    a, b = var("a"), var("b")
+    assert a * b is b * a
+    assert a * b * a is a * (b * a)
+    assert (a + b) + a is const(2.0) * a + b
+    assert a * a is exprs.powi(a, 2)
+    assert const(0.5) * (a + a - a) - const(0.5) * a is const(0.0)
+
+
+def test_numerator_never_cancels_a_denominator():
+    x, y = var("x"), var("y")
+    q = (x * y) / y
+    assert isinstance(q, Div) and q is (y * x) / y
+    assert q is not x
+    with pytest.raises(EvaluationError, match="division by zero"):
+        q.eval({"x": 1.0, "y": 0.0})  # the singularity at y = 0 is kept
+
+
+def test_node_class_is_the_class_of_its_layout():
+    # a node built from its form gets its class before its operands exist
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        stack = [_random_expr(rng, ["x", "y"], 4).diff("x")]
+        while stack:
+            node = stack.pop()
+            if node._form is not None:
+                assert type(node) is exprs._layout(node._form)[0]
+            stack.extend(node._args())
+
+
+_BUILD = """
+import sys
+import numpy as np
+from gradedgeo import catalog, exprs
+from gradedgeo.admissibility import frames_for
+from gradedgeo.exprs import call, parse, var
+
+def mean_curvature():
+    rt = catalog.immersion("rt-graph", u="0.3*x+0.2*y^2")
+    return [e for tri in frames_for(rt).mean_curvature_exprs(3) for e in tri]
+
+def sums():
+    x, y = var("x"), var("y")
+    e = parse("sin(x)*y - 2*x*y/(1 + y^2) + 0.5*(x - y)^2", ["x", "y"])
+    return [e.diff("x").diff("y"), e * call("cos", x + y) - e, e.diff("x") + e.diff("y")]
+
+def listing(roots):
+    # the DAG in post order, children by position: to_source without repetition
+    index, lines = {}, []
+    for root in roots:
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            pending = [c for c in n._args() if c not in index]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if n not in index:
+                index[n] = len(lines)
+                label = n.to_source() if not n._args() else type(n).__name__
+                extra = getattr(n, "fn", getattr(n, "k", ""))
+                lines.append(f"{label} {extra} {[index[c] for c in n._args()]}")
+    return lines + [str(index[r]) for r in roots]
+
+parts = {"mc": mean_curvature, "sums": sums}
+built = {name: parts[name]() for name in sys.argv[1].split(",")}
+roots = built["mc"] + built["sums"]
+print(*(e.to_source() for e in built["sums"]))
+print(*listing(roots))
+env = {"x": 0.3 + 0.05 * np.arange(7), "y": 0.7 - 0.03 * np.arange(7)}
+print(*(v.tobytes().hex() for v in exprs.evaluate_many(roots, env)))
+"""
+
+
+def test_nodes_do_not_depend_on_construction_order_or_hash_seed():
+    outputs = []
+    for order, seed in (("mc,sums", "0"), ("sums,mc", "1")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(exprs.__file__).rsplit(os.sep, 1)[0], env.get("PYTHONPATH", "")]
+        )
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _BUILD, order], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -154,6 +154,28 @@ def test_first_variation_tangent_field(engel_graph, grid48):
     assert abs(fv) <= 1e-6
 
 
+def test_first_variation_roots_are_built_once_and_bounded(engel_graph, grid48):
+    from gradedgeo import moving_frames
+
+    fr = frames_for(engel_graph)
+    bump = bump_expr()
+    fields = [
+        VariationField("normal", (const(0.0), bump * const(1.0 + k)))
+        for k in range(moving_frames.VARIATION_CACHE_SIZE + 3)
+    ]
+    first = fr.first_variation_roots(fields[0], 4)
+    assert fr.first_variation_roots(fields[0], 4) is first  # built once
+    for field in fields:
+        fr.first_variation_roots(field, 4)
+        assert len(fr._variation_roots) <= moving_frames.VARIATION_CACHE_SIZE
+    assert (fields[0], 4) not in fr._variation_roots  # least recently used, evicted
+    # rebuilt after eviction: the same interned nodes, the same value
+    assert fr.first_variation_roots(fields[0], 4) == first
+    fv = first_variation(engel_graph, fields[1], grid48, 4)
+    assert fr._variation_roots.get((fields[1], 4)) is not None
+    assert first_variation(engel_graph, fields[1], grid48, 4) == fv
+
+
 def test_first_variation_requires_compact_support(engel_graph, grid48):
     V = VariationField("adapted", (const(0.0), const(1.0), const(0.0), const(0.0)))
     with pytest.raises(ValueError, match="vanish"):
