@@ -38,13 +38,14 @@ __all__ = [
     "const",
     "var",
     "add",
+    "add_all",
     "sub",
     "mul",
     "div",
     "neg",
     "powi",
     "call",
-    "plain_arithmetic",
+    "as_written",
     "evaluate_many",
     "variables_many",
     "variables_each",
@@ -114,11 +115,18 @@ def _set_key(node, *content) -> None:
     index.  Such hashes do not depend on ``PYTHONHASHSEED`` (only ``str`` and
     ``bytes`` hashes are salted) nor on ``id()``, so every order derived from
     keys is the same in every process and for every construction history.
+    A signed number enters as its sign and its magnitude (``_signed``):
+    ``hash(-1) == hash(-2)``, so -1 itself must never be hashed.
     """
     node._key = hash(content)
     node._form = None
     node._vars = None
     node._dmemo = None
+
+
+def _signed(x) -> tuple:
+    """A number as (sign, magnitude), whose hash is one-to-one for small ints (see ``_set_key``)."""
+    return x < 0, abs(x)
 
 
 class Expr:
@@ -137,7 +145,7 @@ class Expr:
         form = self._form
         if form is not None:
             if name == "_key":
-                self._key = hash((10, *[(c, mono[2]) for mono, c in form]))
+                self._key = hash((10, *[(*_signed(c), mono[2]) for mono, c in form]))
                 return self._key
             if name in ("a", "b", "k"):
                 _expand(self)
@@ -199,19 +207,25 @@ class Expr:
     def _d(self, name: str) -> "Expr":
         raise NotImplementedError
 
-    def substitute(self, mapping: dict[str, "Expr"]) -> "Expr":
+    def substitute(self, mapping: dict[str, "Expr"], written: bool = False) -> "Expr":
+        """The expression with variables replaced by expressions of ``mapping``.
+
+        Every operation is rebuilt by its smart constructor, or with
+        ``written`` by ``as_written``, so that the result evaluates as this
+        expression at the values of the substituted ones, bit for bit.
+        """
         memo: dict[int, Expr] = {}
 
         def rec(node: Expr) -> Expr:
             got = memo.get(id(node))
             if got is None:
-                got = node._subst(mapping, rec)
+                got = node._subst(mapping, rec, written)
                 memo[id(node)] = got
             return got
 
         return rec(self)
 
-    def _subst(self, mapping, rec) -> "Expr":
+    def _subst(self, mapping, rec, written) -> "Expr":
         raise NotImplementedError
 
     # -- evaluation ----------------------------------------------------------
@@ -283,12 +297,12 @@ class Const(Expr):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", value)
-        _set_key(self, 0, value)
+        _set_key(self, 0, *_signed(value))
 
     def _d(self, name):
         return _ZERO
 
-    def _subst(self, mapping, rec):
+    def _subst(self, mapping, rec, written):
         return self
 
     def to_source(self):
@@ -308,7 +322,7 @@ class Var(Expr):
     def _d(self, name):
         return _ONE if name == self.name else _ZERO
 
-    def _subst(self, mapping, rec):
+    def _subst(self, mapping, rec, written):
         return mapping.get(self.name, self)
 
     def to_source(self):
@@ -327,6 +341,10 @@ class _Binary(Expr):
     def _args(self):
         return (self.a, self.b)
 
+    def _subst(self, mapping, rec, written):
+        a, b = rec(self.a), rec(self.b)
+        return as_written(type(self), a, b) if written else _CONSTRUCTORS[type(self)](a, b)
+
 
 class Add(_Binary):
     __slots__ = ()
@@ -335,9 +353,6 @@ class Add(_Binary):
 
     def _d(self, name):
         return add(self.a.diff(name), self.b.diff(name))
-
-    def _subst(self, mapping, rec):
-        return add(rec(self.a), rec(self.b))
 
     def to_source(self):
         # parenthesize a same-precedence right operand so reparsing rebuilds
@@ -356,9 +371,6 @@ class Sub(_Binary):
     def _d(self, name):
         return sub(self.a.diff(name), self.b.diff(name))
 
-    def _subst(self, mapping, rec):
-        return sub(rec(self.a), rec(self.b))
-
     def to_source(self):
         text_b = self.b.to_source()
         if self.b.precedence <= self.precedence:
@@ -373,9 +385,6 @@ class Mul(_Binary):
 
     def _d(self, name):
         return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
-
-    def _subst(self, mapping, rec):
-        return mul(rec(self.a), rec(self.b))
 
     def to_source(self):
         text_b = self.b.to_source()
@@ -392,9 +401,6 @@ class Div(_Binary):
     def _d(self, name):
         da, db = self.a.diff(name), self.b.diff(name)
         return div(sub(mul(da, self.b), mul(self.a, db)), powi(self.b, 2))
-
-    def _subst(self, mapping, rec):
-        return div(rec(self.a), rec(self.b))
 
     def to_source(self):
         text_b = self.b.to_source()
@@ -418,8 +424,8 @@ class Neg(Expr):
     def _d(self, name):
         return neg(self.a.diff(name))
 
-    def _subst(self, mapping, rec):
-        return neg(rec(self.a))
+    def _subst(self, mapping, rec, written):
+        return as_written(Neg, rec(self.a)) if written else neg(rec(self.a))
 
     def to_source(self):
         return f"-{self._wrapped(self.a)}"
@@ -433,7 +439,7 @@ class Pow(Expr):
     def __init__(self, a: Expr, k: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k", k)
-        _set_key(self, 8, a._key, k)
+        _set_key(self, 8, a._key, *_signed(k))
 
     def _args(self):
         return (self.a,)
@@ -441,8 +447,8 @@ class Pow(Expr):
     def _d(self, name):
         return mul(mul(const(float(self.k)), powi(self.a, self.k - 1)), self.a.diff(name))
 
-    def _subst(self, mapping, rec):
-        return powi(rec(self.a), self.k)
+    def _subst(self, mapping, rec, written):
+        return as_written(Pow, rec(self.a), self.k) if written else powi(rec(self.a), self.k)
 
     def to_source(self):
         base = self.a.to_source()
@@ -485,7 +491,7 @@ class Call(Expr):
             raise ExprError(f"no derivative rule for {fn}")
         return mul(outer, da)
 
-    def _subst(self, mapping, rec):
+    def _subst(self, mapping, rec, written):
         return call(self.fn, rec(self.a))
 
     def to_source(self):
@@ -521,9 +527,10 @@ _TWO = None  # type: ignore[assignment]
 #   term, and a quotient's coefficient moves out (``-(b/D)`` is ``-1 *
 #   (b/D)``).  What never cancels: a product of atoms never distributes over
 #   a sum; a numerator atom never cancels against a denominator atom
-#   (``x*y/y`` stays a ``Div``); and no node is ever folded because of its
-#   numeric value, so no singularity of a factor is lost.  ``div(a, a)`` is
-#   1 and ``sub(a, a)`` is 0.
+#   (``x*y/y`` stays a ``Div``, so it still refuses y = 0); and no node is
+#   ever folded because of its numeric value.  Terms that cancel drop their
+#   factors' singularities with them, as ``sub(a, a)`` always did: ``x/y -
+#   x/y`` is 0, also at y = 0.  ``div(a, a)`` is 1.
 # * The node of a form is its canonical layout, which depends on the form
 #   alone: terms and atoms are ordered by structural keys (``_set_key``; a
 #   node built from a form hashes the form's coefficients and atom keys);
@@ -532,9 +539,13 @@ _TWO = None  # type: ignore[assignment]
 #   the canonical node of its own form, made on first use.  Hence
 #   ``parse(e.to_source()) is e``, and a node depends neither on what was
 #   built before it nor on what the weak pool has dropped.
-# * Measured on the Engel EL residual: flattening products of more than two
-#   atoms re-lays out shared sub-products and grows its tape, so
-#   ``FACTOR_CAP`` is 2; sums gain up to 16 terms.
+# * Measured on the grid tapes of the Engel EL residual and first variation:
+#   flattening products of more than two atoms re-lays out shared
+#   sub-products and grows the tapes, so ``FACTOR_CAP`` is 2; a cap of 4, 8,
+#   12, 16, 24 or 32 terms gives 9,022, 8,766, 8,703, 8,652, 8,649 or 8,649
+#   EL-residual instructions, so ``FORM_CAP`` is 16.
+# * ``add_all`` is ``add`` folded over many terms without the partial sums'
+#   nodes, and ``as_written`` builds a node with no normal form.
 
 FORM_CAP = 16  # terms of a sum; a larger sum is a binary atom
 FACTOR_CAP = 2  # atoms of a monomial; a larger product keeps its two factors whole
@@ -542,10 +553,19 @@ _UNIT = ((), (), ())  # the monomial of a constant term
 
 
 def _mono(num: tuple, den: tuple) -> tuple:
-    """A monomial: numerator and denominator ((atom, exponent) by atom key), and its sort key."""
-    if not den and len(num) == 1:
-        return num, den, ((num[0][0]._key, num[0][1]),)
-    return num, den, (*[(a._key, e) for a, e in num], *[(a._key, -e) for a, e in den])
+    """A monomial: numerator and denominator ((atom, exponent) by atom key), and its sort key.
+
+    The sort key pairs each atom's key with its exponent, ``~e`` = -e - 1 in
+    the denominator: never -1 (see ``_set_key``).
+    """
+    if not den:
+        if len(num) == 1:
+            ((a, e),) = num
+            return num, den, ((a._key, e),)
+        if len(num) == 2:
+            (a, e), (b, f) = num
+            return num, den, ((a._key, e), (b._key, f))
+    return num, den, (*[(a._key, e) for a, e in num], *[(a._key, ~e) for a, e in den])
 
 
 def const(value: float) -> Const:
@@ -595,6 +615,8 @@ def _canonical(terms) -> tuple | None:
 def _unit_group(form: tuple):
     """(m, G) with form = m * G and G's coefficients ±1, not all -1; None for mixed magnitudes."""
     m = abs(form[0][1])
+    if abs(form[-1][1]) != m:  # terms are ordered by magnitude, the constant last
+        return None
     positive = False
     for _, c in form:
         if c == m:
@@ -614,7 +636,7 @@ def _factor(e: Expr):
     if len(form) == 1:
         (num, den, _), c = form[0]
         if den:  # a quotient is an atom too, without its coefficient
-            return c, ((_node(((_mono(num, den), 1.0),)), 1),), ()
+            return c, (((e if c == 1.0 else _node(((form[0][0], 1.0),))), 1),), ()
         return c, num, den
     # a sum is an atom, without its sign and its common magnitude
     if form[0][1] == 1.0:  # the common case: a leading +1 needs neither
@@ -666,7 +688,12 @@ def _scaled(e: Expr, k: float) -> Expr | None:
 
 def _sum(a: Expr, b: Expr, sign: float) -> Expr | None:
     """The node of form(a) + sign * form(b), or None past ``FORM_CAP`` terms."""
-    fa, fb = _form(a), _form(b)
+    form = _merged(_form(a), _form(b), sign)
+    return None if form is None else _node(form)
+
+
+def _merged(fa: tuple, fb: tuple, sign: float) -> tuple | None:
+    """The form fa + sign * fb, or None past ``FORM_CAP`` terms or off the floats."""
     coefs = dict(fa)
     new = []
     for mono, c in fb:
@@ -681,9 +708,8 @@ def _sum(a: Expr, b: Expr, sign: float) -> Expr | None:
         terms = list(fa)
         for term in new:
             bisect.insort(terms, term, key=_term_key)
-        return _node(tuple(terms))
-    form = _canonical([*coefs.items(), *new])
-    return None if form is None else _node(form)
+        return tuple(terms)
+    return _canonical([*coefs.items(), *new])
 
 
 def _monomial(c: float, num: tuple, den: tuple) -> Expr | None:
@@ -701,11 +727,11 @@ def _node(form: tuple) -> Expr:
     """
     if len(form) == 1:
         mono, c = form[0]
-        if not mono[2]:
+        key = mono[2]
+        if not key:
             return const(c)
-        num = mono[0]
-        if c == 1.0 and len(num) == 1 and not mono[1] and num[0][1] == 1:
-            return num[0][0]  # an atom is its own node
+        if c == 1.0 and len(key) == 1 and key[0][1] == 1:
+            return mono[0][0][0]  # an atom is its own node
     elif not form:
         return _ZERO
     ref = _POOL.get(form)
@@ -840,34 +866,29 @@ def _add_product(coefs: dict, c: float, num: tuple, den: tuple, factor: Expr) ->
 
 
 # ---------------------------------------------------------------------------
-# Plain arithmetic: nodes as written
+# Nodes as written
 # ---------------------------------------------------------------------------
 
-_PLAIN = False
 
-
-class plain_arithmetic:
-    """Context in which the constructors build nodes as written, with no normal form.
+def as_written(cls, a: Expr, b=None) -> Expr:
+    """The node ``cls(a, b)`` as written, with no normal form: ``a + b``, ``a - b``,
+    ``a * b``, ``a / b``, ``-a`` (``b`` unused) or ``a^b`` (``b`` the exponent).
 
     Only constants fold, and so do the identities 0 + a, a - 0, 0 - a,
-    1 * a, -1 * a, 0 * a, a / 1, 0 / a, a - a, a / a and -(-a).  Evaluating
-    an expression substituted here equals evaluating the original at the
-    substituted values, bit for bit: the immersion's tangent map is built so
-    that its grid values are those of a dense contraction.  The nodes are
-    atoms of every normal form built from them later.
+    1 * a, -1 * a, 0 * a, a / 1, 0 / a, a - a, a / a and -(-a).  An
+    expression substituted as written (``Expr.substitute``) evaluates as the
+    original at the substituted values, bit for bit: the immersion's grid
+    tangent map is built so that its values are those of a dense
+    contraction.  The nodes are atoms of every normal form built from them.
     """
-
-    def __enter__(self):
-        global _PLAIN
-        self.outer, _PLAIN = _PLAIN, True
-        return self
-
-    def __exit__(self, *exc):
-        global _PLAIN
-        _PLAIN = self.outer
-
-
-def _plain(cls, a: Expr, b: Expr) -> Expr:
+    if cls is Neg:
+        if type(a) is Const:
+            return const(-a.value)
+        return a.a if type(a) is Neg else _interned((-Neg.tag, id(a)), lambda: Neg(a))
+    if cls is Pow:
+        if b in (0, 1) or type(a) is Const:
+            return powi(a, b)
+        return _interned((Pow.tag, id(a), b), lambda: Pow(a, b))
     if type(a) is Const and type(b) is Const and not (cls is Div and b.value == 0.0):
         return const({Add: operator.add, Sub: operator.sub, Mul: operator.mul,
                       Div: operator.truediv}[cls](a.value, b.value))
@@ -882,7 +903,7 @@ def _plain(cls, a: Expr, b: Expr) -> Expr:
         if kb == 0.0:
             return a
         if ka == 0.0:
-            return neg(b)
+            return as_written(Neg, b)
         if a is b:
             return _ZERO
     elif cls is Mul:
@@ -893,9 +914,9 @@ def _plain(cls, a: Expr, b: Expr) -> Expr:
         if kb == 1.0:
             return a
         if ka == -1.0:
-            return neg(b)
+            return as_written(Neg, b)
         if kb == -1.0:
-            return neg(a)
+            return as_written(Neg, a)
     else:
         if kb == 1.0:
             return a
@@ -914,8 +935,6 @@ def _binary(cls, a: Expr, b: Expr) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _PLAIN:
-        return _plain(Add, a, b)
     if type(a) is Const:
         if type(b) is Const:
             return const(a.value + b.value)
@@ -926,9 +945,21 @@ def add(a: Expr, b: Expr) -> Expr:
     return _sum(a, b, 1.0) or _binary(Add, a, b)
 
 
+def add_all(items) -> Expr:
+    """``add`` folded over ``items`` from 0: the same node, without the partial sums' nodes.
+
+    The fold runs on forms; a partial sum is made a node only where adding
+    the next item would leave ``FORM_CAP`` (or the floats), and ``add``
+    takes that step.
+    """
+    form = ()
+    for e in items:
+        merged = _merged(form, _form(e), 1.0)
+        form = _form(add(_node(form), e)) if merged is None else merged
+    return _node(form)
+
+
 def sub(a: Expr, b: Expr) -> Expr:
-    if _PLAIN:
-        return _plain(Sub, a, b)
     if type(b) is Const:
         if type(a) is Const:
             return const(a.value - b.value)
@@ -942,8 +973,6 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _PLAIN:
-        return _plain(Mul, a, b)
     if type(a) is Const or type(b) is Const:
         if type(a) is Const and type(b) is Const:
             return const(a.value * b.value)
@@ -962,8 +991,6 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _PLAIN:
-        return _plain(Div, a, b)
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0):
@@ -989,8 +1016,6 @@ def div(a: Expr, b: Expr) -> Expr:
 def neg(a: Expr) -> Expr:
     if _is_const(a):
         return const(-a.value)
-    if _PLAIN:
-        return a.a if type(a) is Neg else _interned((Neg.tag, id(a)), lambda: Neg(a))
     return _scaled(a, -1.0)
 
 
@@ -1009,7 +1034,7 @@ def powi(a: Expr, k: int) -> Expr:
             raise EvaluationError(f"overflow in ({a.value!r})^{k}") from None
         except ZeroDivisionError:
             raise EvaluationError("zero raised to a negative power") from None
-    if k > 0 and not _PLAIN:  # a negative power stays whole, an atom: it refuses like ``np.power``
+    if k > 0:  # a negative power stays whole, an atom: it refuses like ``np.power``
         c, num, den = _factor(a)
         try:
             c = c**k
@@ -1034,6 +1059,9 @@ def call(fn: str, a: Expr) -> Expr:
         except ValueError:
             pass  # out of domain: leave symbolic, refused when a tape is compiled
     return _interned(("f", fn, id(a)), lambda: Call(fn, a))
+
+
+_CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitute``
 
 
 # ---------------------------------------------------------------------------

@@ -10,31 +10,29 @@ Cauchy-Binet that volume is the norm of the minors row
 Pointwise operations run the batched grid path on a batch of one, so the
 pointwise degree is the grid degree rule applied to one row.
 
-The tangent map has one implementation: ``tau_exprs``, the expressions
-tau = (C o Phi) J with C the orthonormal coframe and J the Jacobian, which
-the symbolic frames build on too.  The grid path keeps tangent data points
-last, so every per-entry operation runs over one contiguous row of N
-values: the Jacobian, tau and the sum of the squared entries of C o Phi are
-evaluated in one tape pass into row arrays (one row per expression, shape
-(k, N)).  C o Phi and the product are built in plain arithmetic
-(``exprs.plain_arithmetic``: nodes as written, no normal form), so C o Phi
+The tangent map is tau = (C o Phi) J, with C the orthonormal coframe and
+J the Jacobian: ``tau_exprs`` in normal form for the symbolic frames, and
+the grid roots ``_tangent_roots`` from the same coframe and Jacobian.  The
+grid path keeps tangent data points last, so every per-entry operation runs
+over one contiguous row of N values: the Jacobian, tau and the sum of the
+squared entries of C o Phi are evaluated in one tape pass into row arrays
+(one row per expression, shape (k, N)).  There C o Phi and the product are
+built as written (``exprs.as_written``: no normal form), so C o Phi
 evaluates as C at the values of Phi.  The product sums over ascending j and
 drops the terms whose factor is the structural constant 0, so adding 0
 times that sum gives the values of a dense einsum from its zero start, bit
-for bit, and NaN
-wherever an entry of C o Phi is not finite, even one the product dropped
-against a structurally zero row of J (a frame that is no basis on the
-image).  On a tensor grid the tangent map is evaluated only on the
-sub-grid of the parameters J and tau use (``tangent_subgrid``; the NaN
+for bit, and NaN wherever an entry of C o Phi is not finite, even one the
+product dropped against a structurally zero row of J (a frame that is no
+basis on the image).  On a tensor grid the tangent map is evaluated only on
+the sub-grid of the parameters J and tau use (``tangent_subgrid``; the NaN
 guard is checked on its own sub-grid), and per-point results are broadcast
-back onto every node.  ``_tangent_grids``
-returns (N, n, m) views of the (n, m, N) arrays, which ``multivec.minors``
-reads back points last without a copy.  The degree
-scan refuses rank-deficient points from the same minors row: for m = 2
-sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
-of tau (``_rank_deficient``), and only other m take singular values.  Its
-lower-semicontinuity check takes neighbour maxima with shifted slices, not a
-loop over grid points.
+back onto every node.  ``_tangent_grids`` returns (N, n, m) views of the
+(n, m, N) arrays, which ``multivec.minors`` reads back points last without
+a copy.  The degree scan refuses rank-deficient points from the same minors
+row: for m = 2 sigma_min / sigma_max is closed form in the row norm and the
+Frobenius norm of tau (``_rank_deficient``), and only other m take singular
+values.  Its lower-semicontinuity check takes neighbour maxima with shifted
+slices, not a loop over grid points.
 
 The degree-adapted tangent basis used by the admissibility machinery is the
 column-echelon basis with one pivot row per tangent-flag layer: each basis
@@ -50,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import (
-    Const, EvaluationError, Expr, evaluate_many, plain_arithmetic, variables_each,
+    Add, Const, EvaluationError, Expr, Mul, as_written, evaluate_many, variables_each,
 )
 from .manifold import Manifold, numeric_rank
 from .multivec import (
@@ -62,7 +60,7 @@ from .multivec import (
     minors,
     minors_norm,
 )
-from .symmat import emat_mul, sum_exprs
+from .symmat import ZERO, emat_mul, sum_exprs
 
 __all__ = [
     "Immersion",
@@ -220,33 +218,44 @@ class Immersion:
         basis field anywhere on the image; it is refused by name here, before
         its coframe's constant 1/0 reaches a tape.
         """
+        self._refuse_vanishing_frame()
+        return [[self.compose(e) for e in row] for row in self.manifold.ortho_coframe_exprs]
+
+    def _refuse_vanishing_frame(self) -> None:
         for j, field in enumerate(self.manifold.frame.fields, start=1):
             if all(type(c) is Const and c.value == 0.0 for c in map(self.compose, field)):
                 raise DegenerateInputError(
                     f"frame field X{j} vanishes on the image, so the frame is no basis there"
                 )
-        coframe = self.manifold.ortho_coframe_exprs
-        with plain_arithmetic():  # evaluates as the coframe at the values of Phi
-            return [[self.compose(e) for e in row] for row in coframe]
 
     @cached_property
     def tau_exprs(self):
-        """Orthonormal-frame components of dPhi, (coframe o Phi) J: n x m expressions.
-
-        Built in plain arithmetic, so its values are those of the dense
-        contraction of the coframe's values with the Jacobian's.
-        """
-        cof, jac = self.ortho_coframe_exprs, self.jacobian_exprs
-        with plain_arithmetic():
-            return emat_mul(cof, jac)
+        """Orthonormal-frame components of dPhi, (coframe o Phi) J: n x m expressions."""
+        return emat_mul(self.ortho_coframe_exprs, self.jacobian_exprs)
 
     @cached_property
     def _tangent_roots(self) -> list:
-        """The Jacobian, tau (both row-major) and the sum of squared coframe entries."""
-        coframe_sq = sum_exprs([e * e for row in self.ortho_coframe_exprs for e in row])
+        """The Jacobian, tau (both row-major) and the sum of squared coframe entries.
+
+        C o Phi and tau are built as written (module docstring), so their
+        values are those of the dense contraction of C at the values of Phi.
+        """
+        self._refuse_vanishing_frame()
+        coframe = [
+            [e.substitute(self._phi_map, written=True) for e in row]
+            for row in self.manifold.ortho_coframe_exprs
+        ]
+        jac = self.jacobian_exprs
+        tau = [[ZERO] * self.m for _ in range(self.n)]
+        for i, row in enumerate(coframe):
+            for j, c in enumerate(row):
+                if c is not ZERO:
+                    for a in range(self.m):
+                        tau[i][a] = as_written(Add, tau[i][a], as_written(Mul, c, jac[j][a]))
+        coframe_sq = sum_exprs([e * e for row in coframe for e in row])
         return [
-            *(e for row in self.jacobian_exprs for e in row),
-            *(e for row in self.tau_exprs for e in row),
+            *(e for row in jac for e in row),
+            *(e for row in tau for e in row),
             coframe_sq,
         ]
 

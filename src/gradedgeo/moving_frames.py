@@ -54,7 +54,6 @@ __all__ = ["ImmersionFrames", "SystemShape", "SymbolicSystem"]
 
 ZERO = const(0.0)
 ONE = const(1.0)
-VARIATION_CACHE_SIZE = 8  # (field, d) pairs whose first-variation roots stay built
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ class ImmersionFrames:
         self.mani = imm.manifold
         self.base = imm.midpoint()
         self._memo: dict = {}
-        self._variation_roots: dict = {}  # (field, d) -> roots, most recently used last
 
     def compose(self, expr: Expr) -> Expr:
         """Restrict an ambient expression to the surface (``Immersion.compose``)."""
@@ -550,22 +548,21 @@ class ImmersionFrames:
     def first_variation_roots(self, field, d: int) -> tuple[Expr, ...]:
         """(integrand, Theta_d, ambient field components) of the first variation.
 
-        The integrand is (div_d V + f(V)) / Theta_d * sqrt(det mu).  Built once
-        per (field, d); the last ``VARIATION_CACHE_SIZE`` pairs are kept.
+        The integrand is (div_d V + f(V)) / Theta_d * sqrt(det mu).  The roots
+        of the last (field, d) asked for are kept in ``_memo``, one slot: a
+        caller asks for one field at a time, often again.
         """
-        key = (field, d)
-        roots = self._variation_roots.pop(key, None)
-        if roots is None:
-            theta = self.theta(d)
-            integrand = (
-                (self.div_degree_d_expr(field, d) + self.f_linear_expr(field, d))
-                / theta
-                * self.sqrt_detmu
-            )
-            roots = (integrand, theta, *self.ambient_field_from_variation(field))
-            if len(self._variation_roots) >= VARIATION_CACHE_SIZE:
-                del self._variation_roots[next(iter(self._variation_roots))]
-        self._variation_roots[key] = roots
+        last = self._memo.get("first_variation_roots")
+        if last is not None and last[0] == (field, d):
+            return last[1]
+        theta = self.theta(d)
+        integrand = (
+            (self.div_degree_d_expr(field, d) + self.f_linear_expr(field, d))
+            / theta
+            * self.sqrt_detmu
+        )
+        roots = (integrand, theta, *self.ambient_field_from_variation(field))
+        self._memo["first_variation_roots"] = ((field, d), roots)
         return roots
 
     def div_degree_d_expr(self, field, d: int) -> Expr:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Expr, call, const, div, evaluate_many, mul, sub
+from .exprs import Expr, add_all, call, const, div, evaluate_many, mul, sub
 
 __all__ = [
     "ezeros",
@@ -55,10 +55,7 @@ def emat_mul(A, B):
 
 
 def sum_exprs(items):
-    total = ZERO
-    for item in items:
-        total = total + item
-    return total
+    return add_all(items)
 
 
 def edot(u, v):

@@ -463,6 +463,36 @@ def test_factors_commute_and_like_terms_merge():
     assert const(0.5) * (a + a - a) - const(0.5) * a is const(0.0)
 
 
+def test_add_all_is_the_left_fold():
+    # past FORM_CAP the fold makes partial sums atoms; cancelling, constant
+    # and zero items on the way
+    rng = np.random.default_rng(11)
+    x, y = var("x"), var("y")
+    for n in (0, 1, 2, 17, 40):
+        items = [_random_expr(rng, ["x", "y"], 2) for _ in range(n)]
+        items += [x * y, -(y * x), const(0.0), const(1.5), x / y, -(x / y)]
+        items += [const(float(k)) * call("sin", x * k) for k in range(1, 20)]
+        rng.shuffle(items)
+        fold = const(0.0)
+        for e in items:
+            fold = fold + e
+        assert exprs.add_all(items) is fold
+
+
+def test_negative_numbers_get_distinct_keys():
+    # hash(-1) == hash(-2) in CPython: keys built from such numbers would tie,
+    # and tied atoms would keep their argument order
+    x, d = var("x"), var("D")
+    assert const(-1.0)._key != const(-2.0)._key
+    p1, p2 = exprs.powi(x, -1), exprs.powi(x, -2)
+    assert p1._key != p2._key
+    assert exprs.mul(p1, p2) is exprs.mul(p2, p1)
+    q1, q2 = x / d, x / exprs.powi(d, 2)
+    assert q1._key != q2._key
+    assert q1 * q2 is q2 * q1
+    assert (x - d)._key != (x - const(2.0) * d)._key
+
+
 def test_numerator_never_cancels_a_denominator():
     x, y = var("x"), var("y")
     q = (x * y) / y

@@ -155,24 +155,21 @@ def test_first_variation_tangent_field(engel_graph, grid48):
 
 
 def test_first_variation_roots_are_built_once_and_bounded(engel_graph, grid48):
-    from gradedgeo import moving_frames
-
     fr = frames_for(engel_graph)
     bump = bump_expr()
-    fields = [
-        VariationField("normal", (const(0.0), bump * const(1.0 + k)))
-        for k in range(moving_frames.VARIATION_CACHE_SIZE + 3)
-    ]
+    fields = [VariationField("normal", (const(0.0), bump * const(1.0 + k))) for k in range(4)]
     first = fr.first_variation_roots(fields[0], 4)
     assert fr.first_variation_roots(fields[0], 4) is first  # built once
+    size = len(fr._memo)
     for field in fields:
-        fr.first_variation_roots(field, 4)
-        assert len(fr._variation_roots) <= moving_frames.VARIATION_CACHE_SIZE
-    assert (fields[0], 4) not in fr._variation_roots  # least recently used, evicted
-    # rebuilt after eviction: the same interned nodes, the same value
+        for d in (3, 4):
+            fr.first_variation_roots(field, d)
+            assert len(fr._memo) <= size + 2  # one slot, and the theta(3) it built
+    assert fr._memo["first_variation_roots"][0] == (fields[-1], 4)  # the last pair only
+    # rebuilt after it left the slot: the same interned nodes, the same value
     assert fr.first_variation_roots(fields[0], 4) == first
     fv = first_variation(engel_graph, fields[1], grid48, 4)
-    assert fr._variation_roots.get((fields[1], 4)) is not None
+    assert fr._memo["first_variation_roots"][0] == (fields[1], 4)
     assert first_variation(engel_graph, fields[1], grid48, 4) == fv
 
 
