@@ -39,6 +39,7 @@ __all__ = [
     "var",
     "add",
     "add_all",
+    "dot",
     "sub",
     "mul",
     "div",
@@ -644,7 +645,7 @@ def _factor(e: Expr):
     group = _unit_group(form)
     if group is not None and group[0] != 1.0:
         return group[0], ((_node(group[1]), 1),), ()
-    if group is None and all(c < 0.0 for _, c in form):
+    if group is None and form[0][1] < 0.0 and all(c < 0.0 for _, c in form):
         return -1.0, ((_node(tuple((mono, -c) for mono, c in form)), 1),), ()
     return 1.0, ((e, 1),), ()
 
@@ -701,7 +702,9 @@ def _merged(fa: tuple, fb: tuple, sign: float) -> tuple | None:
         if old is None:
             new.append((mono, sign * c))
         else:
-            coefs[mono] = old + sign * c
+            c = coefs[mono] = old + sign * c
+            if not -math.inf < c < math.inf:
+                return None
     if len(new) == len(fb):  # no like terms: the new ones slot into order
         if len(fa) + len(new) > FORM_CAP:
             return None
@@ -709,7 +712,8 @@ def _merged(fa: tuple, fb: tuple, sign: float) -> tuple | None:
         for term in new:
             bisect.insort(terms, term, key=_term_key)
         return tuple(terms)
-    return _canonical([*coefs.items(), *new])
+    terms = [t for t in (*coefs.items(), *new) if t[1] != 0.0]
+    return None if len(terms) > FORM_CAP else tuple(sorted(terms, key=_term_key))
 
 
 def _monomial(c: float, num: tuple, den: tuple) -> Expr | None:
@@ -858,7 +862,8 @@ def _add_product(coefs: dict, c: float, num: tuple, den: tuple, factor: Expr) ->
     if factor is _ZERO:
         return
     cf, nf, df = _factor(factor)
-    n, d = _merge(num, nf), _merge(den, df)
+    n = _merge(num, nf) if num and nf else num or nf
+    d = _merge(den, df) if den and df else den or df
     if len(n) + len(d) > FACTOR_CAP:
         n, d = _merge(_whole(num, den), _whole(nf, df)), ()
     mono = _mono(n, d)
@@ -946,16 +951,28 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def add_all(items) -> Expr:
-    """``add`` folded over ``items`` from 0: the same node, without the partial sums' nodes.
+    """``add`` folded over ``items`` from 0: the same node, without the partial sums' nodes."""
+    return _fold(map(_form, items))
 
-    The fold runs on forms; a partial sum is made a node only where adding
-    the next item would leave ``FORM_CAP`` (or the floats), and ``add``
-    takes that step.
+
+def dot(xs, ys) -> Expr:
+    """``add_all`` of the products ``mul(x, y)``: the same node, without the products' nodes."""
+    return _fold(
+        _form(mul(x, y)) if type(x) is Const or type(y) is Const else _product_form(x, y)
+        for x, y in zip(xs, ys)
+    )
+
+
+def _fold(forms) -> Expr:
+    """The left fold of ``add`` over the nodes of ``forms``, run on the forms.
+
+    A partial sum is made a node only where adding the next form would leave
+    ``FORM_CAP`` (or the floats), and ``add`` takes that step.
     """
     form = ()
-    for e in items:
-        merged = _merged(form, _form(e), 1.0)
-        form = _form(add(_node(form), e)) if merged is None else merged
+    for f in forms:
+        merged = _merged(form, f, 1.0)
+        form = _form(add(_node(form), _node(f))) if merged is None else merged
     return _node(form)
 
 
@@ -982,12 +999,21 @@ def mul(a: Expr, b: Expr) -> Expr:
         if k == 1.0:
             return e
         return _scaled(e, k) or _binary(Mul, a, b)  # a constant scales every term
+    return _node(_product_form(a, b))
+
+
+def _product_form(a: Expr, b: Expr) -> tuple:
+    """The form of ``mul(a, b)`` for a and b not constants, without its node."""
     ca, na, da = _factor(a)
     cb, nb, db = _factor(b)
-    num, den = _merge(na, nb), _merge(da, db)
+    num = _merge(na, nb) if na and nb else na or nb
+    den = _merge(da, db) if da and db else da or db
     if len(num) + len(den) > FACTOR_CAP:  # the two factors stay whole
         num, den = _merge(_whole(na, da), _whole(nb, db)), ()
-    return _monomial(ca * cb, num, den) or _binary(Mul, a, b)
+    c = ca * cb
+    if c == 0.0 or not math.isfinite(c):
+        return _form(_binary(Mul, a, b))
+    return ((_mono(num, den), c),)
 
 
 def div(a: Expr, b: Expr) -> Expr:

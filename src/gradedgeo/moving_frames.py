@@ -161,7 +161,7 @@ class ImmersionFrames:
         out = [[ZERO for _ in range(m)] for _ in range(m)]
         for a in range(m):
             for b in range(m):
-                out[a][b] = sum_exprs([tau[i][a] * tau[i][b] for i in range(n)])
+                out[a][b] = edot([tau[i][a] for i in range(n)], [tau[i][b] for i in range(n)])
         return out
 
     @cached_property
@@ -319,27 +319,18 @@ class ImmersionFrames:
 
     def tangent_derivative(self, param_col, f: Expr) -> Expr:
         """Directional derivative of a parameter function along a tangent field."""
-        return sum_exprs(
-            [param_col[a] * f.diff(name) for a, name in enumerate(self.imm.params)]
-        )
+        return edot(param_col, [f.diff(name) for name in self.imm.params])
 
     def _christoffel_sum(self, c: int, v_coord, w_coord) -> Expr:
         """sum_ab Gamma^c_ab v^a w^b over the symbols that are not the structural 0."""
         gam = self.christoffel[c]
-        n = self.n
-        return sum_exprs(
-            [
-                gam[a][b] * v_coord[a] * w_coord[b]
-                for a in range(n)
-                for b in range(n)
-                if not (gam[a][b] is ZERO)
-            ]
-        )
+        rows = [a for a, row in enumerate(gam) if any(g is not ZERO for g in row)]
+        return edot([v_coord[a] for a in rows], [edot(gam[a], w_coord) for a in rows])
 
     def nabla_field_along(self, param_col, field_coord) -> list[Expr]:
         """nabla_v W for W given along M (coordinate comps), v tangent (param comps)."""
         v_coord = [
-            sum_exprs([self.imm.jacobian_exprs[c][a] * param_col[a] for a in range(self.m)])
+            edot(self.imm.jacobian_exprs[c], param_col)
             for c in range(self.n)
         ]
         return [
@@ -353,9 +344,7 @@ class ImmersionFrames:
         n = self.n
         field = [self.ortho_mat[b][field_index] for b in range(n)]
         return [
-            sum_exprs(
-                [v_coord[a] * self.frame_coord_derivs[a][c][field_index] for a in range(n)]
-            )
+            edot(v_coord, [self.frame_coord_derivs[a][c][field_index] for a in range(n)])
             + self._christoffel_sum(c, v_coord, field)
             for c in range(n)
         ]

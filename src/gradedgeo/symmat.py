@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Expr, add_all, call, const, div, evaluate_many, mul, sub
+from .exprs import Expr, add_all, call, const, div, dot, evaluate_many, mul, sub
 
 __all__ = [
     "ezeros",
@@ -42,15 +42,10 @@ def etranspose(A):
 
 
 def emat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = ezeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = A[i][k]
-            if aik is ZERO:
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + aik * B[k][j]
+    out = []
+    for row in A:
+        ks = [k for k, aik in enumerate(row) if aik is not ZERO]
+        out.append([dot([row[k] for k in ks], [B[k][j] for k in ks]) for j in range(len(B[0]))])
     return out
 
 
@@ -59,7 +54,7 @@ def sum_exprs(items):
 
 
 def edot(u, v):
-    return sum_exprs([a * b for a, b in zip(u, v)])
+    return dot(u, v)
 
 
 def edet(A) -> Expr:
