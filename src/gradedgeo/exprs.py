@@ -540,11 +540,11 @@ _TWO = None  # type: ignore[assignment]
 #   the canonical node of its own form, made on first use.  Hence
 #   ``parse(e.to_source()) is e``, and a node depends neither on what was
 #   built before it nor on what the weak pool has dropped.
-# * Measured on the grid tapes of the Engel EL residual and first variation:
-#   flattening products of more than two atoms re-lays out shared
-#   sub-products and grows the tapes, so ``FACTOR_CAP`` is 2; a cap of 4, 8,
-#   12, 16, 24 or 32 terms gives 9,022, 8,766, 8,703, 8,652, 8,649 or 8,649
-#   EL-residual instructions, so ``FORM_CAP`` is 16.
+# * Measured on the grid tape of the Engel EL residual (engel-graph
+#   theta = 0.37x + 0.29y): flattening products of more than two atoms
+#   re-lays out shared sub-products and grows it (``FACTOR_CAP`` 2, 3, 4:
+#   7,407, 8,067, 8,721 instructions); a ``FORM_CAP`` of 4, 8, 12, 16, 24
+#   or 32 terms gives 7,503, 7,413, 7,409, 7,407, 7,407 or 7,407.
 # * ``add_all`` is ``add`` folded over many terms without the partial sums'
 #   nodes, and ``as_written`` builds a node with no normal form.
 

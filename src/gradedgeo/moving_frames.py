@@ -322,7 +322,13 @@ class ImmersionFrames:
         return edot(param_col, [f.diff(name) for name in self.imm.params])
 
     def _christoffel_sum(self, c: int, v_coord, w_coord) -> Expr:
-        """sum_ab Gamma^c_ab v^a w^b over the symbols that are not the structural 0."""
+        """sum_ab Gamma^c_ab v^a w^b as sum_a v^a (sum_b Gamma^c_ab w^b).
+
+        The rows of Gamma^c that are the structural 0 throughout are left
+        out.  Factored by rows, the sum keeps v^a as one factor of each row
+        instead of one product per symbol, which makes the frames' tapes
+        smaller.
+        """
         gam = self.christoffel[c]
         rows = [a for a, row in enumerate(gam) if any(g is not ZERO for g in row)]
         return edot([v_coord[a] for a in rows], [edot(gam[a], w_coord) for a in rows])
