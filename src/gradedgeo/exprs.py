@@ -9,8 +9,9 @@ set; the only power operator allowed is ``base^k`` with a constant integer
 exponent, which keeps differentiation closed and avoids branch cuts.
 
 Evaluation accepts scalar or numpy-array variable bindings and runs a
-compiled tape of numpy ufuncs, cached per tuple of roots; it has one
-semantics.  Array evaluation lets non-finite values propagate and keeps only
+compiled tape of numpy ufuncs, cached per tuple of roots, from which the
+registers an exact certificate proves 0 or +-another register are folded;
+it has one semantics.  Array evaluation lets non-finite values propagate and keeps only
 live values in memory.  Scalar bindings alone are a batch of one through the
 same ufuncs, so a point's value equals its value on a grid bit for bit, and
 it raises :class:`EvaluationError` on domain errors (log of a negative
@@ -22,6 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import random
 import weakref
 
 import numpy as np
@@ -525,13 +527,20 @@ _TWO = None  # type: ignore[assignment]
 # * What merges: like terms add and cancel (``sin(t)*cos(t) +
 #   cos(t)*-sin(t)`` is 0), factors commute (``a*b`` is ``b*a``), powers of
 #   one atom collect (``x*x`` is ``x^2``), signs and constants scale every
-#   term, and a quotient's coefficient moves out (``-(b/D)`` is ``-1 *
-#   (b/D)``).  What never cancels: a product of atoms never distributes over
-#   a sum; a numerator atom never cancels against a denominator atom
-#   (``x*y/y`` stays a ``Div``, so it still refuses y = 0); and no node is
-#   ever folded because of its numeric value.  Terms that cancel drop their
-#   factors' singularities with them, as ``sub(a, a)`` always did: ``x/y -
-#   x/y`` is 0, also at y = 0.  ``div(a, a)`` is 1.
+#   term, a quotient's coefficient moves out (``-(b/D)`` is ``-1 *
+#   (b/D)``), and ``c*R*cos(u)^2 + c*R*sin(u)^2`` is ``c*R`` for one
+#   argument node u and one monomial R, until no such pair is left
+#   (``_pythagorean``; ``cos(u)^2 + sin(u)^2`` is 1, so the adjugate
+#   inverse of a rotation divides by nothing).  The pair merges whole:
+#   ``cos(u)^2`` alone is never rewritten as the cancellation-prone ``1 -
+#   sin(u)^2``.  What never cancels: a product of atoms never distributes
+#   over a sum, so ``cos(u)*(sin(u)/D) - sin(u)*(cos(u)/D)`` stays a node
+#   (the tape's fold, under "Evaluation", removes it); a numerator atom
+#   never cancels against a denominator atom (``x*y/y`` stays a ``Div``, so
+#   it still refuses y = 0); and no node is ever folded because of its
+#   numeric value.  Terms that cancel drop their factors' singularities with
+#   them, as ``sub(a, a)`` always did: ``x/y - x/y`` is 0, also at y = 0.
+#   ``div(a, a)`` is 1.
 # * The node of a form is its canonical layout, which depends on the form
 #   alone: terms and atoms are ordered by structural keys (``_set_key``; a
 #   node built from a form hashes the form's coefficients and atom keys);
@@ -541,10 +550,12 @@ _TWO = None  # type: ignore[assignment]
 #   ``parse(e.to_source()) is e``, and a node depends neither on what was
 #   built before it nor on what the weak pool has dropped.
 # * Measured on the grid tape of the Engel EL residual (engel-graph
-#   theta = 0.37x + 0.29y): flattening products of more than two atoms
-#   re-lays out shared sub-products and grows it (``FACTOR_CAP`` 2, 3, 4:
-#   7,407, 8,067, 8,721 instructions); a ``FORM_CAP`` of 4, 8, 12, 16, 24
-#   or 32 terms gives 7,503, 7,413, 7,409, 7,407, 7,407 or 7,407.
+#   theta = 0.37x + 0.29y), before and after the tape's fold: flattening
+#   products of more than two atoms re-lays out shared sub-products and
+#   grows it (``FACTOR_CAP`` 2, 3, 4: 6,607, 7,213, 7,972 instructions;
+#   5,731, 6,419, 7,095 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
+#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (5,839, 5,738,
+#   then 5,731 folded).  Without the sin^2 + cos^2 merge it had 7,407.
 # * ``add_all`` is ``add`` folded over many terms without the partial sums'
 #   nodes, and ``as_written`` builds a node with no normal form.
 
@@ -743,6 +754,10 @@ def _node(form: tuple) -> Expr:
         node = ref()
         if node is not None:
             return node
+    else:  # only merged forms are interned: a form met for the first time may merge
+        merged = _pythagorean(form)
+        if merged is not None:
+            return _node(merged)
     cls = _kind(form)
     node = cls.__new__(cls)
     node._form = form
@@ -750,6 +765,56 @@ def _node(form: tuple) -> Expr:
     node._dmemo = None
     _POOL[form] = weakref.KeyedRef(node, _drop, form)
     return node
+
+
+def _pythagorean(form: tuple) -> tuple | None:
+    """The form with each ``c*R*cos(u)^2 + c*R*sin(u)^2`` merged into ``c*R``, until none is left.
+
+    ``u`` is one argument node and ``R`` one monomial, the rest of both
+    terms.  None if no pair merges, or if a merged coefficient leaves the
+    floats.
+    """
+    coefs = None
+    changed = True
+    while changed:
+        changed = False
+        for (num, den, _), c in form if coefs is None else list(coefs.items()):
+            for atom, e in num:
+                if e < 2 or type(atom) is not Call or atom.fn != "cos":
+                    continue
+                ref = _POOL.get(("f", "sin", id(atom.a)))
+                sin = None if ref is None else ref()
+                if sin is None:  # no live form holds sin(u)
+                    continue
+                rest = _times(num, atom, -2)
+                partner = _mono(_times(rest, sin, 2), den)
+                if coefs is None:
+                    coefs = dict(form)
+                if coefs.get(partner) != c:
+                    continue
+                del coefs[partner], coefs[_mono(num, den)]
+                mono = _mono(rest, den)
+                total = coefs.pop(mono, 0.0) + c
+                if total:
+                    coefs[mono] = total
+                changed = True
+                break
+            if changed:
+                break
+    if coefs is None or len(coefs) == len(form):
+        return None
+    return _canonical(coefs.items())
+
+
+def _times(num: tuple, atom: Expr, e: int) -> tuple:
+    """The numerator ``num`` times ``atom^e``, atoms in key order."""
+    exps = dict(num)
+    k = exps.get(atom, 0) + e
+    if k:
+        exps[atom] = k
+    else:
+        del exps[atom]
+    return tuple(sorted(exps.items(), key=_atom_key))
 
 
 def _expand(node: Expr) -> None:
@@ -972,7 +1037,10 @@ def _fold(forms) -> Expr:
     form = ()
     for f in forms:
         merged = _merged(form, f, 1.0)
-        form = _form(add(_node(form), _node(f))) if merged is None else merged
+        if merged is None:
+            form = _form(add(_node(form), _node(f)))
+        else:  # each partial sum merged as ``_node`` merges it
+            form = _pythagorean(merged) or merged
     return _node(form)
 
 
@@ -1102,18 +1170,56 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 # ``ufunc(regs[a], out=bufs[buf])`` when ``b < 0``.  The smart constructors
 # fold every node whose operands are all constants unless folding fails
 # (``1/0``, ``log(-1)``), and the tape refuses those, so every instruction
-# reads a variable and writes an array of the env's broadcast shape.  The
-# code runs over blocks of at most ``BLOCK_POINTS`` points.  A root writes
-# straight into its own result array; every other node writes into a row of
-# one work array that the run allocates once and reuses for every block.
-# A row returns to the free list after its node's last use, so the row
-# count is the peak number of live values and memory is O(live registers x
-# block) plus the results.
+# reads a variable (or a register the fold below made a constant) and
+# writes an array of the env's broadcast shape.  The code runs over blocks
+# of at most ``BLOCK_POINTS`` points.  A root writes straight into its own
+# result array; every other node writes into a row of one work array that
+# the run allocates once and reuses for every block.  A row returns to the
+# free list after its node's last use, so the row count is the peak number
+# of live values and memory is O(live registers x block) plus the results.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
+#
+# Before buffers are assigned, one fold pass (``_Fold``) shrinks the
+# instruction list:
+#
+# * Candidates.  The registers run, in tape order, at three points over
+#   F_p, p = 2^61 - 1, drawn from a fixed seed: floats enter as their exact
+#   rationals, sin and cos of one argument register as a point
+#   (2t/(1+t^2), (1-t^2)/(1+t^2)) of the unit circle, and every other call,
+#   and every register that would need 1/0, as a random value of its own.
+#   A register is a candidate when its values are all 0, or equal those of
+#   a register below it (its own sub-DAG, searched depth first), or their
+#   negatives: random interpretation (Gulwani & Necula, POPL 2004; by
+#   Schwartz-Zippel a nonzero value proves a register nonzero).  Equal
+#   registers in different branches are left alone: folding one into the
+#   other would make a node's value depend on the other roots it is
+#   evaluated with, and a system's matrices evaluated together must equal
+#   each evaluated alone, bit for bit.
+# * Certificates.  A candidate folds only when a bounded exact expansion
+#   proves it: integer coefficients times powers of two (every float is
+#   one), numerator and denominator monomials kept apart, cos(u)^2 reduced
+#   to 1 - sin(u)^2 in numerators, and registers whose expansion may pass
+#   ``_CERT_TERMS`` terms as opaque atoms.  Candidates without a
+#   certificate stay in the tape and are counted (``uncertified``).
+# * Folds.  A certified zero becomes the constant 0, and x*0, 0/x, x+-0,
+#   0-x, -0 and 0^k (k > 0) follow from it; a certified duplicate reads the
+#   register below it; a certified negation is one ``negative`` of it.  Then
+#   instructions no root reads are dropped.  A root folded into a constant
+#   is that constant; one folded into a computed register is copied into
+#   a result of its own.
+# * Never folded: a node built as written (``as_written``), a call, a
+#   power that stays whole, and any register for its floating-point value:
+#   ``0.1*x*3 - 0.3*x`` is 2^-54 x, not 0.  A fold changes a value by
+#   rounding only, and a node folds alike in every process and in every
+#   root tuple.
+# * Measured on engel-graph theta = 0.37x + 0.29y: the EL residual's tape
+#   6,607 -> 5,731 instructions (671 -> 589 work rows), the first
+#   variation's 1,268 -> 996; the pass takes about 60 ms on the first.
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _SYMBOLS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.divide: "/"}
 _CALL_NAMES = {ufunc: fn for fn, ufunc in _NP_FUNCS.items()}
+_CALL_UFUNCS = frozenset(_CALL_NAMES)
 
 # A batch of one refuses what an array lets propagate as inf or NaN.
 _POINT_ERRORS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
@@ -1127,15 +1233,18 @@ _TAPES: "dict[tuple[int, ...], _Tape]" = {}
 class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
-    __slots__ = ("roots", "init", "loads", "code", "nbufs", "out", "leaves", "results")
+    __slots__ = (
+        "roots", "init", "loads", "code", "nbufs", "out", "leaves", "results", "folds",
+        "uncertified",
+    )
 
     def __init__(self, roots: tuple):
         self.roots = roots  # holds the nodes, so the cache key's ids stay valid
         index: dict = {}  # node -> register
         init: list = []  # register file template
         loads = []  # (register, variable name)
+        nodes: list = []  # register -> node, None for an exponent
         code = []  # (ufunc, a, b, dst), then with its buffer appended
-        last_use: list = []  # register -> position of the last instruction reading it
         exponents: dict[int, int] = {}
         for root in roots:
             stack = [root]
@@ -1149,7 +1258,7 @@ class _Tape:
                     if kind is Var:
                         loads.append((len(init), node.name))
                     init.append(np.float64(node.value) if kind is Const else None)
-                    last_use.append(-1)
+                    nodes.append(node)
                     continue
                 a = index.get(node.a)
                 fn = _BINARY_UFUNCS.get(kind)
@@ -1162,7 +1271,6 @@ class _Tape:
                         if b is None:
                             stack.append(node.b)
                         continue
-                    last_use[b] = len(code)
                 elif a is None:
                     stack.append(node)
                     stack.append(node.a)
@@ -1173,7 +1281,7 @@ class _Tape:
                     if b is None:
                         b = exponents[node.k] = len(init)
                         init.append(node.k)
-                        last_use.append(-1)
+                        nodes.append(None)
                 elif kind is Neg:
                     fn, b = np.negative, -1
                 else:
@@ -1181,14 +1289,21 @@ class _Tape:
                 if type(node.a) is Const and (kind not in _BINARY_UFUNCS or type(node.b) is Const):
                     what = "division by zero" if kind is Div else "domain error"
                     raise EvaluationError(f"{what} in {node.to_source()}")
-                last_use[a] = len(code)
                 reg = index[node] = len(init)
                 init.append(None)
-                last_use.append(-1)
+                nodes.append(node)
                 code.append((fn, a, b, reg))
-        self.out = [index[root] for root in roots]
+        fold = _Fold(init, nodes)
+        code, self.out = fold.run(code, [index[root] for root in roots])
+        self.folds, self.uncertified = fold.folds, fold.uncertified
         # roots that hold a preloaded constant or the caller's own binding
-        self.leaves = frozenset(index[root] for root in roots if type(root) in (Const, Var))
+        computed = {dst for _, _, _, dst in code}
+        self.leaves = frozenset(r for r in self.out if r not in computed)
+        last_use = [-1] * len(init)  # register -> position of the last instruction reading it
+        for pos, (fn, a, b, dst) in enumerate(code):
+            last_use[a] = pos
+            if b >= 0:
+                last_use[b] = pos
         for reg in self.out:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
@@ -1284,6 +1399,478 @@ def _error(exc, fn, x, y) -> EvaluationError:
     return EvaluationError(f"{'overflow' if overflow else 'domain error'} in {what}")
 
 
+
+# ---------------------------------------------------------------------------
+# Folding a tape: certified zeros and duplicates
+# ---------------------------------------------------------------------------
+
+_P = (1 << 61) - 1  # residues live in F_p, p a Mersenne prime
+_FOLD_SEED = 1004  # fixed: a tape folds alike in every process
+_CERT_TERMS = 64  # terms of an exact expansion; a longer one is an opaque atom
+_BELOW_NODES = 256  # registers a search for an equal one below a candidate visits
+
+
+def _residue(x: float) -> int:
+    """The exact rational value of a float, in F_p."""
+    n, d = float(x).as_integer_ratio()
+    return n * pow(d, -1, _P) % _P
+
+
+def _foldable(node: Expr) -> bool:
+    """Whether the fold may replace ``node``: built by the smart constructors, not as written."""
+    if node._form is not None:
+        return True
+    cls = type(node)
+    if cls not in _BINARY_UFUNCS:  # calls, and powers that stay whole
+        return False
+    ref = _POOL.get((-cls.tag, id(node.a), id(node.b)))
+    return ref is None or ref() is not node
+
+
+class _Fold:
+    """One fold pass over a tape's instructions, before buffers are assigned.
+
+    Registers are visited in tape order, each with its values at three
+    points over F_p (``_values``).  A register that may fold is a candidate
+    when its values are all 0, or those of a register below it, or their
+    negatives (``_below``).  It folds only when exact expansions of both
+    agree (``_certified``); the others stay and are counted.  Everything
+    here lives for one compile.
+    """
+
+    def __init__(self, init: list, nodes: list):
+        self.init = init
+        self.nodes = nodes
+        self.rng = random.Random(_FOLD_SEED)
+        self.values: list = [None] * len(init)  # register -> residues at the three points
+        self.defs: dict = {}  # register -> (ufunc, a, b) over registers as resolved
+        self.alias: dict = {}  # folded register -> the register it reads as
+        self.zero = None  # the register of the constant 0
+        self.zeros: set = set()  # registers whose value is the constant 0
+        self.seen: set = set()  # residues of the registers so far
+        self.calls: dict = {}  # (ufunc, argument register) -> residues
+        self.expansions: dict = {}  # register -> expansion, None for an opaque atom
+        self.sizes: list = [1] * len(init)  # register -> bound on its expansion's terms
+        self.atoms: dict = {}  # atom key -> atom number
+        self.sin_of: dict = {}  # atom number of cos(u) -> that of sin(u)
+        self.monos: list = []  # monomial number -> (numerator, denominator)
+        self.mono_of: dict = {}  # (numerator, denominator) -> monomial number
+        self.products: dict = {}  # (monomial, monomial) -> ((monomial, multiplier), ...)
+        self.folds: list = []  # (node, "zero" | "alias" | "neg", node or None)
+        self.uncertified = 0
+
+    def _random(self) -> tuple:
+        r = self.rng.randrange
+        return r(1, _P), r(1, _P), r(1, _P)
+
+    # -- the pass ------------------------------------------------------------
+
+    def run(self, code: list, out: list):
+        init, values, seen = self.init, self.values, self.seen
+        for r, value in enumerate(init):
+            if type(value) is np.float64:
+                v = _residue(value)
+                values[r] = (v, v, v)
+                if not v:
+                    self.zeros.add(r)
+                    self.zero = r if self.zero is None else self.zero
+            elif value is None and type(self.nodes[r]) is Var:
+                values[r] = self._random()
+            if values[r] is not None:
+                seen.add(values[r])
+        alias, zeros, defs, sizes = self.alias, self.zeros, self.defs, self.sizes
+        big = _CERT_TERMS + 1
+        kept = []
+        for fn, a, b, dst in code:
+            a = alias.get(a, a)
+            if b >= 0:
+                b = alias.get(b, b)
+            folded = None
+            if a in zeros or b in zeros:
+                folded = self._structural(fn, a, b, dst)
+            if folded is None:
+                defs[dst] = (fn, a, b)
+                if fn is np.multiply:
+                    x0, x1, x2 = values[a]
+                    y0, y1, y2 = values[b]
+                    v = values[dst] = (x0 * y0 % _P, x1 * y1 % _P, x2 * y2 % _P)
+                    size = sizes[a] * sizes[b]
+                    sizes[dst] = size if size < big else big
+                elif fn is np.add or fn is np.subtract:
+                    x0, x1, x2 = values[a]
+                    y0, y1, y2 = values[b]
+                    if fn is np.add:
+                        v = values[dst] = ((x0 + y0) % _P, (x1 + y1) % _P, (x2 + y2) % _P)
+                    else:
+                        v = values[dst] = ((x0 - y0) % _P, (x1 - y1) % _P, (x2 - y2) % _P)
+                    size = sizes[a] + sizes[b]
+                    sizes[dst] = size if size < big else big
+                else:
+                    v = values[dst] = self._values(fn, a, b)
+                    if fn is np.divide or fn is np.negative:
+                        sizes[dst] = sizes[a]
+                    elif fn is np.power and self.init[b] > 0:
+                        sizes[dst] = min(sizes[a] ** self.init[b], big)
+                v0, v1, v2 = v
+                if not (v0 or v1 or v2):
+                    kind, t = "zero", None
+                else:
+                    neg = (-v0 % _P, -v1 % _P, -v2 % _P)
+                    t = self._below(dst, v, neg) if v in seen or neg in seen else None
+                    kind = None if t is None else "alias" if values[t] == v else "neg"
+                if kind is not None and _foldable(self.nodes[dst]):
+                    folded = self._certified(dst, kind, t)
+                if folded is None:
+                    seen.add(v)
+            if folded is None:
+                kept.append((fn, a, b, dst))
+            elif folded == "neg":
+                kept.append((np.negative, alias.pop(dst), -1, dst))
+        # a root folded into a constant or a variable is that leaf; one folded
+        # into a computed register copies it into a register of its own, so
+        # every computed root still fills its own result array
+        copies: dict = {}
+        out = list(out)
+        for i, r in enumerate(out):
+            t = alias.get(r)
+            if t is not None and t not in defs:
+                out[i] = t
+            elif t is not None:
+                if r not in copies:
+                    copies[r] = len(init)
+                    init.append(None)
+                    kept.append((np.positive, t, -1, copies[r]))
+                out[i] = copies[r]
+        # drop what no root reads
+        live = set(out)
+        code = []
+        for ins in reversed(kept):
+            if ins[3] in live:
+                code.append(ins)
+                live.add(ins[1])
+                live.add(ins[2])
+        code.reverse()
+        return code, out
+
+    def _fold(self, dst: int, kind: str, t=None) -> str:
+        """Record a fold; a zero or a duplicate reads as ``t`` from now on."""
+        if kind == "zero":
+            if self.zero is None:
+                self.zero = len(self.init)
+                self.init.append(np.float64(0.0))
+                self.nodes.append(_ZERO)
+                self.values.append((0, 0, 0))
+                self.sizes.append(1)
+                self.zeros.add(self.zero)
+            t = self.zero
+            self.zeros.add(dst)
+        self.alias[dst] = t
+        self.folds.append((self.nodes[dst], kind, None if kind == "zero" else self.nodes[t]))
+        return kind
+
+    def _structural(self, fn, a: int, b: int, dst: int):
+        """Folds that a zero operand implies: x*0, 0/x, x+-0, 0-x, -0 and 0^k for k > 0."""
+        za = a in self.zeros
+        if fn is np.multiply or (za and fn in (np.divide, np.negative)):
+            return self._fold(dst, "zero")
+        if fn is np.power:
+            return self._fold(dst, "zero") if za and self.init[b] > 0 else None
+        if fn is np.add or (fn is np.subtract and not za):
+            return self._fold(dst, "alias", b if za else a)
+        if fn is np.subtract:
+            self.defs[dst] = (np.negative, b, -1)
+            self.values[dst] = self._values(np.negative, b, -1)
+            return self._fold(dst, "neg", b)
+        return None
+
+    def _below(self, dst: int, v: tuple, neg: tuple):
+        """The first register below ``dst`` whose values are ``v`` or ``neg``, or None.
+
+        Depth first over the operands as resolved, at most ``_BELOW_NODES``
+        registers: the search depends on the sub-DAG of ``dst`` alone, so a
+        node folds alike in every root tuple it is evaluated in.
+        """
+        defs, values = self.defs, self.values
+        stack = [x for x in defs[dst][1:] if x >= 0 and values[x] is not None][::-1]
+        visited = set()
+        while stack and len(visited) < _BELOW_NODES:
+            r = stack.pop()
+            if r in visited:
+                continue
+            visited.add(r)
+            if values[r] == v or values[r] == neg:
+                return r
+            d = defs.get(r)
+            if d is not None and d[0] is not np.power:
+                stack.extend(x for x in (d[2], d[1]) if x >= 0)
+            elif d is not None:
+                stack.append(d[1])
+        return None
+
+    def _certified(self, dst: int, kind: str, t):
+        """Fold candidate ``dst`` if exact expansions prove it ``kind`` (of ``t``)."""
+        e = self._top(dst)
+        if e is not None:
+            e = _normal(e)
+            if kind == "zero":
+                ok = not e[0]
+            else:  # t as an operand reads it (an atom past the bound), or expanded
+                sign = 1 if kind == "alias" else -1
+                ok = any(
+                    f is not None and _normal(({m: sign * c for m, c in f[0].items()}, f[1])) == e
+                    for f in (self._operand(t), self._top(t))
+                )
+            if ok:
+                return self._fold(dst, kind, t)
+        self.uncertified += 1
+        return None
+
+    # -- values over F_p ---------------------------------------------------------
+
+    def _values(self, fn, a: int, b: int) -> tuple:
+        x0, x1, x2 = self.values[a]
+        if fn is np.add or fn is np.subtract or fn is np.multiply or fn is np.divide:
+            y0, y1, y2 = self.values[b]
+            if fn is np.add:
+                return (x0 + y0) % _P, (x1 + y1) % _P, (x2 + y2) % _P
+            if fn is np.subtract:
+                return (x0 - y0) % _P, (x1 - y1) % _P, (x2 - y2) % _P
+            if fn is np.multiply:
+                return x0 * y0 % _P, x1 * y1 % _P, x2 * y2 % _P
+            # a register that would need 1/0 gets a random value of its own
+            r = self.rng.randrange
+            return (
+                x0 * pow(y0, -1, _P) % _P if y0 else r(1, _P),
+                x1 * pow(y1, -1, _P) % _P if y1 else r(1, _P),
+                x2 * pow(y2, -1, _P) % _P if y2 else r(1, _P),
+            )
+        if fn is np.negative:
+            return (-x0) % _P, (-x1) % _P, (-x2) % _P
+        if fn is np.power:
+            k = self.init[b]
+            r = self.rng.randrange
+            return tuple(pow(x, k, _P) if x or k > 0 else r(1, _P) for x in (x0, x1, x2))
+        # a call: sin and cos of one argument are the point
+        # (2t/(1+t^2), (1-t^2)/(1+t^2)) of the unit circle; every other call
+        # is a random value of its own
+        key = (np.sin if fn is np.cos else fn, a)
+        got = self.calls.get(key)
+        if got is None:
+            got = self.calls[key] = self._random()
+        if fn is np.sin:
+            return tuple(2 * t * pow(1 + t * t, -1, _P) % _P for t in got)
+        if fn is np.cos:
+            return tuple((1 - t * t) * pow(1 + t * t, -1, _P) % _P for t in got)
+        return got
+
+    # -- exact expansions --------------------------------------------------------
+    #
+    # An expansion (terms, E) is the sum of n * 2^E * monomial over its terms
+    # {monomial number: integer n}: exact, since every float is an integer
+    # times a power of two.  A monomial is (numerator, denominator), each a
+    # tuple of (atom number, exponent), kept apart: a numerator atom never
+    # cancels a denominator atom.  Atoms are variables, calls (by function
+    # and argument register), registers whose expansion passed
+    # ``_CERT_TERMS`` terms (opaque), divisors other than one numerator
+    # monomial (up to sign and a power of two), and 1/n for an odd n other
+    # than 1.  In a numerator, cos(u)^2 is 1 - sin(u)^2.
+
+    def _number(self, key) -> int:
+        n = self.atoms.get(key)
+        if n is None:
+            n = self.atoms[key] = len(self.atoms)
+            if key[0] == "call" and key[1] is np.cos:
+                self.sin_of[n] = self._number(("call", np.sin, key[2]))
+        return n
+
+    def _mono(self, num: tuple, den: tuple) -> int:
+        key = (num, den)
+        m = self.mono_of.get(key)
+        if m is None:
+            m = self.mono_of[key] = len(self.monos)
+            self.monos.append(key)
+        return m
+
+    def _atom(self, key) -> tuple:
+        return {self._mono(((self._number(key), 1),), ()): 1}, 0
+
+    def _top(self, r: int):
+        """The expansion of ``r`` from its operands as they are read (``_operand``)."""
+        if self.sizes[r] <= _CERT_TERMS:
+            return self._expansion(r)
+        fn, a, b = self.defs[r]
+        if fn not in _CALL_UFUNCS:
+            self._expansion(a)
+            if b >= 0 and fn is not np.power:
+                self._expansion(b)
+        return self._expand(fn, a, b)
+
+    def _expansion(self, reg: int):
+        """The expansion of ``reg``, None for an opaque atom: any register whose
+        bound (``sizes``) passes ``_CERT_TERMS``, and any that passes it."""
+        stack = [reg]
+        exps = self.expansions
+        while stack:
+            r = stack[-1]
+            if r in exps:
+                stack.pop()
+                continue
+            if self.sizes[r] > _CERT_TERMS:
+                exps[r] = None
+                stack.pop()
+                continue
+            d = self.defs.get(r)
+            if d is None:  # a constant or a variable
+                value = self.init[r]
+                if type(value) is np.float64:
+                    n, den = float(value).as_integer_ratio()
+                    exps[r] = ({self._mono((), ()): n}, 1 - den.bit_length()) if n else ({}, 0)
+                else:
+                    exps[r] = None
+                stack.pop()
+                continue
+            fn, a, b = d
+            if fn in _CALL_UFUNCS:
+                pending = ()
+            else:
+                pending = [x for x in ((a,) if b < 0 or fn is np.power else (a, b)) if x not in exps]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            exps[r] = self._expand(fn, a, b)
+        return exps[reg]
+
+    def _operand(self, r: int) -> tuple:
+        e = self.expansions.get(r)
+        return self._atom(("reg", r)) if e is None else e
+
+    def _expand(self, fn, a: int, b: int):
+        if fn in _CALL_UFUNCS:
+            return self._atom(("call", fn, a))
+        A = self._operand(a)
+        if fn is np.negative:
+            return {m: -c for m, c in A[0].items()}, A[1]
+        if fn is np.power:
+            k = self.init[b]
+            if k < 0:
+                A, k = self._inverse(A), -k
+            result = A
+            for _ in range(k - 1):
+                if result is None:
+                    break
+                result = self._product(result, A)
+            return result
+        B = self._operand(b)
+        if fn is np.add or fn is np.subtract:
+            (ta, ea), (tb, eb) = A, B
+            e = min(ea, eb)
+            result = {m: c << (ea - e) for m, c in ta.items()}
+            sign = 1 if fn is np.add else -1
+            for m, c in tb.items():
+                total = result.get(m, 0) + sign * (c << (eb - e))
+                if total:
+                    result[m] = total
+                else:
+                    del result[m]
+            return (result, e) if len(result) <= _CERT_TERMS else None
+        if fn is np.divide:
+            B = self._inverse(B)
+        return self._product(A, B)
+
+    def _inverse(self, A: tuple):
+        """1/A: one numerator monomial moves down; any other A is a divisor atom."""
+        terms, e = A
+        if not terms:
+            return None
+        if len(terms) == 1:
+            ((m, n),) = terms.items()
+            num, den = self.monos[m]
+            if not den:
+                if n in (1, -1):
+                    return {self._mono((), num): n}, -e
+                odd = self._number(("odd", abs(n)))
+                return {self._mono(((odd, 1),), num): 1 if n > 0 else -1}, -e
+        terms, e = _normal(A)
+        items = sorted(terms.items())
+        sign = 1 if items[0][1] > 0 else -1
+        atom = self._number(("den", tuple((m, sign * n) for m, n in items)))
+        return {self._mono((), ((atom, 1),)): sign}, -e
+
+    def _product(self, A: tuple, B: tuple):
+        if A is None or B is None:
+            return None
+        (ta, ea), (tb, eb) = A, B
+        if len(ta) * len(tb) > 4 * _CERT_TERMS:
+            return None
+        products = self.products
+        result: dict = {}
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                got = products.get((ma, mb))
+                if got is None:
+                    got = products[ma, mb] = products[mb, ma] = self._times(ma, mb)
+                c = ca * cb
+                for m, k in got:
+                    total = result.get(m, 0) + k * c
+                    if total:
+                        result[m] = total
+                    else:
+                        del result[m]
+        return (result, ea + eb) if len(result) <= _CERT_TERMS else None
+
+    def _times(self, ma: int, mb: int) -> tuple:
+        """The monomial ma * mb as terms (monomial, multiplier), cos(u)^2 as 1 - sin(u)^2."""
+        (na, da), (nb, db) = self.monos[ma], self.monos[mb]
+        num, den = _mono_product(na, nb), _mono_product(da, db)
+        sin_of = self.sin_of
+        if not any(e >= 2 and atom in sin_of for atom, e in num):
+            return ((self._mono(num, den), 1),)
+        terms: dict = {}
+        for num, k in self._reduced(num, 1):
+            m = self._mono(num, den)
+            terms[m] = terms.get(m, 0) + k
+        return tuple((m, k) for m, k in terms.items() if k)
+
+    def _reduced(self, num: tuple, k: int) -> list:
+        for atom, e in num:
+            sin = self.sin_of.get(atom)
+            if sin is not None and e >= 2:
+                rest = _mono_product(num, ((atom, -2),))
+                return [*self._reduced(rest, k), *self._reduced(_mono_product(rest, ((sin, 2),)), -k)]
+        return [(num, k)]
+
+
+def _normal(A: tuple) -> tuple:
+    """An expansion with the common power of two of its integers moved into its exponent."""
+    terms, e = A
+    bits = 0
+    for n in terms.values():
+        bits |= n
+    if not bits:
+        return {}, 0
+    shift = (bits & -bits).bit_length() - 1
+    if shift:
+        terms = {m: n >> shift for m, n in terms.items()}
+    return terms, e + shift
+
+
+def _mono_product(p: tuple, q: tuple) -> tuple:
+    """Product of two monomial parts ((atom number, exponent) in atom order)."""
+    if not p:
+        return q
+    if not q:
+        return p
+    exps = dict(p)
+    for atom, e in q:
+        k = exps.get(atom, 0) + e
+        if k:
+            exps[atom] = k
+        else:
+            del exps[atom]
+    return tuple(sorted(exps.items()))
+
+
 def _tape(roots: tuple) -> _Tape:
     key = tuple(map(id, roots))
     tape = _TAPES.pop(key, None)
@@ -1303,7 +1890,9 @@ def evaluate_many(exprs, env):
 
     The root tuple is compiled once into a cached tape (see ``_Tape``); a
     node on constants alone that construction could not fold (``1/0``) is
-    refused there, naming the node.  Every binding is a float64 array of the
+    refused there, naming the node, and the registers that an exact
+    certificate proves 0, or equal to an earlier register or its negative,
+    are folded (``_Fold``).  Every binding is a float64 array of the
     common broadcast shape.  The tape runs over blocks of at most
     ``BLOCK_POINTS`` points, each node one numpy ufunc into a row of one work
     array recycled after the node's last use (a root into its result), so

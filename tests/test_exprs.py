@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gradedgeo import catalog, exprs
+from gradedgeo import catalog, exprs, symmat
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.exprs import (
     Add,
@@ -268,11 +268,21 @@ def test_variables_bottom_up_matches_walk():
 _REF_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
-def _reference_evaluate(roots, env):
+def _reference_evaluate(roots, env, folds=()):
     """Reference: the per-node memo walk, one value per node kept to the end.
 
     Scalar bindings are evaluated with numpy too: evaluation has one semantics.
+    ``folds`` are a tape's certified folds ``(node, kind, other)``: the walk
+    takes such a node as 0, as ``other`` or as ``-other``, as the tape does.
     """
+    folded = {id(node): (kind, other) for node, kind, other in folds}
+
+    def args(node):
+        fold = folded.get(id(node))
+        if fold is None:
+            return node._args()
+        return () if fold[0] == "zero" else (fold[1],)
+
     memo = {}
     for root in roots:
         stack = [root]
@@ -281,14 +291,17 @@ def _reference_evaluate(roots, env):
             if id(node) in memo:
                 stack.pop()
                 continue
-            pending = [c for c in node._args() if id(c) not in memo]
+            pending = [c for c in args(node) if id(c) not in memo]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            vals = [memo[id(c)] for c in node._args()]
+            vals = [memo[id(c)] for c in args(node)]
+            fold = folded.get(id(node))
             with np.errstate(all="ignore"):
-                if isinstance(node, Const):
+                if fold is not None:
+                    value = 0.0 if fold[0] == "zero" else vals[0] if fold[0] == "alias" else -vals[0]
+                elif isinstance(node, Const):
                     value = node.value
                 elif isinstance(node, Var):
                     value = np.asarray(env[node.name], dtype=float)
@@ -342,9 +355,10 @@ def test_tape_matches_memo_walk_bit_for_bit(catalog_roots, case):
         "scalar": {p: float(pts[5, 0]), q: float(pts[5, 1])},
         "mixed": {p: pts[:, 0], q: float(pts[5, 1])},
     }
+    folds = exprs._tape(roots).folds
     for label, env in envs.items():
         got = evaluate_many(roots, env)
-        assert _same_bytes(got, _reference_evaluate(roots, env)), label
+        assert _same_bytes(got, _reference_evaluate(roots, env, folds)), label
         if label == "scalar":  # param_env binds np.float64: same values as floats
             env64 = imm.param_env(pts[5])
             assert _same_bytes(evaluate_many(roots, env64), got)
@@ -502,6 +516,68 @@ def test_numerator_never_cancels_a_denominator():
         q.eval({"x": 1.0, "y": 0.0})  # the singularity at y = 0 is kept
 
 
+def test_sin_squared_plus_cos_squared_is_one():
+    u = const(0.37) * var("x") + var("y")
+    s, c = call("sin", u), call("cos", u)
+    x, d = var("x"), var("D")
+    assert exprs.add(exprs.powi(c, 2), exprs.powi(s, 2)) is const(1.0)
+    assert x * c * c + s * x * s is x
+    assert const(3.0) * c * c - const(2.0) + const(3.0) * s * s is const(1.0)
+    assert c * c / d + s * s / d is const(1.0) / d
+    assert exprs.add_all([c * c, x, s * s]) is x + const(1.0)
+    # only equal coefficients of one argument merge
+    assert isinstance(const(2.0) * c * c + s * s, Add)
+    assert isinstance(c * c + exprs.powi(call("sin", x), 2), Add)
+    # the adjugate inverse of a rotation divides by nothing
+    inverse = symmat.einverse([[c, -s], [s, c]])
+    assert inverse == [[c, s], [-s, c]]
+
+
+def test_differently_paired_products_compile_to_no_instructions():
+    u, d = var("u"), var("D")
+    s, c = call("sin", u), call("cos", u)
+    e = c * (s / d) - s * (c / d)
+    assert isinstance(e, Sub)  # each product keeps its pairing in the normal form
+    tape = exprs._Tape((e,))
+    assert tape.code == [] and tape.uncertified == 0
+    (got,) = evaluate_many([e], {"u": np.linspace(0.0, 3.0, 7), "D": 0.7})
+    assert got.tolist() == [0.0] * 7
+
+
+def _unfolded_tape(monkeypatch, roots):
+    """The tape of ``roots`` compiled without the fold pass (not cached)."""
+    with monkeypatch.context() as m:
+        m.setattr(exprs._Fold, "run", lambda self, code, out: (code, out))
+        return exprs._Tape(tuple(roots))
+
+
+def test_a_rounding_residue_is_not_folded(monkeypatch):
+    x = var("x")
+    e = const(0.1) * x * const(3.0) - const(0.3) * x  # (0.1*3 - 0.3) x, 2^-54 x in floats
+    assert e is not const(0.0)
+    tape = exprs._Tape((e,))
+    assert tape.folds == [] and tape.uncertified == 0
+    env = {"x": np.linspace(-2.0, 2.0, 9)}
+    (got,) = tape.run(env)
+    (plain,) = _unfolded_tape(monkeypatch, (e,)).run(env)
+    assert got.tobytes() == plain.tobytes() and np.count_nonzero(got) == 8
+
+
+def test_grid_tapes_fold_certified_zeros_and_duplicates(catalog_roots, monkeypatch):
+    rng = np.random.default_rng(8)
+    for case in ("el", "fv"):
+        roots, imm = catalog_roots[case]
+        tape = exprs._tape(roots)
+        plain = _unfolded_tape(monkeypatch, roots)
+        kinds = sorted({kind for _, kind, _ in tape.folds})
+        assert kinds == ["alias", "neg", "zero"]
+        assert len(tape.code) < 0.95 * len(plain.code), (len(tape.code), len(plain.code))
+        pts = rng.uniform(*zip(*imm.domain), size=(64, 2))
+        env = dict(zip(imm.params, pts.T))
+        for got, want in zip(tape.run(env), plain.run(env)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+
 def test_node_class_is_the_class_of_its_layout():
     # a node built from its form gets its class before its operands exist
     rng = np.random.default_rng(5)
@@ -517,7 +593,7 @@ def test_node_class_is_the_class_of_its_layout():
 _BUILD = """
 import sys
 import numpy as np
-from gradedgeo import catalog, exprs
+from gradedgeo import catalog, exprs, symmat
 from gradedgeo.admissibility import frames_for
 from gradedgeo.exprs import call, parse, var
 

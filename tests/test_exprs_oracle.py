@@ -131,3 +131,78 @@ def test_array_evaluation_is_pointwise(e, pts):
 @given(trees)
 def test_print_parse_roundtrip_is_identity(e):
     assert parse(e.to_source(), NAMES) is e
+
+
+# -- sin^2 + cos^2 = 1: the merge at construction and the fold at compile ------
+
+U = add(mul(const(0.5), var("x")), var("y"))  # one argument for sin and cos
+TRIG = (call("sin", U), call("cos", U))
+trig_leaves = st.one_of(leaves, st.sampled_from(TRIG))
+trig_trees = st.recursive(trig_leaves, _with_powers_and_calls, max_leaves=10)
+
+
+def _polynomial(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: add(*p)),
+        pairs.map(lambda p: sub(*p)),
+        pairs.map(lambda p: mul(*p)),
+        children.map(neg),
+        st.tuples(children, st.sampled_from((2, 3))).map(lambda p: powi(*p)),
+    )
+
+
+# integer coefficients, so that sympy reduces exactly
+polynomials = st.recursive(
+    st.one_of(st.sampled_from(TRIG), st.just(var("x")), st.sampled_from((1.0, 2.0, -3.0)).map(const)),
+    _polynomial,
+    max_leaves=8,
+)
+
+
+def _modulo_circle(e):
+    """sympy's form of ``e`` with sin(U), cos(U) as symbols s, c, reduced modulo s^2 + c^2 - 1."""
+    x, y, s, c = sympy.symbols("x y s c")
+    expr = sympy.sympify(e.to_source().replace("^", "**"), locals={"x": x, "y": y})
+    u = sympy.sympify(U.to_source(), locals={"x": x, "y": y})
+    expr = expr.subs({sympy.sin(u): s, sympy.cos(u): c})
+    return sympy.ratsimpmodprime(sympy.expand(expr), [s**2 + c**2 - 1], s, c, x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(polynomials, polynomials)
+def test_merge_keeps_the_value_modulo_the_circle(p, q):
+    s, c = TRIG
+    for e, want in (
+        (add(mul(p, powi(c, 2)), mul(p, powi(s, 2))), p),
+        (add(add(powi(c, 2), q), powi(s, 2)), add(q, const(1.0))),
+    ):
+        assert sympy.simplify(_modulo_circle(e) - _modulo_circle(want)) == 0
+    # a pair of one monomial always merges
+    assert add(powi(c, 2), powi(s, 2)) is const(1.0)
+    assert mul(const(2.0), add(powi(c, 2), powi(s, 2))) is const(2.0)
+
+
+def _plain_tape(roots):
+    from gradedgeo import exprs
+
+    run = exprs._Fold.run
+    exprs._Fold.run = lambda self, code, out: (code, out)
+    try:
+        return exprs._Tape(tuple(roots))
+    finally:
+        exprs._Fold.run = run
+
+
+@SETTINGS
+@given(trig_trees, trig_trees, st.lists(points, min_size=1, max_size=8))
+def test_folded_and_unfolded_tapes_agree(e, f, pts):
+    from gradedgeo import exprs
+
+    roots = (e, f, sub(e, f), add(mul(e, f), mul(f, e)))
+    xs, ys = (np.array(col) for col in zip(*pts))
+    env = {"x": xs, "y": ys}
+    folded = exprs._Tape(roots).run(env)
+    plain = _plain_tape(roots).run(env)
+    for got, want in zip(folded, plain):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
