@@ -24,6 +24,7 @@ from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
 from .manifold import AdaptedFrame, Manifold, MetricField, require_keys
+from .multivec import d_max
 from .variation import first_variation, mean_curvature
 
 __all__ = ["main"]
@@ -140,9 +141,17 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 
 
 def _resolve_degree(args, imm: Immersion) -> int:
-    if args.degree != "auto":
-        return int(args.degree)
-    return degree_scan(imm, (12,) * imm.m if imm.m <= 2 else (8,) * imm.m).degree
+    if args.degree == "auto":
+        return degree_scan(imm, (12,) * imm.m if imm.m <= 2 else (8,) * imm.m).degree
+    d = int(args.degree)
+    # an m-vector's degree is a sum of m distinct layer weights
+    weights = imm.manifold.weights
+    lo, hi = sum(sorted(weights)[: imm.m]), d_max(imm.m, weights)
+    if not lo <= d <= hi:
+        raise ValueError(
+            f"degree {d} is outside [{lo}, {hi}], the degrees a tangent {imm.m}-vector can have"
+        )
+    return d
 
 
 def cmd_degree_scan(args):

@@ -346,6 +346,24 @@ def test_verify_refuses_unknown_check_names(capsys):
     assert "stationarity-residual" in err and "el_residual" in err and "isolation" in err
 
 
+@pytest.mark.parametrize("degree", ["-3", "1", "6", "99"])
+def test_degree_no_tangent_m_vector_can_have_is_refused(capsys, degree):
+    # engel-graph: weights (1, 1, 2, 3), so a 2-vector has a degree in [2, 5]
+    for command in (["area", "--grid", "8x8"], ["first-variation", "--field", "unused.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, "--catalog", "engel-graph:theta=0.3*x", "--degree", degree])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gradedgeo: error: degree {degree} is outside [2, 5], the degrees a tangent "
+            "2-vector can have\n"
+        )
+    code, _ = run_cli(["area", "--catalog", "engel-graph:theta=0.3*x", "--degree", "2",
+                       "--grid", "8x8"])
+    assert code == 0
+
+
 def test_cli_refuses_non_finite_area(capsys):
     # refused by the finiteness check alone: no numpy warning on the way
     with warnings.catch_warnings():
