@@ -1407,7 +1407,7 @@ def _error(exc, fn, x, y) -> EvaluationError:
 _P = (1 << 61) - 1  # residues live in F_p, p a Mersenne prime
 _FOLD_SEED = 1004  # fixed: a tape folds alike in every process
 _CERT_TERMS = 64  # terms of an exact expansion; a longer one is an opaque atom
-_BELOW_NODES = 256  # registers a search for an equal one below a candidate visits
+_BELOW_NODES = 64  # registers a search for an equal one below a candidate visits
 
 
 def _residue(x: float) -> int:
@@ -1442,12 +1442,13 @@ class _Fold:
         self.init = init
         self.nodes = nodes
         self.rng = random.Random(_FOLD_SEED)
-        self.values: list = [None] * len(init)  # register -> residues at the three points
-        self.defs: dict = {}  # register -> (ufunc, a, b) over registers as resolved
+        # register -> its value at each of the three points (-1: an exponent)
+        self.values = tuple([-1] * len(init) for _ in range(3))
+        self.defs: list = [None] * len(init)  # register -> its instruction, operands resolved
         self.alias: dict = {}  # folded register -> the register it reads as
         self.zero = None  # the register of the constant 0
         self.zeros: set = set()  # registers whose value is the constant 0
-        self.seen: set = set()  # residues of the registers so far
+        self.seen: set = set()  # values at the first point of the registers so far
         self.calls: dict = {}  # (ufunc, argument register) -> residues
         self.expansions: dict = {}  # register -> expansion, None for an opaque atom
         self.sizes: list = [1] * len(init)  # register -> bound on its expansion's terms
@@ -1466,66 +1467,65 @@ class _Fold:
     # -- the pass ------------------------------------------------------------
 
     def run(self, code: list, out: list):
-        init, values, seen = self.init, self.values, self.seen
+        init, seen = self.init, self.seen
+        V0, V1, V2 = self.values
         for r, value in enumerate(init):
             if type(value) is np.float64:
                 v = _residue(value)
-                values[r] = (v, v, v)
+                self._set(r, (v, v, v))
                 if not v:
                     self.zeros.add(r)
                     self.zero = r if self.zero is None else self.zero
             elif value is None and type(self.nodes[r]) is Var:
-                values[r] = self._random()
-            if values[r] is not None:
-                seen.add(values[r])
+                self._set(r, self._random())
         alias, zeros, defs, sizes = self.alias, self.zeros, self.defs, self.sizes
         big = _CERT_TERMS + 1
         kept = []
-        for fn, a, b, dst in code:
-            a = alias.get(a, a)
-            if b >= 0:
-                b = alias.get(b, b)
+        for ins in code:
+            fn, a0, b0, dst = ins
+            a = alias.get(a0, a0)
+            b = alias.get(b0, b0) if b0 >= 0 else b0
+            if a != a0 or b != b0:
+                ins = (fn, a, b, dst)
             folded = None
             if a in zeros or b in zeros:
                 folded = self._structural(fn, a, b, dst)
             if folded is None:
-                defs[dst] = (fn, a, b)
+                defs[dst] = ins
+                # the two commonest operations inline; the values are three
+                # lists, so the scan allocates no container the GC tracks
                 if fn is np.multiply:
-                    x0, x1, x2 = values[a]
-                    y0, y1, y2 = values[b]
-                    v = values[dst] = (x0 * y0 % _P, x1 * y1 % _P, x2 * y2 % _P)
+                    v0, v1, v2 = V0[a] * V0[b] % _P, V1[a] * V1[b] % _P, V2[a] * V2[b] % _P
                     size = sizes[a] * sizes[b]
-                    sizes[dst] = size if size < big else big
-                elif fn is np.add or fn is np.subtract:
-                    x0, x1, x2 = values[a]
-                    y0, y1, y2 = values[b]
-                    if fn is np.add:
-                        v = values[dst] = ((x0 + y0) % _P, (x1 + y1) % _P, (x2 + y2) % _P)
-                    else:
-                        v = values[dst] = ((x0 - y0) % _P, (x1 - y1) % _P, (x2 - y2) % _P)
+                elif fn is np.add:
+                    v0, v1, v2 = (V0[a] + V0[b]) % _P, (V1[a] + V1[b]) % _P, (V2[a] + V2[b]) % _P
                     size = sizes[a] + sizes[b]
-                    sizes[dst] = size if size < big else big
                 else:
-                    v = values[dst] = self._values(fn, a, b)
-                    if fn is np.divide or fn is np.negative:
-                        sizes[dst] = sizes[a]
-                    elif fn is np.power and self.init[b] > 0:
-                        sizes[dst] = min(sizes[a] ** self.init[b], big)
-                v0, v1, v2 = v
+                    v0, v1, v2 = self._values(fn, a, b)
+                    if fn is np.subtract:
+                        size = sizes[a] + sizes[b]
+                    elif fn is np.power:
+                        size = sizes[a] ** min(init[b], big) if init[b] > 0 else 1
+                    else:
+                        size = 1 if fn in _CALL_UFUNCS else sizes[a]
+                sizes[dst] = size if size < big else big
+                V0[dst], V1[dst], V2[dst] = v0, v1, v2
                 if not (v0 or v1 or v2):
-                    kind, t = "zero", None
-                else:
-                    neg = (-v0 % _P, -v1 % _P, -v2 % _P)
-                    t = self._below(dst, v, neg) if v in seen or neg in seen else None
-                    kind = None if t is None else "alias" if values[t] == v else "neg"
-                if kind is not None and _foldable(self.nodes[dst]):
-                    folded = self._certified(dst, kind, t)
+                    if _foldable(self.nodes[dst]):
+                        folded = self._certified(dst, "zero", None)
+                elif (v0 in seen or -v0 % _P in seen) and _foldable(self.nodes[dst]):
+                    key = v0 | v1 << 64 | v2 << 128
+                    t = self._below(dst, key, -v0 % _P | -v1 % _P << 64 | -v2 % _P << 128)
+                    if t is not None:
+                        kind = "alias" if self._key(t) == key else "neg"
+                        folded = self._certified(dst, kind, t)
                 if folded is None:
-                    seen.add(v)
+                    seen.add(v0)
             if folded is None:
-                kept.append((fn, a, b, dst))
+                kept.append(ins)
             elif folded == "neg":
-                kept.append((np.negative, alias.pop(dst), -1, dst))
+                kept.append(defs[dst])
+                del alias[dst]
         # a root folded into a constant or a variable is that leaf; one folded
         # into a computed register copies it into a register of its own, so
         # every computed root still fills its own result array
@@ -1533,12 +1533,13 @@ class _Fold:
         out = list(out)
         for i, r in enumerate(out):
             t = alias.get(r)
-            if t is not None and t not in defs:
+            if t is not None and defs[t] is None:
                 out[i] = t
             elif t is not None:
                 if r not in copies:
                     copies[r] = len(init)
                     init.append(None)
+                    defs.append(None)
                     kept.append((np.positive, t, -1, copies[r]))
                 out[i] = copies[r]
         # drop what no root reads
@@ -1552,6 +1553,17 @@ class _Fold:
         code.reverse()
         return code, out
 
+    def _set(self, r: int, v: tuple) -> None:
+        """Give register ``r`` the values ``v`` as a leaf: an earlier register of every later one."""
+        V0, V1, V2 = self.values
+        V0[r], V1[r], V2[r] = v
+        self.seen.add(v[0])
+
+    def _key(self, r: int) -> int:
+        """The values of register ``r`` packed into one int."""
+        V0, V1, V2 = self.values
+        return V0[r] | V1[r] << 64 | V2[r] << 128
+
     def _fold(self, dst: int, kind: str, t=None) -> str:
         """Record a fold; a zero or a duplicate reads as ``t`` from now on."""
         if kind == "zero":
@@ -1559,7 +1571,9 @@ class _Fold:
                 self.zero = len(self.init)
                 self.init.append(np.float64(0.0))
                 self.nodes.append(_ZERO)
-                self.values.append((0, 0, 0))
+                for column in self.values:
+                    column.append(0)
+                self.defs.append(None)
                 self.sizes.append(1)
                 self.zeros.add(self.zero)
             t = self.zero
@@ -1578,33 +1592,37 @@ class _Fold:
         if fn is np.add or (fn is np.subtract and not za):
             return self._fold(dst, "alias", b if za else a)
         if fn is np.subtract:
-            self.defs[dst] = (np.negative, b, -1)
-            self.values[dst] = self._values(np.negative, b, -1)
+            self.defs[dst] = (np.negative, b, -1, dst)
+            for column, v in zip(self.values, self._values(np.negative, b, -1)):
+                column[dst] = v
+            self.sizes[dst] = self.sizes[b]
             return self._fold(dst, "neg", b)
         return None
 
-    def _below(self, dst: int, v: tuple, neg: tuple):
-        """The first register below ``dst`` whose values are ``v`` or ``neg``, or None.
+    def _below(self, dst: int, key: int, neg: int):
+        """The first register below ``dst`` whose values pack to ``key`` or ``neg``, or None.
 
         Depth first over the operands as resolved, at most ``_BELOW_NODES``
         registers: the search depends on the sub-DAG of ``dst`` alone, so a
         node folds alike in every root tuple it is evaluated in.
         """
-        defs, values = self.defs, self.values
-        stack = [x for x in defs[dst][1:] if x >= 0 and values[x] is not None][::-1]
+        defs, (V0, V1, V2) = self.defs, self.values
+        _, a, b, _ = defs[dst]
+        stack = [a] if b < 0 or V0[b] < 0 else [b, a]
         visited = set()
         while stack and len(visited) < _BELOW_NODES:
             r = stack.pop()
             if r in visited:
                 continue
             visited.add(r)
-            if values[r] == v or values[r] == neg:
+            if V0[r] | V1[r] << 64 | V2[r] << 128 in (key, neg):
                 return r
-            d = defs.get(r)
-            if d is not None and d[0] is not np.power:
-                stack.extend(x for x in (d[2], d[1]) if x >= 0)
-            elif d is not None:
-                stack.append(d[1])
+            d = defs[r]
+            if d is not None:
+                _, a, b, _ = d
+                if b >= 0 and V0[b] >= 0:
+                    stack.append(b)
+                stack.append(a)
         return None
 
     def _certified(self, dst: int, kind: str, t):
@@ -1628,9 +1646,10 @@ class _Fold:
     # -- values over F_p ---------------------------------------------------------
 
     def _values(self, fn, a: int, b: int) -> tuple:
-        x0, x1, x2 = self.values[a]
+        V0, V1, V2 = self.values
+        x0, x1, x2 = V0[a], V1[a], V2[a]
         if fn is np.add or fn is np.subtract or fn is np.multiply or fn is np.divide:
-            y0, y1, y2 = self.values[b]
+            y0, y1, y2 = V0[b], V1[b], V2[b]
             if fn is np.add:
                 return (x0 + y0) % _P, (x1 + y1) % _P, (x2 + y2) % _P
             if fn is np.subtract:
@@ -1698,7 +1717,7 @@ class _Fold:
         """The expansion of ``r`` from its operands as they are read (``_operand``)."""
         if self.sizes[r] <= _CERT_TERMS:
             return self._expansion(r)
-        fn, a, b = self.defs[r]
+        fn, a, b, _ = self.defs[r]
         if fn not in _CALL_UFUNCS:
             self._expansion(a)
             if b >= 0 and fn is not np.power:
@@ -1719,7 +1738,7 @@ class _Fold:
                 exps[r] = None
                 stack.pop()
                 continue
-            d = self.defs.get(r)
+            d = self.defs[r]
             if d is None:  # a constant or a variable
                 value = self.init[r]
                 if type(value) is np.float64:
@@ -1729,7 +1748,7 @@ class _Fold:
                     exps[r] = None
                 stack.pop()
                 continue
-            fn, a, b = d
+            fn, a, b, _ = d
             if fn in _CALL_UFUNCS:
                 pending = ()
             else:
