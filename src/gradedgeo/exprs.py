@@ -553,9 +553,9 @@ _TWO = None  # type: ignore[assignment]
 #   theta = 0.37x + 0.29y), before and after the tape's fold: flattening
 #   products of more than two atoms re-lays out shared sub-products and
 #   grows it (``FACTOR_CAP`` 2, 3, 4: 6,607, 7,213, 7,972 instructions;
-#   5,731, 6,419, 7,095 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
-#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (5,839, 5,738,
-#   then 5,731 folded).  Without the sin^2 + cos^2 merge it had 7,407.
+#   5,965, 6,591, 7,249 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
+#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (6,084, 5,973,
+#   then 5,965 folded).  Without the sin^2 + cos^2 merge it had 7,407.
 # * ``add_all`` is ``add`` folded over many terms without the partial sums'
 #   nodes, and ``as_written`` builds a node with no normal form.
 
@@ -1213,8 +1213,9 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 #   rounding only, and a node folds alike in every process and in every
 #   root tuple.
 # * Measured on engel-graph theta = 0.37x + 0.29y: the EL residual's tape
-#   6,607 -> 5,731 instructions (671 -> 589 work rows), the first
-#   variation's 1,268 -> 996; the pass takes about 60 ms on the first.
+#   6,607 -> 5,965 instructions (671 -> 619 work rows; 55 candidates left
+#   uncertified), the first variation's 1,268 -> 1,051 (8 left); the pass
+#   takes about 40 ms on the first.
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _SYMBOLS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.divide: "/"}
