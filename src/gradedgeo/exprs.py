@@ -553,9 +553,9 @@ _TWO = None  # type: ignore[assignment]
 #   theta = 0.37x + 0.29y), before and after the tape's fold: flattening
 #   products of more than two atoms re-lays out shared sub-products and
 #   grows it (``FACTOR_CAP`` 2, 3, 4: 6,607, 7,213, 7,972 instructions;
-#   5,965, 6,591, 7,249 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
-#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (6,084, 5,973,
-#   then 5,965 folded).  Without the sin^2 + cos^2 merge it had 7,407.
+#   5,964, 6,587, 7,244 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
+#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (6,067, 5,972,
+#   then 5,964 folded).  Without the sin^2 + cos^2 merge it had 7,407.
 # * ``add_all`` is ``add`` folded over many terms without the partial sums'
 #   nodes, and ``as_written`` builds a node with no normal form.
 
@@ -1213,7 +1213,7 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 #   rounding only, and a node folds alike in every process and in every
 #   root tuple.
 # * Measured on engel-graph theta = 0.37x + 0.29y: the EL residual's tape
-#   6,607 -> 5,965 instructions (671 -> 619 work rows; 55 candidates left
+#   6,607 -> 5,964 instructions (671 -> 619 work rows; 55 candidates left
 #   uncertified), the first variation's 1,268 -> 1,051 (8 left); the pass
 #   takes about 40 ms on the first.
 
@@ -1526,7 +1526,6 @@ class _Fold:
                 kept.append(ins)
             elif folded == "neg":
                 kept.append(defs[dst])
-                del alias[dst]
         # a root folded into a constant or a variable is that leaf; one folded
         # into a computed register copies it into a register of its own, so
         # every computed root still fills its own result array
@@ -1566,7 +1565,8 @@ class _Fold:
         return V0[r] | V1[r] << 64 | V2[r] << 128
 
     def _fold(self, dst: int, kind: str, t=None) -> str:
-        """Record a fold; a zero or a duplicate reads as ``t`` from now on."""
+        """Record a fold: a zero or a duplicate reads as ``t`` from now on, a
+        negation becomes the instruction ``-t``."""
         if kind == "zero":
             if self.zero is None:
                 self.zero = len(self.init)
@@ -1579,7 +1579,10 @@ class _Fold:
                 self.zeros.add(self.zero)
             t = self.zero
             self.zeros.add(dst)
-        self.alias[dst] = t
+        if kind == "neg":
+            self.defs[dst] = (np.negative, t, -1, dst)
+        else:
+            self.alias[dst] = t
         self.folds.append((self.nodes[dst], kind, None if kind == "zero" else self.nodes[t]))
         return kind
 
@@ -1593,7 +1596,6 @@ class _Fold:
         if fn is np.add or (fn is np.subtract and not za):
             return self._fold(dst, "alias", b if za else a)
         if fn is np.subtract:
-            self.defs[dst] = (np.negative, b, -1, dst)
             for column, v in zip(self.values, self._values(np.negative, b, -1)):
                 column[dst] = v
             self.sizes[dst] = self.sizes[b]
@@ -1647,16 +1649,13 @@ class _Fold:
     # -- values over F_p ---------------------------------------------------------
 
     def _values(self, fn, a: int, b: int) -> tuple:
+        """The values of ``fn`` of registers a (and b) at the three points (+ and * are inline)."""
         V0, V1, V2 = self.values
         x0, x1, x2 = V0[a], V1[a], V2[a]
-        if fn is np.add or fn is np.subtract or fn is np.multiply or fn is np.divide:
+        if fn is np.subtract or fn is np.divide:
             y0, y1, y2 = V0[b], V1[b], V2[b]
-            if fn is np.add:
-                return (x0 + y0) % _P, (x1 + y1) % _P, (x2 + y2) % _P
             if fn is np.subtract:
                 return (x0 - y0) % _P, (x1 - y1) % _P, (x2 - y2) % _P
-            if fn is np.multiply:
-                return x0 * y0 % _P, x1 * y1 % _P, x2 * y2 % _P
             # a register that would need 1/0 gets a random value of its own
             r = self.rng.randrange
             return (
@@ -1726,8 +1725,8 @@ class _Fold:
         return self._expand(fn, a, b)
 
     def _expansion(self, reg: int):
-        """The expansion of ``reg``, None for an opaque atom: any register whose
-        bound (``sizes``) passes ``_CERT_TERMS``, and any that passes it."""
+        """The expansion of ``reg``, None for an opaque atom: a register whose
+        bound (``sizes``) or whose expansion passes ``_CERT_TERMS`` terms."""
         stack = [reg]
         exps = self.expansions
         while stack:
@@ -1800,7 +1799,7 @@ class _Fold:
 
     def _inverse(self, A: tuple):
         """1/A: one numerator monomial moves down; any other A is a divisor atom."""
-        terms, e = A
+        terms, e = A = _normal(A)
         if not terms:
             return None
         if len(terms) == 1:
@@ -1811,7 +1810,6 @@ class _Fold:
                     return {self._mono((), num): n}, -e
                 odd = self._number(("odd", abs(n)))
                 return {self._mono(((odd, 1),), num): 1 if n > 0 else -1}, -e
-        terms, e = _normal(A)
         items = sorted(terms.items())
         sign = 1 if items[0][1] > 0 else -1
         atom = self._number(("den", tuple((m, sign * n) for m, n in items)))
