@@ -553,9 +553,9 @@ _TWO = None  # type: ignore[assignment]
 #   theta = 0.37x + 0.29y), before and after the tape's fold: flattening
 #   products of more than two atoms re-lays out shared sub-products and
 #   grows it (``FACTOR_CAP`` 2, 3, 4: 6,607, 7,213, 7,972 instructions;
-#   5,964, 6,587, 7,244 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
-#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (6,067, 5,972,
-#   then 5,964 folded).  Without the sin^2 + cos^2 merge it had 7,407.
+#   5,991, 6,617, 7,274 folded); a ``FORM_CAP`` of 4, 8, 12, 16, 24 or 32
+#   terms gives 6,708, 6,616, 6,607, 6,607, 6,607 or 6,607 (6,092, 5,999,
+#   then 5,991 folded).  Without the sin^2 + cos^2 merge it had 7,407.
 # * ``add_all`` is ``add`` folded over many terms without the partial sums'
 #   nodes, and ``as_written`` builds a node with no normal form.
 
@@ -1213,9 +1213,9 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 #   rounding only, and a node folds alike in every process and in every
 #   root tuple.
 # * Measured on engel-graph theta = 0.37x + 0.29y: the EL residual's tape
-#   6,607 -> 5,964 instructions (671 -> 619 work rows; 55 candidates left
+#   6,607 -> 5,991 instructions (671 -> 621 work rows; 55 candidates left
 #   uncertified), the first variation's 1,268 -> 1,051 (8 left); the pass
-#   takes about 40 ms on the first.
+#   takes about 25 ms on the first (35 ms in a cold process).
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _SYMBOLS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.divide: "/"}
@@ -1408,7 +1408,7 @@ def _error(exc, fn, x, y) -> EvaluationError:
 _P = (1 << 61) - 1  # residues live in F_p, p a Mersenne prime
 _FOLD_SEED = 1004  # fixed: a tape folds alike in every process
 _CERT_TERMS = 64  # terms of an exact expansion; a longer one is an opaque atom
-_BELOW_NODES = 64  # registers a search for an equal one below a candidate visits
+_BELOW_NODES = 16  # registers a search for an equal one below a candidate visits
 
 
 def _residue(x: float) -> int:
@@ -1493,19 +1493,20 @@ class _Fold:
                 folded = self._structural(fn, a, b, dst)
             if folded is None:
                 defs[dst] = ins
-                # the two commonest operations inline; the values are three
-                # lists, so the scan allocates no container the GC tracks
+                # the commonest operations inline; the values are three lists,
+                # so the scan allocates no container the GC tracks
                 if fn is np.multiply:
                     v0, v1, v2 = V0[a] * V0[b] % _P, V1[a] * V1[b] % _P, V2[a] * V2[b] % _P
                     size = sizes[a] * sizes[b]
                 elif fn is np.add:
                     v0, v1, v2 = (V0[a] + V0[b]) % _P, (V1[a] + V1[b]) % _P, (V2[a] + V2[b]) % _P
                     size = sizes[a] + sizes[b]
+                elif fn is np.subtract:
+                    v0, v1, v2 = (V0[a] - V0[b]) % _P, (V1[a] - V1[b]) % _P, (V2[a] - V2[b]) % _P
+                    size = sizes[a] + sizes[b]
                 else:
                     v0, v1, v2 = self._values(fn, a, b)
-                    if fn is np.subtract:
-                        size = sizes[a] + sizes[b]
-                    elif fn is np.power:
+                    if fn is np.power:
                         size = sizes[a] ** min(init[b], big) if init[b] > 0 else 1
                     else:
                         size = 1 if fn in _CALL_UFUNCS else sizes[a]
@@ -1543,13 +1544,14 @@ class _Fold:
                     kept.append((np.positive, t, -1, copies[r]))
                 out[i] = copies[r]
         # drop what no root reads
-        live = set(out)
+        live = bytearray(len(init) + 1)  # the last byte stands for b = -1
+        for r in out:
+            live[r] = 1
         code = []
         for ins in reversed(kept):
-            if ins[3] in live:
+            if live[ins[3]]:
                 code.append(ins)
-                live.add(ins[1])
-                live.add(ins[2])
+                live[ins[1]] = live[ins[2]] = 1
         code.reverse()
         return code, out
 
@@ -1649,13 +1651,11 @@ class _Fold:
     # -- values over F_p ---------------------------------------------------------
 
     def _values(self, fn, a: int, b: int) -> tuple:
-        """The values of ``fn`` of registers a (and b) at the three points (+ and * are inline)."""
+        """The values of ``fn`` of registers a (and b) at the three points (+ - * are inline)."""
         V0, V1, V2 = self.values
         x0, x1, x2 = V0[a], V1[a], V2[a]
-        if fn is np.subtract or fn is np.divide:
+        if fn is np.divide:
             y0, y1, y2 = V0[b], V1[b], V2[b]
-            if fn is np.subtract:
-                return (x0 - y0) % _P, (x1 - y1) % _P, (x2 - y2) % _P
             # a register that would need 1/0 gets a random value of its own
             r = self.rng.randrange
             return (
