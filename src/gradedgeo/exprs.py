@@ -10,9 +10,9 @@ exponent, which keeps differentiation closed and avoids branch cuts.
 
 Evaluation accepts scalar or numpy-array variable bindings and runs a
 compiled tape of numpy ufuncs, cached per tuple of roots, from which the
-registers an exact certificate proves 0 or +-another register are folded;
-it has one semantics.  Array evaluation lets non-finite values propagate and keeps only
-live values in memory.  Scalar bindings alone are a batch of one through the
+registers an exact certificate proves 0 or +-a register below them are
+folded; it has one semantics.  Array evaluation lets non-finite values
+propagate and keeps only live values in memory.  Scalar bindings alone are a batch of one through the
 same ufuncs, so a point's value equals its value on a grid bit for bit, and
 it raises :class:`EvaluationError` on domain errors (log of a negative
 number), division by zero and overflow.
@@ -1556,7 +1556,7 @@ class _Fold:
         return code, out
 
     def _set(self, r: int, v: tuple) -> None:
-        """Give register ``r`` the values ``v`` as a leaf: an earlier register of every later one."""
+        """Give leaf register ``r`` the values ``v``."""
         V0, V1, V2 = self.values
         V0[r], V1[r], V2[r] = v
         self.seen.add(v[0])
@@ -1752,7 +1752,8 @@ class _Fold:
             if fn in _CALL_UFUNCS:
                 pending = ()
             else:
-                pending = [x for x in ((a,) if b < 0 or fn is np.power else (a, b)) if x not in exps]
+                operands = (a,) if b < 0 or fn is np.power else (a, b)
+                pending = [x for x in operands if x not in exps]
             if pending:
                 stack.extend(pending)
                 continue
@@ -1855,7 +1856,8 @@ class _Fold:
             sin = self.sin_of.get(atom)
             if sin is not None and e >= 2:
                 rest = _mono_product(num, ((atom, -2),))
-                return [*self._reduced(rest, k), *self._reduced(_mono_product(rest, ((sin, 2),)), -k)]
+                swapped = _mono_product(rest, ((sin, 2),))
+                return [*self._reduced(rest, k), *self._reduced(swapped, -k)]
         return [(num, k)]
 
 
@@ -1909,8 +1911,8 @@ def evaluate_many(exprs, env):
     The root tuple is compiled once into a cached tape (see ``_Tape``); a
     node on constants alone that construction could not fold (``1/0``) is
     refused there, naming the node, and the registers that an exact
-    certificate proves 0, or equal to an earlier register or its negative,
-    are folded (``_Fold``).  Every binding is a float64 array of the
+    certificate proves 0, or equal to a register below them or its
+    negative, are folded (``_Fold``).  Every binding is a float64 array of the
     common broadcast shape.  The tape runs over blocks of at most
     ``BLOCK_POINTS`` points, each node one numpy ufunc into a row of one work
     array recycled after the node's last use (a root into its result), so

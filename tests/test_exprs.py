@@ -300,7 +300,8 @@ def _reference_evaluate(roots, env, folds=()):
             fold = folded.get(id(node))
             with np.errstate(all="ignore"):
                 if fold is not None:
-                    value = 0.0 if fold[0] == "zero" else vals[0] if fold[0] == "alias" else -vals[0]
+                    kind = fold[0]
+                    value = 0.0 if kind == "zero" else vals[0] if kind == "alias" else -vals[0]
                 elif isinstance(node, Const):
                     value = node.value
                 elif isinstance(node, Var):

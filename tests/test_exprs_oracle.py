@@ -154,7 +154,9 @@ def _polynomial(children):
 
 # integer coefficients, so that sympy reduces exactly
 polynomials = st.recursive(
-    st.one_of(st.sampled_from(TRIG), st.just(var("x")), st.sampled_from((1.0, 2.0, -3.0)).map(const)),
+    st.one_of(
+        st.sampled_from(TRIG), st.just(var("x")), st.sampled_from((1.0, 2.0, -3.0)).map(const)
+    ),
     _polynomial,
     max_leaves=8,
 )
