@@ -11,6 +11,10 @@ A change that moves output bytes rewrites the corpus in the same commit:
     python tests/test_golden.py
 
 so ``git diff tests/golden/`` lists every byte that moved.
+
+Last digits depend on numpy's ufunc kernels (its version, and whether the
+CPU runs the AVX-512 ones), so ``tests/golden/PLATFORM`` records the
+platform the corpus was written on, and the comparison runs only there.
 """
 
 from __future__ import annotations
@@ -122,6 +126,20 @@ def run(command: str) -> str:
     )
 
 
+def platform_stamp() -> str:
+    """numpy's version, the machine, and whether numpy runs its AVX-512 (SKX) kernels."""
+    import platform
+
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    skx = "AVX512_SKX" if features.get("AVX512_SKX") else "no AVX512_SKX"
+    return f"numpy {np.__version__} {platform.machine()} {skx}\n"
+
+
 def write_fields(directory: str) -> None:
     for name, spec in FIELDS.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
@@ -134,6 +152,10 @@ def _golden_path(name: str) -> str:
 
 @pytest.fixture(scope="module")
 def field_dir(tmp_path_factory):
+    with open(os.path.join(GOLDEN, "PLATFORM"), encoding="utf-8") as fh:
+        recorded = fh.read()
+    if recorded != platform_stamp():
+        pytest.skip(f"corpus written on {recorded.strip()}, not on {platform_stamp().strip()}")
     directory = tmp_path_factory.mktemp("golden")
     write_fields(str(directory))
     return directory
@@ -171,6 +193,8 @@ def main() -> None:
     for name, text in texts.items():
         with open(_golden_path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    with open(os.path.join(GOLDEN, "PLATFORM"), "w", encoding="utf-8") as fh:
+        fh.write(platform_stamp())
 
 
 if __name__ == "__main__":
