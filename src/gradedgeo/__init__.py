@@ -20,7 +20,6 @@ from .manifold import (
     Manifold,
     MetricField,
     carnot_flag,
-    lie_bracket_at,
     verify_filtration,
 )
 from .immersion import Immersion, degree_scan, tangent_flag, uniform_grid
@@ -28,24 +27,17 @@ from .area import (
     QuadratureGrid,
     area_degree,
     area_singular_set,
-    density_theta,
     riemannian_area,
     scaling_limit_probe,
 )
 from .admissibility import (
     VariationField,
-    assemble_adapted,
-    assemble_normal,
     is_strongly_regular,
     metric_change_check,
     residual,
-    split_tangent_normal,
     system_shape,
 )
 from .variation import (
-    critical_residuals,
-    div_degree_d,
-    f_linear,
     first_variation,
     mean_curvature,
 )
@@ -68,7 +60,6 @@ __all__ = [
     "AdaptedFrame",
     "MetricField",
     "Manifold",
-    "lie_bracket_at",
     "verify_filtration",
     "carnot_flag",
     "Immersion",
@@ -76,23 +67,16 @@ __all__ = [
     "degree_scan",
     "tangent_flag",
     "QuadratureGrid",
-    "density_theta",
     "area_degree",
     "riemannian_area",
     "scaling_limit_probe",
     "area_singular_set",
     "system_shape",
-    "assemble_adapted",
-    "assemble_normal",
     "residual",
     "is_strongly_regular",
-    "split_tangent_normal",
     "metric_change_check",
     "VariationField",
-    "div_degree_d",
-    "f_linear",
     "first_variation",
     "mean_curvature",
-    "critical_residuals",
     "catalog",
 ]

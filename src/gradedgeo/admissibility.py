@@ -8,8 +8,7 @@ the degree-adapted echelon tangent basis supplying the derivative
 directions) and on an adapted orthonormal frame of the normal bundle
 (A_perp, B_perp, C_perp_j, derivative directions given by the orthonormal
 tangent frame).  The zeroth-order coefficients use the covariant form,
-which only needs data along the surface; the bracket form is available as
-a cross-check for graph immersions.
+which only needs data along the surface.
 
 Strong regularity at a point is full rank of A; it is what licenses solving
 for the control components and integrating admissible fields.
@@ -31,17 +30,13 @@ from .symmat import emat_mul, eval_matrix, upper_triangular_inverse
 
 __all__ = [
     "VariationField",
-    "AdmissibilitySystem",
     "RegularityResult",
     "MetricChangeReport",
     "frames_for",
     "system_shape",
-    "assemble_adapted",
-    "assemble_normal",
     "residual",
     "residual_exprs",
     "is_strongly_regular",
-    "split_tangent_normal",
     "metric_change_check",
 ]
 
@@ -73,19 +68,6 @@ class VariationField:
         return cls(data["frame"], comps)
 
 
-@dataclass
-class AdmissibilitySystem:
-    """Numeric admissibility system at one point."""
-
-    shape: SystemShape
-    point: tuple
-    A: np.ndarray
-    B: np.ndarray
-    C: list[np.ndarray]
-    tangent_param: np.ndarray  # parameter comps of the derivative directions
-    kind: str  # "adapted" or "normal"
-
-
 # The immersion owns its frames (``Immersion._frames``), so an entry lives
 # exactly as long as its immersion and an id cannot be reused while it exists.
 _FRAMES_CACHE: "weakref.WeakValueDictionary[int, ImmersionFrames]" = (
@@ -115,18 +97,6 @@ def system_shape(imm: Immersion, grid_points, d: int) -> SystemShape:
                     f"at {tuple(map(float, p))}"
                 )
     return frames.shape_for(d)
-
-
-def _assemble(imm: Immersion, pbar, sym: SymbolicSystem, kind: str) -> AdmissibilitySystem:
-    return AdmissibilitySystem(sym.shape, tuple(pbar), *sym.at(imm, pbar), kind)
-
-
-def assemble_adapted(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
-    return _assemble(imm, pbar, frames_for(imm).adapted_system(d), "adapted")
-
-
-def assemble_normal(imm: Immersion, pbar, d: int) -> AdmissibilitySystem:
-    return _assemble(imm, pbar, frames_for(imm).normal_system(d), "normal")
 
 
 def _residual_from_system(frames, sym: SymbolicSystem, comps) -> list[Expr]:
@@ -204,15 +174,6 @@ def is_strongly_regular(imm: Immersion, points, d: int):
             for rank, s in zip(numeric_rank(A).tolist(), svals.tolist())
         ]
     return results[0] if one else results
-
-
-def split_tangent_normal(imm: Immersion, field: VariationField, pbar):
-    """g-orthogonal split of the field value at a point (ortho-frame comps)."""
-    frames = frames_for(imm)
-    v = imm.values_at(frames.ambient_field_from_variation(field), pbar)[:, 0]
-    E = eval_matrix(frames.E_amb, imm.param_env(pbar))
-    vtan = E @ (E.T @ v)
-    return vtan, v - vtan
 
 
 @dataclass

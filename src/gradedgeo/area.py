@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureGrid",
     "AreaResult",
     "ScalingProbe",
-    "density_theta",
     "area_degree",
     "riemannian_area",
     "scaling_limit_probe",
@@ -102,22 +101,12 @@ def _finite_at_nodes(values: np.ndarray, points: np.ndarray, what: str) -> np.nd
     return values
 
 
-def density_theta(imm: Immersion, pbar, d: int) -> float:
-    """Norm of the degree-d part of the unit tangent m-vector at a point."""
-    points = np.asarray(pbar, dtype=float)[None, :]
-    minors, degrees, volume = _minors_and_volume(imm, points)
-    return float(_finite_at_nodes(_theta(minors, degrees, d, volume), points, f"degree-{d}")[0])
-
-
 @dataclass
 class AreaResult:
     value: float
     degree: int  # requested degree d
     degree_seen: int  # max pointwise degree over the quadrature nodes
     divergent_by_theory: bool  # d below the observed degree
-
-    def __float__(self):
-        return self.value
 
 
 def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:

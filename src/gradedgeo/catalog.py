@@ -25,19 +25,14 @@ kappa derived from theta so the ruling condition holds exactly, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .exprs import Expr, call, const, parse, var
+from .exprs import Expr, call, const, dot, parse, var
 from .manifold import AdaptedFrame, Manifold, MetricField
 from .multivec import GrowthVector
 from .immersion import Immersion
 
 __all__ = [
-    "CatalogEntry",
-    "builtin",
-    "names",
     "manifold",
     "immersion",
     "engel_graph_kappa",
@@ -49,55 +44,6 @@ __all__ = [
     "engel_family_field",
     "engel_admissible_normal_field",
 ]
-
-
-@dataclass
-class CatalogEntry:
-    name: str
-    kind: str  # "manifold" or "immersion"
-    summary: str
-    parameters: dict = field(default_factory=dict)
-    reference_values: dict = field(default_factory=dict)
-
-
-_MANIFOLDS = {
-    "h1xh1": "product of two Heisenberg structures, growth (4, 6)",
-    "rototrans": "contact structure on R^2 x S^1, growth (2, 3)",
-    "engel-structure": "ruled-surface Engel structure, growth (2, 3, 4)",
-    "engel-group": "polynomial Engel structure on R^4, growth (2, 3, 4)",
-}
-
-_IMMERSIONS = {
-    "h1xh1-surface": "(s,t) -> (s, 0, u(s), 0, t, u(s)); singular where u_s = 0",
-    "rt-graph": "graph theta = u(x, y); degree 3 away from singular points",
-    "engel-graph": "(theta, kappa)-graph with kappa = X1(theta); pure degree 4",
-    "isolated-plane": "(v, w) -> (v, 0, w, 0); degree 3, not strongly regular",
-}
-
-
-def names() -> list[str]:
-    return sorted(_MANIFOLDS) + sorted(_IMMERSIONS)
-
-
-def builtin(name: str) -> CatalogEntry:
-    if name in _MANIFOLDS:
-        return CatalogEntry(name, "manifold", _MANIFOLDS[name])
-    if name in _IMMERSIONS:
-        refs = {}
-        if name == "engel-graph":
-            refs = {
-                "area_integrand_frame_metric": "sqrt(1 + X1(kappa)^2)",
-                "area_integrand_euclidean": "sqrt(1 + kappa^2 + X1(kappa)^2)",
-                "degree": 4,
-            }
-        elif name == "rt-graph":
-            refs = {"area_integrand": "sqrt(1 + X(u)^2)", "degree": 3}
-        elif name == "isolated-plane":
-            refs = {"degree": 3, "strongly_regular": False}
-        elif name == "h1xh1-surface":
-            refs = {"degree": 3, "area_integrand": "abs(u_s)*sqrt(lam + mu)"}
-        return CatalogEntry(name, "immersion", _IMMERSIONS[name], reference_values=refs)
-    raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +287,6 @@ def contact_mean_curvature_exprs(imm: Immersion):
     """
     from .admissibility import frames_for
     from .manifold import lie_bracket_exprs
-    from .symmat import edot
 
     if imm.name != "rt-graph":
         raise ValueError("contact curvature is defined for rt-graph immersions")
@@ -358,7 +303,7 @@ def contact_mean_curvature_exprs(imm: Immersion):
     horizontal = [row[: frames.flag_dims[0]] for row in frames.E_param]
     div_h = const(0.0)
     for dnu, e in zip(frames.nabla_table(horizontal, nu_coord), frames.E_cols):
-        div_h = div_h + edot(dnu, e)
+        div_h = div_h + dot(dnu, e)
     # bracket term via the graph extension (frame components held constant)
     nu_ext = frames.graph_extend_field(nu_h)
     t_field = [list(f) for f in imm.manifold.frame.fields][2]

@@ -109,11 +109,17 @@ def _spec_list(data: dict, key: str, is_item, what: str) -> list:
     return value
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, m: int):
+    """Grid counts from ``text``, refused unless there is one per parameter and each is >= 1."""
     try:
-        return tuple(int(part) for part in text.lower().split("x"))
+        counts = tuple(int(part) for part in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"bad --grid {text!r} (expected e.g. 64x64)") from None
+    if len(counts) != m or min(counts) < 1:
+        raise ValueError(
+            f"bad --grid {text!r} (expected {m} counts of at least 1, one per parameter)"
+        )
+    return counts
 
 
 def _load_field(path: str, params) -> VariationField:
@@ -156,7 +162,7 @@ def _resolve_degree(args, imm: Immersion) -> int:
 
 def cmd_degree_scan(args):
     imm = _load_immersion(args)
-    shape = _parse_grid(args.grid)
+    shape = _parse_grid(args.grid, imm.m)
     report = degree_scan(imm, shape)
     payload = {
         "degree": report.degree,
@@ -174,7 +180,7 @@ def cmd_degree_scan(args):
 
 def cmd_area(args):
     imm = _load_immersion(args)
-    shape = _parse_grid(args.grid)
+    shape = _parse_grid(args.grid, imm.m)
     d = _resolve_degree(args, imm)
     res = area_degree(imm, d, QuadratureGrid(imm.domain, shape))
     payload = {
@@ -191,7 +197,7 @@ def cmd_area(args):
 
 def cmd_gr_limit(args):
     imm = _load_immersion(args)
-    shape = _parse_grid(args.grid)
+    shape = _parse_grid(args.grid, imm.m)
     d = _resolve_degree(args, imm)
     rs = [float(x) for x in args.r_seq.split(",")]
     probe = scaling_limit_probe(imm, d, QuadratureGrid(imm.domain, shape), rs)
@@ -213,7 +219,7 @@ def cmd_admissibility(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
-    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
     res = imm.values_at(residual_exprs(imm, field, d), pts).T.copy()  # (N, ell), rows contiguous
     # per row the dot product that np.linalg.norm takes of a vector, bit for bit
     norms = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
@@ -231,7 +237,7 @@ def cmd_admissibility(args):
 def cmd_regularity(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
-    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
     regs = is_strongly_regular(imm, pts, d)
     rows = [
         {
@@ -255,7 +261,7 @@ def cmd_regularity(args):
 def cmd_mean_curvature(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
-    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
     rows = [
         {"point": [float(x) for x in p], "H": [float(h) for h in mc.components]}
         for p, mc in zip(pts, mean_curvature(imm, pts, d))
@@ -271,7 +277,7 @@ def cmd_first_variation(args):
     imm = _load_immersion(args)
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
-    grid = QuadratureGrid(imm.domain, _parse_grid(args.grid))
+    grid = QuadratureGrid(imm.domain, _parse_grid(args.grid, imm.m))
     value = first_variation(imm, field, grid, d)
     _emit(args, {"d": d, "value": value})
     return 0
@@ -282,7 +288,7 @@ def cmd_el_residual(args):
     if imm.name != "engel-graph":
         raise ValueError("el-residual expects --catalog engel-graph:theta=...")
     resid, scale = catalog.engel_el_residual_exprs(imm)
-    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid))
+    pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
     vals = resid.eval(imm.grid_env(pts))
     rows = [[*map(float, p), float(v)] for p, v in zip(pts, vals)]
     payload = {
@@ -382,8 +388,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ExprError, OSError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except (ValueError, ExprError, OSError, MemoryError) as exc:
+        # a grid too large to allocate is bad input too
+        parser.exit(2, f"{parser.prog}: error: {str(exc) or type(exc).__name__}\n")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ __all__ = [
     "call",
     "as_written",
     "evaluate_many",
-    "variables_many",
     "variables_each",
     "FUNCTION_NAMES",
 ]
@@ -235,9 +234,6 @@ class Expr:
 
     def eval(self, env):
         return evaluate_many((self,), env)[0]
-
-    def __call__(self, **env):
-        return self.eval(env)
 
     # -- printing ------------------------------------------------------------
 
@@ -1928,16 +1924,6 @@ def evaluate_many(exprs, env):
     :class:`EvaluationError`.
     """
     return _tape(tuple(exprs)).run(env)
-
-
-def variables_many(exprs) -> frozenset[str]:
-    """Names of the variables that ``exprs`` depend on, read from their tape.
-
-    The union of ``Expr.variables()`` over ``exprs``, without a second walk
-    of the DAG: the cached tape that ``evaluate_many`` of the same roots
-    runs is compiled here if it is not yet, and refuses the same nodes.
-    """
-    return frozenset(name for _, name in _tape(tuple(exprs)).loads)
 
 
 def variables_each(exprs) -> list[frozenset[str]]:

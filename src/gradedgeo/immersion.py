@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import (
-    Add, Const, EvaluationError, Expr, Mul, as_written, evaluate_many, variables_each,
+    Add, Const, EvaluationError, Expr, Mul, add_all, as_written, evaluate_many, variables_each,
 )
 from .manifold import Manifold, numeric_rank
 from .multivec import (
@@ -60,7 +60,7 @@ from .multivec import (
     minors,
     minors_norm,
 )
-from .symmat import ZERO, emat_mul, sum_exprs
+from .symmat import ZERO, emat_mul
 
 __all__ = [
     "Immersion",
@@ -84,12 +84,8 @@ def uniform_grid(domain, shape):
 
 @dataclass
 class TangentFrameAtPoint:
-    point: tuple
-    coord_tangents: np.ndarray  # n x m, columns dPhi(d/d param_a)
     ortho_comps: np.ndarray  # n x m in the orthonormal adapted frame
-    induced: np.ndarray  # m x m induced metric
-    sqrt_det: float
-    minors: np.ndarray  # (C(n, m),) minors of ortho_comps; / sqrt_det is the unit m-vector
+    minors: np.ndarray  # (C(n, m),) minors of ortho_comps; / their norm is the unit m-vector
 
 
 class Immersion:
@@ -185,9 +181,6 @@ class Immersion:
             [comp.diff(name) for name in self.params] for comp in self.components
         ]
 
-    def phi_at(self, pbar) -> np.ndarray:
-        return np.array(evaluate_many(self.components, self.param_env(pbar)), dtype=float)
-
     def midpoint(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.domain])
 
@@ -252,7 +245,7 @@ class Immersion:
                 if c is not ZERO:
                     for a in range(self.m):
                         tau[i][a] = as_written(Add, tau[i][a], as_written(Mul, c, jac[j][a]))
-        coframe_sq = sum_exprs([e * e for row in coframe for e in row])
+        coframe_sq = add_all([e * e for row in coframe for e in row])
         return [
             *(e for row in jac for e in row),
             *(e for row in tau for e in row),
@@ -344,17 +337,11 @@ class Immersion:
             raise DegenerateInputError(
                 f"immersion Jacobian is rank deficient at {tuple(map(float, pbar))}"
             )
-        row = self.minors_grid(tau[None])
-        return TangentFrameAtPoint(
-            tuple(pbar), jac, tau, tau.T @ tau, float(minors_norm(row)[0]), row[0]
-        )
+        return TangentFrameAtPoint(tau, self.minors_grid(tau[None])[0])
 
     def pointwise_degree(self, pbar) -> int:
         row = self.tangent_data(pbar).minors
         return int(max_degrees(row[None], self.multi_index_degrees, DEGREE_EPS)[0])
-
-    def induced_metric(self, pbar) -> np.ndarray:
-        return self.tangent_data(pbar).induced
 
     def tangent_flag_dims(self, pbar) -> tuple[int, ...]:
         return self._flag_dims(self.tangent_data(pbar).ortho_comps)
@@ -412,20 +399,6 @@ class Immersion:
                     f"at {tuple(map(float, pbar))}"
                 )
         return tuple(p + 1 for p in pivots)
-
-    def adapted_tangent_at(self, pbar, pivots=None):
-        """Echelon tangent basis: (ambient ortho comps n x m, parameter comps m x m)."""
-        tau = self.tangent_data(pbar).ortho_comps
-        if pivots is None:
-            pivots = self._adapted_pivots(tau, pbar)
-        P = tau[[p - 1 for p in pivots], :]
-        try:
-            Pinv = np.linalg.inv(P)
-        except np.linalg.LinAlgError:
-            raise DegenerateInputError(
-                f"adapted pivot rows {pivots} degenerate at {tuple(map(float, pbar))}"
-            ) from None
-        return tau @ Pinv, Pinv
 
 
 def tangent_flag(imm: Immersion, pbar):

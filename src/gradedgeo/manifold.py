@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import Expr, const, evaluate_many, parse
-from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector, minors
+from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector
 from .symmat import (
     eidentity,
     einverse,
@@ -40,7 +40,6 @@ __all__ = [
     "FiltrationReport",
     "CarnotFlagResult",
     "lie_bracket_exprs",
-    "lie_bracket_at",
     "verify_filtration",
     "carnot_flag",
     "numeric_rank",
@@ -108,9 +107,6 @@ class AdaptedFrame:
     def coframe_exprs(self) -> list[list[Expr]]:
         """Symbolic inverse of the frame matrix (adjugate over determinant)."""
         return einverse(self.matrix_exprs)
-
-    def matrix_at(self, point) -> np.ndarray:
-        return eval_matrix(self.matrix_exprs, self.env(point))
 
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedFrame":
@@ -234,12 +230,6 @@ def lie_bracket_exprs(x_comps, y_comps, coords) -> list[Expr]:
     return out
 
 
-def lie_bracket_at(x_comps, y_comps, coords, point) -> np.ndarray:
-    env = dict(zip(coords, np.asarray(point, dtype=float)))
-    vals = evaluate_many(lie_bracket_exprs(x_comps, y_comps, coords), env)
-    return np.array(vals, dtype=float)
-
-
 @dataclass
 class FiltrationViolation:
     point: tuple
@@ -353,9 +343,6 @@ class Manifold:
     def with_metric(self, metric: MetricField) -> "Manifold":
         return Manifold(self.frame, metric, self.name)
 
-    def env(self, point) -> dict:
-        return self.frame.env(point)
-
     # -- orthonormal adapted frame ------------------------------------------
 
     @cached_property
@@ -372,16 +359,6 @@ class Manifold:
     def ortho_coframe_exprs(self) -> list[list[Expr]]:
         Uinv = upper_triangular_inverse(self.ortho_change_exprs)
         return emat_mul(Uinv, self.frame.coframe_exprs)
-
-    def ortho_matrix_at(self, point) -> np.ndarray:
-        return eval_matrix(self.ortho_matrix_exprs, self.env(point))
-
-    def ortho_coframe_at(self, point) -> np.ndarray:
-        return eval_matrix(self.ortho_coframe_exprs, self.env(point))
-
-    def expand_in_ortho(self, vec, point) -> np.ndarray:
-        """Components of a coordinate vector on the orthonormal adapted frame."""
-        return self.ortho_coframe_at(point) @ np.asarray(vec, dtype=float)
 
     # -- metric data --------------------------------------------------------
 
@@ -401,26 +378,6 @@ class Manifold:
             [[G[i][j].diff(name) for j in range(self.n)] for i in range(self.n)]
             for name in self.coords
         ]
-
-    def metric_at(self, point) -> np.ndarray:
-        return eval_matrix(self.metric_exprs, self.env(point))
-
-    def christoffel_at(self, point) -> np.ndarray:
-        """Gamma[k, i, j] of the Levi-Civita connection in coordinates."""
-        pts = np.asarray(point, dtype=float)[None, :]
-        env = {name: pts[:, i] for i, name in enumerate(self.coords)}
-        n = self.n
-        flat = [e for plane in self.metric_derivative_exprs for row in plane for e in row]
-        vals = evaluate_many(flat, env)
-        dG = np.stack(vals, axis=-1).reshape(1, n, n, n)
-        gvals = evaluate_many([self.metric_exprs[i][j] for i in range(n) for j in range(n)], env)
-        G = np.stack(gvals, axis=-1).reshape(1, n, n)
-        Ginv = np.linalg.inv(G)
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dG[p,a,i,j] = d_a g_ij
-        gamma = np.einsum("pkl,pijl->pkij", Ginv, dG)
-        gamma += np.einsum("pkl,pjil->pkij", Ginv, dG)
-        gamma -= np.einsum("pkl,plij->pkij", Ginv, dG)
-        return 0.5 * gamma[0]
 
     @cached_property
     def christoffel_exprs(self):
@@ -454,45 +411,3 @@ class Manifold:
             [[M[c][j].diff(name) for j in range(self.n)] for c in range(self.n)]
             for name in self.coords
         ]
-
-    def covariant_derivative_field(self, v_coords, field_index: int, point) -> np.ndarray:
-        """Coordinate components of nabla_v X_j for an orthonormal frame field."""
-        env = self.env(point)
-        n = self.n
-        gamma = self.christoffel_at(point)
-        X = self.ortho_matrix_at(point)[:, field_index]
-        dX = np.array(
-            [
-                evaluate_many(
-                    [self.ortho_frame_derivative_exprs[a][c][field_index] for c in range(n)],
-                    env,
-                )
-                for a in range(n)
-            ],
-            dtype=float,
-        )  # dX[a][c]
-        v = np.asarray(v_coords, dtype=float)
-        out = v @ dX  # sum_a v^a d_a X^c
-        out = out + np.einsum("kab,a,b->k", gamma, v, X)
-        return out
-
-    def cov_derivative_simple_mvector(self, v_coords, J, point) -> np.ndarray:
-        """Leibniz expansion of nabla_v (X_{j1} ^ ... ^ X_{jm}) in the orthonormal frame.
-
-        The result is the dense m-vector row, (C(n, m),) in ``all_multi_indices`` order.
-        """
-        m = len(J)
-        n = self.n
-        coframe = self.ortho_coframe_at(point)
-        result = np.zeros(math.comb(n, m))
-        for slot in range(m):
-            deriv = self.covariant_derivative_field(v_coords, J[slot] - 1, point)
-            comps = coframe @ deriv
-            cols = np.zeros((n, m))
-            for a, j in enumerate(J):
-                if a == slot:
-                    cols[:, a] = comps
-                else:
-                    cols[j - 1, a] = 1.0
-            result = result + minors(cols[None])[0]
-        return result

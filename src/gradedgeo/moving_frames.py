@@ -31,9 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, call, const, div
+from .exprs import Expr, add_all, call, const, div, dot
 from .immersion import Immersion
-from .manifold import lie_bracket_exprs
 from .multivec import (
     CONTROL_DET_TOL,
     NORMAL_PIVOT_TOL,
@@ -41,14 +40,7 @@ from .multivec import (
     all_multi_indices,
     dim_gt,
 )
-from .symmat import (
-    edet,
-    edot,
-    einverse,
-    emat_mul,
-    gram_schmidt_from_gram,
-    sum_exprs,
-)
+from .symmat import edet, einverse, emat_mul, gram_schmidt_from_gram
 
 __all__ = ["ImmersionFrames", "SystemShape", "SymbolicSystem"]
 
@@ -161,7 +153,7 @@ class ImmersionFrames:
         out = [[ZERO for _ in range(m)] for _ in range(m)]
         for a in range(m):
             for b in range(m):
-                out[a][b] = edot([tau[i][a] for i in range(n)], [tau[i][b] for i in range(n)])
+                out[a][b] = dot([tau[i][a] for i in range(n)], [tau[i][b] for i in range(n)])
         return out
 
     @cached_property
@@ -195,7 +187,7 @@ class ImmersionFrames:
     def _tangent_gs(self):
         gram = [
             [
-                sum_exprs(
+                add_all(
                     [self.adapted_amb[i][a] * self.adapted_amb[i][b] for i in range(self.n)]
                 )
                 for b in range(self.m)
@@ -265,7 +257,7 @@ class ImmersionFrames:
         def residual_for(q: int) -> list[Expr]:
             w: list[Expr] = [ONE if i == q else ZERO for i in range(n)]
             for col in self.E_cols + accepted:
-                coeff = edot(w, col)
+                coeff = dot(w, col)
                 w = [w[i] - coeff * col[i] for i in range(n)]
             return w
 
@@ -275,7 +267,7 @@ class ImmersionFrames:
                 best_q, best_norm, best_w = None, 0.0, None
                 for q in remaining:
                     w = residual_for(q)
-                    norm2 = float(edot(w, w).eval(env))
+                    norm2 = float(dot(w, w).eval(env))
                     if norm2 > best_norm:
                         best_q, best_norm, best_w = q, norm2, w
                 if best_q is None or best_norm <= NORMAL_PIVOT_TOL:
@@ -283,7 +275,7 @@ class ImmersionFrames:
                         "normal frame construction degenerate at the base point"
                     )
                 remaining.remove(best_q)
-                nrm = call("sqrt", edot(best_w, best_w))
+                nrm = call("sqrt", dot(best_w, best_w))
                 accepted.append([div(c, nrm) for c in best_w])
 
         run_group(range(self.rho), self.k)
@@ -319,7 +311,7 @@ class ImmersionFrames:
 
     def tangent_derivative(self, param_col, f: Expr) -> Expr:
         """Directional derivative of a parameter function along a tangent field."""
-        return edot(param_col, [f.diff(name) for name in self.imm.params])
+        return dot(param_col, [f.diff(name) for name in self.imm.params])
 
     def _christoffel_sum(self, c: int, v_coord, w_coord) -> Expr:
         """sum_ab Gamma^c_ab v^a w^b as sum_a v^a (sum_b Gamma^c_ab w^b).
@@ -331,12 +323,12 @@ class ImmersionFrames:
         """
         gam = self.christoffel[c]
         rows = [a for a, row in enumerate(gam) if any(g is not ZERO for g in row)]
-        return edot([v_coord[a] for a in rows], [edot(gam[a], w_coord) for a in rows])
+        return dot([v_coord[a] for a in rows], [dot(gam[a], w_coord) for a in rows])
 
     def nabla_field_along(self, param_col, field_coord) -> list[Expr]:
         """nabla_v W for W given along M (coordinate comps), v tangent (param comps)."""
         v_coord = [
-            edot(self.imm.jacobian_exprs[c], param_col)
+            dot(self.imm.jacobian_exprs[c], param_col)
             for c in range(self.n)
         ]
         return [
@@ -350,13 +342,13 @@ class ImmersionFrames:
         n = self.n
         field = [self.ortho_mat[b][field_index] for b in range(n)]
         return [
-            edot(v_coord, [self.frame_coord_derivs[a][c][field_index] for a in range(n)])
+            dot(v_coord, [self.frame_coord_derivs[a][c][field_index] for a in range(n)])
             + self._christoffel_sum(c, v_coord, field)
             for c in range(n)
         ]
 
     def to_ortho_comps(self, coord_col) -> list[Expr]:
-        return [edot(row, coord_col) for row in self.imm.ortho_coframe_exprs]
+        return [dot(row, coord_col) for row in self.imm.ortho_coframe_exprs]
 
     def nabla_table(self, t_param, field_coord) -> list[list[Expr]]:
         """nabla_{t_i} W (ortho comps) for each tangent field t_i, a column of ``t_param``.
@@ -400,7 +392,7 @@ class ImmersionFrames:
                 dcol = self.to_ortho_comps(self.nabla_ambient_field(v_coord, J[slot] - 1))
                 inner = inner + edet(
                     [
-                        [edot(col, dcol) if b == slot else col[j - 1] for b, j in enumerate(J)]
+                        [dot(col, dcol) if b == slot else col[j - 1] for b, j in enumerate(J)]
                         for col in cols
                     ]
                 )
@@ -422,7 +414,7 @@ class ImmersionFrames:
     @_per_degree
     def theta(self, d: int) -> Expr:
         coeffs = self.tangent_coeffs(d)
-        return call("sqrt", sum_exprs([c * c for c in coeffs.values()]))
+        return call("sqrt", add_all([c * c for c in coeffs.values()]))
 
     def div_tangent(self, param_comps) -> Expr:
         """Intrinsic divergence of a tangent field given in parameter comps."""
@@ -538,7 +530,7 @@ class ImmersionFrames:
         raise ValueError(f"unknown variation frame {field.frame!r}")
 
     def coord_comps(self, ortho_comps) -> list[Expr]:
-        return [edot(self.ortho_mat[c], ortho_comps) for c in range(self.n)]
+        return [dot(self.ortho_mat[c], ortho_comps) for c in range(self.n)]
 
     def first_variation_roots(self, field, d: int) -> tuple[Expr, ...]:
         """(integrand, Theta_d, ambient field components) of the first variation.
@@ -631,39 +623,4 @@ class ImmersionFrames:
         ext = [self.graph_extend(c) for c in ortho_comps]
         F = self.mani.ortho_matrix_exprs
         n = self.n
-        return [sum_exprs([F[c][a] * ext[a] for a in range(n)]) for c in range(n)]
-
-    def mean_curvature_bracket_exprs(self, d: int):
-        """Bracket form of the curvature components (needs a graph extension)."""
-        n, m = self.n, self.m
-        theta = self.theta(d)
-        xi = self._xi(d)
-        coords = self.mani.coords
-        E_ext = [self.graph_extend_field(col) for col in self.E_cols]
-        N_ext = [self.graph_extend_field(col) for col in self.N_cols]
-        theta_ext = self.graph_extend(theta)
-        out = []
-        for j, ncol in enumerate(self.N_cols):
-            # div_M(theta N_j - sum_i xi_ij E_i): tangential part is intrinsic,
-            # normal part via sum_i <nabla_{E_i} (theta N_j), E_i>.
-            tangential = [
-                sum_exprs([-xi[i][j] * self.E_param[a][i] for i in range(m)])
-                for a in range(m)
-            ]
-            div_term = self.div_tangent(tangential)
-            ncoord = self.coord_comps(ncol)
-            theta_ncoord = [theta * c for c in ncoord]
-            for dW, e in zip(self.nabla_table(self.E_param, theta_ncoord), self.E_cols):
-                div_term = div_term + edot(dW, e)
-            # N_j(theta) through the graph extension
-            njtheta = self.imm.compose(
-                sum_exprs([N_ext[j][c] * theta_ext.diff(coords[c]) for c in range(n)])
-            )
-            bracket_term = ZERO
-            for i in range(m):
-                lie = lie_bracket_exprs(E_ext[i], N_ext[j], coords)
-                lie_on_m = self.to_ortho_comps([self.imm.compose(c) for c in lie])
-                for kk, nk in enumerate(self.N_cols):
-                    bracket_term = bracket_term + xi[i][kk] * edot(lie_on_m, nk)
-            out.append(div_term + njtheta + bracket_term)
-        return out
+        return [add_all([F[c][a] * ext[a] for a in range(n)]) for c in range(n)]

@@ -90,15 +90,6 @@ class GrowthVector:
     def step(self) -> int:
         return len(self.dims)
 
-    @property
-    def homogeneous_dimension(self) -> int:
-        prev = 0
-        total = 0
-        for i, ni in enumerate(self.dims, start=1):
-            total += i * (ni - prev)
-            prev = ni
-        return total
-
     def weights(self) -> tuple[int, ...]:
         out = []
         prev = 0

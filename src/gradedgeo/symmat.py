@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Expr, add_all, call, const, div, dot, evaluate_many, mul, sub
+from .exprs import Expr, call, const, div, dot, evaluate_many, mul, sub
 
 __all__ = [
     "ezeros",
@@ -22,7 +22,6 @@ __all__ = [
     "upper_triangular_inverse",
     "eval_matrix",
     "gram_schmidt_from_gram",
-    "edot",
 ]
 
 ZERO = const(0.0)
@@ -47,14 +46,6 @@ def emat_mul(A, B):
         ks = [k for k, aik in enumerate(row) if aik is not ZERO]
         out.append([dot([row[k] for k in ks], [B[k][j] for k in ks]) for j in range(len(B[0]))])
     return out
-
-
-def sum_exprs(items):
-    return add_all(items)
-
-
-def edot(u, v):
-    return dot(u, v)
 
 
 def edet(A) -> Expr:

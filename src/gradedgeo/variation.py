@@ -20,42 +20,22 @@ import numpy as np
 
 from .admissibility import VariationField, frames_for
 from .area import QuadratureGrid
-from .exprs import Expr, const, evaluate_many
+from .exprs import Expr, add_all, const, dot, evaluate_many
 from .immersion import Immersion
 from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
-from .symmat import edot, einverse, sum_exprs
+from .symmat import einverse
 
 __all__ = [
     "MeanCurvatureAtPoint",
     "CriticalResidualExprs",
-    "div_degree_d",
-    "f_linear",
     "first_variation",
     "mean_curvature",
     "mean_curvature_field_exprs",
-    "mean_curvature_bracket_at",
     "duality_integral",
     "critical_residual_exprs",
-    "critical_residuals",
 ]
 
 ZERO = const(0.0)
-
-
-def div_degree_d(imm: Immersion, field: VariationField, pbar, d: int) -> float:
-    """Degree-d divergence of the field at a point."""
-    frames = frames_for(imm)
-    expr = frames.div_degree_d_expr(field, d)
-    return float(expr.eval(imm.param_env(pbar)))
-
-
-def f_linear(imm: Immersion, vp, pbar, d: int) -> float:
-    """Curvature pairing f(V_p) for a single vector (ortho-frame components)."""
-    frames = frames_for(imm)
-    comps = tuple(const(float(c)) for c in np.asarray(vp, dtype=float))
-    field = VariationField("adapted", comps)
-    expr = frames.f_linear_expr(field, d)
-    return float(expr.eval(imm.param_env(pbar)))
 
 
 def _support_check(imm: Immersion, comps):
@@ -150,12 +130,6 @@ def mean_curvature_field_exprs(imm: Immersion, d: int) -> list[Expr]:
     return out
 
 
-def mean_curvature_bracket_at(imm: Immersion, pbar, d: int) -> np.ndarray:
-    """Bracket-form curvature components (cross-check; needs a graph chart)."""
-    frames = frames_for(imm)
-    return imm.values_at(frames.mean_curvature_bracket_exprs(d), pbar)[:, 0]
-
-
 def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid, d: int) -> float:
     """Integral of <V, H_d> against the induced measure."""
     frames = frames_for(imm)
@@ -163,7 +137,7 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     comps = frames.ambient_field_from_variation(field)
     total = ZERO
     for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
-        total = total + (h1 + h2 + h3) * edot(comps, ncol)
+        total = total + (h1 + h2 + h3) * dot(comps, ncol)
     integrand = total * frames.sqrt_detmu
     return grid.integrate_values(integrand.eval(imm.grid_env(grid.points)))
 
@@ -209,7 +183,7 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
     Hhat = [H[c] for c in hat_cols]
     # row vector w = H^hat (A^hat)^{-1}
     w = [
-        sum_exprs([Hhat[i] * Ahat_inv[i][q] for i in range(ell)]) for q in range(ell)
+        add_all([Hhat[i] * Ahat_inv[i][q] for i in range(ell)]) for q in range(ell)
     ]
     iota_res = []
     for pos, c in enumerate(iota_cols):
@@ -224,16 +198,10 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
         for q in range(ell):
             acc = acc - w[q] * sym.B[q][r]
         for j in range(m):
-            u = sum_exprs([w[q] * sym.C[j][q][r] for q in range(ell)])
+            u = add_all([w[q] * sym.C[j][q][r] for q in range(ell)])
             param_col = [sym.tangent_param[a][j] for a in range(m)]
             div_e = frames.div_tangent(param_col)
             acc = acc - (-frames.tangent_derivative(param_col, u) - div_e * u)
         vert_res.append(acc)
     scale = Ahat[0][0] if ell == 1 else const(1.0)
     return CriticalResidualExprs(iota_res, vert_res, hat_cols, scale)
-
-
-def critical_residuals(imm: Immersion, pbar, d: int, columns=None):
-    """Numeric stationarity residuals (iota part, vert part) at a point."""
-    res = critical_residual_exprs(imm, d, columns)
-    return imm.values_at(res.iota, pbar)[:, 0], imm.values_at(res.vert, pbar)[:, 0]

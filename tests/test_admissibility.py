@@ -8,19 +8,15 @@ import pytest
 from gradedgeo import catalog, verify
 from gradedgeo.admissibility import (
     VariationField,
-    assemble_adapted,
-    assemble_normal,
     frames_for,
-    is_strongly_regular,
     metric_change_check,
     residual,
-    split_tangent_normal,
     system_shape,
 )
-from gradedgeo.exprs import const, parse, var
+from gradedgeo.exprs import const, dot, parse, var
 from gradedgeo.manifold import MetricField, numeric_rank, lie_bracket_exprs
 from gradedgeo.multivec import all_multi_indices, compound, d_max
-from gradedgeo.symmat import edet, edot, emat_mul, eval_matrix, upper_triangular_inverse
+from gradedgeo.symmat import edet, emat_mul, eval_matrix, upper_triangular_inverse
 from gradedgeo.verify import engel_closed_forms
 
 THETA = "0.2*x + 0.3*y"
@@ -81,10 +77,10 @@ def test_assemble_adapted_plane_exact(engel_graph, plane):
 
 
 def test_assemble_hypersurface_empty(rt_graph):
-    sys = assemble_adapted(rt_graph, [0.5, 0.5], 3)
-    assert sys.A.shape == (0, 2)
-    assert sys.B.shape == (0, 1)
-    assert all(c.shape == (0, 1) for c in sys.C)
+    A, B, C, _ = frames_for(rt_graph).adapted_system(3).at(rt_graph, [0.5, 0.5])
+    assert A.shape == (0, 2)
+    assert B.shape == (0, 1)
+    assert all(c.shape == (0, 1) for c in C)
 
 
 def test_assemble_normal_plane(plane):
@@ -92,11 +88,11 @@ def test_assemble_normal_plane(plane):
     # orientation (+X2 here).  Ground truth: admissible plane fields have
     # f4 = g(w), f2 = -g'(w), and the first row annihilates them only with
     # the +1 entry.
-    for p in plane.sample_points(5, seed=4):
-        sys = assemble_normal(plane, p, 3)
-        assert sys.A.shape == (3, 1)
-        assert np.allclose(sys.A, [[1.0], [0.0], [0.0]], atol=1e-12)
-        assert numeric_rank(sys.A) == 1
+    A = frames_for(plane).normal_system(3).at(plane, plane.sample_points(5, seed=4))[0]
+    assert A.shape == (5, 3, 1)
+    for a in A:
+        assert np.allclose(a, [[1.0], [0.0], [0.0]], atol=1e-12)
+        assert numeric_rank(a) == 1
     g = parse("w^3 - w", ["v", "w"])
     V = VariationField(
         "adapted", (const(0.0), -g.diff("w"), const(0.0), g)
@@ -111,11 +107,8 @@ def test_rank_a_equals_rank_a_perp():
         (catalog.immersion("isolated-plane"), 3),
         (catalog.immersion("h1xh1-surface", u="s^2 + 0.5*s"), 3),
     ]
-    for imm, d in cases:
-        for p in imm.sample_points(50, seed=5):
-            a = assemble_adapted(imm, p, d).A
-            ap = assemble_normal(imm, p, d).A
-            assert numeric_rank(a) == numeric_rank(ap), (imm.name, tuple(p))
+    result = verify.regularity([], [(imm, imm.sample_points(50, seed=5), d) for imm, d in cases])
+    assert result.passed, result.detail
 
 
 def test_normal_frame_is_orthonormal_and_normal(engel_graph):
@@ -191,35 +184,43 @@ def test_residual_plane_displayed_system(plane):
 
 
 def test_strong_regularity_flags(engel_graph, plane, rt_graph):
-    for p in engel_graph.sample_points(20, seed=12):
-        reg = is_strongly_regular(engel_graph, p, 4)
-        assert reg.strongly_regular and reg.rank == 1 and reg.ell == 1
-    for p in plane.sample_points(20, seed=13):
-        reg = is_strongly_regular(plane, p, 3)
-        assert not reg.strongly_regular
-        assert reg.rank == 1 and reg.ell == 3
-    reg = is_strongly_regular(rt_graph, [0.5, 0.5], 3)
-    assert reg.strongly_regular and reg.ell == 0
+    # (strongly regular, rank, ell) at every point of each set
+    result = verify.regularity(
+        [
+            ("engel", engel_graph, engel_graph.sample_points(20, seed=12), 4, (True, 1, 1)),
+            ("plane", plane, plane.sample_points(20, seed=13), 3, (False, 1, 3)),
+            ("hypersurface", rt_graph, np.array([[0.5, 0.5]]), 3, (True, 0, 0)),
+        ],
+        [],
+    )
+    assert result.passed, result.detail
 
 
 def test_split_tangent_normal(engel_graph):
     fr = frames_for(engel_graph)
     p = [0.4, 0.6]
-    env = engel_graph.param_env(p)
+    E = eval_matrix(fr.E_amb, engel_graph.param_env(p))
+
+    def split(field):
+        """g-orthogonal split of the field's value at p (ortho-frame comps)."""
+        v = engel_graph.values_at(fr.ambient_field_from_variation(field), p)[:, 0]
+        vtan = E @ (E.T @ v)
+        return vtan, v - vtan
+
     # purely normal input has no tangent part
     Vn = VariationField("normal", (parse("1", []), parse("0.5", [])))
-    vtan, vperp = split_tangent_normal(engel_graph, Vn, p)
+    vtan, vperp = split(Vn)
     assert np.allclose(vtan, 0.0, atol=1e-12)
     # tangent input: first orthonormal tangent field
     Vt = VariationField("adapted", tuple(fr.E_amb[i][0] for i in range(4)))
-    vtan, vperp = split_tangent_normal(engel_graph, Vt, p)
+    vtan, vperp = split(Vt)
     assert np.allclose(vperp, 0.0, atol=1e-12)
     # additivity within one fixed system: the residual of V equals the
     # residual of its (symbolically projected) normal part
     comps = tuple(parse(s, ["x", "y"]) for s in ("x*y", "1+x", "y^2", "x-y"))
     V = VariationField("adapted", comps)
-    psi_ctrl = edot(list(comps), [fr.normal_amb[i][0] for i in range(4)])
-    psi_free = edot(list(comps), [fr.normal_amb[i][1] for i in range(4)])
+    psi_ctrl = dot(list(comps), [fr.normal_amb[i][0] for i in range(4)])
+    psi_free = dot(list(comps), [fr.normal_amb[i][1] for i in range(4)])
     perp_adapted = tuple(
         psi_ctrl * fr.normal_amb[i][0] + psi_free * fr.normal_amb[i][1]
         for i in range(4)
@@ -234,8 +235,8 @@ def test_split_tangent_normal(engel_graph):
             VariationField(
                 "normal",
                 (
-                    edot(list(comps), [fr.E_amb[i][0] for i in range(4)]),
-                    edot(list(comps), [fr.E_amb[i][1] for i in range(4)]),
+                    dot(list(comps), [fr.E_amb[i][0] for i in range(4)]),
+                    dot(list(comps), [fr.E_amb[i][1] for i in range(4)]),
                     psi_ctrl,
                     psi_free,
                 ),
@@ -250,24 +251,17 @@ def test_split_tangent_normal(engel_graph):
 
 
 def test_metric_change_engel(engel_graph):
+    # per field, to the euclidean metric: residual, A, B and C transport errors
+    # at most 1e-7 (``TRANSPORT_TOL``), equal ranks, and Lambda's off block at
+    # most 1e-10
     rng = np.random.default_rng(15)
     pts = engel_graph.sample_points(20, seed=16)
-    for trial in range(10):
-        coeffs = rng.uniform(-1, 1, (4, 3))
-        comps = tuple(
-            const(c0) + const(c1) * var("x") + const(c2) * var("y")
-            for c0, c1, c2 in coeffs
-        )
-        rep = metric_change_check(
-            engel_graph, pts, MetricField.euclidean(4),
-            VariationField("adapted", comps), 4,
-        )
-        assert rep.residual_transport_error <= 1e-7
-        assert rep.a_identity_error <= 1e-7
-        assert rep.b_identity_error <= 1e-7
-        assert rep.c_identity_error <= 1e-7
-        assert rep.rank_equal
-        assert rep.block_triangular_error <= 1e-10
+    fields = [
+        tuple(const(c0) + const(c1) * var("x") + const(c2) * var("y") for c0, c1, c2 in coeffs)
+        for coeffs in rng.uniform(-1, 1, (10, 4, 3))
+    ]
+    result = verify.transport(engel_graph, 4, fields, pts)
+    assert result.passed, result.detail
 
 
 def test_metric_change_identity_metric(engel_graph):
@@ -381,7 +375,7 @@ def test_variation_field_json():
         VariationField("sideways", (const(0.0),))
 
 
-CATALOG_IMMERSIONS = [n for n in catalog.names() if catalog.builtin(n).kind == "immersion"]
+CATALOG_IMMERSIONS = ["engel-graph", "h1xh1-surface", "isolated-plane", "rt-graph"]
 
 
 def _per_matrix(sym, env):

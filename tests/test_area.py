@@ -14,10 +14,10 @@ import gradedgeo
 from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
+    _minors_and_volume,
     _theta,
     area_degree,
     area_singular_set,
-    density_theta,
     riemannian_area,
     scaling_limit_probe,
 )
@@ -53,35 +53,41 @@ def test_quadrature_grid_basics():
         QuadratureGrid(((0.0, 1.0),), (1,))
 
 
+def density_at(imm, p, d):
+    """Degree-d density at one point: the area's density rule on a batch of one."""
+    minors, degrees, volume = _minors_and_volume(imm, np.asarray(p, dtype=float)[None, :])
+    return float(_theta(minors, degrees, d, volume)[0])
+
+
 def test_density_engel_closed_form(engel_graph):
     # density equals 1/alpha2 on ruled graphs
     for p in engel_graph.sample_points(10, seed=0):
         f = engel_closed_forms("0.2*x + 0.3*y", p)
-        assert density_theta(engel_graph, p, 4) == pytest.approx(
+        assert density_at(engel_graph, p, 4) == pytest.approx(
             1 / f["a2"], rel=1e-12
         )
 
 
 def test_density_range_and_singular_zero():
     h = catalog.immersion("h1xh1-surface", u="s^2")
-    assert density_theta(h, [0.0, 0.2], 3) == pytest.approx(0.0, abs=1e-15)
+    assert density_at(h, [0.0, 0.2], 3) == pytest.approx(0.0, abs=1e-15)
     for p in h.sample_points(10, seed=1):
-        val = density_theta(h, p, 3)
+        val = density_at(h, p, 3)
         assert 0.0 <= val <= 1.0 + 1e-12
 
 
 def test_density_contact_matches_unit_normal_projection():
     rt = catalog.immersion("rt-graph", u="0.3*x + 0.2*y^2")
     for p in rt.sample_points(10, seed=2):
-        td = rt.tangent_data(p)
         # Theta * sqrt(det mu) equals sqrt(1 + X(u)^2), the horizontal-normal density
         u = rt.components[2]
         env = rt.param_env(p)
         t = u.eval(env)
         ux, uy = u.diff("x").eval(env), u.diff("y").eval(env)
         xu = math.cos(t) * ux + math.sin(t) * uy
-        theta = density_theta(rt, p, 3)
-        assert theta * td.sqrt_det == pytest.approx(math.sqrt(1 + xu * xu), rel=1e-12)
+        theta = density_at(rt, p, 3)
+        volume = minors_norm(rt.tangent_data(p).minors[None])[0]
+        assert theta * volume == pytest.approx(math.sqrt(1 + xu * xu), rel=1e-12)
 
 
 def test_area_rt_graph_vs_1d_oracle():
@@ -133,7 +139,7 @@ def test_riemannian_area_scales_layer_two_directions():
 def test_riemannian_area_r1_is_plain_area(engel_graph, grid64):
     plain = riemannian_area(engel_graph, 1.0, grid64)
     td_area = grid64.integrate_values(
-        np.array([engel_graph.tangent_data(p).sqrt_det for p in grid64.points])
+        np.array([minors_norm(engel_graph.tangent_data(p).minors[None])[0] for p in grid64.points])
     )
     assert plain == pytest.approx(td_area, rel=1e-12)
     with pytest.raises(ValueError):
@@ -147,13 +153,19 @@ def test_riemannian_area_near_limit(engel_graph, grid64):
     assert abs(scaled - a4) <= 0.02 * a4
 
 
-def test_scaling_probe_convergence(engel_graph, grid64):
-    rs = [10.0**-i for i in range(1, 6)]
-    a4 = area_degree(engel_graph, 4, grid64).value
-    probe = scaling_limit_probe(engel_graph, 4, grid64, rs)
-    assert probe.converged and not probe.divergent
-    assert abs(probe.limit - a4) <= 1e-3 * a4
-    assert probe.rate == pytest.approx(1.0, abs=0.2)  # first correction is O(r)
+SCALING_RS = [10.0**-i for i in range(1, 6)]
+
+
+@pytest.fixture(scope="module")
+def engel_scaling(engel_graph):
+    """``verify.scaling`` at d = 4 on the 64^2 grid: the limit, and d = 3 and 5 beside it."""
+    return verify.scaling(engel_graph, 4, 64, SCALING_RS)
+
+
+def test_scaling_probe_convergence(engel_scaling):
+    # converged, not divergent, the limit within 1e-3 of the area, and the
+    # first correction O(r): rate 1 within 0.2
+    assert engel_scaling.passed, engel_scaling.detail
 
 
 def test_scaling_probe_values_are_scaled_riemannian_areas(engel_graph):
@@ -185,17 +197,14 @@ def test_dilated_areas_refuse_non_finite_density():
             scaling_limit_probe(rt, 3, grid, [0.1, 0.01, 0.001])
 
 
-def test_scaling_probe_divergence_below_degree(engel_graph, grid64):
-    rs = [10.0**-i for i in range(1, 6)]
-    probe = scaling_limit_probe(engel_graph, 3, grid64, rs)
-    assert probe.divergent
+def test_scaling_probe_divergence_below_degree(engel_scaling):
+    # the oracle fails with "d=3 not flagged divergent" otherwise
+    assert engel_scaling.passed, engel_scaling.detail
 
 
-def test_scaling_probe_zero_above_degree(engel_graph, grid64):
-    rs = [10.0**-i for i in range(1, 6)]
-    probe = scaling_limit_probe(engel_graph, 5, grid64, rs)
-    assert probe.zero_limit
-    assert abs(probe.limit) <= 1e-6
+def test_scaling_probe_zero_above_degree(engel_graph, grid64, engel_scaling):
+    # the oracle fails with "d=5 limit ..." unless d = 5 has a zero limit, at most 1e-6
+    assert engel_scaling.passed, engel_scaling.detail
     with pytest.raises(ValueError):
         scaling_limit_probe(engel_graph, 4, grid64, [0.1, 0.2])
 
@@ -280,8 +289,12 @@ def test_rank_deficient_node_is_refused_everywhere():
         for d in (None, 3):
             with pytest.raises(DegenerateInputError, match=node):
                 area_singular_set(cusp, grid, d)
-        with pytest.raises(DegenerateInputError, match=r"at quadrature node \(0\.0, 0\.5\)$"):
-            density_theta(cusp, [0.0, 0.5], 3)
+        # the whole refusal names its node in plain floats: x = 0, the first y node
+        grid53 = QuadratureGrid(cusp.domain, (5, 3))
+        node = re.escape(f"(0.0, {float(grid53.points[6, 1])!r})")
+        with pytest.raises(DegenerateInputError,
+                           match=f"^degree-3 area density is not finite at quadrature node {node}$"):
+            area_degree(cusp, 3, grid53)
 
 
 def _graded_parabola():

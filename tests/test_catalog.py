@@ -14,13 +14,14 @@ from gradedgeo.manifold import verify_filtration
 
 
 def test_builtin_listing():
-    names = catalog.names()
-    assert "engel-graph" in names and "h1xh1" in names
-    entry = catalog.builtin("engel-graph")
-    assert entry.kind == "immersion"
-    assert entry.reference_values["degree"] == 4
-    with pytest.raises(KeyError):
-        catalog.builtin("nope")
+    for name in ("h1xh1", "rototrans", "engel-structure", "engel-group"):
+        assert catalog.manifold(name).name == name
+    for name in ("h1xh1-surface", "rt-graph", "engel-graph", "isolated-plane"):
+        assert catalog.immersion(name).name == name
+    assert degree_scan(catalog.immersion("engel-graph"), (8, 8)).degree == 4
+    for build in (catalog.manifold, catalog.immersion):
+        with pytest.raises(KeyError):
+            build("nope")
 
 
 def test_all_catalog_frames_satisfy_filtration():

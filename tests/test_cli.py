@@ -528,6 +528,49 @@ def test_refusal_is_one_line_without_warnings(capsys, argv, message):
     assert "SVD" not in captured.err and "rank deficient" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,grid",
+    [
+        (["degree-scan"], "0x4"),
+        (["regularity", "--degree", "4"], "0x4"),
+        (["el-residual"], "0x4"),
+        (["area", "--degree", "4"], "4x0"),
+        (["degree-scan"], "-2x4"),
+        (["mean-curvature", "--degree", "4"], "-2x4"),
+        (["degree-scan"], "4x4x4"),
+        (["gr-limit", "--degree", "4"], "64"),
+    ],
+)
+def test_grid_needs_one_count_of_at_least_1_per_parameter(capsys, argv, grid):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--catalog", "engel-graph:theta=0.3*x", f"--grid={grid}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"gradedgeo: error: bad --grid {grid!r} (expected 2 counts of at least 1, "
+        "one per parameter)\n"
+    )
+
+
+def test_grid_too_large_to_allocate_is_one_line_exit_2(capsys, monkeypatch):
+    # the rule builder raises as numpy does when 100000^2 nodes do not fit;
+    # nothing is allocated
+    def no_memory(order):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for an array with shape ({order}, {order})")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_memory)
+    with pytest.raises(SystemExit) as exc:
+        main(["area", "--catalog", "engel-graph:theta=0.3*x", "--degree", "4",
+              "--grid", "100000x100000"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gradedgeo: error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+    )
+
+
 def test_cli_subprocess_bad_input_exit_status():
     proc = subprocess.run(
         [sys.executable, "-m", "gradedgeo.cli", "area", "--catalog", "rt-graph:u=x",

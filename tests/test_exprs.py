@@ -258,9 +258,10 @@ def test_variables_bottom_up_matches_walk():
     # a child's set that already covers the union is shared, not copied
     assert (chain * x).variables() is chain.variables()
     # the tape's loads name the same variables
-    assert exprs.variables_many([chain, const(2.0)]) == {"x"}
-    assert exprs.variables_many([chain, mixed.diff("y")]) == _variables_by_walk(mixed.diff("y"))
-    assert exprs.variables_many([const(2.0)]) == frozenset()
+    assert exprs.variables_each([chain, const(2.0)]) == [{"x"}, frozenset()]
+    assert exprs.variables_each([chain, mixed.diff("y")]) == [
+        {"x"}, _variables_by_walk(mixed.diff("y"))
+    ]
 
 
 # -- the compiled tape against the memo walk it replaced ------------------------

@@ -87,6 +87,9 @@ CASES = {
     "refuse-scan-overflow": "degree-scan --catalog rt-graph:u=x^2000*1e300 --grid 4x4",
     "degree-below-range": "area --catalog engel-graph:theta=0.3*x --degree -3 --grid 8x8",
     "degree-above-range": "area --catalog engel-graph:theta=0.3*x --degree 99 --grid 8x8",
+    "refuse-grid-zero": "degree-scan --catalog engel-graph:theta=0.3*x --grid 0x4",
+    "refuse-grid-negative": "degree-scan --catalog engel-graph:theta=0.3*x --grid=-2x4",
+    "refuse-grid-axes": "degree-scan --catalog engel-graph:theta=0.3*x --grid 4x4x4",
     # h1xh1 singular cases
     "h1xh1-regularity-s2": "regularity --catalog h1xh1-surface:u=s^2 --degree 3 --grid 2x2",
     "h1xh1-regularity-s2+s": (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradedgeo import catalog
+from gradedgeo.admissibility import frames_for
 from gradedgeo.area import QuadratureGrid, _minors_and_volume, area_degree, area_singular_set
 from gradedgeo.exprs import const, evaluate_many, parse, var
 from gradedgeo.immersion import (
@@ -22,13 +23,15 @@ from gradedgeo.multivec import (
     DegenerateInputError,
     GrowthVector,
     all_multi_indices,
+    d_max,
     index_degrees,
     minors,
+    minors_norm,
 )
 from gradedgeo.verify import engel_closed_forms
 
 
-CATALOG_IMMERSIONS = [n for n in catalog.names() if catalog.builtin(n).kind == "immersion"]
+CATALOG_IMMERSIONS = ["engel-graph", "h1xh1-surface", "isolated-plane", "rt-graph"]
 
 
 def coefficient(td, J):
@@ -54,7 +57,7 @@ def h1h1_parabola():
 def test_isolated_plane_tangent(plane):
     td = plane.tangent_data([0.3, -0.2])
     unit = [1.0 if J == (1, 3) else 0.0 for J in all_multi_indices(4, 2)]
-    assert (td.minors / td.sqrt_det).tolist() == unit
+    assert (td.minors / minors_norm(td.minors[None])[0]).tolist() == unit
     assert plane.pointwise_degree([0.3, -0.2]) == 3
 
 
@@ -131,8 +134,11 @@ def test_degenerate_point_errors_print_plain_floats():
         degree_scan(cusp, (15, 4))
     with pytest.raises(DegenerateInputError, match=r"at \(0\.0, 0\.5\)$"):
         cusp.tangent_data(np.array([0.0, 0.5]))
-    with pytest.raises(DegenerateInputError, match=r"degenerate at \(0\.5, 0\.5\)$"):
-        cusp.adapted_tangent_at(np.array([0.5, 0.5]), pivots=(1, 1))
+    # a tangent whose layer-1 rows cannot resolve T cap H^1: the point names
+    # the pivot refusal, in plain floats
+    tau = np.array([[0.0, 0.0], [0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateInputError, match=r"in layer 1 at \(0\.5, 0\.5\)$"):
+        cusp._adapted_pivots(tau, np.array([0.5, 0.5]))
 
 
 def test_tangent_flags(engel_graph, plane):
@@ -186,7 +192,7 @@ def _graph_hypersurface(name, seed):
 @pytest.mark.parametrize("name", ["rototrans", "engel-structure", "engel-group"])
 def test_hypersurface_degree_is_q_minus_one(name):
     mani = catalog.manifold(name)
-    q = mani.growth.homogeneous_dimension
+    q = d_max(mani.n, mani.weights)  # the homogeneous dimension
     for seed in range(3):
         imm = _graph_hypersurface(name, seed)
         degs = {imm.pointwise_degree(p) for p in imm.sample_points(15, seed=seed)}
@@ -208,17 +214,19 @@ def test_induced_metric_identity_immersion():
         (var("a"), var("b"), const(0.0)),
         ((0.0, 1.0), (0.0, 1.0)),
     )
-    mu = imm.induced_metric([0.3, 0.7])
-    assert np.allclose(mu, np.eye(2), atol=1e-14)
+    mu = imm.values_at([e for row in frames_for(imm).mu_param for e in row], [0.3, 0.7])
+    assert np.allclose(mu.reshape(2, 2), np.eye(2), atol=1e-14)
 
 
 def test_induced_metric_engel_volume(engel_graph):
     # closed-form check: sqrt(det mu) = alpha1 * alpha2 on ruled graphs
+    mu_param = frames_for(engel_graph).mu_param
     for p in engel_graph.sample_points(5, seed=3):
-        td = engel_graph.tangent_data(p)
+        volume = minors_norm(engel_graph.tangent_data(p).minors[None])[0]
         f = engel_closed_forms("0.2*x + 0.3*y", p)
-        assert td.sqrt_det == pytest.approx(f["a1"] * f["a2"], rel=1e-12)
-        assert np.allclose(td.induced, td.induced.T, atol=1e-15)
+        assert volume == pytest.approx(f["a1"] * f["a2"], rel=1e-12)
+        mu = engel_graph.values_at([e for row in mu_param for e in row], p).reshape(2, 2)
+        assert np.allclose(mu, mu.T, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", CATALOG_IMMERSIONS)
@@ -230,7 +238,7 @@ def test_minors_row_norm_is_sqrt_det(name):
     for p in imm.sample_points(5, seed=4):
         td = imm.tangent_data(p)
         oracle = math.sqrt(np.linalg.det(td.ortho_comps.T @ td.ortho_comps))
-        assert td.sqrt_det == pytest.approx(oracle, rel=1e-12)
+        assert minors_norm(td.minors[None])[0] == pytest.approx(oracle, rel=1e-12)
         assert np.linalg.norm(td.minors) == pytest.approx(oracle, rel=1e-12)
     points = QuadratureGrid(imm.domain, 8).points
     tau = imm.ortho_tangent_grid(points)
@@ -293,7 +301,8 @@ def test_grid_reductions_take_no_det_or_svd(monkeypatch):
 
 def test_adapted_tangent_matches_ruled_graph_basis(engel_graph):
     p = [0.4, 0.6]
-    amb, par = engel_graph.adapted_tangent_at(p)
+    adapted_amb = frames_for(engel_graph).adapted_amb
+    amb = engel_graph.values_at([e for row in adapted_amb for e in row], p).reshape(4, 2)
     f = engel_closed_forms("0.2*x + 0.3*y", p)
     assert engel_graph.adapted_tangent_pivots(p) == (1, 4)
     # first basis vector: X1 + X1(kappa) X2; second: X4 - X4(theta) X3 + X4(kappa) X2
@@ -367,7 +376,7 @@ def test_lsc_violations_match_point_loop(shape):
         assert all(type(i) is int for idx in got for i in idx)
 
 
-def test_adapted_tangent_at_evaluates_tangent_grids_once(engel_graph, monkeypatch):
+def test_adapted_tangent_pivots_evaluate_tangent_grids_once(engel_graph, monkeypatch):
     calls = []
     original = Immersion._tangent_grids
 
@@ -376,7 +385,7 @@ def test_adapted_tangent_at_evaluates_tangent_grids_once(engel_graph, monkeypatc
         return original(self, points)
 
     monkeypatch.setattr(Immersion, "_tangent_grids", counted)
-    engel_graph.adapted_tangent_at([0.4, 0.6])
+    assert engel_graph.adapted_tangent_pivots([0.4, 0.6]) == (1, 4)
     assert calls == [1]
 
 

@@ -57,9 +57,10 @@ def test_degree_of_index():
 
 
 def test_growth_vector_data():
-    assert ENGEL.homogeneous_dimension == 7
-    assert H1H1.homogeneous_dimension == 8
-    assert GrowthVector((2, 3)).homogeneous_dimension == 4
+    # the homogeneous dimension is the sum of the weights
+    assert sum(ENGEL.weights()) == 7
+    assert sum(H1H1.weights()) == 8
+    assert sum(GrowthVector((2, 3)).weights()) == 4
     assert ENGEL.layer_of(3) == 2 and ENGEL.layer_of(4) == 3
     with pytest.raises(ValueError):
         GrowthVector((3, 3))
@@ -109,7 +110,7 @@ def test_project_gt():
 
 def test_d_max():
     assert d_max(2, ENGEL.weights()) == 5
-    assert d_max(4, ENGEL.weights()) == ENGEL.homogeneous_dimension
+    assert d_max(4, ENGEL.weights()) == 7  # the homogeneous dimension
     for n_half in (1, 2, 3):
         contact = GrowthVector((2 * n_half, 2 * n_half + 1))
         assert d_max(2 * n_half, contact.weights()) == 2 * n_half + 1

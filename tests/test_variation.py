@@ -5,23 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gradedgeo import catalog, verify
 from gradedgeo.admissibility import VariationField, frames_for
-from gradedgeo.area import QuadratureGrid, area_degree
-from gradedgeo.exprs import const, evaluate_many, parse, var
+from gradedgeo.area import QuadratureGrid
+from gradedgeo.exprs import const, dot, evaluate_many, parse, var
 from gradedgeo.immersion import Immersion, uniform_grid
 from gradedgeo.moving_frames import SymbolicSystem
 from gradedgeo.multivec import minors
-from gradedgeo.symmat import edot, eval_matrix
+from gradedgeo.symmat import eval_matrix
 from gradedgeo.variation import (
     critical_residual_exprs,
-    critical_residuals,
-    div_degree_d,
-    duality_integral,
-    f_linear,
     first_variation,
     mean_curvature,
-    mean_curvature_bracket_at,
     mean_curvature_field_exprs,
 )
 
@@ -40,6 +36,17 @@ def grid48(engel_graph):
 
 def bump_expr(power=2):
     return parse(f"(16*x*(1-x)*y*(1-y))^{power}", ["x", "y"])
+
+
+def div_degree_d(imm, field, p, d) -> float:
+    """Degree-d divergence of a variation field at a point, a summand of the first variation."""
+    return float(imm.values_at([frames_for(imm).div_degree_d_expr(field, d)], p)[0, 0])
+
+
+def f_linear(imm, vp, p, d) -> float:
+    """Curvature pairing f(V_p) of one vector (ortho-frame comps), the other summand."""
+    field = VariationField("adapted", tuple(const(float(c)) for c in vp))
+    return float(imm.values_at([frames_for(imm).f_linear_expr(field, d)], p)[0, 0])
 
 
 def test_div_degree_d_zero_field(engel_graph):
@@ -126,15 +133,15 @@ def test_f_linear_matches_covariant_mvector_oracle(engel_graph):
     # f(X3) assembled from the manifold-level Leibniz derivative
     p = [0.4, 0.6]
     mani = engel_graph.manifold
-    point = engel_graph.phi_at(p)
+    point = engel_graph.values_at(engel_graph.components, p)[:, 0]
     fr = frames_for(engel_graph)
     env = engel_graph.param_env(p)
     tau = eval_matrix(fr.E_amb, env)
     coeffs = {J: float(c.eval(env)) for J, c in fr.tangent_coeffs(4).items()}
-    x3 = mani.ortho_matrix_at(point)[:, 2]
+    x3 = oracles.ortho_matrix_at(mani, point)[:, 2]
     total = 0.0
     for J, cJ in coeffs.items():
-        dxj = mani.cov_derivative_simple_mvector(x3, J, point)
+        dxj = oracles.cov_derivative_simple_mvector(mani, x3, J, point)
         # <E-wedge, dxj> with E-wedge expanded over all indices
         total += cJ * float(np.dot(minors(tau[None])[0], dxj))
     got = f_linear(engel_graph, [0.0, 0.0, 1.0, 0.0], p, 4)
@@ -146,12 +153,13 @@ def test_first_variation_zero_field(engel_graph, grid48):
     assert first_variation(engel_graph, V, grid48, 4) == 0.0
 
 
-def test_first_variation_tangent_field(engel_graph, grid48):
+def test_first_variation_tangent_field(engel_graph):
+    # |FV| at most 1e-6 along a compactly supported tangent field
     fr = frames_for(engel_graph)
     bump = bump_expr()
     comps = tuple(bump * fr.E_amb[i][0] for i in range(4))
-    fv = first_variation(engel_graph, VariationField("adapted", comps), grid48, 4)
-    assert abs(fv) <= 1e-6
+    result = verify.variation(engel_graph, 48, [], [], [VariationField("adapted", comps)])
+    assert result.passed, result.detail
 
 
 def test_first_variation_roots_are_built_once_and_bounded(engel_graph, grid48):
@@ -179,19 +187,17 @@ def test_first_variation_requires_compact_support(engel_graph, grid48):
         first_variation(engel_graph, V, grid48, 4)
 
 
-def test_first_variation_matches_family_finite_difference(engel_graph, grid48):
-    theta0 = engel_graph.components[2]
-    h = 1e-4
+def test_first_variation_matches_family_finite_difference(engel_graph):
+    # along theta + t psi the first variation is the central difference
+    # (h = 1e-4) of the area to 1e-4 relative, and the duality integral
     rng = np.random.default_rng(1)
+    psis = []
     for k in range(3):
         coeff = rng.uniform(0.5, 1.5)
         freq = rng.integers(1, 4)
-        psi = bump_expr() * parse(f"{coeff}*sin({freq}*x + y)", ["x", "y"])
-        fv = first_variation(engel_graph, catalog.engel_family_field(engel_graph, psi), grid48, 4)
-        ap = area_degree(catalog.immersion("engel-graph", theta=theta0 + h * psi), 4, grid48).value
-        am = area_degree(catalog.immersion("engel-graph", theta=theta0 + (-h) * psi), 4, grid48).value
-        fd = (ap - am) / (2 * h)
-        assert fv == pytest.approx(fd, rel=1e-4)
+        psis.append(bump_expr() * parse(f"{coeff}*sin({freq}*x + y)", ["x", "y"]))
+    result = verify.variation(engel_graph, 48, psis, [], [])
+    assert result.passed, result.detail
 
 
 def test_mean_curvature_parts_sum(engel_graph):
@@ -203,22 +209,23 @@ def test_mean_curvature_parts_sum(engel_graph):
 def test_mean_curvature_bracket_form_agrees(engel_graph):
     for p in engel_graph.sample_points(10, seed=3):
         mc = mean_curvature(engel_graph, p, 4)
-        br = mean_curvature_bracket_at(engel_graph, p, 4)
+        br = oracles.mean_curvature_bracket_at(engel_graph, p, 4)
         assert np.allclose(br, mc.components, atol=1e-6)
 
 
-def test_mean_curvature_duality_random_normal_fields(engel_graph, grid48):
+def test_mean_curvature_duality_random_normal_fields(engel_graph):
+    # |FV(V) - <V, H>| <= 1e-4 (1 + |<V, H>|) for each normal field
     rng = np.random.default_rng(4)
     bump = bump_expr()
+    fields = []
     for _ in range(10):
         c1, c2 = rng.uniform(-1, 1, 2)
         f1, f2 = rng.integers(1, 4, 2)
         psi_ctrl = bump * parse(f"{c1}*sin({f1}*x)*cos(y)", ["x", "y"])
         psi_free = bump * parse(f"{c2}*cos({f2}*y + x)", ["x", "y"])
-        V = VariationField("normal", (psi_ctrl, psi_free))
-        fv = first_variation(engel_graph, V, grid48, 4)
-        dual = duality_integral(engel_graph, V, grid48, 4)
-        assert abs(fv - dual) <= 1e-4 * (1 + abs(dual))
+        fields.append(VariationField("normal", (psi_ctrl, psi_free)))
+    result = verify.variation(engel_graph, 48, [], fields, [])
+    assert result.passed, result.detail
 
 
 def test_first_variation_invariant_under_tangent_addition(engel_graph, grid48):
@@ -228,7 +235,7 @@ def test_first_variation_invariant_under_tangent_addition(engel_graph, grid48):
     fr = frames_for(engel_graph)
     tangent = tuple(bump_expr() * fr.E_amb[i][1] for i in range(4))
     comps = tuple(
-        edot([base.components[0], base.components[1]], [fr.normal_amb[i][0], fr.normal_amb[i][1]])
+        dot([base.components[0], base.components[1]], [fr.normal_amb[i][0], fr.normal_amb[i][1]])
         + tangent[i]
         for i in range(4)
     )
@@ -247,7 +254,8 @@ def test_minimal_rt_plane_has_zero_curvature():
     for p in rt.sample_points(5, seed=6):
         mc = mean_curvature(rt, p, 3)
         assert np.allclose(mc.components, 0.0, atol=1e-12)
-        iota, vert = critical_residuals(rt, p, 3)
+        res = critical_residual_exprs(rt, 3)
+        iota, vert = rt.values_at(res.iota, p)[:, 0], rt.values_at(res.vert, p)[:, 0]
         assert np.allclose(iota, 0.0, atol=1e-12)
         assert vert.size == 0
 
@@ -315,7 +323,7 @@ def test_pivot_choice_represents_same_functional(twovar_product_surface):
 
 
 def test_critical_residuals_engel_nontrivial(engel_graph):
-    _, vert = critical_residuals(engel_graph, [0.4, 0.6], 4)
+    vert = engel_graph.values_at(critical_residual_exprs(engel_graph, 4).vert, [0.4, 0.6])[:, 0]
     assert vert.shape == (1,)
     assert abs(vert[0]) > 1e-6  # the linear-ish graph is not stationary
 
