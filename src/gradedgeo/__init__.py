@@ -22,7 +22,7 @@ from .manifold import (
     carnot_flag,
     verify_filtration,
 )
-from .immersion import Immersion, degree_scan, tangent_flag, uniform_grid
+from .immersion import Immersion, degree_scan, uniform_grid
 from .area import (
     QuadratureGrid,
     area_degree,
@@ -65,7 +65,6 @@ __all__ = [
     "Immersion",
     "uniform_grid",
     "degree_scan",
-    "tangent_flag",
     "QuadratureGrid",
     "area_degree",
     "riemannian_area",

@@ -26,7 +26,7 @@ from .immersion import Immersion
 from .manifold import numeric_rank
 from .moving_frames import ImmersionFrames, SymbolicSystem, SystemShape
 from .multivec import TRANSPORT_TOL, DegenerateInputError, compound
-from .symmat import emat_mul, eval_matrix, upper_triangular_inverse
+from .symmat import emat_mul, upper_triangular_inverse
 
 __all__ = [
     "VariationField",
@@ -85,12 +85,16 @@ def frames_for(imm: Immersion) -> ImmersionFrames:
 
 
 def system_shape(imm: Immersion, grid_points, d: int) -> SystemShape:
-    """Shape integers of the system, with an equiregularity scan over the grid."""
+    """Shape integers of the system, with an equiregularity scan over the grid.
+
+    A degenerate tangent anywhere on the grid is refused (``Immersion.flag_dims``)
+    before any point's tangent flag is compared with the midpoint's.
+    """
     frames = frames_for(imm)
     dims0 = frames.flag_dims
     if grid_points is not None:
-        for p in np.asarray(grid_points, dtype=float):
-            dims = imm.tangent_flag_dims(p)
+        pts = np.asarray(grid_points, dtype=float)
+        for p, dims in zip(pts, imm.flag_dims(pts)):
             if dims != dims0:
                 raise DegenerateInputError(
                     f"tangent flag changes over the grid: {dims0} vs {dims} "
@@ -135,9 +139,8 @@ def residual_exprs(imm: Immersion, field: VariationField, d: int) -> list[Expr]:
 
 
 def residual(imm: Immersion, field: VariationField, points, d: int) -> np.ndarray:
-    """Admissibility residual at parameter points (N, m), (N, ell); at one point (m,), (ell,)."""
-    values = imm.values_at(residual_exprs(imm, field, d), points)
-    return values[:, 0] if np.ndim(points) == 1 else np.ascontiguousarray(values.T)
+    """Admissibility residual at parameter points (N, m): (N, ell)."""
+    return np.ascontiguousarray(imm.values_at(residual_exprs(imm, field, d), points).T)
 
 
 @dataclass
@@ -153,27 +156,22 @@ class RegularityResult:
 def is_strongly_regular(imm: Immersion, points, d: int):
     """Rank test of A: strong regularity needs rank(A) = ell <= rho.
 
-    Over points (N, m), one result per point from one evaluation and one
-    stacked SVD; at one point (m,), a batch of one, that point's result.
+    One result per point of ``points`` (N, m), from one evaluation and one
+    stacked SVD.
     """
-    one = np.ndim(points) == 1
     sym = frames_for(imm).adapted_system(d)
     shape = sym.shape
     A = sym.at(imm, points)[0]
-    if one:
-        A = A[None]
     if shape.ell == 0:
-        results = [RegularityResult(True, 0, 0, shape.rho, shape.k, ()) for _ in A]
-    else:
-        svals = np.linalg.svd(A, compute_uv=False)
-        results = [
-            RegularityResult(
-                shape.rho >= shape.ell and rank == shape.ell,
-                rank, shape.ell, shape.rho, shape.k, tuple(s),
-            )
-            for rank, s in zip(numeric_rank(A).tolist(), svals.tolist())
-        ]
-    return results[0] if one else results
+        return [RegularityResult(True, 0, 0, shape.rho, shape.k, ()) for _ in A]
+    svals = np.linalg.svd(A, compute_uv=False)
+    return [
+        RegularityResult(
+            shape.rho >= shape.ell and rank == shape.ell,
+            rank, shape.ell, shape.rho, shape.k, tuple(s),
+        )
+        for rank, s in zip(numeric_rank(A).tolist(), svals.tolist())
+    ]
 
 
 @dataclass
@@ -223,6 +221,8 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
 
     sym_g = frames_g.adapted_system(d)
     rho, ell = sym_g.shape.rho, sym_g.shape.ell
+    if not ell:
+        return MetricChangeReport(0.0, 0.0, 0.0, 0.0, True, 0.0)
     # shared tangent basis, expressed in the g~ orthonormal frame
     t_amb_b = emat_mul(imm_b.ortho_coframe_exprs, frames_g.adapted_coord)
     sym_b = frames_b.adapted_system_with_tangent(d, t_amb_b, frames_g.adapted_param)
@@ -248,40 +248,31 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
             ]
         )
 
-    max_res_err = 0.0
-    max_a = 0.0
-    max_b = 0.0
-    max_c = 0.0
-    max_block = 0.0
-    ranks_equal = True
-    for p in np.asarray(points, dtype=float):
-        env = imm.param_env(p)
-        if ell:
-            Dp = eval_matrix(Dm, env)
-            lam = compound(Dp, m)
-            lam_v = lam[np.ix_(high, high)]
-            lam_inv = np.linalg.inv(lam_v)
-            rg = imm.values_at(res_g, p)[:, 0]
-            rb = imm.values_at(res_b, p)[:, 0]
-            max_res_err = max(max_res_err, float(np.max(np.abs(rb - lam_inv @ rg))))
-            lam_low = lam[np.ix_(high, ~high)]
-            if lam_low.size:
-                max_block = max(max_block, float(np.abs(lam_low).max()))
-            Ag, Bg, Cg, _ = sym_g.at(imm, p)
-            Ab, Bb, Cb, _ = sym_b.at(imm_b, p)
-            Dh_v = Dp[:rho, :rho]
-            Dv_v = Dp[rho:, rho:]
-            Dhv_v = Dp[:rho, rho:]
-            max_a = max(max_a, float(np.max(np.abs(Ab - lam_inv @ Ag @ Dh_v))))
-            csum = np.zeros_like(Bg)
-            for j in range(m):
-                Ej_v = eval_matrix(EjDv[j], env)
-                csum += Cg[j] @ Ej_v
-                max_c = max(
-                    max_c, float(np.max(np.abs(Cb[j] - lam_inv @ Cg[j] @ Dv_v)))
-                )
-            target_b = lam_inv @ (Ag @ Dhv_v + Bg @ Dv_v + csum)
-            max_b = max(max_b, float(np.max(np.abs(Bb - target_b))))
-            if numeric_rank(Ag) != numeric_rank(Ab):
-                ranks_equal = False
+    # one evaluation of D, both residuals, both systems and the E_j(D_v)
+    pts = np.asarray(points, dtype=float)
+    N, q = len(pts), n - rho
+    flat_g, flat_b = sym_g.entries, sym_b.entries
+    vals = imm.values_at(
+        [*(e for row in Dm for e in row), *res_g, *res_b, *flat_g, *flat_b,
+         *(e for Ej in EjDv for row in Ej for e in row)],
+        pts,
+    )
+    dv, rg, rb, vg, vb, ej = np.split(vals, np.cumsum([n * n, ell, ell, len(flat_g), len(flat_b)]))
+    Dp = dv.reshape(n, n, N).transpose(2, 0, 1)
+    Ag, Bg, Cg, _ = sym_g.split(vg)
+    Ab, Bb, Cb, _ = sym_b.split(vb)
+    Ej_v = ej.reshape(m, q, q, N).transpose(0, 3, 1, 2)
+    lam = compound(Dp, m)
+    lam_inv = np.linalg.inv(lam[:, high][:, :, high])
+    lam_low = lam[:, high][:, :, ~high]
+    max_block = float(np.abs(lam_low).max()) if lam_low.size else 0.0
+    max_res_err = float(np.abs(rb.T - (lam_inv @ rg.T[:, :, None])[:, :, 0]).max())
+    Dh_v, Dv_v, Dhv_v = Dp[:, :rho, :rho], Dp[:, rho:, rho:], Dp[:, :rho, rho:]
+    max_a = float(np.abs(Ab - lam_inv @ Ag @ Dh_v).max())
+    max_c = max(float(np.abs(Cb[j] - lam_inv @ Cg[j] @ Dv_v).max()) for j in range(m))
+    csum = np.zeros_like(Bg)
+    for j in range(m):
+        csum += Cg[j] @ Ej_v[j]
+    max_b = float(np.abs(Bb - lam_inv @ (Ag @ Dhv_v + Bg @ Dv_v + csum)).max())
+    ranks_equal = bool(np.array_equal(numeric_rank(Ag), numeric_rank(Ab)))
     return MetricChangeReport(max_res_err, max_a, max_b, max_c, ranks_equal, max_block)

@@ -139,6 +139,11 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """``text`` to the ``--output`` file, or to stdout without one."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -289,7 +294,7 @@ def cmd_el_residual(args):
         raise ValueError("el-residual expects --catalog engel-graph:theta=...")
     resid, scale = catalog.engel_el_residual_exprs(imm)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
-    vals = resid.eval(imm.grid_env(pts))
+    (vals,) = imm.values_at([resid], pts)
     rows = [[*map(float, p), float(v)] for p, v in zip(pts, vals)]
     payload = {
         "d": 4,
@@ -314,12 +319,7 @@ def cmd_verify(args):
         status = "PASS" if r.passed else "FAIL"
         failed += 0 if r.passed else 1
         lines.append(f"{status}  {r.name:<{width}}  {r.detail}")
-    text = "\n".join(lines) + f"\n{len(results) - failed}/{len(results)} checks passed\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + f"\n{len(results) - failed}/{len(results)} checks passed\n")
     return 1 if failed else 0
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "call",
     "as_written",
     "evaluate_many",
+    "evaluate_at",
     "variables_each",
     "FUNCTION_NAMES",
 ]
@@ -297,9 +298,6 @@ class Const(Expr):
     def __init__(self, value: float):
         object.__setattr__(self, "value", value)
         _set_key(self, 0, *_signed(value))
-
-    def _d(self, name):
-        return _ZERO
 
     def _subst(self, mapping, rec, written):
         return self
@@ -941,7 +939,8 @@ def as_written(cls, a: Expr, b=None) -> Expr:
     ``a * b``, ``a / b``, ``-a`` (``b`` unused) or ``a^b`` (``b`` the exponent).
 
     Only constants fold, and so do the identities 0 + a, a - 0, 0 - a,
-    1 * a, -1 * a, 0 * a, a / 1, 0 / a, a - a, a / a and -(-a).  An
+    1 * a, -1 * a, 0 * a, a / 1, 0 / a, a - a, a / a and -(-a); a
+    constant-zero denominator is never folded.  An
     expression substituted as written (``Expr.substitute``) evaluates as the
     original at the substituted values, bit for bit: the immersion's grid
     tangent map is built so that its values are those of a dense
@@ -983,7 +982,7 @@ def as_written(cls, a: Expr, b=None) -> Expr:
             return as_written(Neg, b)
         if kb == -1.0:
             return as_written(Neg, a)
-    else:
+    elif kb != 0.0:  # a / 0 stays, refused when a tape is compiled
         if kb == 1.0:
             return a
         if ka == 0.0:
@@ -1081,17 +1080,17 @@ def _product_form(a: Expr, b: Expr) -> tuple:
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    if _is_const(b, 0.0):  # before the identities, even 0/0 and a/a
+        return _binary(Div, a, b)  # refused when a tape is compiled
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0):
         return const(0.0)
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
+    if _is_const(a) and _is_const(b):
         return const(a.value / b.value)
     if a is b:
         return const(1.0)
     if _is_const(b):
-        if b.value == 0.0:
-            return _binary(Div, a, b)  # refused when a tape is compiled
         return _scaled(a, 1.0 / b.value) or _binary(Div, a, b)
     cb, nb, db = _factor(b)
     if db:  # inverting b would move its denominator up: b stays whole
@@ -1924,6 +1923,31 @@ def evaluate_many(exprs, env):
     :class:`EvaluationError`.
     """
     return _tape(tuple(exprs)).run(env)
+
+
+def evaluate_at(exprs, names, points) -> np.ndarray:
+    """Values of ``exprs`` at points (N, len(names)), one row per expression: (len(exprs), N).
+
+    Column i of ``points`` binds ``names[i]``; one point is a (1, m) array.
+    The points are evaluated in one tape pass.  The first point that holds
+    a value that is not finite is evaluated again with float bindings, and
+    its refusal (the cause: division by zero, a domain error, overflow) is
+    raised naming that grid point.
+    """
+    pts = np.asarray(points, dtype=float)
+    values = np.empty((len(exprs), len(pts)))
+    env = {name: pts[:, i] for i, name in enumerate(names)}
+    for k, v in enumerate(evaluate_many(exprs, env)):
+        values[k] = v
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        p = tuple(map(float, pts[int(np.argmax(bad))]))
+        try:
+            evaluate_many(exprs, dict(zip(names, p)))
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} at grid point {p}") from None
+        raise EvaluationError(f"value is not finite at grid point {p}")
+    return values
 
 
 def variables_each(exprs) -> list[frozenset[str]]:

@@ -7,8 +7,11 @@ minors of that coefficient matrix (``multivec.minors``), and dividing it by
 the induced volume sqrt(det mu) gives the unit tangent m-vector.  By
 Cauchy-Binet that volume is the norm of the minors row
 (``multivec.minors_norm``), so no Gram matrix or determinant is formed.
-Pointwise operations run the batched grid path on a batch of one, so the
-pointwise degree is the grid degree rule applied to one row.
+Every evaluation takes an (N, m) array of parameter points, and one point
+is a (1, m) array: a batch of one runs the grid path, so a point's degree is
+the grid degree rule applied to one row.  Parameter expressions are
+evaluated in one place, ``Immersion.values_at``, which refuses a value that
+is not finite by naming its grid point.
 
 The tangent map is tau = (C o Phi) J, with C the orthonormal coframe and
 J the Jacobian: ``tau_exprs`` in normal form for the symbolic frames, and
@@ -48,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import (
-    Add, Const, EvaluationError, Expr, Mul, add_all, as_written, evaluate_many, variables_each,
+    Add, Const, Expr, Mul, add_all, as_written, evaluate_at, evaluate_many, variables_each,
 )
 from .manifold import Manifold, numeric_rank
 from .multivec import (
@@ -64,11 +67,9 @@ from .symmat import ZERO, emat_mul
 
 __all__ = [
     "Immersion",
-    "TangentFrameAtPoint",
     "DegreeScanReport",
     "uniform_grid",
     "degree_scan",
-    "tangent_flag",
 ]
 
 
@@ -80,12 +81,6 @@ def uniform_grid(domain, shape):
         axes.append(lo + step * (np.arange(count) + 0.5))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1), tuple(int(c) for c in shape)
-
-
-@dataclass
-class TangentFrameAtPoint:
-    ortho_comps: np.ndarray  # n x m in the orthonormal adapted frame
-    minors: np.ndarray  # (C(n, m),) minors of ortho_comps; / their norm is the unit m-vector
 
 
 class Immersion:
@@ -128,9 +123,6 @@ class Immersion:
             self.name,
         )
 
-    def param_env(self, pbar) -> dict:
-        return dict(zip(self.params, np.asarray(pbar, dtype=float)))
-
     def grid_env(self, points: np.ndarray) -> dict:
         pts = np.asarray(points, dtype=float)
         return {name: pts[:, i] for i, name in enumerate(self.params)}
@@ -146,26 +138,13 @@ class Immersion:
         return values
 
     def values_at(self, exprs, points) -> np.ndarray:
-        """Values of ``exprs`` at parameter points, one row per expression: (len(exprs), N).
+        """Values of ``exprs`` at parameter points (N, m), one row per expression: (len(exprs), N).
 
-        Points (N, m) are evaluated in one tape pass.  The first of them
-        that holds a value that is not finite is evaluated again as a batch
-        of one, and its refusal is raised naming that grid point.  One
-        point (m,) is a batch of one (N = 1), whose refusal names no point.
+        One tape pass; one point is a (1, m) array.  The first point that
+        holds a value that is not finite is refused, naming its cause and
+        that grid point (``exprs.evaluate_at``).
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return np.array(evaluate_many(exprs, self.param_env(pts)), dtype=float)[:, None]
-        values = self._grid_values(exprs, pts)
-        bad = ~np.isfinite(values).all(axis=0)
-        if bad.any():
-            p = tuple(map(float, pts[int(np.argmax(bad))]))
-            try:
-                evaluate_many(exprs, self.param_env(p))
-            except EvaluationError as exc:
-                raise EvaluationError(f"{exc} at grid point {p}") from None
-            raise EvaluationError(f"value is not finite at grid point {p}")
-        return values
+        return evaluate_at(exprs, self.params, points)
 
     @cached_property
     def multi_index_degrees(self) -> np.ndarray:
@@ -325,30 +304,40 @@ class Immersion:
         """All m x m minors over the grid, (N, C(n, m)) in ``all_multi_indices`` order."""
         return minors(tau)
 
-    # -- pointwise operations (the batched path on one point) -------------------
+    # -- tangent structure at points (N, m) ------------------------------------
 
-    def tangent_data(self, pbar) -> TangentFrameAtPoint:
-        jac, tau = (a[0] for a in self._tangent_grids(np.asarray(pbar, dtype=float)[None, :]))
-        if not (np.isfinite(jac).all() and np.isfinite(tau).all()):
-            raise DegenerateInputError(
-                f"immersion tangent is not finite at {tuple(map(float, pbar))}"
-            )
-        if numeric_rank(jac) < self.m:
-            raise DegenerateInputError(
-                f"immersion Jacobian is rank deficient at {tuple(map(float, pbar))}"
-            )
-        return TangentFrameAtPoint(tau, self.minors_grid(tau[None])[0])
+    def _checked_tangent(self, points):
+        """tau (N, n, m) and its minors rows at points (N, m), refused where degenerate.
 
-    def pointwise_degree(self, pbar) -> int:
-        row = self.tangent_data(pbar).minors
-        return int(max_degrees(row[None], self.multi_index_degrees, DEGREE_EPS)[0])
+        The first point that is degenerate by the degree scan's rule
+        (``_rank_deficient``, worded by ``_degeneracy``) is refused, naming
+        the point.
+        """
+        pts = np.asarray(points, dtype=float)
+        tau = self.ortho_tangent_grid(pts)
+        rows = self.minors_grid(tau)
+        bad = _rank_deficient(tau, rows)
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = _degeneracy(tau[k], rows[k], "Jacobian is rank deficient")
+            raise DegenerateInputError(f"immersion {what} at {tuple(map(float, pts[k]))}")
+        return tau, rows
 
-    def tangent_flag_dims(self, pbar) -> tuple[int, ...]:
-        return self._flag_dims(self.tangent_data(pbar).ortho_comps)
+    def degrees(self, points) -> np.ndarray:
+        """The degree at each of the points (N, m): the grid degree rule on its minors row."""
+        _, rows = self._checked_tangent(points)
+        return max_degrees(rows, self.multi_index_degrees, DEGREE_EPS)
 
-    def adapted_tangent_pivots(self, pbar) -> tuple[int, ...]:
-        """Pivot rows (1-based) of the degree-adapted echelon tangent basis."""
-        return self._adapted_pivots(self.tangent_data(pbar).ortho_comps, pbar)
+    def flag_dims(self, points) -> list[tuple[int, ...]]:
+        """dim(T cap H^j) for each layer j, at each of the points (N, m)."""
+        tau, _ = self._checked_tangent(points)
+        return [self._flag_dims(t) for t in tau]
+
+    def adapted_pivots(self, points) -> list[tuple[int, ...]]:
+        """Pivot rows (1-based) of the degree-adapted echelon tangent basis at each point."""
+        pts = np.asarray(points, dtype=float)
+        tau, _ = self._checked_tangent(pts)
+        return [self._adapted_pivots(t, p) for t, p in zip(tau, pts)]
 
     def _flag_dims(self, tau: np.ndarray) -> tuple[int, ...]:
         """dim(T cap H^j) for each layer j, from the ortho components tau (n x m)."""
@@ -401,17 +390,6 @@ class Immersion:
         return tuple(p + 1 for p in pivots)
 
 
-def tangent_flag(imm: Immersion, pbar):
-    """Flag dimensions and the homogeneous (Gromov) degree they induce."""
-    dims = imm.tangent_flag_dims(pbar)
-    prev = 0
-    degree = 0
-    for j, d in enumerate(dims, start=1):
-        degree += j * (d - prev)
-        prev = d
-    return dims, degree
-
-
 @dataclass
 class DegreeScanReport:
     shape: tuple[int, ...]
@@ -434,11 +412,13 @@ def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
     closed form: with P = |minors row| = sigma_min sigma_max (Cauchy-Binet)
     and F = |tau|_F^2 = sigma_min^2 + sigma_max^2,
     sigma_max^2 = (F + sqrt(F^2 - 4 P^2)) / 2, and the test is
-    P > RANK_TOL sigma_max^2.  Other m take the singular values.
+    P > RANK_TOL sigma_max^2.  Other m take the singular values of the
+    finite points; a point that is not finite is True.
     """
     if tau.shape[2] != 2:
-        svals = np.linalg.svd(tau, compute_uv=False)
-        return ~(svals[:, -1] > RANK_TOL * np.maximum(svals[:, 0], 1e-300))
+        finite = np.isfinite(tau).all(axis=(1, 2))
+        svals = np.linalg.svd(np.where(finite[:, None, None], tau, 0.0), compute_uv=False)
+        return ~finite | ~(svals[:, -1] > RANK_TOL * np.maximum(svals[:, 0], 1e-300))
     P = minors_norm(minors_rows)
     F = np.zeros(tau.shape[0])
     with np.errstate(over="ignore"):  # an infinite F is refused with its point
@@ -447,6 +427,18 @@ def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_max_sq = 0.5 * (F + np.sqrt(np.maximum(F * F - 4.0 * P * P, 0.0)))
         return ~(P > RANK_TOL * sigma_max_sq)
+
+
+def _degeneracy(tau: np.ndarray, row: np.ndarray, rank: str = "is rank deficient") -> str:
+    """What is wrong at a point that ``_rank_deficient`` refuses: tau (n, m), its minors row.
+
+    ``rank`` words the case where tau and its minors are finite.
+    """
+    if not np.isfinite(tau).all():
+        return "tangent is not finite"
+    if not np.isfinite(minors_norm(row[None])[0]):
+        return "tangent minors overflow"  # tau is finite, its minors or their squares are not
+    return rank
 
 
 def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
@@ -461,12 +453,7 @@ def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     if np.any(bad):
         idx = int(np.argmax(bad))
         k = int(expand(np.arange(len(sub)))[idx])  # its sub-grid point
-        if not np.isfinite(tau[k]).all():
-            what = "tangent is not finite"
-        elif not np.isfinite(minors_norm(rows[k : k + 1])[0]):
-            what = "tangent minors overflow"  # tau is finite, its minors or their squares are not
-        else:
-            what = "is rank deficient"
+        what = _degeneracy(tau[k], rows[k])
         raise DegenerateInputError(
             f"immersion {what} at grid point {tuple(map(float, points[idx]))}"
         )

@@ -21,14 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, const, evaluate_many, parse
+from .exprs import Expr, const, evaluate_at, evaluate_many, parse
 from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector
 from .symmat import (
     eidentity,
     einverse,
     emat_mul,
     etranspose,
-    eval_matrix,
     gram_schmidt_from_gram,
     upper_triangular_inverse,
 )
@@ -93,9 +92,6 @@ class AdaptedFrame:
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    def env(self, point) -> dict:
-        return dict(zip(self.coords, np.asarray(point, dtype=float)))
 
     @cached_property
     def matrix_exprs(self) -> list[list[Expr]]:
@@ -248,7 +244,12 @@ class FiltrationReport:
 
 
 def verify_filtration(frame: AdaptedFrame, samples) -> FiltrationReport:
-    """Check [H^i, H^j] in H^{i+j} at the sample points (least-squares residual)."""
+    """Check [H^i, H^j] in H^{i+j} at the sample points (N, n) (least-squares residual).
+
+    The frame and the brackets are evaluated at all samples in one pass
+    (``exprs.evaluate_at``), which refuses the first sample holding a value
+    that is not finite, naming its cause and the sample.
+    """
     growth = frame.growth
     s = growth.step
     coords = frame.coords
@@ -256,17 +257,20 @@ def verify_filtration(frame: AdaptedFrame, samples) -> FiltrationReport:
     for a in range(frame.n):
         for b in range(a + 1, frame.n):
             brackets[(a, b)] = lie_bracket_exprs(frame.fields[a], frame.fields[b], coords)
+    n = frame.n
+    samples = np.asarray(samples, dtype=float)
+    roots = [e for row in frame.matrix_exprs for e in row]
+    roots += [e for expr in brackets.values() for e in expr]
+    values = evaluate_at(roots, coords, samples).reshape(len(roots) // n, n, len(samples))
     violations = []
     max_res = 0.0
-    for point in samples:
-        env = frame.env(point)
-        F = eval_matrix(frame.matrix_exprs, env)
-        for (a, b), expr in brackets.items():
+    for k, point in enumerate(samples):
+        F = values[:n, :, k]
+        for (a, b), vec in zip(brackets, values[n:, :, k]):
             la = growth.layer_of(a + 1)
             lb = growth.layer_of(b + 1)
             target = min(la + lb, s)
             span_cols = F[:, : growth.dims[target - 1]]
-            vec = np.array(evaluate_many(expr, env), dtype=float)
             sol, *_ = np.linalg.lstsq(span_cols, vec, rcond=None)
             res = float(np.linalg.norm(span_cols @ sol - vec))
             scale = max(1.0, float(np.linalg.norm(vec)))

@@ -12,13 +12,13 @@ curvature summands and the system coefficients read it through one slot
 pairing (nabla_{t_i} W at slot i of the tangent wedge) and one Leibniz
 pairing (the tangent wedge against nabla_W X_J).  Each degree-d object
 (systems, Theta_d, H_d, control columns) is built once through one
-per-instance memo, and a system's matrices are evaluated over a grid of
-points, or at one point as a batch of one, in one tape pass.
+per-instance memo, and a system's matrices are evaluated over points (N, m)
+in one tape pass; one point is a (1, m) array.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
-made numerically at a base point, the domain midpoint, and reused across the
-domain; equiregularity of the catalog immersions makes the
+made numerically at a base point, the domain midpoint (a batch of one), and
+reused across the domain; equiregularity of the catalog immersions makes the
 patterns valid away from degeneracies.
 """
 
@@ -81,27 +81,30 @@ class SymbolicSystem:
     control_cols: int
     other_cols: int
 
-    def at(self, imm: Immersion, points):
-        """Numeric (A, B, [C_j], tangent_param) at parameter points, from one evaluation.
+    @property
+    def entries(self) -> list[Expr]:
+        """The entries of A, B, the C_j and tangent_param, each row-major, in that order."""
+        mats = [self.A, self.B, *self.C, self.tangent_param]
+        return [e for M in mats for row in M for e in row]
 
-        Over points (N, m) each matrix is a stack (N, rows, cols); at one
-        point (m,), a batch of one, it is the (rows, cols) matrix.
+    def split(self, vals: np.ndarray):
+        """(A, B, [C_j], tangent_param) from the values of ``entries`` (len, N).
+
+        Each matrix is a stack (N, rows, cols).
         """
         ell, m = self.shape.ell, self.shape.m
-        mats = [self.A, self.B, *self.C, self.tangent_param]
         shapes = [(ell, self.control_cols), *[(ell, self.other_cols)] * (m + 1), (m, m)]
-        flat = [e for M in mats for row in M for e in row]
-        vals = imm.values_at(flat, points)
         N = vals.shape[1]
         ends = np.cumsum([rows * cols for rows, cols in shapes])
-        stacks = [
+        A, B, *C, tangent_param = [
             v.reshape(*shape, N).transpose(2, 0, 1)
             for v, shape in zip(np.split(vals, ends[:-1]), shapes)
         ]
-        if np.ndim(points) == 1:
-            stacks = [stack[0] for stack in stacks]
-        A, B, *C, tangent_param = stacks
         return A, B, C, tangent_param
+
+    def at(self, imm: Immersion, points):
+        """Numeric (A, B, [C_j], tangent_param) at parameter points (N, m), from one evaluation."""
+        return self.split(imm.values_at(self.entries, points))
 
 
 def _per_degree(build):
@@ -123,7 +126,7 @@ class ImmersionFrames:
     def __init__(self, imm: Immersion):
         self.imm = imm
         self.mani = imm.manifold
-        self.base = imm.midpoint()
+        self.base = imm.midpoint()[None]  # the base point, a (1, m) point set
         self._memo: dict = {}
 
     def compose(self, expr: Expr) -> Expr:
@@ -162,11 +165,11 @@ class ImmersionFrames:
 
     @cached_property
     def flag_dims(self) -> tuple[int, ...]:
-        return self.imm.tangent_flag_dims(self.base)
+        return self.imm.flag_dims(self.base)[0]
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return self.imm.adapted_tangent_pivots(self.base)
+        return self.imm.adapted_pivots(self.base)[0]
 
     @cached_property
     def adapted_param(self):
@@ -247,11 +250,11 @@ class ImmersionFrames:
 
         Gram-Schmidt of the ambient frame fields projected onto the normal
         space; within each group, candidates are pivoted by projection
-        residual at the base point, and each field keeps the orientation of
-        its source (positive inner product with the source frame field).
+        residual at the base point, all of a round's candidates in one
+        evaluation, and each field keeps the orientation of its source
+        (positive inner product with the source frame field).
         """
         n, m = self.n, self.m
-        env = self.imm.param_env(self.base)
         accepted: list[list[Expr]] = []
 
         def residual_for(q: int) -> list[Expr]:
@@ -264,19 +267,16 @@ class ImmersionFrames:
         def run_group(candidates, want: int):
             remaining = list(candidates)
             for _ in range(want):
-                best_q, best_norm, best_w = None, 0.0, None
-                for q in remaining:
-                    w = residual_for(q)
-                    norm2 = float(dot(w, w).eval(env))
-                    if norm2 > best_norm:
-                        best_q, best_norm, best_w = q, norm2, w
-                if best_q is None or best_norm <= NORMAL_PIVOT_TOL:
+                ws = [residual_for(q) for q in remaining]
+                norms = self.imm.values_at([dot(w, w) for w in ws], self.base)[:, 0]
+                if not ws or norms.max() <= NORMAL_PIVOT_TOL:
                     raise DegenerateInputError(
                         "normal frame construction degenerate at the base point"
                     )
-                remaining.remove(best_q)
-                nrm = call("sqrt", dot(best_w, best_w))
-                accepted.append([div(c, nrm) for c in best_w])
+                best = int(np.argmax(norms))  # the first of the largest
+                remaining.pop(best)
+                nrm = call("sqrt", dot(ws[best], ws[best]))
+                accepted.append([div(c, nrm) for c in ws[best]])
 
         run_group(range(self.rho), self.k)
         run_group(range(self.rho, n), n - m - self.k)
@@ -490,7 +490,7 @@ class ImmersionFrames:
         ell, k = sym.shape.ell, sym.shape.k
         if ell == 0:
             return ()
-        A = sym.at(self.imm, self.base)[0]
+        A = sym.at(self.imm, self.base)[0][0]
         best, best_det = None, 0.0
         for cols in itertools.combinations(range(k), ell):
             det = abs(float(np.linalg.det(A[:, cols])))

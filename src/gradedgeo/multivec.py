@@ -230,13 +230,16 @@ def minors_norm(values: np.ndarray) -> np.ndarray:
 
 
 def compound(D: np.ndarray, m: int) -> np.ndarray:
-    """m-th compound of an n x n matrix: entry (J, I) is det D[J, I], ``all_multi_indices`` order.
+    """m-th compounds of a stack of n x n matrices (N, n, n): entry (J, I) is det D[J, I].
 
-    It is the m-vector change induced by the frame change D.
+    Rows and columns run in ``all_multi_indices`` order; each compound is
+    the m-vector change induced by the frame change D.
     """
     D = np.asarray(D, dtype=float)
-    cols = _index_rows(D.shape[0], m)
-    return minors(np.moveaxis(D[:, cols], 1, 0)).T
+    N, n, _ = D.shape
+    cols = _index_rows(n, m)
+    batch = np.moveaxis(D[:, :, cols], 2, 1)  # (N, C, n, m): D's columns I of each index
+    return minors(batch.reshape(-1, n, m)).reshape(N, len(cols), -1).transpose(0, 2, 1)
 
 
 def max_degrees(values: np.ndarray, degrees: np.ndarray, eps: float) -> np.ndarray:

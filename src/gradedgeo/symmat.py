@@ -7,9 +7,7 @@ keeps the trees compact.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .exprs import Expr, call, const, div, dot, evaluate_many, mul, sub
+from .exprs import Expr, call, const, div, dot, mul, sub
 
 __all__ = [
     "ezeros",
@@ -20,7 +18,6 @@ __all__ = [
     "eadjugate",
     "einverse",
     "upper_triangular_inverse",
-    "eval_matrix",
     "gram_schmidt_from_gram",
 ]
 
@@ -99,13 +96,6 @@ def upper_triangular_inverse(U):
                 acc = acc + U[i][k] * inv[k][j]
             inv[i][j] = div(-acc, U[i][i])
     return inv
-
-
-def eval_matrix(A, env) -> np.ndarray:
-    flat = [e for row in A for e in row]
-    vals = evaluate_many(flat, env)
-    arr = np.array(vals, dtype=float).reshape(len(A), len(A[0]))
-    return arr
 
 
 def gram_schmidt_from_gram(gram) -> list[list[Expr]]:

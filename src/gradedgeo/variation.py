@@ -20,7 +20,7 @@ import numpy as np
 
 from .admissibility import VariationField, frames_for
 from .area import QuadratureGrid
-from .exprs import Expr, add_all, const, dot, evaluate_many
+from .exprs import Expr, add_all, const, dot
 from .immersion import Immersion
 from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
 from .symmat import einverse
@@ -39,16 +39,15 @@ ZERO = const(0.0)
 
 
 def _support_check(imm: Immersion, comps):
-    m = imm.m
+    """Refuse a field that does not vanish, or is not finite, on the domain boundary."""
     pts = []
-    for axis in range(m):
+    for axis in range(imm.m):
         for end in (0, 1):
             for t in np.linspace(0.0, 1.0, 33):
                 p = [lo + t * (hi - lo) for lo, hi in imm.domain]
                 p[axis] = imm.domain[axis][end]
                 pts.append(p)
-    vals = evaluate_many(comps, imm.grid_env(pts))
-    peak = max(float(np.max(np.abs(v))) for v in vals)
+    peak = float(np.max(np.abs(imm.values_at(comps, pts))))
     if peak > SUPPORT_TOL:
         raise ValueError(
             f"variation field does not vanish on the domain boundary (max {peak:.2e})"
@@ -60,8 +59,7 @@ def first_variation(imm: Immersion, field: VariationField, grid: QuadratureGrid,
     """First variation of the degree-d area along a compactly supported field."""
     roots = frames_for(imm).first_variation_roots(field, d)
     _support_check(imm, roots[2:])
-    env = imm.grid_env(grid.points)
-    integrand_vals, theta_vals, *comp_vals = evaluate_many(roots, env)
+    integrand_vals, theta_vals, *comp_vals = imm.values_at(roots, grid.points)
     vnorm = np.zeros(len(grid))
     for v in comp_vals:
         vnorm = np.maximum(vnorm, np.abs(v))
@@ -91,12 +89,11 @@ class MeanCurvatureAtPoint:
     normal_frame: np.ndarray  # ortho comps, n x (n - m)
 
 
-def mean_curvature(imm: Immersion, points, d: int):
-    """Mean curvature of degree d at parameter points.
+def mean_curvature(imm: Immersion, points, d: int) -> list[MeanCurvatureAtPoint]:
+    """Mean curvature of degree d at parameter points (N, m).
 
-    Over points (N, m), one result per point from one evaluation of the
-    summands and the normal frame; at one point (m,), a batch of one, that
-    point's result.
+    One result per point, from one evaluation of the summands and the
+    normal frame.
     """
     frames = frames_for(imm)
     triples = frames.mean_curvature_exprs(d)
@@ -109,13 +106,12 @@ def mean_curvature(imm: Immersion, points, d: int):
     normal = vals[3 * q :].T.reshape(N, n, q)
     comps = parts.sum(axis=2)
     iota_cols = [j for j in range(k) if j not in hat_cols]
-    rows = zip(np.reshape(points, (N, -1)), comps, parts, comps[:, k:],
+    rows = zip(np.asarray(points), comps, parts, comps[:, k:],
                comps[:, list(hat_cols)], comps[:, iota_cols], normal)
-    results = [
+    return [
         MeanCurvatureAtPoint(tuple(p), c, pp, hat_cols, vert, hat, iota, nf)
         for p, c, pp, vert, hat, iota, nf in rows
     ]
-    return results[0] if np.ndim(points) == 1 else results
 
 
 def mean_curvature_field_exprs(imm: Immersion, d: int) -> list[Expr]:
@@ -138,8 +134,8 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     total = ZERO
     for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
         total = total + (h1 + h2 + h3) * dot(comps, ncol)
-    integrand = total * frames.sqrt_detmu
-    return grid.integrate_values(integrand.eval(imm.grid_env(grid.points)))
+    (values,) = imm.values_at([total * frames.sqrt_detmu], grid.points)
+    return grid.integrate_values(values)
 
 
 @dataclass

@@ -25,8 +25,8 @@ from .admissibility import (
     metric_change_check,
 )
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
-from .exprs import const, evaluate_many, parse
-from .immersion import degree_scan, tangent_flag, uniform_grid
+from .exprs import const, parse
+from .immersion import degree_scan, uniform_grid
 from .manifold import MetricField, carnot_flag, numeric_rank, verify_filtration
 from .multivec import (
     GrowthVector,
@@ -88,7 +88,8 @@ def degrees(scans, pointwise, flag_cases) -> CheckResult:
     a lower semicontinuous degree map, and the singular mask |singular| <
     1e-12 for a parameter expression source, or no singular point for None.
     ``pointwise``: (immersion, points, degree).  ``flag_cases``: (immersion,
-    points), where the flag (Gromov) degree equals the pointwise degree.
+    points), where the flag (Gromov) degree sum_j j (dim_j - dim_{j-1})
+    equals the pointwise degree.  Each point set is evaluated in one pass.
     """
     for imm, shape, degree, singular in scans:
         scan = degree_scan(imm, shape)
@@ -100,14 +101,13 @@ def degrees(scans, pointwise, flag_cases) -> CheckResult:
         if not np.array_equal(scan.mask, want) or not scan.lsc_ok:
             return CheckResult("degrees", False, f"{imm.name} singular set not detected")
     for imm, points, degree in pointwise:
-        for p in points:
-            got = imm.pointwise_degree(p)
+        for got in imm.degrees(points).tolist():
             if got != degree:
                 return CheckResult("degrees", False, f"{imm.name}: {got} != {degree}")
     for imm, points in flag_cases:
-        for p in points:
-            _, gromov = tangent_flag(imm, p)
-            if gromov != imm.pointwise_degree(p):
+        for p, dims, got in zip(points, imm.flag_dims(points), imm.degrees(points).tolist()):
+            gromov = sum(j * (b - a) for j, (a, b) in enumerate(zip((0, *dims), dims), start=1))
+            if gromov != got:
                 return CheckResult("degrees", False, f"flag degree mismatch at {tuple(p)}")
     return CheckResult("degrees", True, "pointwise, flag and scan degrees agree")
 
@@ -177,18 +177,12 @@ def scaling(imm, d: int, order: int, rs) -> CheckResult:
     return CheckResult("scaling-limit", True, f"limit error {err:.1e}")
 
 
-def engel_closed_forms(theta, points):
-    """Closed-form frame data of a ruled (theta, kappa)-graph at points.
-
-    ``theta`` is an expression, or its source, in (x, y); ``points`` is one
-    point (2,), giving floats, or an array (N, 2), giving arrays.
-    """
-    th = parse(theta, ["x", "y"]) if isinstance(theta, str) else theta
+def engel_closed_forms(eg, points):
+    """Closed-form frame data of a ruled (theta, kappa)-graph ``eg`` at points (N, 2), arrays (N,)."""
+    th = eg.components[2]
     kap = catalog.engel_graph_kappa(th)
-    pts = np.asarray(points, dtype=float)
-    t, tx, ty, kx, ky = evaluate_many(
-        [th, th.diff("x"), th.diff("y"), kap.diff("x"), kap.diff("y")],
-        {"x": pts[..., 0], "y": pts[..., 1]},
+    t, tx, ty, kx, ky = eg.values_at(
+        [th, th.diff("x"), th.diff("y"), kap.diff("x"), kap.diff("y")], points
     )
     cos_t, sin_t = np.cos(t), np.sin(t)
     kappa = cos_t * tx + sin_t * ty
@@ -218,7 +212,7 @@ def admissibility_matrices(eg, points, plane, plane_points) -> CheckResult:
     alpha1 A / xi = alpha1 alpha2 / alpha3^2 > 0, alpha1 B / xi =
     X4(theta) (1 - kappa^2) / alpha3^2.  One evaluation per system.
     """
-    f = engel_closed_forms(eg.components[2], points)
+    f = engel_closed_forms(eg, points)
     fr = frames_for(eg)
     A, B, (C1, C2), _ = fr.adapted_system(4).at(eg, points)
     nA, nB, (nC1, nC2), _ = fr.normal_system(4).at(eg, points)
@@ -346,12 +340,14 @@ def el_residual(eg, order: int, psis) -> CheckResult:
     grid = QuadratureGrid(eg.domain, order)
     resid, control_scale = catalog.engel_el_residual_exprs(eg)  # refuses an iota residual
     sqrt_detmu = frames_for(eg).sqrt_detmu
-    env = eg.grid_env(grid.points)
-    if not np.all(control_scale.eval(env) > 0):
+    scale, *weak_integrands = eg.values_at(
+        [control_scale, *(resid * psi * sqrt_detmu for psi in psis)], grid.points
+    )
+    if not np.all(scale > 0):
         return CheckResult("stationarity-residual", False, "control coefficient not positive")
-    for psi in psis:
+    for psi, integrand in zip(psis, weak_integrands):
         fv = first_variation(eg, catalog.engel_admissible_normal_field(eg, psi), grid, 4)
-        weak = grid.integrate_values((resid * psi * sqrt_detmu).eval(env))
+        weak = grid.integrate_values(integrand)
         if abs(fv - weak) > 1e-4 * (1 + abs(fv)):
             return CheckResult("stationarity-residual", False, f"{fv} vs {weak}")
     step = catalog.engel_theta_gradient_expr(eg) * parse(_DESCENT_BUMP, ["x", "y"])
@@ -383,7 +379,7 @@ def contact(surfaces, count: int, seed: int, order: int) -> CheckResult:
             h_dev = max(h_dev, float(abs(-mc.components[0] * orient - hc)))
         grid = QuadratureGrid(rt.domain, order)
         dens = catalog.contact_area_density(rt.components[2])
-        a3c = grid.integrate_values(dens.eval(rt.grid_env(grid.points)))
+        a3c = grid.integrate_values(rt.values_at([dens], grid.points)[0])
         a3 = area_degree(rt, 3, grid).value
         if abs(a3 - a3c) > 1e-8 * max(1.0, a3):
             return CheckResult("contact-crosscheck", False, f"area {a3} vs {a3c}")

@@ -21,23 +21,41 @@ from gradedgeo.admissibility import frames_for
 from gradedgeo.exprs import add_all, const, dot, evaluate_many
 from gradedgeo.manifold import lie_bracket_exprs
 from gradedgeo.multivec import minors
-from gradedgeo.symmat import eval_matrix
+
+# -- evaluation at one point --------------------------------------------------------
+
+
+def point_env(coords, point) -> dict:
+    """Float bindings of the variables ``coords`` at one point."""
+    return dict(zip(coords, np.asarray(point, dtype=float)))
+
+
+def matrix_at(M, coords, point) -> np.ndarray:
+    """A matrix of expressions in the variables ``coords`` at one point."""
+    vals = evaluate_many([e for row in M for e in row], point_env(coords, point))
+    return np.array(vals, dtype=float).reshape(len(M), len(M[0]))
+
+
+def param_matrix_at(imm, M, p) -> np.ndarray:
+    """A matrix of expressions in an immersion's parameters at one point, through ``values_at``."""
+    return imm.values_at([e for row in M for e in row], [p]).reshape(len(M), len(M[0]))
+
 
 # -- the numeric Levi-Civita path -------------------------------------------------
 
 
 def frame_matrix_at(frame, point) -> np.ndarray:
     """The raw frame matrix (coordinates as rows, frame fields as columns) at a point."""
-    return eval_matrix(frame.matrix_exprs, frame.env(point))
+    return matrix_at(frame.matrix_exprs, frame.coords, point)
 
 
 def ortho_matrix_at(mani, point) -> np.ndarray:
     """Coordinate components of the orthonormal adapted frame (columns) at a point."""
-    return eval_matrix(mani.ortho_matrix_exprs, mani.frame.env(point))
+    return matrix_at(mani.ortho_matrix_exprs, mani.coords, point)
 
 
 def ortho_coframe_at(mani, point) -> np.ndarray:
-    return eval_matrix(mani.ortho_coframe_exprs, mani.frame.env(point))
+    return matrix_at(mani.ortho_coframe_exprs, mani.coords, point)
 
 
 def expand_in_ortho(mani, vec, point) -> np.ndarray:
@@ -46,7 +64,7 @@ def expand_in_ortho(mani, vec, point) -> np.ndarray:
 
 
 def metric_at(mani, point) -> np.ndarray:
-    return eval_matrix(mani.metric_exprs, mani.frame.env(point))
+    return matrix_at(mani.metric_exprs, mani.coords, point)
 
 
 def christoffel_at(mani, point) -> np.ndarray:
@@ -69,7 +87,7 @@ def christoffel_at(mani, point) -> np.ndarray:
 
 def covariant_derivative_field(mani, v_coords, field_index: int, point) -> np.ndarray:
     """Coordinate components of nabla_v X_j for an orthonormal frame field."""
-    env = mani.frame.env(point)
+    env = point_env(mani.coords, point)
     n = mani.n
     gamma = christoffel_at(mani, point)
     X = ortho_matrix_at(mani, point)[:, field_index]
@@ -152,4 +170,4 @@ def mean_curvature_bracket_exprs(frames, d: int):
 
 def mean_curvature_bracket_at(imm, pbar, d: int) -> np.ndarray:
     """Bracket-form curvature components at a point (needs a graph chart)."""
-    return imm.values_at(mean_curvature_bracket_exprs(frames_for(imm), d), pbar)[:, 0]
+    return imm.values_at(mean_curvature_bracket_exprs(frames_for(imm), d), [pbar])[:, 0]

@@ -16,8 +16,9 @@ from gradedgeo.admissibility import (
 from gradedgeo.exprs import const, dot, parse, var
 from gradedgeo.manifold import MetricField, numeric_rank, lie_bracket_exprs
 from gradedgeo.multivec import all_multi_indices, compound, d_max
-from gradedgeo.symmat import edet, emat_mul, eval_matrix, upper_triangular_inverse
+from gradedgeo.symmat import edet, emat_mul, upper_triangular_inverse
 from gradedgeo.verify import engel_closed_forms
+from oracles import param_matrix_at
 
 THETA = "0.2*x + 0.3*y"
 
@@ -77,10 +78,10 @@ def test_assemble_adapted_plane_exact(engel_graph, plane):
 
 
 def test_assemble_hypersurface_empty(rt_graph):
-    A, B, C, _ = frames_for(rt_graph).adapted_system(3).at(rt_graph, [0.5, 0.5])
-    assert A.shape == (0, 2)
-    assert B.shape == (0, 1)
-    assert all(c.shape == (0, 1) for c in C)
+    A, B, C, _ = frames_for(rt_graph).adapted_system(3).at(rt_graph, [[0.5, 0.5]])
+    assert A.shape == (1, 0, 2)
+    assert B.shape == (1, 0, 1)
+    assert all(c.shape == (1, 0, 1) for c in C)
 
 
 def test_assemble_normal_plane(plane):
@@ -97,8 +98,9 @@ def test_assemble_normal_plane(plane):
     V = VariationField(
         "adapted", (const(0.0), -g.diff("w"), const(0.0), g)
     )
-    for p in plane.sample_points(5, seed=5):
-        assert np.allclose(residual(plane, V, p, 3), 0.0, atol=1e-12)
+    r = residual(plane, V, plane.sample_points(5, seed=5), 3)
+    assert r.shape == (5, 3)
+    assert np.allclose(r, 0.0, atol=1e-12)
 
 
 def test_rank_a_equals_rank_a_perp():
@@ -114,9 +116,8 @@ def test_rank_a_equals_rank_a_perp():
 def test_normal_frame_is_orthonormal_and_normal(engel_graph):
     fr = frames_for(engel_graph)
     for p in engel_graph.sample_points(10, seed=6):
-        env = engel_graph.param_env(p)
-        N = eval_matrix(fr.normal_amb, env)
-        E = eval_matrix(fr.E_amb, env)
+        N = param_matrix_at(engel_graph, fr.normal_amb, p)
+        E = param_matrix_at(engel_graph, fr.E_amb, p)
         assert np.allclose(N.T @ N, np.eye(2), atol=1e-10)
         assert np.allclose(E.T @ N, 0.0, atol=1e-10)
 
@@ -136,19 +137,18 @@ def test_tangent_columns_of_a_perp_vanish(engel_graph):
 def test_residual_engel_frame_field(engel_graph):
     # V = X3: all derivative terms vanish; the residual is the f3 coefficient
     V = VariationField("adapted", (const(0.0),) * 2 + (const(1.0), const(0.0)))
-    for p in engel_graph.sample_points(10, seed=7):
-        f = engel_closed_forms(THETA, p)
-        r = residual(engel_graph, V, p, 4)
-        assert r[0] == pytest.approx(f["x4t"], abs=1e-10)
+    points = engel_graph.sample_points(10, seed=7)
+    f = engel_closed_forms(engel_graph, points)
+    assert residual(engel_graph, V, points, 4)[:, 0] == pytest.approx(f["x4t"], abs=1e-10)
 
 
 def test_residual_constant_f4(engel_graph):
     c = 0.7
     V = VariationField("adapted", (const(0.0),) * 3 + (const(c),))
-    for p in engel_graph.sample_points(10, seed=8):
-        f = engel_closed_forms(THETA, p)
-        r = residual(engel_graph, V, p, 4)
-        assert r[0] == pytest.approx(-f["kappa"] ** 2 * c, abs=1e-10)
+    points = engel_graph.sample_points(10, seed=8)
+    f = engel_closed_forms(engel_graph, points)
+    r = residual(engel_graph, V, points, 4)
+    assert r[:, 0] == pytest.approx(-f["kappa"] ** 2 * c, abs=1e-10)
 
 
 def test_residual_tangent_fields_vanish(engel_graph):
@@ -158,29 +158,24 @@ def test_residual_tangent_fields_vanish(engel_graph):
     for col in range(2):
         comps = tuple(bump * fr.adapted_amb[i][col] for i in range(4))
         V = VariationField("adapted", comps)
-        for p in engel_graph.sample_points(5, seed=10 + col):
-            r = residual(engel_graph, V, p, 4)
-            assert abs(r[0]) <= 1e-8
+        r = residual(engel_graph, V, engel_graph.sample_points(5, seed=10 + col), 4)
+        assert np.abs(r).max() <= 1e-8
 
 
 def test_residual_family_field_vanishes(engel_graph):
     for src in ("x*y*(1-x)*(1-y)", "sin(3*x)*y^2", "x^3 - 2*y*x + 0.5*y^2"):
         V = catalog.engel_family_field(engel_graph, parse(src, ["x", "y"]))
-        for p in engel_graph.sample_points(5, seed=11):
-            r = residual(engel_graph, V, p, 4)
-            assert abs(r[0]) <= 1e-12
+        r = residual(engel_graph, V, engel_graph.sample_points(5, seed=11), 4)
+        assert np.abs(r).max() <= 1e-12
 
 
 def test_residual_plane_displayed_system(plane):
     phi = parse("v*w^2", ["v", "w"])  # f4; depends on (v, w) = (x1, x3)
     V = VariationField("adapted", (const(0.0), const(0.2), const(0.0), phi))
-    p = [0.3, -0.4]
-    r = residual(plane, V, p, 3)
-    env = plane.param_env(p)
-    expect = np.array(
-        [phi.diff("w").eval(env) + 0.2, 0.0, -phi.diff("v").eval(env)]
-    )
-    assert np.allclose(r, expect, atol=1e-12)
+    p = [[0.3, -0.4]]
+    (r,) = residual(plane, V, p, 3)
+    phi_w, phi_v = plane.values_at([phi.diff("w"), phi.diff("v")], p)[:, 0]
+    assert np.allclose(r, [phi_w + 0.2, 0.0, -phi_v], atol=1e-12)
 
 
 def test_strong_regularity_flags(engel_graph, plane, rt_graph):
@@ -199,11 +194,11 @@ def test_strong_regularity_flags(engel_graph, plane, rt_graph):
 def test_split_tangent_normal(engel_graph):
     fr = frames_for(engel_graph)
     p = [0.4, 0.6]
-    E = eval_matrix(fr.E_amb, engel_graph.param_env(p))
+    E = param_matrix_at(engel_graph, fr.E_amb, p)
 
     def split(field):
         """g-orthogonal split of the field's value at p (ortho-frame comps)."""
-        v = engel_graph.values_at(fr.ambient_field_from_variation(field), p)[:, 0]
+        v = engel_graph.values_at(fr.ambient_field_from_variation(field), [p])[:, 0]
         vtan = E @ (E.T @ v)
         return vtan, v - vtan
 
@@ -225,29 +220,29 @@ def test_split_tangent_normal(engel_graph):
         psi_ctrl * fr.normal_amb[i][0] + psi_free * fr.normal_amb[i][1]
         for i in range(4)
     )
-    for q in engel_graph.sample_points(5, seed=14):
-        r_full = residual(engel_graph, V, q, 4)
-        r_perp = residual(engel_graph, VariationField("adapted", perp_adapted), q, 4)
-        assert np.allclose(r_full, r_perp, atol=1e-8)
-        # and in the normal system, tangent components are inert
-        r_n_full = residual(
-            engel_graph,
-            VariationField(
-                "normal",
-                (
-                    dot(list(comps), [fr.E_amb[i][0] for i in range(4)]),
-                    dot(list(comps), [fr.E_amb[i][1] for i in range(4)]),
-                    psi_ctrl,
-                    psi_free,
-                ),
+    q = engel_graph.sample_points(5, seed=14)
+    r_full = residual(engel_graph, V, q, 4)
+    r_perp = residual(engel_graph, VariationField("adapted", perp_adapted), q, 4)
+    assert np.allclose(r_full, r_perp, atol=1e-8)
+    # and in the normal system, tangent components are inert
+    r_n_full = residual(
+        engel_graph,
+        VariationField(
+            "normal",
+            (
+                dot(list(comps), [fr.E_amb[i][0] for i in range(4)]),
+                dot(list(comps), [fr.E_amb[i][1] for i in range(4)]),
+                psi_ctrl,
+                psi_free,
             ),
-            q,
-            4,
-        )
-        r_n_perp = residual(
-            engel_graph, VariationField("normal", (psi_ctrl, psi_free)), q, 4
-        )
-        assert np.allclose(r_n_full, r_n_perp, atol=1e-12)
+        ),
+        q,
+        4,
+    )
+    r_n_perp = residual(
+        engel_graph, VariationField("normal", (psi_ctrl, psi_free)), q, 4
+    )
+    assert np.allclose(r_n_full, r_n_perp, atol=1e-12)
 
 
 def test_metric_change_engel(engel_graph):
@@ -291,40 +286,32 @@ def test_beta_nabla_form_matches_bracket_form(engel_graph):
         fr.graph_extend_field([fr.adapted_amb[q][j] for q in range(n)])
         for j in range(m)
     ]
-    for p in engel_graph.sample_points(10, seed=18):
-        env = engel_graph.param_env(p)
-        for h in range(n):
-            field = [engel_graph.manifold.ortho_matrix_exprs[c][h] for c in range(n)]
-            total = 0.0
-            for j in range(m):
-                lie = lie_bracket_exprs(e_ext[j], field, coords)
-                lie_m = fr.to_ortho_comps([fr.compose(c) for c in lie])
-                cols = []
-                for a in range(m):
-                    if a == j:
-                        cols.append(lie_m)
-                    else:
-                        cols.append([fr.adapted_amb[q][a] for q in range(n)])
-                mat = [[cols[a][jj - 1] for jj in (3, 4)] for a in range(m)]
-                det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-                total += float(det.eval(env))
-            nabla_val = float(
-                (sym.A[0][h] if h < 2 else sym.B[0][h - 2]).eval(env)
-            )
-            assert total == pytest.approx(nabla_val, abs=1e-7)
+    points = engel_graph.sample_points(10, seed=18)
+    for h in range(n):
+        field = [engel_graph.manifold.ortho_matrix_exprs[c][h] for c in range(n)]
+        total = np.zeros(len(points))
+        for j in range(m):
+            lie = lie_bracket_exprs(e_ext[j], field, coords)
+            lie_m = fr.to_ortho_comps([fr.compose(c) for c in lie])
+            cols = []
+            for a in range(m):
+                if a == j:
+                    cols.append(lie_m)
+                else:
+                    cols.append([fr.adapted_amb[q][a] for q in range(n)])
+            mat = [[cols[a][jj - 1] for jj in (3, 4)] for a in range(m)]
+            det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+            total += engel_graph.values_at([det], points)[0]
+        nabla = engel_graph.values_at([sym.A[0][h] if h < 2 else sym.B[0][h - 2]], points)[0]
+        assert total == pytest.approx(nabla, abs=1e-7)
 
 
 def _c_column_vanishes(imm, h, d):
     fr = frames_for(imm)
     shape = fr.shape_for(d)
     sym = fr.adapted_system(d)
-    vals = []
-    for p in imm.sample_points(8, seed=19):
-        env = imm.param_env(p)
-        for j in range(imm.m):
-            for i in range(shape.ell):
-                vals.append(abs(float(sym.C[j][i][h - shape.rho].eval(env))))
-    return max(vals) <= 1e-12
+    column = [sym.C[j][i][h - shape.rho] for j in range(imm.m) for i in range(shape.ell)]
+    return np.abs(imm.values_at(column, imm.sample_points(8, seed=19))).max() <= 1e-12
 
 
 def test_c_coefficients_degree_criterion(engel_graph, plane):
@@ -378,20 +365,20 @@ def test_variation_field_json():
 CATALOG_IMMERSIONS = ["engel-graph", "h1xh1-surface", "isolated-plane", "rt-graph"]
 
 
-def _per_matrix(sym, env):
-    """The system's matrices evaluated one ``eval_matrix`` at a time; zeros for an empty block."""
+def _per_matrix(imm, sym, p):
+    """The system's matrices at one point, one evaluation per matrix; zeros for an empty block."""
     ell = sym.shape.ell
 
     def one(M, cols):
         if ell == 0 or cols == 0:
             return np.zeros((ell, cols))
-        return eval_matrix(M, env)
+        return param_matrix_at(imm, M, p)
 
     return (
         one(sym.A, sym.control_cols),
         one(sym.B, sym.other_cols),
         [one(Cj, sym.other_cols) for Cj in sym.C],
-        eval_matrix(sym.tangent_param, env),
+        param_matrix_at(imm, sym.tangent_param, p),
     )
 
 
@@ -399,24 +386,27 @@ def _per_matrix(sym, env):
 def test_system_at_is_bit_identical_to_per_matrix_evaluation(name):
     imm = catalog.immersion(name)
     fr = frames_for(imm)
-    degree = imm.pointwise_degree(imm.midpoint())
+    (degree,) = imm.degrees(imm.midpoint()[None]).tolist()
     empty = 0
+    points = np.array([imm.midpoint(), *imm.sample_points(3, seed=20)])
     # every degree from the immersion's own to d_max, whose system has ell = 0
     for d in range(degree, d_max(imm.m, imm.manifold.weights) + 1):
         for sym in (fr.adapted_system(d), fr.normal_system(d)):
-            for p in [imm.midpoint(), *imm.sample_points(3, seed=20)]:
-                A, B, C, tparam = sym.at(imm, p)
-                rA, rB, rC, rt = _per_matrix(sym, imm.param_env(p))
-                assert len(C) == len(rC) == imm.m
-                for got, want in zip([A, B, *C, tparam], [rA, rB, *rC, rt]):
+            A, B, C, tparam = sym.at(imm, points)
+            assert len(C) == imm.m
+            for k, p in enumerate(points):
+                rA, rB, rC, rt = _per_matrix(imm, sym, p)
+                assert len(rC) == imm.m
+                for got, want in zip([A[k], B[k], *(Cj[k] for Cj in C), tparam[k]],
+                                     [rA, rB, *rC, rt]):
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
                     empty += got.size == 0
     assert empty > 0  # the ell = 0 blocks were among the cases
 
 
-def _symbolic_lambda(imm, metric_b, env):
-    """Lambda[J][I] = det D[J, I], one symbolic ``edet`` per (J, I) pair, evaluated at ``env``."""
+def _symbolic_lambda(imm, metric_b, p):
+    """Lambda[J][I] = det D[J, I], one symbolic ``edet`` per (J, I) pair, evaluated at ``p``."""
     fr = frames_for(imm)
     n, m = imm.n, imm.m
     Ub = imm.with_metric(metric_b).manifold.ortho_change_exprs
@@ -424,7 +414,7 @@ def _symbolic_lambda(imm, metric_b, env):
     Dm = [[fr.compose(D[i][j]) for j in range(n)] for i in range(n)]
     idx = list(all_multi_indices(n, m))
     lam = [[edet([[Dm[a - 1][b - 1] for b in I] for a in J]) for I in idx] for J in idx]
-    return eval_matrix(lam, env), eval_matrix(Dm, env)
+    return param_matrix_at(imm, lam, p), param_matrix_at(imm, Dm, p)
 
 
 @pytest.mark.parametrize(
@@ -438,7 +428,7 @@ def _symbolic_lambda(imm, metric_b, env):
 def test_minors_lambda_matches_symbolic_edet(name, d, metric_b):
     imm = catalog.immersion(name)
     for p in imm.sample_points(5, seed=21):
-        want, Dp = _symbolic_lambda(imm, metric_b, imm.param_env(p))
-        got = compound(Dp, imm.m)
+        want, Dp = _symbolic_lambda(imm, metric_b, p)
+        (got,) = compound(Dp[None], imm.m)
         assert np.array_equal(got, want)
         assert not np.allclose(want, want.T)  # a transposed Lambda would fail

@@ -61,11 +61,9 @@ def density_at(imm, p, d):
 
 def test_density_engel_closed_form(engel_graph):
     # density equals 1/alpha2 on ruled graphs
-    for p in engel_graph.sample_points(10, seed=0):
-        f = engel_closed_forms("0.2*x + 0.3*y", p)
-        assert density_at(engel_graph, p, 4) == pytest.approx(
-            1 / f["a2"], rel=1e-12
-        )
+    points = engel_graph.sample_points(10, seed=0)
+    for p, a2 in zip(points, engel_closed_forms(engel_graph, points)["a2"]):
+        assert density_at(engel_graph, p, 4) == pytest.approx(1 / a2, rel=1e-12)
 
 
 def test_density_range_and_singular_zero():
@@ -81,12 +79,10 @@ def test_density_contact_matches_unit_normal_projection():
     for p in rt.sample_points(10, seed=2):
         # Theta * sqrt(det mu) equals sqrt(1 + X(u)^2), the horizontal-normal density
         u = rt.components[2]
-        env = rt.param_env(p)
-        t = u.eval(env)
-        ux, uy = u.diff("x").eval(env), u.diff("y").eval(env)
+        t, ux, uy = rt.values_at([u, u.diff("x"), u.diff("y")], p[None])[:, 0]
         xu = math.cos(t) * ux + math.sin(t) * uy
         theta = density_at(rt, p, 3)
-        volume = minors_norm(rt.tangent_data(p).minors[None])[0]
+        volume = _minors_and_volume(rt, p[None])[2][0]
         assert theta * volume == pytest.approx(math.sqrt(1 + xu * xu), rel=1e-12)
 
 
@@ -138,8 +134,9 @@ def test_riemannian_area_scales_layer_two_directions():
 
 def test_riemannian_area_r1_is_plain_area(engel_graph, grid64):
     plain = riemannian_area(engel_graph, 1.0, grid64)
+    # the volume point by point, each a batch of one
     td_area = grid64.integrate_values(
-        np.array([minors_norm(engel_graph.tangent_data(p).minors[None])[0] for p in grid64.points])
+        np.array([_minors_and_volume(engel_graph, p[None])[2][0] for p in grid64.points])
     )
     assert plain == pytest.approx(td_area, rel=1e-12)
     with pytest.raises(ValueError):

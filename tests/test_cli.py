@@ -146,7 +146,7 @@ def test_admissibility_command_builds_residuals_once(tmp_path, monkeypatch):
     imm = catalog.immersion("engel-graph", theta=theta)
     field = VariationField.from_json(field_path.read_text(), imm.params)
     points, _ = uniform_grid(imm.domain, (4, 4))
-    norms = [float(np.linalg.norm(residual(imm, field, p, 4))) for p in points]
+    norms = [float(np.linalg.norm(residual(imm, field, p[None], 4)[0])) for p in points]
     assert [row[-1] for row in json.loads(out)["points"]] == norms
 
 
@@ -614,6 +614,25 @@ def test_pointwise_commands_blame_the_midpoint_alone(tmp_path, capsys):
         )
 
 
+def test_curve_tangent_refusals_name_the_point(tmp_path, capsys):
+    # for m != 2 the rank test takes singular values; a tangent that is not
+    # finite is refused by name, by the scan and at the midpoint alike
+    spec = _spec_files(
+        tmp_path, params=["x"], components=["x", "0", "1/(x-0.5)"],
+        domain=[[0.0, 1.0]], base_coords=[0],
+    )
+    for command, message in (
+        (["degree-scan"], "immersion tangent is not finite at grid point (0.5,)"),
+        (["regularity", "--degree", "2"], "immersion tangent is not finite at (0.5,)"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, *spec, "--grid", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gradedgeo: error: {message}\n"
+
+
 README_FIELD = {"frame": "normal", "components": ["0", "(16*x*(1-x)*y*(1-y))^2"]}
 
 
@@ -643,15 +662,15 @@ def test_grid_commands_equal_pointwise_library_calls(tmp_path, command, entry, k
     assert len(rows) == len(points)
     for row, p in zip(rows, points):
         if command == "regularity":
-            reg = admissibility.is_strongly_regular(imm, p, d)
+            (reg,) = admissibility.is_strongly_regular(imm, p[None], d)
             sigma_min = min(reg.singular_values) if reg.singular_values else 0.0
             assert (row["rank"], row["ell"], row["flag"]) == (reg.rank, reg.ell, reg.strongly_regular)
             assert np.float64(row["sigma_min"]).tobytes() == np.float64(sigma_min).tobytes()
         elif command == "mean-curvature":
-            want = variation.mean_curvature(imm, p, d).components
+            want = variation.mean_curvature(imm, p[None], d)[0].components
             assert np.array(row["H"]).tobytes() == want.tobytes()
         else:
-            want = np.linalg.norm(residual(imm, field, p, d))
+            want = np.linalg.norm(residual(imm, field, p[None], d)[0])
             assert np.float64(row[-1]).tobytes() == np.float64(want).tobytes()
 
 

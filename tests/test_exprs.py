@@ -23,6 +23,7 @@ from gradedgeo.exprs import (
     Pow,
     Sub,
     Var,
+    as_written,
     call,
     const,
     derive,
@@ -76,6 +77,8 @@ def test_derivative_examples():
     oracle = fd_derivative(e, "x", env)
     assert abs(oracle) <= 1e-10
     assert abs(d.eval(env) - 0.0) <= 1e-15
+    # a constant integer power differentiates through its own rule
+    assert parse("x^-2", ["x"]).diff("x").eval({"x": 2.0}) == -0.25
 
 
 def _random_expr(rng, names, depth):
@@ -187,6 +190,17 @@ def test_domain_errors_raise_on_scalars():
         parse("1/x", ["x"]).eval({"x": 0.0})
     with pytest.raises(EvaluationError):
         parse("x", ["x"]).eval({})
+    # the derivative of x/0 keeps its constant-zero denominator (0/0), so it
+    # is refused when its tape is compiled instead of folding to 0
+    with pytest.raises(EvaluationError, match=r"division by zero in 0/0"):
+        parse("x/0", ["x"]).diff("x").eval({"x": 1.0})
+
+
+def test_as_written_keeps_a_zero_denominator():
+    # neither the 0 / a nor the a / a identity folds a constant-zero denominator
+    for a in (var("x"), const(0.0)):
+        with pytest.raises(EvaluationError, match="division by zero"):
+            as_written(Div, a, const(0.0)).eval({"x": 1.0})
 
 
 def test_array_evaluation_broadcasts():
@@ -361,8 +375,8 @@ def test_tape_matches_memo_walk_bit_for_bit(catalog_roots, case):
     for label, env in envs.items():
         got = evaluate_many(roots, env)
         assert _same_bytes(got, _reference_evaluate(roots, env, folds)), label
-        if label == "scalar":  # param_env binds np.float64: same values as floats
-            env64 = imm.param_env(pts[5])
+        if label == "scalar":  # np.float64 bindings: the same values as floats
+            env64 = dict(zip(imm.params, pts[5]))
             assert _same_bytes(evaluate_many(roots, env64), got)
 
 
@@ -448,7 +462,7 @@ def test_scalar_overflow_is_an_evaluation_error():
 
 def test_numpy_scalar_bindings_are_refused_like_floats():
     imm = catalog.immersion("rt-graph", u="x")
-    env = imm.param_env([0.0, 0.5])  # binds np.float64
+    env = dict(zip(imm.params, np.array([0.0, 0.5])))  # binds np.float64
     with pytest.raises(EvaluationError, match="division by zero"):
         evaluate_many([parse("1/x", imm.params)], env)
     with pytest.raises(EvaluationError, match=r"domain error in log\(-1\.0\)"):

@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in-process and compares its exit status, stdout,
 stderr and warnings, byte for byte, with its file in ``tests/golden/``.  The
 list holds the README commands, one command per benchmark cli kind (the
 benchmark's variant 0), the refusals that CI requires, the h1xh1 singular
-cases and a 128x128 first variation.  ``gradedgeo verify`` is not in it.
+cases, a 128x128 first variation and the ``--manifold``/``--immersion``
+spec path.  ``gradedgeo verify`` is not in it.
 
 A change that moves output bytes rewrites the corpus in the same commit:
 
@@ -32,10 +33,26 @@ import pytest
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 BUMP = "(16*x*(1-x)*y*(1-y))^2"
+# the rototrans graph theta = x as JSON specs, and its immersion without a domain
+ROTOTRANS = {
+    "coordinates": ["x", "y", "theta"],
+    "frame": [
+        {"degree": 1, "components": ["cos(theta)", "sin(theta)", "0"]},
+        {"degree": 1, "components": ["0", "0", "1"]},
+        {"degree": 2, "components": ["sin(theta)", "-cos(theta)", "0"]},
+    ],
+    "metric": "frame-orthonormal",
+}
+GRAPH = {"params": ["x", "y"], "components": ["x", "y", "x"], "base_coords": [0, 1]}
 FIELDS = {
     "field.json": {"frame": "normal", "components": ["0", BUMP]},  # the README's
     "field0.json": {"frame": "normal", "components": ["0", f"{BUMP}*(1+0.17*x)"]},
     "field-st.json": {"frame": "normal", "components": ["0", "0", "0", "s*t"]},
+    # NaN on the boundary x = 0, where it is no compactly supported field
+    "field-sqrt.json": {"frame": "normal", "components": ["0", f"sqrt(x-0.3)*{BUMP}"]},
+    "rototrans.json": ROTOTRANS,
+    "graph.json": {**GRAPH, "domain": [[0.0, 1.0], [0.0, 1.0]]},
+    "graph-no-domain.json": GRAPH,
 }
 
 CASES = {
@@ -106,6 +123,28 @@ CASES = {
     "h1xh1-degree-scan-tiny": "degree-scan --catalog h1xh1-surface:u=1e-11*(s^2+s) --grid 6x6",
     "h1xh1-mean-curvature-s3+s": (
         "mean-curvature --catalog h1xh1-surface:u=s^3+s --degree 3 --grid 4x4"
+    ),
+    # the JSON spec path, and bad input: a missing key, a malformed expression
+    "spec-area": "area --manifold rototrans.json --immersion graph.json --degree 3 --grid 16x16",
+    "refuse-spec-missing-key": (
+        "area --manifold rototrans.json --immersion graph-no-domain.json --degree 3 --grid 8x8"
+    ),
+    "refuse-parse-error": "area --catalog rt-graph:u=x*(y --degree 3 --grid 4x4",
+    # a derivative keeps its division by zero, and every grid evaluation of
+    # parameter expressions names a domain error and its grid point
+    "refuse-zero-denominator": "area --catalog h1xh1-surface:u=s/0 --degree 3 --grid 4x4",
+    "refuse-el-residual-domain": "el-residual --catalog engel-graph:theta=sqrt(x-0.3) --grid 8x8",
+    "refuse-first-variation-domain": (
+        "first-variation --catalog engel-graph:theta=sqrt(x-0.3) --degree 4 --field field.json"
+        " --grid 8x8"
+    ),
+    "refuse-first-variation-interior": (  # not finite only inside the domain
+        "first-variation --catalog engel-graph:theta=sqrt((x-0.3)^2+(y-0.3)^2-0.01) --degree 4"
+        " --field field.json --grid 8x8"
+    ),
+    "refuse-support-not-finite": (
+        "first-variation --catalog engel-graph:theta=0.2*x+0.3*y --degree 4"
+        " --field field-sqrt.json --grid 8x8"
     ),
 }
 

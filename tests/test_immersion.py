@@ -14,7 +14,6 @@ from gradedgeo.immersion import (
     _lsc_violations,
     _rank_deficient,
     degree_scan,
-    tangent_flag,
     uniform_grid,
 )
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
@@ -34,9 +33,20 @@ from gradedgeo.verify import engel_closed_forms
 CATALOG_IMMERSIONS = ["engel-graph", "h1xh1-surface", "isolated-plane", "rt-graph"]
 
 
-def coefficient(td, J):
-    """Coefficient of the multi-index J in the tangent minors row."""
-    return td.minors[list(all_multi_indices(len(td.ortho_comps), len(J))).index(J)]
+def tangent_at(imm, p):
+    """tau (n, m) and its minors row at one point: the grid path on a (1, m) batch."""
+    tau = imm.ortho_tangent_grid(np.asarray(p, dtype=float)[None])
+    return tau[0], imm.minors_grid(tau)[0]
+
+
+def coefficient(imm, p, J):
+    """Coefficient of the multi-index J in the tangent minors row at p."""
+    return tangent_at(imm, p)[1][list(all_multi_indices(imm.n, len(J))).index(J)]
+
+
+def gromov_degree(dims):
+    """The homogeneous (Gromov) degree sum_j j (dims_j - dims_{j-1}) of a tangent flag."""
+    return sum(j * (b - a) for j, (a, b) in enumerate(zip((0, *dims), dims), start=1))
 
 
 @pytest.fixture(scope="module")
@@ -55,31 +65,29 @@ def h1h1_parabola():
 
 
 def test_isolated_plane_tangent(plane):
-    td = plane.tangent_data([0.3, -0.2])
+    _, row = tangent_at(plane, [0.3, -0.2])
     unit = [1.0 if J == (1, 3) else 0.0 for J in all_multi_indices(4, 2)]
-    assert (td.minors / minors_norm(td.minors[None])[0]).tolist() == unit
-    assert plane.pointwise_degree([0.3, -0.2]) == 3
+    assert (row / minors_norm(row[None])[0]).tolist() == unit
+    assert plane.degrees(np.array([[0.3, -0.2]])).tolist() == [3]
 
 
 def test_engel_graph_ruling_kills_top_coefficient(engel_graph):
-    for p in engel_graph.sample_points(10, seed=0):
-        td = engel_graph.tangent_data(p)
-        assert abs(coefficient(td, (3, 4))) <= 1e-12
-        assert coefficient(td, (1, 4)) != 0.0
-        assert engel_graph.pointwise_degree(p) == 4
+    points = engel_graph.sample_points(10, seed=0)
+    for p in points:
+        assert abs(coefficient(engel_graph, p, (3, 4))) <= 1e-12
+        assert coefficient(engel_graph, p, (1, 4)) != 0.0
+    assert engel_graph.degrees(points).tolist() == [4] * 10
 
 
 def test_h1xh1_tangent_formula(h1h1_parabola):
     # raw wedge before normalization: X ^ Y' + u_s (Z ^ Y' + Z' ^ Y')
     p = [0.4, -0.3]
-    td = h1h1_parabola.tangent_data(p)
     u_s = 2 * p[0]
-    assert coefficient(td, (1, 4)) == pytest.approx(1.0, abs=1e-12)
+    assert coefficient(h1h1_parabola, p, (1, 4)) == pytest.approx(1.0, abs=1e-12)
     # (4,5) = Y' ^ Z and (4,6) = Y' ^ Z' carry a sign from index ordering
-    assert coefficient(td, (4, 5)) == pytest.approx(-u_s, abs=1e-12)
-    assert coefficient(td, (4, 6)) == pytest.approx(-u_s, abs=1e-12)
-    assert h1h1_parabola.pointwise_degree(p) == 3
-    assert h1h1_parabola.pointwise_degree([0.0, -0.3]) == 2
+    assert coefficient(h1h1_parabola, p, (4, 5)) == pytest.approx(-u_s, abs=1e-12)
+    assert coefficient(h1h1_parabola, p, (4, 6)) == pytest.approx(-u_s, abs=1e-12)
+    assert h1h1_parabola.degrees(np.array([p, [0.0, -0.3]])).tolist() == [3, 2]
 
 
 def test_degree_scan_singular_line(h1h1_parabola):
@@ -132,8 +140,8 @@ def test_degenerate_point_errors_print_plain_floats():
     )
     with pytest.raises(DegenerateInputError, match=r"grid point \(0\.0, 0\.125\)$"):
         degree_scan(cusp, (15, 4))
-    with pytest.raises(DegenerateInputError, match=r"at \(0\.0, 0\.5\)$"):
-        cusp.tangent_data(np.array([0.0, 0.5]))
+    with pytest.raises(DegenerateInputError, match=r"rank deficient at \(0\.0, 0\.5\)$"):
+        cusp.degrees(np.array([[0.5, 0.5], [0.0, 0.5]]))
     # a tangent whose layer-1 rows cannot resolve T cap H^1: the point names
     # the pivot refusal, in plain floats
     tau = np.array([[0.0, 0.0], [0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]])
@@ -142,16 +150,14 @@ def test_degenerate_point_errors_print_plain_floats():
 
 
 def test_tangent_flags(engel_graph, plane):
-    dims, deg = tangent_flag(engel_graph, [0.4, 0.6])
-    assert dims == (1, 1, 2)
-    assert deg == 4
-    dims, deg = tangent_flag(plane, [0.2, -0.5])
-    assert dims == (1, 2, 2)
-    assert deg == 3
     rt = catalog.immersion("rt-graph", u="0.3*x + 0.2*y^2")
-    dims, deg = tangent_flag(rt, [0.5, 0.5])
-    assert dims == (1, 2)
-    assert deg == 3
+    for imm, p, dims in [
+        (engel_graph, [0.4, 0.6], (1, 1, 2)),
+        (plane, [0.2, -0.5], (1, 2, 2)),
+        (rt, [0.5, 0.5], (1, 2)),
+    ]:
+        assert imm.flag_dims(np.array([p])) == [dims]
+    assert [gromov_degree(d) for d in [(1, 1, 2), (1, 2, 2), (1, 2)]] == [4, 3, 3]
 
 
 @pytest.mark.parametrize(
@@ -165,9 +171,9 @@ def test_tangent_flags(engel_graph, plane):
 )
 def test_gromov_degree_equals_wedge_degree(name, kwargs):
     imm = catalog.immersion(name, **kwargs)
-    for p in imm.sample_points(40, seed=2):
-        _, gromov = tangent_flag(imm, p)
-        assert gromov == imm.pointwise_degree(p)
+    points = imm.sample_points(40, seed=2)
+    gromov = [gromov_degree(dims) for dims in imm.flag_dims(points)]
+    assert gromov == imm.degrees(points).tolist()
 
 
 def test_lower_semicontinuity_on_refining_grids(h1h1_parabola):
@@ -195,7 +201,7 @@ def test_hypersurface_degree_is_q_minus_one(name):
     q = d_max(mani.n, mani.weights)  # the homogeneous dimension
     for seed in range(3):
         imm = _graph_hypersurface(name, seed)
-        degs = {imm.pointwise_degree(p) for p in imm.sample_points(15, seed=seed)}
+        degs = set(imm.degrees(imm.sample_points(15, seed=seed)).tolist())
         assert degs == {q - 1}
 
 
@@ -214,18 +220,19 @@ def test_induced_metric_identity_immersion():
         (var("a"), var("b"), const(0.0)),
         ((0.0, 1.0), (0.0, 1.0)),
     )
-    mu = imm.values_at([e for row in frames_for(imm).mu_param for e in row], [0.3, 0.7])
+    mu = imm.values_at([e for row in frames_for(imm).mu_param for e in row], [[0.3, 0.7]])
     assert np.allclose(mu.reshape(2, 2), np.eye(2), atol=1e-14)
 
 
 def test_induced_metric_engel_volume(engel_graph):
     # closed-form check: sqrt(det mu) = alpha1 * alpha2 on ruled graphs
     mu_param = frames_for(engel_graph).mu_param
-    for p in engel_graph.sample_points(5, seed=3):
-        volume = minors_norm(engel_graph.tangent_data(p).minors[None])[0]
-        f = engel_closed_forms("0.2*x + 0.3*y", p)
-        assert volume == pytest.approx(f["a1"] * f["a2"], rel=1e-12)
-        mu = engel_graph.values_at([e for row in mu_param for e in row], p).reshape(2, 2)
+    points = engel_graph.sample_points(5, seed=3)
+    f = engel_closed_forms(engel_graph, points)
+    for k, p in enumerate(points):
+        volume = minors_norm(tangent_at(engel_graph, p)[1][None])[0]
+        assert volume == pytest.approx(f["a1"][k] * f["a2"][k], rel=1e-12)
+        mu = engel_graph.values_at([e for row in mu_param for e in row], p[None]).reshape(2, 2)
         assert np.allclose(mu, mu.T, atol=1e-15)
 
 
@@ -236,10 +243,10 @@ def test_minors_row_norm_is_sqrt_det(name):
     # determinant of the Gram matrix itself
     imm = catalog.immersion(name)
     for p in imm.sample_points(5, seed=4):
-        td = imm.tangent_data(p)
-        oracle = math.sqrt(np.linalg.det(td.ortho_comps.T @ td.ortho_comps))
-        assert minors_norm(td.minors[None])[0] == pytest.approx(oracle, rel=1e-12)
-        assert np.linalg.norm(td.minors) == pytest.approx(oracle, rel=1e-12)
+        tau, row = tangent_at(imm, p)
+        oracle = math.sqrt(np.linalg.det(tau.T @ tau))
+        assert minors_norm(row[None])[0] == pytest.approx(oracle, rel=1e-12)
+        assert np.linalg.norm(row) == pytest.approx(oracle, rel=1e-12)
     points = QuadratureGrid(imm.domain, 8).points
     tau = imm.ortho_tangent_grid(points)
     oracle = np.sqrt(np.linalg.det(np.einsum("pim,pil->pml", tau, tau)))
@@ -302,9 +309,9 @@ def test_grid_reductions_take_no_det_or_svd(monkeypatch):
 def test_adapted_tangent_matches_ruled_graph_basis(engel_graph):
     p = [0.4, 0.6]
     adapted_amb = frames_for(engel_graph).adapted_amb
-    amb = engel_graph.values_at([e for row in adapted_amb for e in row], p).reshape(4, 2)
-    f = engel_closed_forms("0.2*x + 0.3*y", p)
-    assert engel_graph.adapted_tangent_pivots(p) == (1, 4)
+    amb = engel_graph.values_at([e for row in adapted_amb for e in row], [p]).reshape(4, 2)
+    f = {key: value[0] for key, value in engel_closed_forms(engel_graph, [p]).items()}
+    assert engel_graph.adapted_pivots(np.array([p])) == [(1, 4)]
     # first basis vector: X1 + X1(kappa) X2; second: X4 - X4(theta) X3 + X4(kappa) X2
     assert amb[:, 0] == pytest.approx([1.0, f["x1k"], 0.0, 0.0], abs=1e-12)
     assert amb[:, 1] == pytest.approx([0.0, f["x4k"], -f["x4t"], 1.0], abs=1e-12)
@@ -385,8 +392,9 @@ def test_adapted_tangent_pivots_evaluate_tangent_grids_once(engel_graph, monkeyp
         return original(self, points)
 
     monkeypatch.setattr(Immersion, "_tangent_grids", counted)
-    assert engel_graph.adapted_tangent_pivots([0.4, 0.6]) == (1, 4)
-    assert calls == [1]
+    points = engel_graph.sample_points(5, seed=1)
+    assert engel_graph.adapted_pivots(points) == [(1, 4)] * 5
+    assert calls == [5]  # all the points in one evaluation
 
 
 def test_tangent_grids_evaluate_once(engel_graph, monkeypatch):

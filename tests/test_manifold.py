@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from gradedgeo import catalog
-from gradedgeo.exprs import const, evaluate_many, parse, var
+from gradedgeo.exprs import EvaluationError, const, evaluate_many, parse, var
 from gradedgeo.manifold import (
     AdaptedFrame,
     Manifold,
@@ -17,7 +17,7 @@ from gradedgeo.manifold import (
     verify_filtration,
 )
 from gradedgeo.multivec import GrowthVector, all_multi_indices, minors
-from gradedgeo.symmat import eidentity, emat_mul, etranspose, eval_matrix
+from gradedgeo.symmat import eidentity, emat_mul, etranspose
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,22 @@ def test_filtration_top_layer_trivial(engel):
     assert report.ok
 
 
+def test_filtration_refusal_names_cause_and_sample():
+    # sqrt(x) in a frame field is not finite at a sample with x < 0; the
+    # refusal is the evaluator's own, with the sample appended
+    frame = AdaptedFrame.from_json({
+        "coordinates": ["x", "y", "theta"],
+        "frame": [
+            {"degree": 1, "components": ["cos(theta)", "sin(theta)", "0"]},
+            {"degree": 1, "components": ["0", "0", "1"]},
+            {"degree": 2, "components": ["sin(theta)", "-cos(theta)", "sqrt(x)"]},
+        ],
+    })
+    with pytest.raises(EvaluationError) as exc:
+        verify_filtration(frame, np.array([[0.5, 0.0, 0.0], [-0.25, 0.0, 0.0]]))
+    assert str(exc.value) == "domain error in sqrt(-0.25) at grid point (-0.25, 0.0, 0.0)"
+
+
 def test_carnot_flag_examples(engel, rototrans):
     res = carnot_flag(
         [list(rototrans.frame.fields[0]), list(rototrans.frame.fields[1])],
@@ -119,7 +135,7 @@ def test_flag_constant_over_samples(engel):
 
 
 def test_orthonormalize_identity_for_frame_metric(engel):
-    U = eval_matrix(engel.ortho_change_exprs, engel.frame.env([0.2, -0.1, 0.5, 0.3]))
+    U = oracles.matrix_at(engel.ortho_change_exprs, engel.coords, [0.2, -0.1, 0.5, 0.3])
     assert np.allclose(U, np.eye(4))
 
 
@@ -155,7 +171,7 @@ def test_orthonormalize_h1xh1_layer_scaling():
     lam = 4.0
     mani = catalog.manifold("h1xh1", lam=lam, mu=1.0)
     p = [0.1, 0.2, 0.3, -0.1, 0.4, 0.0]
-    U = eval_matrix(mani.ortho_change_exprs, mani.frame.env(p))
+    U = oracles.matrix_at(mani.ortho_change_exprs, mani.coords, p)
     # layer-2 field Z is rescaled to Z / sqrt(lam)
     assert U[4, 4] == pytest.approx(1.0 / math.sqrt(lam), rel=1e-12)
     F = oracles.ortho_matrix_at(mani, p)
@@ -166,7 +182,7 @@ def test_orthonormalize_h1xh1_layer_scaling():
 def test_orthonormalize_engel_euclidean_block_triangular():
     mani = catalog.manifold("engel-structure", metric="euclidean")
     p = [0.3, 0.2, 0.4, 0.6]
-    U = eval_matrix(mani.ortho_change_exprs, mani.frame.env(p))
+    U = oracles.matrix_at(mani.ortho_change_exprs, mani.coords, p)
     assert np.allclose(U, np.triu(U), atol=1e-14)  # adapted change stays triangular
     F = oracles.ortho_matrix_at(mani, p)
     assert np.allclose(F.T @ F, np.eye(4), atol=1e-10)

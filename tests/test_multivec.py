@@ -235,10 +235,13 @@ def test_minors_matches_gather_kernel_bit_for_bit(n, m, N):
 
 @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (6, 2)])
 def test_compound_matches_gather_kernel_bit_for_bit(n, m):
-    D = np.random.default_rng(n + m).uniform(-1, 1, (n, n))
+    stack = np.random.default_rng(n + m).uniform(-1, 1, (3, n, n))
     cols = np.array(list(all_multi_indices(n, m))) - 1
-    want = _gather_minors(np.moveaxis(D[:, cols], 1, 0)).T
-    assert compound(D, m).tobytes() == want.tobytes()
+    got = compound(stack, m)
+    assert got.shape == (3, len(cols), len(cols))
+    for D, lam in zip(stack, got):
+        want = _gather_minors(np.moveaxis(D[:, cols], 1, 0)).T
+        assert lam.tobytes() == want.tobytes()
 
 
 def test_minors_columns_follow_multi_index_order():

@@ -9,11 +9,10 @@ import oracles
 from gradedgeo import catalog, verify
 from gradedgeo.admissibility import VariationField, frames_for
 from gradedgeo.area import QuadratureGrid
-from gradedgeo.exprs import const, dot, evaluate_many, parse, var
+from gradedgeo.exprs import const, dot, parse, var
 from gradedgeo.immersion import Immersion, uniform_grid
 from gradedgeo.moving_frames import SymbolicSystem
 from gradedgeo.multivec import minors
-from gradedgeo.symmat import eval_matrix
 from gradedgeo.variation import (
     critical_residual_exprs,
     first_variation,
@@ -40,13 +39,13 @@ def bump_expr(power=2):
 
 def div_degree_d(imm, field, p, d) -> float:
     """Degree-d divergence of a variation field at a point, a summand of the first variation."""
-    return float(imm.values_at([frames_for(imm).div_degree_d_expr(field, d)], p)[0, 0])
+    return float(imm.values_at([frames_for(imm).div_degree_d_expr(field, d)], [p])[0, 0])
 
 
 def f_linear(imm, vp, p, d) -> float:
     """Curvature pairing f(V_p) of one vector (ortho-frame comps), the other summand."""
     field = VariationField("adapted", tuple(const(float(c)) for c in vp))
-    return float(imm.values_at([frames_for(imm).f_linear_expr(field, d)], p)[0, 0])
+    return float(imm.values_at([frames_for(imm).f_linear_expr(field, d)], [p])[0, 0])
 
 
 def test_div_degree_d_zero_field(engel_graph):
@@ -79,7 +78,10 @@ def test_div_degree_d_against_term_oracle(engel_graph):
     V = VariationField("adapted", (const(0.0), const(1.0), const(0.0), const(0.0)))
     p = [0.4, 0.6]
     got = div_degree_d(engel_graph, V, p, 4)
-    env = engel_graph.param_env(p)
+
+    def at(e):
+        return float(engel_graph.values_at([e], [p])[0, 0])
+
     coeffs = fr.tangent_coeffs(4)
     coord = fr.coord_comps([const(0.0), const(1.0), const(0.0), const(0.0)])
     total = 0.0
@@ -92,10 +94,8 @@ def test_div_degree_d_against_term_oracle(engel_graph):
             for a in range(2):
                 for b, jj in enumerate(J):
                     src = dV if a == i else None
-                    mat[a, b] = float(
-                        (dV[jj - 1] if a == i else E_cols[a][jj - 1]).eval(env)
-                    )
-            total += float(cJ.eval(env)) * np.linalg.det(mat)
+                    mat[a, b] = at(dV[jj - 1] if a == i else E_cols[a][jj - 1])
+            total += at(cJ) * np.linalg.det(mat)
     assert got == pytest.approx(total, rel=1e-10)
 
 
@@ -133,11 +133,11 @@ def test_f_linear_matches_covariant_mvector_oracle(engel_graph):
     # f(X3) assembled from the manifold-level Leibniz derivative
     p = [0.4, 0.6]
     mani = engel_graph.manifold
-    point = engel_graph.values_at(engel_graph.components, p)[:, 0]
+    point = engel_graph.values_at(engel_graph.components, [p])[:, 0]
     fr = frames_for(engel_graph)
-    env = engel_graph.param_env(p)
-    tau = eval_matrix(fr.E_amb, env)
-    coeffs = {J: float(c.eval(env)) for J, c in fr.tangent_coeffs(4).items()}
+    tau = oracles.param_matrix_at(engel_graph, fr.E_amb, p)
+    tangent_coeffs = fr.tangent_coeffs(4)
+    coeffs = dict(zip(tangent_coeffs, engel_graph.values_at(list(tangent_coeffs.values()), [p])[:, 0]))
     x3 = oracles.ortho_matrix_at(mani, point)[:, 2]
     total = 0.0
     for J, cJ in coeffs.items():
@@ -201,14 +201,13 @@ def test_first_variation_matches_family_finite_difference(engel_graph):
 
 
 def test_mean_curvature_parts_sum(engel_graph):
-    for p in engel_graph.sample_points(5, seed=2):
-        mc = mean_curvature(engel_graph, p, 4)
+    for mc in mean_curvature(engel_graph, engel_graph.sample_points(5, seed=2), 4):
         assert np.allclose(mc.parts.sum(axis=1), mc.components, atol=1e-8)
 
 
 def test_mean_curvature_bracket_form_agrees(engel_graph):
-    for p in engel_graph.sample_points(10, seed=3):
-        mc = mean_curvature(engel_graph, p, 4)
+    points = engel_graph.sample_points(10, seed=3)
+    for p, mc in zip(points, mean_curvature(engel_graph, points, 4)):
         br = oracles.mean_curvature_bracket_at(engel_graph, p, 4)
         assert np.allclose(br, mc.components, atol=1e-6)
 
@@ -251,13 +250,13 @@ def test_contact_hypersurface_curvature_crosscheck():
 
 def test_minimal_rt_plane_has_zero_curvature():
     rt = catalog.immersion("rt-graph", u="0.2")
-    for p in rt.sample_points(5, seed=6):
-        mc = mean_curvature(rt, p, 3)
+    points = rt.sample_points(5, seed=6)
+    for mc in mean_curvature(rt, points, 3):
         assert np.allclose(mc.components, 0.0, atol=1e-12)
-        res = critical_residual_exprs(rt, 3)
-        iota, vert = rt.values_at(res.iota, p)[:, 0], rt.values_at(res.vert, p)[:, 0]
-        assert np.allclose(iota, 0.0, atol=1e-12)
-        assert vert.size == 0
+    res = critical_residual_exprs(rt, 3)
+    iota, vert = rt.values_at(res.iota, points), rt.values_at(res.vert, points)
+    assert np.allclose(iota, 0.0, atol=1e-12)
+    assert vert.size == 0
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +288,6 @@ def test_pivot_choice_represents_same_functional(twovar_product_surface):
     k, ell = sym.shape.k, sym.shape.ell
     assert (k, ell) == (3, 1)
     grid = QuadratureGrid(imm.domain, 32)
-    env = imm.grid_env(grid.points)
     bump = parse("(s-0.1)^2*(1-s)^2*(1-t^2)^2*3", ["s", "t"])
     rng = np.random.default_rng(8)
     # admissible field built by solving for the control in column 0
@@ -316,14 +314,14 @@ def test_pivot_choice_represents_same_functional(twovar_product_surface):
         for pos, j in enumerate(iota_cols):
             integrand = integrand + res.iota[pos] * comps[j]
         integrand = integrand * fr.sqrt_detmu
-        pairing = grid.integrate_values(integrand.eval(env))
+        pairing = grid.integrate_values(imm.values_at([integrand], grid.points)[0])
         pairings.append(pairing)
         assert pairing == pytest.approx(fv, rel=1e-7, abs=1e-10)
     assert pairings[0] == pytest.approx(pairings[1], rel=1e-7)
 
 
 def test_critical_residuals_engel_nontrivial(engel_graph):
-    vert = engel_graph.values_at(critical_residual_exprs(engel_graph, 4).vert, [0.4, 0.6])[:, 0]
+    vert = engel_graph.values_at(critical_residual_exprs(engel_graph, 4).vert, [[0.4, 0.6]])[:, 0]
     assert vert.shape == (1,)
     assert abs(vert[0]) > 1e-6  # the linear-ish graph is not stationary
 
@@ -331,14 +329,13 @@ def test_critical_residuals_engel_nontrivial(engel_graph):
 def test_mean_curvature_field_exprs_match_components(engel_graph):
     comps_exprs = mean_curvature_field_exprs(engel_graph, 4)
     fr = frames_for(engel_graph)
-    for p in engel_graph.sample_points(5, seed=9):
-        env = engel_graph.param_env(p)
-        vals = np.array(evaluate_many(comps_exprs, env), dtype=float)
-        mc = mean_curvature(engel_graph, p, 4)
-        N = eval_matrix(fr.normal_amb, env)
+    points = engel_graph.sample_points(5, seed=9)
+    values = engel_graph.values_at(comps_exprs, points)
+    for p, vals, mc in zip(points, values.T, mean_curvature(engel_graph, points, 4)):
+        N = oracles.param_matrix_at(engel_graph, fr.normal_amb, p)
         assert np.allclose(N.T @ vals, mc.components, atol=1e-10)
         # H is normal: no tangent component
-        E = eval_matrix(fr.E_amb, env)
+        E = oracles.param_matrix_at(engel_graph, fr.E_amb, p)
         assert np.allclose(E.T @ vals, 0.0, atol=1e-10)
 
 
@@ -347,12 +344,12 @@ def test_mean_curvature_grid_loop_chooses_control_columns_once(monkeypatch):
     calls = []
     original = SymbolicSystem.at
 
-    def counted(self, imm_, pbar):
-        calls.append(tuple(pbar))
-        return original(self, imm_, pbar)
+    def counted(self, imm_, points):
+        calls.append(np.asarray(points).tolist())
+        return original(self, imm_, points)
 
     monkeypatch.setattr(SymbolicSystem, "at", counted)
     pts, _ = uniform_grid(imm.domain, (4, 4))
-    hats = {mean_curvature(imm, p, 4).hat_columns for p in pts}
+    hats = {mean_curvature(imm, p[None], 4)[0].hat_columns for p in pts}
     assert hats == {(0,)}
-    assert calls == [tuple(frames_for(imm).base)]  # one evaluation, at the base point
+    assert calls == [frames_for(imm).base.tolist()]  # one evaluation, at the base point
