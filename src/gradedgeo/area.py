@@ -7,6 +7,16 @@ induced measure sqrt(det mu), which by Cauchy-Binet is the norm of the same
 row of tangent minors, with tensor Gauss-Legendre quadrature (integrands in the
 catalog are smooth, so order 32 per axis is already overkill; acceptance
 runs use 64).
+
+The density depends on the parameters only through the tangent map, which is
+evaluated on the sub-grid of the parameters it uses
+(``Immersion.tangent_subgrid``): on a ruled graph theta = a x that is one
+axis of the grid.  The tensor rule factorises there,
+sum_ij w_i v_j f(x_i) = sum_i (w_i sum_j v_j) f(x_i), so every area is
+refused, weighted and summed on that sub-grid with the tensor weights summed
+over the dropped axes (``QuadratureGrid.sub_weights``), never on copies
+broadcast to every node.  An integrand that uses every parameter keeps every
+axis, and its weights are the tensor weights themselves.
 """
 
 from __future__ import annotations
@@ -51,16 +61,36 @@ class QuadratureGrid:
         self.orders = tuple(int(o) for o in orders)
         self.points = np.stack([m.ravel() for m in mesh], axis=-1)
         self.weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
+        # kept axes -> sub-grid weights, at most one entry per subset of the axes
+        self._sub_weights = {tuple(range(len(self.orders))): self.weights}
 
     def __len__(self):
         return self.points.shape[0]
 
-    def integrate_values(self, values: np.ndarray) -> float:
+    def sub_weights(self, keep) -> np.ndarray:
+        """Weights of the sub-grid that keeps the axes ``keep`` and fixes each other axis.
+
+        The tensor weights summed over the dropped axes, so an integrand that
+        is constant along them integrates on the sub-grid alone; keeping
+        every axis gives ``weights`` itself.
+        """
+        keep = tuple(keep)
+        weights = self._sub_weights.get(keep)
+        if weights is None:
+            dropped = tuple(axis for axis in range(len(self.orders)) if axis not in keep)
+            tensor = self.weights.reshape(self.orders)
+            weights = self._sub_weights[keep] = np.add.reduce(tensor, axis=dropped).ravel()
+        return weights
+
+    def integrate_values(self, values: np.ndarray, keep=None) -> float:
         """Weighted sum of node values by numpy's pairwise sum, not BLAS.
 
-        One thread, so the result does not depend on core count or BLAS threads.
+        ``values`` are given on the sub-grid of the axes ``keep`` (default:
+        all, the whole grid) and weighted by ``sub_weights``.  One thread, so
+        the result does not depend on core count or BLAS threads.
         """
-        return float(np.add.reduce(self.weights * values))
+        weights = self.weights if keep is None else self.sub_weights(keep)
+        return float(np.add.reduce(weights * values))
 
 
 def _minors_and_volume(imm: Immersion, points: np.ndarray):
@@ -88,9 +118,11 @@ def _theta(minors: np.ndarray, degrees: np.ndarray, d: int, volume: np.ndarray) 
 
 
 def _finite_at_nodes(values: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
-    """``values``, refused at the first node where one is not finite.
+    """``values`` at the sub-grid ``points``, refused at the first point where one is not finite.
 
-    ``what`` names the area: "degree-d" or "g_r (r = ...)".
+    That point is the first such node of the whole grid in C order
+    (``Immersion.tangent_subgrid``).  ``what`` names the area: "degree-d"
+    or "g_r (r = ...)".
     """
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -116,19 +148,17 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     is still returned but tagged divergent (the limit definition gives
     +infinity in that case).
     """
-    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
+    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
     minors, degrees, volume = _minors_and_volume(imm, points)
-    density = _finite_at_nodes(
-        expand(_theta(minors, degrees, d, volume) * volume), grid.points, f"degree-{d}"
-    )
-    value = grid.integrate_values(density)
+    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, points, f"degree-{d}")
+    value = grid.integrate_values(density, keep)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
 
 
 def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
     """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
-    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
+    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
     with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
         minors_sq = imm.minors_grid(imm.ortho_tangent_grid(points)) ** 2
     excess = (imm.multi_index_degrees - imm.m).tolist()
@@ -138,8 +168,8 @@ def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
         with np.errstate(over="ignore"):
             for vals_sq, e in zip(minors_sq.T, excess):
                 total += vals_sq * r ** (-e)
-        density = _finite_at_nodes(expand(np.sqrt(total)), grid.points, f"g_r (r = {r})")
-        areas.append(grid.integrate_values(density))
+        density = _finite_at_nodes(np.sqrt(total), points, f"g_r (r = {r})")
+        areas.append(grid.integrate_values(density, keep))
     return areas
 
 
@@ -209,12 +239,10 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
 
 def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None) -> float:
     """Quadrature of the degree-d density restricted to the singular mask."""
-    points, expand = imm.tangent_subgrid(grid.points, grid.orders)
+    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
     minors, degrees, volume = _minors_and_volume(imm, points)
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
     d = deg_max if d is None else d
-    density = _finite_at_nodes(
-        expand(_theta(minors, degrees, d, volume) * volume), grid.points, f"degree-{d}"
-    )
-    return grid.integrate_values(np.where(expand(pointwise) < deg_max, density, 0.0))
+    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, points, f"degree-{d}")
+    return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0), keep)

@@ -1170,8 +1170,10 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 # of at most ``BLOCK_POINTS`` points.  A root writes straight into its own
 # result array; every other node writes into a row of one work array that
 # the run allocates once and reuses for every block.  A row returns to the
-# free list after its node's last use, so the row count is the peak number
-# of live values and memory is O(live registers x block) plus the results.
+# free list at its node's last use, before that instruction picks its own
+# row, so the row count is the peak number of live values and memory is
+# O(live registers x block) plus the results.  A batch of one writes no row:
+# its ufuncs allocate, so a refusal can print the operands it read.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
 #
 # Before buffers are assigned, one fold pass (``_Fold``) shrinks the
@@ -1312,6 +1314,15 @@ class _Tape:
         free: list[int] = []
         nbufs = 0
         for pos, (fn, a, b, dst) in enumerate(code):
+            # an operand read here for the last time frees its row first, so
+            # the ufunc writes into a row still in cache (in place on the
+            # very same memory, which elementwise ufuncs allow)
+            if last_use[a] == pos and buf_of[a] >= 0:
+                free.append(buf_of[a])
+                buf_of[a] = -1
+            if b >= 0 and last_use[b] == pos and buf_of[b] >= 0:
+                free.append(buf_of[b])
+                buf_of[b] = -1
             o = slot.get(dst)
             if o is None:
                 if free:
@@ -1321,12 +1332,6 @@ class _Tape:
                     nbufs += 1
             buf_of[dst] = o
             code[pos] = (fn, a, b, dst, o)
-            if last_use[a] == pos and buf_of[a] >= 0:
-                free.append(buf_of[a])
-                buf_of[a] = -1
-            if b >= 0 and last_use[b] == pos and buf_of[b] >= 0:
-                free.append(buf_of[b])
-                buf_of[b] = -1
         self.code = code
         self.nbufs = nbufs
 
@@ -1353,7 +1358,10 @@ class _Tape:
         with np.errstate(**(_POINT_ERRORS if one else _ARRAY_ERRORS)):
             for lo in range(0, size, block or 1):
                 hi = min(lo + block, size)
-                bufs = [*(r[lo:hi] for r in flat_results), *work[:, : hi - lo]]
+                if one:  # fresh outputs, so a refusal prints the operands it read
+                    bufs = [None] * (len(results) + self.nbufs)
+                else:
+                    bufs = [*(r[lo:hi] for r in flat_results), *work[:, : hi - lo]]
                 for (reg, _), v in zip(self.loads, flat):
                     regs[reg] = v[lo:hi]
                 try:
@@ -1367,15 +1375,14 @@ class _Tape:
         if one:
             return [np.asarray(regs[r]).item() for r in self.out]
         # a constant root is a read-only broadcast of its value (no result to
-        # fill), a variable root a copy of the caller's binding
+        # fill), one per constant register however many roots hold it; a
+        # variable root is a copy of the caller's binding
         computed = dict(zip(self.results, results))
+        computed.update(
+            (r, np.broadcast_to(regs[r], shape)) for r in self.leaves if self.init[r] is not None
+        )
         loaded = {reg: v for (reg, _), v in zip(self.loads, bound)}
-        return [
-            computed[r] if r not in self.leaves
-            else np.broadcast_to(regs[r], shape) if self.init[r] is not None
-            else loaded[r].copy()
-            for r in self.out
-        ]
+        return [computed[r] if r in computed else loaded[r].copy() for r in self.out]
 
 
 def _error(exc, fn, x, y) -> EvaluationError:

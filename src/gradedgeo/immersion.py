@@ -28,13 +28,16 @@ for bit, and NaN wherever an entry of C o Phi is not finite, even one the
 product dropped against a structurally zero row of J (a frame that is no
 basis on the image).  On a tensor grid the tangent map is evaluated only on
 the sub-grid of the parameters J and tau use (``tangent_subgrid``; the NaN
-guard is checked on its own sub-grid), and per-point results are broadcast
-back onto every node.  ``_tangent_grids`` returns (N, n, m) views of the
-(n, m, N) arrays, which ``multivec.minors`` reads back points last without
-a copy.  The degree scan refuses rank-deficient points from the same minors
-row: for m = 2 sigma_min / sigma_max is closed form in the row norm and the
-Frobenius norm of tau (``_rank_deficient``), and only other m take singular
-values.  Its lower-semicontinuity check takes neighbour maxima with shifted
+guard is checked on its own sub-grid), which reports the axes it keeps.
+Results are refused and reduced on that sub-grid: its first failing point is
+the first failing node in C order, and the areas weight it with the tensor
+weights summed over the dropped axes.  Only the degree scan, whose report
+holds a degree per node, broadcasts per-point results back onto every node.
+``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays, which
+``multivec.minors`` reads back points last without a copy.  The degree
+scan refuses rank-deficient points from the same minors row: for m = 2
+sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
+of tau (``_rank_deficient``), and only other m take singular values.  Its lower-semicontinuity check takes neighbour maxima with shifted
 slices, not a loop over grid points.
 
 The degree-adapted tangent basis used by the admissibility machinery is the
@@ -81,6 +84,19 @@ def uniform_grid(domain, shape):
         axes.append(lo + step * (np.arange(count) + 0.5))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1), tuple(int(c) for c in shape)
+
+
+def _subgrid(points: np.ndarray, shape, keep) -> np.ndarray:
+    """The nodes (S, m) of a C-order grid of ``shape`` with index 0 on each axis not in ``keep``."""
+    corner = tuple(slice(None) if axis in keep else slice(0, 1) for axis in range(len(shape)))
+    points = np.asarray(points)
+    return points.reshape(*shape, points.shape[-1])[corner].reshape(-1, points.shape[-1])
+
+
+def _expand(values: np.ndarray, shape, keep) -> np.ndarray:
+    """Per-sub-grid-point ``values`` (S,) copied onto every node of the grid, in C order."""
+    sub_shape = tuple(c if axis in keep else 1 for axis, c in enumerate(shape))
+    return np.broadcast_to(values.reshape(sub_shape), shape).flatten()
 
 
 class Immersion:
@@ -242,7 +258,7 @@ class Immersion:
         return [i for i, name in enumerate(self.params) if name in names]
 
     def tangent_subgrid(self, points: np.ndarray, shape):
-        """The nodes of a tensor grid at which the tangent map can differ, and ``expand``.
+        """The nodes of a tensor grid at which the tangent map can differ, and their axes.
 
         ``points`` (N, m) are the nodes of a grid of ``shape`` in C order.
         The sub-grid keeps every axis whose parameter J or tau uses and fixes
@@ -251,34 +267,22 @@ class Immersion:
         coordinates.  The NaN guard (the squared entries of C o Phi) may use
         more parameters; it is evaluated on its own sub-grid first, and
         where it is not finite the whole grid is kept, so a refusal names
-        the same node as a full-grid pass.  ``expand`` broadcasts
-        per-sub-point values (..., S) back onto all N nodes in C order.
+        the same node as a full-grid pass.  Returns the sub-grid points
+        (S, m) in C order and the kept axes.  Each sub-grid point is the
+        node that has index 0 on every dropped axis, so the first sub-grid
+        point where a per-point test fails is the first such node of the
+        whole grid in C order.
         """
         shape = tuple(int(c) for c in shape)
         keep, guard_keep = self._tangent_axes
         if not set(guard_keep) <= set(keep):
             # the guard's NaN reaches every node: where C o Phi is not finite
             # on the guard's own sub-grid, the whole grid is evaluated
-            guard_points, _ = self._subgrid(points, shape, guard_keep)
+            guard_points = _subgrid(points, shape, guard_keep)
             (guard,) = evaluate_many(self._tangent_roots[-1:], self.grid_env(guard_points))
             if not np.isfinite(guard).all():
                 keep = tuple(range(len(shape)))
-        return self._subgrid(points, shape, keep)
-
-    def _subgrid(self, points, shape, keep):
-        if len(keep) == len(shape):
-            return points, lambda values: values
-        sub_shape = tuple(c if axis in keep else 1 for axis, c in enumerate(shape))
-        corner = tuple(slice(None) if axis in keep else slice(0, 1) for axis in range(len(shape)))
-        sub = np.asarray(points).reshape(*shape, self.m)[corner].reshape(-1, self.m)
-
-        def expand(values):
-            values = np.asarray(values)
-            lead = values.shape[:-1]
-            grid = np.broadcast_to(values.reshape(*lead, *sub_shape), (*lead, *shape))
-            return grid.reshape(*lead, -1)
-
-        return sub, expand
+        return _subgrid(points, shape, keep), keep
 
     def _tangent_grids(self, points: np.ndarray):
         """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame.
@@ -444,20 +448,19 @@ def _degeneracy(tau: np.ndarray, row: np.ndarray, rank: str = "is rank deficient
 def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     """Grid certificate of the degree map and the singular mask."""
     points, shape = uniform_grid(imm.domain, grid_shape)
-    sub, expand = imm.tangent_subgrid(points, shape)
+    sub, keep = imm.tangent_subgrid(points, shape)
     tau = imm.ortho_tangent_grid(sub)
     rows = imm.minors_grid(tau)
     # reject rank-deficient tangent maps anywhere on the grid, naming the
-    # first such grid point in C order
-    bad = expand(_rank_deficient(tau, rows))
+    # first such grid point in C order: the first such sub-grid point
+    bad = _rank_deficient(tau, rows)
     if np.any(bad):
-        idx = int(np.argmax(bad))
-        k = int(expand(np.arange(len(sub)))[idx])  # its sub-grid point
+        k = int(np.argmax(bad))
         what = _degeneracy(tau[k], rows[k])
         raise DegenerateInputError(
-            f"immersion {what} at grid point {tuple(map(float, points[idx]))}"
+            f"immersion {what} at grid point {tuple(map(float, sub[k]))}"
         )
-    degrees = expand(max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS))
+    degrees = _expand(max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS), shape, keep)
     deg_max = int(degrees.max())
     mask = degrees < deg_max
     lsc_violations = _lsc_violations(degrees.reshape(shape))

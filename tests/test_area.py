@@ -22,7 +22,9 @@ from gradedgeo.area import (
     scaling_limit_probe,
 )
 from gradedgeo.exprs import const, parse, var
-from gradedgeo.immersion import Immersion, _lsc_violations, degree_scan, uniform_grid
+from gradedgeo.immersion import (
+    Immersion, _expand, _lsc_violations, degree_scan, uniform_grid,
+)
 from gradedgeo.manifold import AdaptedFrame, Manifold, MetricField
 from gradedgeo.multivec import (
     DEGREE_EPS,
@@ -324,8 +326,9 @@ def test_subgrid_results_equal_the_full_grid_bit_for_bit(case):
     build, d, kept = _SUBGRID_CASES[case]
     imm = build()
     grid = QuadratureGrid(imm.domain, (9, 8))  # odd along x: the parabola's line is a node
-    sub, _ = imm.tangent_subgrid(grid.points, grid.orders)
+    sub, keep = imm.tangent_subgrid(grid.points, grid.orders)
     assert len(sub) == (9, 72)[kept - 1]
+    assert keep == ((0,), (0, 1))[kept - 1]
     # reference: the tangent minors at every node, no sub-grid
     minors = imm.minors_grid(imm.ortho_tangent_grid(grid.points))
     degrees = imm.multi_index_degrees
@@ -334,15 +337,30 @@ def test_subgrid_results_equal_the_full_grid_bit_for_bit(case):
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
 
+    # every node's values are those of the sub-grid point that shares its
+    # kept coordinates: each full-grid array is the broadcast of its slice
+    on_sub = (slice(None), slice(None) if kept == 2 else slice(0, 1))
+
+    def sliced(values):
+        nodes = values.reshape(*grid.orders, *values.shape[1:])
+        part = nodes[on_sub]
+        assert np.broadcast_to(part, nodes.shape).tobytes() == nodes.tobytes()
+        return part.reshape(-1, *values.shape[1:])
+
+    assert sliced(grid.points[:, list(keep)]).tobytes() == sub[:, list(keep)].tobytes()
+    density_sub, pointwise_sub, minors_sq_sub = sliced(density), sliced(pointwise), sliced(minors**2)
+    density_max = _theta(minors, degrees, deg_max, volume) * volume
+
+    # the areas are the sub-grid rule on those slices, bit for bit
     area = area_degree(imm, d, grid)
-    assert area.value.hex() == grid.integrate_values(density).hex()
+    assert area.value.hex() == grid.integrate_values(density_sub, keep).hex()
     assert area.degree_seen == deg_max
     singular = grid.integrate_values(
-        np.where(pointwise < deg_max, _theta(minors, degrees, deg_max, volume) * volume, 0.0)
+        np.where(pointwise_sub < deg_max, sliced(density_max), 0.0), keep
     )
     assert area_singular_set(imm, grid).hex() == singular.hex()
     assert area_singular_set(imm, grid, d).hex() == grid.integrate_values(
-        np.where(pointwise < deg_max, density, 0.0)
+        np.where(pointwise_sub < deg_max, density_sub, 0.0), keep
     ).hex()
     if case == "parabola":
         assert area_singular_set(imm, grid, 2) > 0.0  # the line x = 0.5 is masked
@@ -350,10 +368,10 @@ def test_subgrid_results_equal_the_full_grid_bit_for_bit(case):
     rs = (1e-1, 1e-2, 1e-3)
     want = []
     for r in rs:
-        total = np.zeros(len(grid))
-        for col, e in zip((minors**2).T, (degrees - imm.m).tolist()):
+        total = np.zeros(len(sub))
+        for col, e in zip(minors_sq_sub.T, (degrees - imm.m).tolist()):
             total += col * r ** (-e)
-        want.append((r ** ((d - imm.m) / 2.0) * grid.integrate_values(np.sqrt(total))).hex())
+        want.append((r ** ((d - imm.m) / 2.0) * grid.integrate_values(np.sqrt(total), keep)).hex())
     assert [v.hex() for v in scaling_limit_probe(imm, d, grid, rs).values] == want
 
     report = degree_scan(imm, (9, 8))
@@ -366,6 +384,46 @@ def test_subgrid_results_equal_the_full_grid_bit_for_bit(case):
     assert np.array_equal(report.mask, scan_degrees < report.degree)
     assert report.lsc_violations == _lsc_violations(scan_degrees.reshape(shape))
     assert report.points.tobytes() == points.tobytes()
+
+
+def _catalog_cases():
+    """Every catalog immersion under every metric it accepts, on a one-parameter input."""
+    inputs = {
+        "engel-graph": ({"theta": "0.53*x"}, ("default", "frame-orthonormal", "euclidean")),
+        "rt-graph": ({"u": "0.37*x"}, ("default", "frame-orthonormal", "euclidean")),
+        "h1xh1-surface": ({"u": "s^2+0.3*s"},
+                          ("default", "frame-diagonal", "frame-orthonormal", "euclidean")),
+        "isolated-plane": ({}, ("default", "frame-orthonormal", "euclidean")),
+    }
+    return [(name, metric, params) for name, (params, metrics) in inputs.items()
+            for metric in metrics]
+
+
+@pytest.mark.parametrize("name, metric, params", _catalog_cases())
+def test_subgrid_rule_matches_the_full_grid_sum(name, metric, params):
+    # oracle: the sub-grid values broadcast onto every node and summed with
+    # the tensor weights; the sub-grid rule sums in another order
+    imm = catalog.immersion(name, metric=metric, **params)
+    grid = QuadratureGrid(imm.domain, (33, 32))
+    sub, keep = imm.tangent_subgrid(grid.points, grid.orders)
+    minors, degrees, volume = _minors_and_volume(imm, sub)
+    pointwise = max_degrees(minors, degrees, DEGREE_EPS)
+    deg_max = int(pointwise.max())
+
+    def full_grid_sum(values):
+        return grid.integrate_values(_expand(values, grid.orders, keep))
+
+    density = _theta(minors, degrees, deg_max, volume) * volume
+    r = 1e-2
+    dilated = np.sqrt(sum(col**2 * r ** (-e) for col, e in zip(minors.T, degrees - imm.m)))
+    pairs = [
+        (area_degree(imm, deg_max, grid).value, full_grid_sum(density)),
+        (area_singular_set(imm, grid), full_grid_sum(np.where(pointwise < deg_max, density, 0.0))),
+        (riemannian_area(imm, r, grid), full_grid_sum(dilated)),
+    ]
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert grid.sub_weights(keep).sum() == pytest.approx(grid.weights.sum(), rel=1e-14)
 
 
 def test_subgrid_refusal_names_the_first_node_in_c_order():

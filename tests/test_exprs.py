@@ -460,6 +460,15 @@ def test_scalar_overflow_is_an_evaluation_error():
         parse("x^400", ["x"]).eval({"x": 10.0})
 
 
+def test_point_refusal_prints_the_operand_of_a_row_reused_in_place():
+    # on an array, log writes into the row of x - 1, whose last use it is; a
+    # batch of one must still print the operand that log read
+    with pytest.raises(EvaluationError, match=r"domain error in log\(-1\.0\)"):
+        parse("2*log(x - 1)", ["x"]).eval({"x": 0.0})
+    with pytest.raises(EvaluationError, match=r"domain error in sqrt\(-0\.5\)"):
+        evaluate_many([parse("sqrt(x - 1) + y", ["x", "y"])], {"x": 0.5, "y": 1.0})
+
+
 def test_numpy_scalar_bindings_are_refused_like_floats():
     imm = catalog.immersion("rt-graph", u="x")
     env = dict(zip(imm.params, np.array([0.0, 0.5])))  # binds np.float64
