@@ -157,20 +157,30 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
 
 
 def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
-    """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors."""
+    """Area(g_r) for each r in ``rs``, from one evaluation of the tangent minors.
+
+    All r are swept at once: the density squared at r is the sum over the
+    minors of minor^2 r^-(excess), accumulated in minor order from zeros into
+    one (R, S) total, so each row holds the bits of a loop over r alone.  The
+    first r, in order, with a density that is not finite is refused, naming
+    its first node.
+    """
     points, keep = imm.tangent_subgrid(grid.points, grid.orders)
     with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
         minors_sq = imm.minors_grid(imm.ortho_tangent_grid(points)) ** 2
     excess = (imm.multi_index_degrees - imm.m).tolist()
-    areas = []
-    for r in rs:
-        total = np.zeros(points.shape[0])
-        with np.errstate(over="ignore"):
-            for vals_sq, e in zip(minors_sq.T, excess):
-                total += vals_sq * r ** (-e)
-        density = _finite_at_nodes(np.sqrt(total), points, f"g_r (r = {r})")
-        areas.append(grid.integrate_values(density, keep))
-    return areas
+    scales = np.array([[r ** (-e) for e in excess] for r in rs])  # (R, C), Python floats
+    total = np.zeros((len(rs), points.shape[0]))
+    term = np.empty_like(total)
+    with np.errstate(over="ignore"):
+        for vals_sq, scale in zip(minors_sq.T, scales.T):
+            total += np.multiply(scale[:, None], vals_sq, out=term)
+    density = np.sqrt(total)
+    bad = ~np.isfinite(density)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        _finite_at_nodes(density[k], points, f"g_r (r = {rs[k]})")  # raises
+    return [grid.integrate_values(row, keep) for row in density]
 
 
 def riemannian_area(imm: Immersion, r: float, grid: QuadratureGrid) -> float:

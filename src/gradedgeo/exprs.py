@@ -1166,14 +1166,18 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 # fold every node whose operands are all constants unless folding fails
 # (``1/0``, ``log(-1)``), and the tape refuses those, so every instruction
 # reads a variable (or a register the fold below made a constant) and
-# writes an array of the env's broadcast shape.  The code runs over blocks
-# of at most ``BLOCK_POINTS`` points.  A root writes straight into its own
-# result array; every other node writes into a row of one work array that
-# the run allocates once and reuses for every block.  A row returns to the
-# free list at its node's last use, before that instruction picks its own
-# row, so the row count is the peak number of live values and memory is
-# O(live registers x block) plus the results.  A batch of one writes no row:
-# its ufuncs allocate, so a refusal can print the operands it read.
+# writes an array of the env's broadcast shape.  A run fills one values
+# array (roots x points), row i holding root i, over blocks of at most
+# ``BLOCK_POINTS`` points.  A computed root writes straight into the row of
+# the first root that holds its register; every other node writes into a
+# row of one work array that the run allocates once and reuses for every
+# block.  A row returns to the free list at its node's last use, before
+# that instruction picks its own row, so the row count is the peak number
+# of live values and memory is O(live registers x block) plus the values.
+# After the blocks, a root that holds a constant or a variable is filled
+# from its value or binding, and a root that repeats an earlier root's
+# register is a copy of that row.  A batch of one writes no row: its
+# ufuncs allocate, so a refusal can print the operands it read.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
 #
 # Before buffers are assigned, one fold pass (``_Fold``) shrinks the
@@ -1203,7 +1207,7 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 #   register below it; a certified negation is one ``negative`` of it.  Then
 #   instructions no root reads are dropped.  A root folded into a constant
 #   is that constant; one folded into a computed register is copied into
-#   a result of its own.
+#   a register of its own.
 # * Never folded: a node built as written (``as_written``), a call, a
 #   power that stays whole, and any register for its floating-point value:
 #   ``0.1*x*3 - 0.3*x`` is 2^-54 x, not 0.  A fold changes a value by
@@ -1232,7 +1236,7 @@ class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
     __slots__ = (
-        "roots", "init", "loads", "code", "nbufs", "out", "leaves", "results", "folds",
+        "roots", "init", "loads", "code", "nbufs", "out", "copies", "fills", "folds",
         "uncertified",
     )
 
@@ -1294,9 +1298,6 @@ class _Tape:
         fold = _Fold(init, nodes)
         code, self.out = fold.run(code, [index[root] for root in roots])
         self.folds, self.uncertified = fold.folds, fold.uncertified
-        # roots that hold a preloaded constant or the caller's own binding
-        computed = {dst for _, _, _, dst in code}
-        self.leaves = frozenset(r for r in self.out if r not in computed)
         last_use = [-1] * len(init)  # register -> position of the last instruction reading it
         for pos, (fn, a, b, dst) in enumerate(code):
             last_use[a] = pos
@@ -1306,10 +1307,24 @@ class _Tape:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
         self.loads = loads
-        # buffer k < R is the result array of the k-th of the R computed
-        # roots, buffer R + i row i of the work array
-        self.results = tuple(dict.fromkeys(r for r in self.out if r not in self.leaves))
-        slot = {reg: k for k, reg in enumerate(self.results)}
+        # buffer i < len(roots) is row i of the values array, buffer
+        # len(roots) + k row k of the work array; a computed register writes
+        # the row of the first root that holds it
+        computed = {dst for _, _, _, dst in code}
+        slot: dict = {}
+        copies = []
+        for i, reg in enumerate(self.out):
+            if reg in slot:
+                copies.append((i, slot[reg]))
+            elif reg in computed:
+                slot[reg] = i
+        self.copies = tuple(copies)  # (root, earlier root of the same register)
+        # roots that hold a preloaded constant or a variable: (root, load or -1, constant)
+        load_of = {reg: k for k, (reg, _) in enumerate(loads)}
+        self.fills = tuple(
+            (i, load_of.get(reg, -1), init[reg])
+            for i, reg in enumerate(self.out) if reg not in computed
+        )
         buf_of = [-1] * len(init)  # register -> its buffer while live
         free: list[int] = []
         nbufs = 0
@@ -1328,40 +1343,43 @@ class _Tape:
                 if free:
                     o = free.pop()
                 else:
-                    o = len(slot) + nbufs
+                    o = len(self.out) + nbufs
                     nbufs += 1
             buf_of[dst] = o
             code[pos] = (fn, a, b, dst, o)
         self.code = code
         self.nbufs = nbufs
 
-    def run(self, env) -> list:
+    def run(self, env):
         regs = self.init.copy()
-        values = []
-        for reg, name in self.loads:
+        bindings = []
+        for _, name in self.loads:
             try:
-                values.append(env[name])
+                bindings.append(env[name])
             except KeyError:
                 raise EvaluationError(f"no value bound for variable {name!r}") from None
         one = not any(isinstance(v, np.ndarray) for v in env.values())
-        shape = (1,) if one else np.broadcast_shapes(*(np.shape(v) for v in env.values()))
         if one:
-            bound = [np.array((value,), dtype=float) for value in values]
+            shape = (1,)
+            flat = [np.array((value,), dtype=float) for value in bindings]
         else:
-            bound = [np.broadcast_to(np.asarray(value, dtype=float), shape) for value in values]
-        flat = [v.reshape(-1) for v in bound]
-        results = [np.empty(shape) for _ in self.results]  # per call: results never alias
-        flat_results = [r.reshape(-1) for r in results]
+            shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+            flat = []
+            for value in bindings:
+                v = np.asarray(value, dtype=float)
+                flat.append((v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1))
         size = math.prod(shape)
+        values = np.empty((len(self.out), *shape))  # per call: values never alias
+        rows = values.reshape(len(self.out), size)
         block = min(size, BLOCK_POINTS)
         work = np.empty((self.nbufs, block))
         with np.errstate(**(_POINT_ERRORS if one else _ARRAY_ERRORS)):
             for lo in range(0, size, block or 1):
                 hi = min(lo + block, size)
                 if one:  # fresh outputs, so a refusal prints the operands it read
-                    bufs = [None] * (len(results) + self.nbufs)
+                    bufs = [None] * (len(self.out) + self.nbufs)
                 else:
-                    bufs = [*(r[lo:hi] for r in flat_results), *work[:, : hi - lo]]
+                    bufs = [*rows[:, lo:hi], *work[:, : hi - lo]]
                 for (reg, _), v in zip(self.loads, flat):
                     regs[reg] = v[lo:hi]
                 try:
@@ -1374,15 +1392,11 @@ class _Tape:
                     raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
         if one:
             return [np.asarray(regs[r]).item() for r in self.out]
-        # a constant root is a read-only broadcast of its value (no result to
-        # fill), one per constant register however many roots hold it; a
-        # variable root is a copy of the caller's binding
-        computed = dict(zip(self.results, results))
-        computed.update(
-            (r, np.broadcast_to(regs[r], shape)) for r in self.leaves if self.init[r] is not None
-        )
-        loaded = {reg: v for (reg, _), v in zip(self.loads, bound)}
-        return [computed[r] if r in computed else loaded[r].copy() for r in self.out]
+        for i, k, value in self.fills:
+            rows[i] = flat[k] if k >= 0 else value
+        for i, j in self.copies:
+            rows[i] = rows[j]
+        return values
 
 
 def _error(exc, fn, x, y) -> EvaluationError:
@@ -1531,7 +1545,7 @@ class _Fold:
                 kept.append(defs[dst])
         # a root folded into a constant or a variable is that leaf; one folded
         # into a computed register copies it into a register of its own, so
-        # every computed root still fills its own result array
+        # every computed root's row is written by an instruction of its own
         copies: dict = {}
         out = list(out)
         for i, r in enumerate(out):
@@ -1908,25 +1922,26 @@ def evaluate_many(exprs, env):
     """Evaluate several expressions in one shared pass over the DAG.
 
     ``env`` maps variable name to float or ndarray; mixing is allowed and
-    broadcasts.  Returns a list of values, one per expression.
+    broadcasts.  With an array binding, returns one fresh C-contiguous
+    float64 array (len(exprs), *shape) of the bindings' broadcast shape, row
+    i holding expression i, that no later call writes to.  Without one,
+    returns a list of floats.
 
     The root tuple is compiled once into a cached tape (see ``_Tape``); a
     node on constants alone that construction could not fold (``1/0``) is
     refused there, naming the node, and the registers that an exact
     certificate proves 0, or equal to a register below them or its
-    negative, are folded (``_Fold``).  Every binding is a float64 array of the
-    common broadcast shape.  The tape runs over blocks of at most
+    negative, are folded (``_Fold``).  The tape runs over blocks of at most
     ``BLOCK_POINTS`` points, each node one numpy ufunc into a row of one work
-    array recycled after the node's last use (a root into its result), so
-    memory is O(live registers x block) besides the results, not O(all
-    nodes x points).  With an array binding, values follow numpy semantics
-    (non-finite values propagate, warnings are silenced) and every result is
-    an array of the bindings' broadcast shape that no later call writes to:
-    a constant comes back as a read-only broadcast of its value, a bare
-    variable as a copy of its binding.  Without one the env is a batch
-    of one: the same ufuncs run on one-element arrays, so a point's value is
-    bit for bit its value on a grid, the results come back as floats, and
-    division by zero, a domain error or overflow in any operation raises
+    array recycled after the node's last use (a root into its row of the
+    values), so memory is O(live registers x block) besides the values, not
+    O(all nodes x points).  With an array binding, values follow numpy
+    semantics (non-finite values propagate, warnings are silenced); a
+    constant's row is filled with its value, a bare variable's with its
+    binding, and a repeated expression's row is a copy.  Without one the env
+    is a batch of one: the same ufuncs run on one-element arrays, so a
+    point's value is bit for bit its value on a grid, and division by zero,
+    a domain error or overflow in any operation raises
     :class:`EvaluationError`.
     """
     return _tape(tuple(exprs)).run(env)
@@ -1936,16 +1951,14 @@ def evaluate_at(exprs, names, points) -> np.ndarray:
     """Values of ``exprs`` at points (N, len(names)), one row per expression: (len(exprs), N).
 
     Column i of ``points`` binds ``names[i]``; one point is a (1, m) array.
-    The points are evaluated in one tape pass.  The first point that holds
-    a value that is not finite is evaluated again with float bindings, and
-    its refusal (the cause: division by zero, a domain error, overflow) is
-    raised naming that grid point.
+    The points are evaluated in one tape pass, and its values array is
+    returned.  The first point that holds a value that is not finite is
+    evaluated again with float bindings, and its refusal (the cause:
+    division by zero, a domain error, overflow) is raised naming that grid
+    point.
     """
     pts = np.asarray(points, dtype=float)
-    values = np.empty((len(exprs), len(pts)))
-    env = {name: pts[:, i] for i, name in enumerate(names)}
-    for k, v in enumerate(evaluate_many(exprs, env)):
-        values[k] = v
+    values = evaluate_many(exprs, {name: pts[:, i] for i, name in enumerate(names)})
     bad = ~np.isfinite(values).all(axis=0)
     if bad.any():
         p = tuple(map(float, pts[int(np.argmax(bad))]))

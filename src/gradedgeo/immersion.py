@@ -17,8 +17,8 @@ The tangent map is tau = (C o Phi) J, with C the orthonormal coframe and
 J the Jacobian: ``tau_exprs`` in normal form for the symbolic frames, and
 the grid roots ``_tangent_roots`` from the same coframe and Jacobian.  The
 grid path keeps tangent data points last, so every per-entry operation runs
-over one contiguous row of N values: the Jacobian, tau and the sum of the
-squared entries of C o Phi are evaluated in one tape pass into row arrays
+over one contiguous row of N values: tau and the sum of the squared
+entries of C o Phi are evaluated in one tape pass into one values array
 (one row per expression, shape (k, N)).  There C o Phi and the product are
 built as written (``exprs.as_written``: no normal form), so C o Phi
 evaluates as C at the values of Phi.  The product sums over ascending j and
@@ -27,14 +27,16 @@ times that sum gives the values of a dense einsum from its zero start, bit
 for bit, and NaN wherever an entry of C o Phi is not finite, even one the
 product dropped against a structurally zero row of J (a frame that is no
 basis on the image).  On a tensor grid the tangent map is evaluated only on
-the sub-grid of the parameters J and tau use (``tangent_subgrid``; the NaN
+the sub-grid of the parameters tau uses, which include every one that J
+uses (``tangent_subgrid``; the NaN
 guard is checked on its own sub-grid), which reports the axes it keeps.
 Results are refused and reduced on that sub-grid: its first failing point is
 the first failing node in C order, and the areas weight it with the tensor
 weights summed over the dropped axes.  Only the degree scan, whose report
 holds a degree per node, broadcasts per-point results back onto every node.
-``_tangent_grids`` returns (N, n, m) views of the (n, m, N) arrays, which
-``multivec.minors`` reads back points last without a copy.  The degree
+``_tangent_grids`` returns tau as an (N, n, m) view of the (n, m, N) rows
+of that array, which ``multivec.minors`` reads back points last without a
+copy.  The degree
 scan refuses rank-deficient points from the same minors row: for m = 2
 sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
 of tau (``_rank_deficient``), and only other m take singular values.  Its lower-semicontinuity check takes neighbour maxima with shifted
@@ -143,16 +145,6 @@ class Immersion:
         pts = np.asarray(points, dtype=float)
         return {name: pts[:, i] for i, name in enumerate(self.params)}
 
-    def _grid_values(self, exprs, points: np.ndarray) -> np.ndarray:
-        """Values of ``exprs`` over ``points`` (N, m) from one tape pass, (len(exprs), N).
-
-        Non-finite values propagate.
-        """
-        values = np.empty((len(exprs), len(points)))
-        for k, v in enumerate(evaluate_many(exprs, self.grid_env(points))):
-            values[k] = v
-        return values
-
     def values_at(self, exprs, points) -> np.ndarray:
         """Values of ``exprs`` at parameter points (N, m), one row per expression: (len(exprs), N).
 
@@ -223,7 +215,7 @@ class Immersion:
 
     @cached_property
     def _tangent_roots(self) -> list:
-        """The Jacobian, tau (both row-major) and the sum of squared coframe entries.
+        """tau (row-major) and the sum of squared coframe entries.
 
         C o Phi and tau are built as written (module docstring), so their
         values are those of the dense contraction of C at the values of Phi.
@@ -241,15 +233,11 @@ class Immersion:
                     for a in range(self.m):
                         tau[i][a] = as_written(Add, tau[i][a], as_written(Mul, c, jac[j][a]))
         coframe_sq = add_all([e * e for row in coframe for e in row])
-        return [
-            *(e for row in jac for e in row),
-            *(e for row in tau for e in row),
-            coframe_sq,
-        ]
+        return [*(e for row in tau for e in row), coframe_sq]
 
     @cached_property
     def _tangent_axes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Indices of the parameters that J and tau use, and those that the guard uses."""
+        """Indices of the parameters that tau uses, and those that the guard uses."""
         *used, guard = variables_each(self._tangent_roots)
         used = frozenset().union(*used)
         return tuple(self._axes(used)), tuple(self._axes(guard))
@@ -261,7 +249,7 @@ class Immersion:
         """The nodes of a tensor grid at which the tangent map can differ, and their axes.
 
         ``points`` (N, m) are the nodes of a grid of ``shape`` in C order.
-        The sub-grid keeps every axis whose parameter J or tau uses and fixes
+        The sub-grid keeps every axis whose parameter tau uses and fixes
         each other axis at its first node, so the tangent map at a node
         equals its value at the sub-grid point that shares the kept
         coordinates.  The NaN guard (the squared entries of C o Phi) may use
@@ -284,25 +272,23 @@ class Immersion:
                 keep = tuple(range(len(shape)))
         return _subgrid(points, shape, keep), keep
 
-    def _tangent_grids(self, points: np.ndarray):
-        """dPhi over many points, (N, n, m): in coordinates and in the orthonormal adapted frame.
+    def _tangent_grids(self, points: np.ndarray) -> np.ndarray:
+        """dPhi in the orthonormal adapted frame over many points, (N, n, m).
 
-        Both are views of points-last (n, m, N) arrays from one evaluation.
+        A view of the points-last (n, m, N) rows of one tape pass.
         """
         pts = np.asarray(points, dtype=float)
-        n, m, N = self.n, self.m, pts.shape[0]
-        values = self._grid_values(self._tangent_roots, pts)
-        jac = values[: n * m].reshape(n, m, N)
-        tau = values[n * m : -1].reshape(n, m, N)
+        values = evaluate_many(self._tangent_roots, self.grid_env(pts))
+        tau = values[:-1].reshape(self.n, self.m, pts.shape[0])
         # the dense contraction's zero start (-0 becomes +0), and NaN where
         # C o Phi is not finite (module docstring)
         with np.errstate(invalid="ignore"):
             tau += 0.0 * values[-1]
-        return jac.transpose(2, 0, 1), tau.transpose(2, 0, 1)
+        return tau.transpose(2, 0, 1)
 
     def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
         """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m)."""
-        return self._tangent_grids(points)[1]
+        return self._tangent_grids(points)
 
     def minors_grid(self, tau: np.ndarray) -> np.ndarray:
         """All m x m minors over the grid, (N, C(n, m)) in ``all_multi_indices`` order."""

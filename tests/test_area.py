@@ -14,6 +14,7 @@ import gradedgeo
 from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
+    _dilated_areas,
     _minors_and_volume,
     _theta,
     area_degree,
@@ -424,6 +425,31 @@ def test_subgrid_rule_matches_the_full_grid_sum(name, metric, params):
     for got, want in pairs:
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     assert grid.sub_weights(keep).sum() == pytest.approx(grid.weights.sum(), rel=1e-14)
+
+
+def _dilated_areas_per_r(imm, grid, rs):
+    """Reference: the loop over r, each density summed over the minors from zeros."""
+    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
+    with np.errstate(over="ignore"):
+        minors_sq = imm.minors_grid(imm.ortho_tangent_grid(points)) ** 2
+    excess = (imm.multi_index_degrees - imm.m).tolist()
+    areas = []
+    for r in rs:
+        total = np.zeros(points.shape[0])
+        with np.errstate(over="ignore"):
+            for vals_sq, e in zip(minors_sq.T, excess):
+                total += vals_sq * r ** (-e)
+        areas.append(grid.integrate_values(np.sqrt(total), keep))
+    return areas
+
+
+@pytest.mark.parametrize("name, metric, params", _catalog_cases())
+def test_dilated_area_sweep_equals_the_loop_over_r_bit_for_bit(name, metric, params):
+    imm = catalog.immersion(name, metric=metric, **params)
+    grid = QuadratureGrid(imm.domain, (17, 16))
+    rs = [1.0, 0.3, *(10.0**-i for i in range(1, 6))]
+    got = _dilated_areas(imm, grid, rs)
+    assert [v.hex() for v in got] == [v.hex() for v in _dilated_areas_per_r(imm, grid, rs)]
 
 
 def test_subgrid_refusal_names_the_first_node_in_c_order():

@@ -246,6 +246,16 @@ def test_every_root_is_a_fresh_array_of_the_env_shape():
     assert const(2.0).eval({"x": 0.5}) == 2.0 and type(var("x").eval({"x": 0.5})) is float
 
 
+def test_eval_is_the_first_row_of_evaluate_many():
+    # Expr.eval runs the grid el-residual step of the benchmark's grid workload
+    xs = np.linspace(-0.9, 0.9, 11)
+    env = {"x": xs, "y": xs[::-1] * 0.5}
+    for e in (parse("sin(x*y) + x/(y + 2) - exp(-x)^3", ["x", "y"]), const(2.0), var("y")):
+        got = e.eval(env)
+        assert got.shape == (11,)
+        assert got.tobytes() == evaluate_many((e,), env)[0].tobytes()
+
+
 def _variables_by_walk(e):
     """Reference: collect Var names over the whole sub-DAG."""
     names, stack, seen = set(), [e], set()
@@ -333,6 +343,17 @@ def _reference_evaluate(roots, env, folds=()):
     return [memo[id(e)] for e in roots]
 
 
+def _is_values_array(values, shape) -> bool:
+    """Whether ``values`` is one fresh C-contiguous float64 array of ``shape``, row i root i."""
+    return (
+        type(values) is np.ndarray
+        and values.shape == shape
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and values.flags.owndata
+    )
+
+
 def _same_bytes(got, want):
     return len(got) == len(want) and all(
         np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
@@ -395,11 +416,15 @@ def test_results_survive_later_calls(catalog_roots):
     pts = np.random.default_rng(4).uniform(*zip(*imm.domain), size=(33, 2))
     env1 = {"x": pts[:, 0], "y": pts[:, 1]}
     first = evaluate_many(roots, env1)
-    kept = [np.array(v, copy=True) for v in first]
-    evaluate_many(roots, {"x": pts[::-1, 0], "y": pts[::-1, 1]})
-    evaluate_many(roots, {"x": pts[:, 1], "y": 0.25})
+    kept = np.array(first, copy=True)
+    later = [
+        evaluate_many(roots, {"x": pts[::-1, 0], "y": pts[::-1, 1]}),
+        evaluate_many(roots, {"x": pts[:, 1], "y": 0.25}),
+    ]
     assert _same_bytes(first, kept)
-    assert len({id(v) for v in first}) == len(roots)  # distinct roots, distinct arrays
+    # one fresh (roots, points) array per call, sharing no memory with another call's
+    assert all(_is_values_array(values, (len(roots), 33)) for values in (first, *later))
+    assert not any(np.shares_memory(first, values) for values in later)
 
 
 def test_tape_cache_is_bounded_and_hit_by_rebuilt_roots():
@@ -442,9 +467,10 @@ def test_blocked_run_matches_memo_walk(size):
         shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
         got = evaluate_many(roots, env)
         want = [np.broadcast_to(w, shape) for w in _reference_evaluate(roots, env)]
-        assert all(g.shape == shape for g in got), label
+        assert _is_values_array(got, (len(roots), *shape)), label
         assert _same_bytes(got, want), label
-        assert got[0] is got[1] and len({id(g) for g in got[1:]}) == len(roots) - 1, label
+        assert got[0].tobytes() == got[1].tobytes(), label  # the duplicate root's row
+        assert not np.shares_memory(evaluate_many(roots, env), got), label
     # a batch of one is a one-point block on the same loop
     if size:
         point = {"x": float(xs[-1]), "y": float(ys[-1])}

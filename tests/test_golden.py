@@ -101,6 +101,9 @@ CASES = {
     ),
     "refuse-power-overflow": "area --catalog rt-graph:u=x^2000*1e300 --degree 3 --grid 4x4",
     "refuse-sqrt-domain": "area --catalog rt-graph:u=sqrt(y-0.5) --degree 3 --grid 8x8",
+    "refuse-gr-limit-not-finite": (
+        'gr-limit --catalog "rt-graph:u=sqrt(x-0.5)" --degree 3 --grid 8x8'
+    ),
     "refuse-scan-overflow": "degree-scan --catalog rt-graph:u=x^2000*1e300 --grid 4x4",
     "degree-below-range": "area --catalog engel-graph:theta=0.3*x --degree -3 --grid 8x8",
     "degree-above-range": "area --catalog engel-graph:theta=0.3*x --degree 99 --grid 8x8",

@@ -8,11 +8,12 @@ import pytest
 from gradedgeo import catalog
 from gradedgeo.admissibility import frames_for
 from gradedgeo.area import QuadratureGrid, _minors_and_volume, area_degree, area_singular_set
-from gradedgeo.exprs import const, evaluate_many, parse, var
+from gradedgeo.exprs import const, evaluate_many, parse, var, variables_each
 from gradedgeo.immersion import (
     Immersion,
     _lsc_violations,
     _rank_deficient,
+    _subgrid,
     degree_scan,
     uniform_grid,
 )
@@ -341,7 +342,7 @@ def _dense_tangent_grids(imm, pts):
     cof = _dense_columns(cof_flat, ambient, N).reshape(N, n, n)
     jac_flat = [e for row in imm.jacobian_exprs for e in row]
     jac = _dense_columns(jac_flat, env, N).reshape(N, n, m)
-    return jac, np.einsum("pij,pjm->pim", cof, jac)
+    return np.einsum("pij,pjm->pim", cof, jac)
 
 
 @pytest.mark.parametrize("metric", [None, "euclidean"])
@@ -351,9 +352,31 @@ def test_tangent_grids_bit_identical_to_dense_einsum(name, metric):
     for pts in (imm.midpoint()[None, :], QuadratureGrid(imm.domain, 33).points):
         got = imm._tangent_grids(pts)
         want = _dense_tangent_grids(imm, pts)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.ascontiguousarray(g).tobytes() == w.tobytes()
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+TANGENT_AXES_CASES = [
+    *((name, {}) for name in CATALOG_IMMERSIONS),
+    ("engel-graph", {"theta": "0.37*x"}),
+    ("rt-graph", {"u": "0.2*y^2"}),
+    ("h1xh1-surface", {"u": "s^2"}),
+]
+
+
+@pytest.mark.parametrize("metric", [None, "euclidean"])
+@pytest.mark.parametrize("name, params", TANGENT_AXES_CASES)
+def test_tangent_subgrid_keeps_the_axes_of_the_jacobian_and_tau(name, params, metric):
+    # the tangent roots hold tau and the guard only; the axes kept are still
+    # those that the Jacobian and tau use
+    imm = catalog.immersion(name, **params, **({"metric": metric} if metric else {}))
+    jac = [e for row in imm.jacobian_exprs for e in row]
+    used = frozenset().union(*variables_each([*jac, *imm._tangent_roots[:-1]]))
+    want = tuple(i for i, param in enumerate(imm.params) if param in used)
+    grid = QuadratureGrid(imm.domain, 6)
+    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
+    assert keep == want
+    assert points.tobytes() == _subgrid(grid.points, grid.orders, want).tobytes()
 
 
 def _lsc_violations_by_points(grid):
@@ -398,7 +421,7 @@ def test_adapted_tangent_pivots_evaluate_tangent_grids_once(engel_graph, monkeyp
 
 
 def test_tangent_grids_evaluate_once(engel_graph, monkeypatch):
-    # the Jacobian and tau come from one tape pass, not a second coframe pass
+    # tau and the guard come from one tape pass, not a second coframe pass
     import gradedgeo.immersion as immersion_module
 
     calls = []
@@ -410,7 +433,7 @@ def test_tangent_grids_evaluate_once(engel_graph, monkeypatch):
 
     monkeypatch.setattr(immersion_module, "evaluate_many", counted)
     engel_graph._tangent_grids(QuadratureGrid(engel_graph.domain, 8).points)
-    assert calls == [2 * 4 * 2 + 1]
+    assert calls == [4 * 2 + 1]
 
 
 @pytest.mark.parametrize("metric", [None, "euclidean"])
