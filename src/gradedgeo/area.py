@@ -93,15 +93,6 @@ class QuadratureGrid:
         return float(np.add.reduce(weights * values))
 
 
-def _minors_and_volume(imm: Immersion, points: np.ndarray):
-    """Arrays (tangent minors (N, C), their index degrees, sqrt(det mu)) over the points.
-
-    By Cauchy-Binet the induced volume sqrt(det mu) is the norm of the minors row.
-    """
-    minors = imm.minors_grid(imm.ortho_tangent_grid(points))
-    return minors, imm.multi_index_degrees, minors_norm(minors)
-
-
 def _theta(minors: np.ndarray, degrees: np.ndarray, d: int, volume: np.ndarray) -> np.ndarray:
     """Degree-d density from the tangent minors: |degree-d part| / |all|, |all| = ``volume``.
 
@@ -133,6 +124,12 @@ def _finite_at_nodes(values: np.ndarray, points: np.ndarray, what: str) -> np.nd
     return values
 
 
+def _degree_density(minors: np.ndarray, degrees: np.ndarray, d: int, points: np.ndarray):
+    """theta * sqrt(det mu) at the sub-grid ``points``, refused where not finite."""
+    volume = minors_norm(minors)
+    return _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, points, f"degree-{d}")
+
+
 @dataclass
 class AreaResult:
     value: float
@@ -148,10 +145,9 @@ def area_degree(imm: Immersion, d: int, grid: QuadratureGrid) -> AreaResult:
     is still returned but tagged divergent (the limit definition gives
     +infinity in that case).
     """
-    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
-    minors, degrees, volume = _minors_and_volume(imm, points)
-    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, points, f"degree-{d}")
-    value = grid.integrate_values(density, keep)
+    points, keep, _, minors = imm.tangent_minors(grid.points, grid.orders)
+    degrees = imm.multi_index_degrees
+    value = grid.integrate_values(_degree_density(minors, degrees, d, points), keep)
     seen = int(max_degrees(minors, degrees, DEGREE_EPS).max())
     return AreaResult(value, d, seen, d < seen)
 
@@ -163,17 +159,23 @@ def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
     minors of minor^2 r^-(excess), accumulated in minor order from zeros into
     one (R, S) total, so each row holds the bits of a loop over r alone.  The
     first r, in order, with a density that is not finite is refused, naming
-    its first node.
+    its first node; an r whose scales r^-(excess) overflow a float is
+    refused first, before the tangent pass.
     """
-    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
-    with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
-        minors_sq = imm.minors_grid(imm.ortho_tangent_grid(points)) ** 2
     excess = (imm.multi_index_degrees - imm.m).tolist()
-    scales = np.array([[r ** (-e) for e in excess] for r in rs])  # (R, C), Python floats
+    scales = []  # (R, C), Python floats
+    for r in rs:
+        try:
+            scales.append([r ** (-e) for e in excess])
+        except OverflowError:
+            raise DegenerateInputError(
+                f"g_r (r = {r}) scale r^-{max(excess)} overflows a float"
+            ) from None
+    points, keep, _, minors = imm.tangent_minors(grid.points, grid.orders)
     total = np.zeros((len(rs), points.shape[0]))
     term = np.empty_like(total)
-    with np.errstate(over="ignore"):
-        for vals_sq, scale in zip(minors_sq.T, scales.T):
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused with its node
+        for vals_sq, scale in zip((minors**2).T, np.array(scales).T):
             total += np.multiply(scale[:, None], vals_sq, out=term)
     density = np.sqrt(total)
     bad = ~np.isfinite(density)
@@ -249,10 +251,10 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
 
 def area_singular_set(imm: Immersion, grid: QuadratureGrid, d: int | None = None) -> float:
     """Quadrature of the degree-d density restricted to the singular mask."""
-    points, keep = imm.tangent_subgrid(grid.points, grid.orders)
-    minors, degrees, volume = _minors_and_volume(imm, points)
+    points, keep, _, minors = imm.tangent_minors(grid.points, grid.orders)
+    degrees = imm.multi_index_degrees
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
     d = deg_max if d is None else d
-    density = _finite_at_nodes(_theta(minors, degrees, d, volume) * volume, points, f"degree-{d}")
+    density = _degree_density(minors, degrees, d, points)
     return grid.integrate_values(np.where(pointwise < deg_max, density, 0.0), keep)

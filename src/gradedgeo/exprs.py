@@ -248,7 +248,15 @@ class Expr:
         return text
 
     def __repr__(self):
-        return f"Expr[{self.to_source()}]"
+        # bounded, unlike ``to_source``, which writes a shared DAG out as a tree:
+        # the node count and a depth-limited head
+        seen, stack = {id(self)}, [self]
+        while stack:
+            for child in stack.pop()._args():
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
+        return f"<{type(self).__name__} of {len(seen)} nodes: {_head(self, 3)}>"
 
     # -- operator sugar --------------------------------------------------------
 
@@ -281,6 +289,15 @@ class Expr:
 
     def __pow__(self, k):
         return powi(self, k)
+
+
+def _head(node: Expr, depth: int) -> str:
+    """``node`` down to ``depth`` operations, each as its class (or function) and operands."""
+    args = node._args()
+    if not args or depth == 0:
+        return "..." if args else node.to_source()
+    inner = ", ".join(_head(child, depth - 1) for child in args)
+    return f"{getattr(node, 'fn', type(node).__name__)}({inner})"
 
 
 def _coerce(value) -> Expr:

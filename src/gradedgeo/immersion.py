@@ -28,19 +28,20 @@ for bit, and NaN wherever an entry of C o Phi is not finite, even one the
 product dropped against a structurally zero row of J (a frame that is no
 basis on the image).  On a tensor grid the tangent map is evaluated only on
 the sub-grid of the parameters tau uses, which include every one that J
-uses (``tangent_subgrid``; the NaN
-guard is checked on its own sub-grid), which reports the axes it keeps.
-Results are refused and reduced on that sub-grid: its first failing point is
-the first failing node in C order, and the areas weight it with the tensor
-weights summed over the dropped axes.  Only the degree scan, whose report
-holds a degree per node, broadcasts per-point results back onto every node.
-``_tangent_grids`` returns tau as an (N, n, m) view of the (n, m, N) rows
-of that array, which ``multivec.minors`` reads back points last without a
-copy.  The degree
-scan refuses rank-deficient points from the same minors row: for m = 2
+uses (``tangent_subgrid``, which reports the axes it keeps; the NaN guard
+is checked on its own sub-grid).  Results are refused and reduced on that
+sub-grid: its first failing point is the first failing node in C order, and
+the areas weight it with the tensor weights summed over the dropped axes.
+Only the degree scan, whose report holds a degree per node, broadcasts
+per-point results back onto every node.
+
+One path, ``Immersion.tangent_minors``, leads from points to tau (an
+(N, n, m) view of the (n, m, N) rows of that array, read back points last
+by ``multivec.minors``) and its minors.  The degree scan and the tangent
+structure at points refuse the first degenerate point through
+``_checked_tangent``, with one rule (``_rank_deficient``: for m = 2
 sigma_min / sigma_max is closed form in the row norm and the Frobenius norm
-of tau (``_rank_deficient``), and only other m take singular values.  Its lower-semicontinuity check takes neighbour maxima with shifted
-slices, not a loop over grid points.
+of tau) and one wording (``_degeneracy``).
 
 The degree-adapted tangent basis used by the admissibility machinery is the
 column-echelon basis with one pivot row per tangent-flag layer: each basis
@@ -239,27 +240,21 @@ class Immersion:
     def _tangent_axes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of the parameters that tau uses, and those that the guard uses."""
         *used, guard = variables_each(self._tangent_roots)
-        used = frozenset().union(*used)
-        return tuple(self._axes(used)), tuple(self._axes(guard))
-
-    def _axes(self, names) -> list[int]:
-        return [i for i, name in enumerate(self.params) if name in names]
+        return tuple(
+            tuple(i for i, name in enumerate(self.params) if name in names)
+            for names in (frozenset().union(*used), guard)
+        )
 
     def tangent_subgrid(self, points: np.ndarray, shape):
-        """The nodes of a tensor grid at which the tangent map can differ, and their axes.
+        """The nodes (S, m) of a tensor grid at which the tangent map can differ, and their axes.
 
         ``points`` (N, m) are the nodes of a grid of ``shape`` in C order.
         The sub-grid keeps every axis whose parameter tau uses and fixes
-        each other axis at its first node, so the tangent map at a node
-        equals its value at the sub-grid point that shares the kept
-        coordinates.  The NaN guard (the squared entries of C o Phi) may use
-        more parameters; it is evaluated on its own sub-grid first, and
-        where it is not finite the whole grid is kept, so a refusal names
-        the same node as a full-grid pass.  Returns the sub-grid points
-        (S, m) in C order and the kept axes.  Each sub-grid point is the
-        node that has index 0 on every dropped axis, so the first sub-grid
-        point where a per-point test fails is the first such node of the
-        whole grid in C order.
+        each other axis at index 0, so the first sub-grid point where a
+        per-point test fails is the first such node of the whole grid in C
+        order.  The NaN guard (the squared entries of C o Phi) may use more
+        parameters; where it is not finite on its own sub-grid, the whole
+        grid is kept, so a refusal names the same node as a full-grid pass.
         """
         shape = tuple(int(c) for c in shape)
         keep, guard_keep = self._tangent_axes
@@ -272,8 +267,8 @@ class Immersion:
                 keep = tuple(range(len(shape)))
         return _subgrid(points, shape, keep), keep
 
-    def _tangent_grids(self, points: np.ndarray) -> np.ndarray:
-        """dPhi in the orthonormal adapted frame over many points, (N, n, m).
+    def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
+        """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m).
 
         A view of the points-last (n, m, N) rows of one tape pass.
         """
@@ -286,47 +281,48 @@ class Immersion:
             tau += 0.0 * values[-1]
         return tau.transpose(2, 0, 1)
 
-    def ortho_tangent_grid(self, points: np.ndarray) -> np.ndarray:
-        """Orthonormal-adapted-frame components of dPhi over many points, (N, n, m)."""
-        return self._tangent_grids(points)
-
     def minors_grid(self, tau: np.ndarray) -> np.ndarray:
         """All m x m minors over the grid, (N, C(n, m)) in ``all_multi_indices`` order."""
         return minors(tau)
 
-    # -- tangent structure at points (N, m) ------------------------------------
+    # -- tangent minors, and the tangent structure at points (N, m) -----------
 
-    def _checked_tangent(self, points):
-        """tau (N, n, m) and its minors rows at points (N, m), refused where degenerate.
+    def tangent_minors(self, points, shape=None):
+        """Points (S, m), kept axes, tau (S, n, m) and its minors (S, C).
 
-        The first point that is degenerate by the degree scan's rule
-        (``_rank_deficient``, worded by ``_degeneracy``) is refused, naming
-        the point.
+        With the ``shape`` of the tensor grid whose nodes are ``points``, on
+        its tangent sub-grid (``tangent_subgrid``); else at the points.
         """
-        pts = np.asarray(points, dtype=float)
-        tau = self.ortho_tangent_grid(pts)
-        rows = self.minors_grid(tau)
+        if shape is None:
+            sub, keep = np.asarray(points, dtype=float), tuple(range(self.m))
+        else:
+            sub, keep = self.tangent_subgrid(points, shape)
+        tau = self.ortho_tangent_grid(sub)
+        return sub, keep, tau, self.minors_grid(tau)
+
+    def _checked_tangent(self, points, shape=None):
+        """``tangent_minors``, refused at the first point that ``_rank_deficient`` refuses."""
+        sub, keep, tau, rows = self.tangent_minors(points, shape)
         bad = _rank_deficient(tau, rows)
         if bad.any():
             k = int(np.argmax(bad))
-            what = _degeneracy(tau[k], rows[k], "Jacobian is rank deficient")
-            raise DegenerateInputError(f"immersion {what} at {tuple(map(float, pts[k]))}")
-        return tau, rows
+            what = _degeneracy(tau[k], rows[k])
+            raise DegenerateInputError(f"immersion {what} at {tuple(map(float, sub[k]))}")
+        return sub, keep, tau, rows
 
     def degrees(self, points) -> np.ndarray:
         """The degree at each of the points (N, m): the grid degree rule on its minors row."""
-        _, rows = self._checked_tangent(points)
+        *_, rows = self._checked_tangent(points)
         return max_degrees(rows, self.multi_index_degrees, DEGREE_EPS)
 
     def flag_dims(self, points) -> list[tuple[int, ...]]:
         """dim(T cap H^j) for each layer j, at each of the points (N, m)."""
-        tau, _ = self._checked_tangent(points)
+        _, _, tau, _ = self._checked_tangent(points)
         return [self._flag_dims(t) for t in tau]
 
     def adapted_pivots(self, points) -> list[tuple[int, ...]]:
         """Pivot rows (1-based) of the degree-adapted echelon tangent basis at each point."""
-        pts = np.asarray(points, dtype=float)
-        tau, _ = self._checked_tangent(pts)
+        pts, _, tau, _ = self._checked_tangent(points)
         return [self._adapted_pivots(t, p) for t, p in zip(tau, pts)]
 
     def _flag_dims(self, tau: np.ndarray) -> tuple[int, ...]:
@@ -419,40 +415,23 @@ def _rank_deficient(tau: np.ndarray, minors_rows: np.ndarray) -> np.ndarray:
         return ~(P > RANK_TOL * sigma_max_sq)
 
 
-def _degeneracy(tau: np.ndarray, row: np.ndarray, rank: str = "is rank deficient") -> str:
-    """What is wrong at a point that ``_rank_deficient`` refuses: tau (n, m), its minors row.
-
-    ``rank`` words the case where tau and its minors are finite.
-    """
+def _degeneracy(tau: np.ndarray, row: np.ndarray) -> str:
+    """What is wrong at a point that ``_rank_deficient`` refuses: tau (n, m), its minors row."""
     if not np.isfinite(tau).all():
         return "tangent is not finite"
     if not np.isfinite(minors_norm(row[None])[0]):
         return "tangent minors overflow"  # tau is finite, its minors or their squares are not
-    return rank
+    return "Jacobian is rank deficient"
 
 
 def degree_scan(imm: Immersion, grid_shape) -> DegreeScanReport:
     """Grid certificate of the degree map and the singular mask."""
     points, shape = uniform_grid(imm.domain, grid_shape)
-    sub, keep = imm.tangent_subgrid(points, shape)
-    tau = imm.ortho_tangent_grid(sub)
-    rows = imm.minors_grid(tau)
-    # reject rank-deficient tangent maps anywhere on the grid, naming the
-    # first such grid point in C order: the first such sub-grid point
-    bad = _rank_deficient(tau, rows)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        what = _degeneracy(tau[k], rows[k])
-        raise DegenerateInputError(
-            f"immersion {what} at grid point {tuple(map(float, sub[k]))}"
-        )
+    _, keep, _, rows = imm._checked_tangent(points, shape)
     degrees = _expand(max_degrees(rows, imm.multi_index_degrees, DEGREE_EPS), shape, keep)
     deg_max = int(degrees.max())
-    mask = degrees < deg_max
-    lsc_violations = _lsc_violations(degrees.reshape(shape))
-    return DegreeScanReport(
-        shape, points, degrees, deg_max, mask, not lsc_violations, lsc_violations
-    )
+    lsc = _lsc_violations(degrees.reshape(shape))
+    return DegreeScanReport(shape, points, degrees, deg_max, degrees < deg_max, not lsc, lsc)
 
 
 def _lsc_violations(grid: np.ndarray) -> list:

@@ -15,7 +15,6 @@ from gradedgeo import catalog, verify
 from gradedgeo.area import (
     QuadratureGrid,
     _dilated_areas,
-    _minors_and_volume,
     _theta,
     area_degree,
     area_singular_set,
@@ -56,9 +55,15 @@ def test_quadrature_grid_basics():
         QuadratureGrid(((0.0, 1.0),), (1,))
 
 
+def minors_and_volume(imm, points):
+    """Tangent minors (N, C), their index degrees and sqrt(det mu) at the points (N, m)."""
+    *_, minors = imm.tangent_minors(points)
+    return minors, imm.multi_index_degrees, minors_norm(minors)
+
+
 def density_at(imm, p, d):
     """Degree-d density at one point: the area's density rule on a batch of one."""
-    minors, degrees, volume = _minors_and_volume(imm, np.asarray(p, dtype=float)[None, :])
+    minors, degrees, volume = minors_and_volume(imm, np.asarray(p, dtype=float)[None, :])
     return float(_theta(minors, degrees, d, volume)[0])
 
 
@@ -85,7 +90,7 @@ def test_density_contact_matches_unit_normal_projection():
         t, ux, uy = rt.values_at([u, u.diff("x"), u.diff("y")], p[None])[:, 0]
         xu = math.cos(t) * ux + math.sin(t) * uy
         theta = density_at(rt, p, 3)
-        volume = _minors_and_volume(rt, p[None])[2][0]
+        volume = minors_and_volume(rt, p[None])[2][0]
         assert theta * volume == pytest.approx(math.sqrt(1 + xu * xu), rel=1e-12)
 
 
@@ -139,7 +144,7 @@ def test_riemannian_area_r1_is_plain_area(engel_graph, grid64):
     plain = riemannian_area(engel_graph, 1.0, grid64)
     # the volume point by point, each a batch of one
     td_area = grid64.integrate_values(
-        np.array([_minors_and_volume(engel_graph, p[None])[2][0] for p in grid64.points])
+        np.array([minors_and_volume(engel_graph, p[None])[2][0] for p in grid64.points])
     )
     assert plain == pytest.approx(td_area, rel=1e-12)
     with pytest.raises(ValueError):
@@ -407,7 +412,7 @@ def test_subgrid_rule_matches_the_full_grid_sum(name, metric, params):
     imm = catalog.immersion(name, metric=metric, **params)
     grid = QuadratureGrid(imm.domain, (33, 32))
     sub, keep = imm.tangent_subgrid(grid.points, grid.orders)
-    minors, degrees, volume = _minors_and_volume(imm, sub)
+    minors, degrees, volume = minors_and_volume(imm, sub)
     pointwise = max_degrees(minors, degrees, DEGREE_EPS)
     deg_max = int(pointwise.max())
 
@@ -452,6 +457,20 @@ def test_dilated_area_sweep_equals_the_loop_over_r_bit_for_bit(name, metric, par
     assert [v.hex() for v in got] == [v.hex() for v in _dilated_areas_per_r(imm, grid, rs)]
 
 
+def test_gr_scale_overflow_is_refused_before_the_tangent_pass(engel_graph, monkeypatch):
+    # 1e-200 ** -3 leaves the floats: the r is named, and no tangent is evaluated
+    def no_tangent(self, points):
+        raise AssertionError("the tangent pass ran")
+
+    monkeypatch.setattr(Immersion, "ortho_tangent_grid", no_tangent)
+    grid = QuadratureGrid(engel_graph.domain, 8)
+    message = re.escape("g_r (r = 1e-200) scale r^-3 overflows a float")
+    with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+        scaling_limit_probe(engel_graph, 4, grid, [1e-1, 1e-200])
+    with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+        riemannian_area(engel_graph, 1e-200, grid)
+
+
 def test_subgrid_refusal_names_the_first_node_in_c_order():
     # the tangent map depends on y alone; its first non-finite node in C
     # order over the whole grid is still the one named
@@ -461,7 +480,7 @@ def test_subgrid_refusal_names_the_first_node_in_c_order():
     node = re.escape("quadrature node (0.019855071751231912, 0.019855071751231912)")
     with pytest.raises(DegenerateInputError, match=node):
         area_degree(imm, 3, grid)
-    with pytest.raises(DegenerateInputError, match=re.escape("grid point (0.125, 0.125)")):
+    with pytest.raises(DegenerateInputError, match=re.escape("not finite at (0.125, 0.125)")):
         degree_scan(imm, (4, 4))
 
 

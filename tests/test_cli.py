@@ -392,7 +392,7 @@ def test_cli_refuses_non_finite_area(capsys):
         (["area", "--degree", "3"], "(x-0.5)^2",
          "degree-3 area density is not finite at quadrature node (0.5, 0.015919880246186957)"),
         (["degree-scan"], "(x-0.5)^2",
-         "immersion tangent is not finite at grid point (0.5, 0.05555555555555555)"),
+         "immersion tangent is not finite at (0.5, 0.05555555555555555)"),
     ],
 )
 def test_frame_degenerate_on_the_image_is_refused(tmp_path, capsys, command, z, message):
@@ -468,7 +468,7 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
         (["area", "--catalog", "rt-graph:domain=12", "--degree", "3"], domain),
         # a non-finite tangent is refused at the first grid point, not by an SVD
         (["degree-scan", "--catalog", "rt-graph:u=sqrt(x-0.5)"],
-         "immersion tangent is not finite at grid point (0.125, 0.125)"),
+         "immersion tangent is not finite at (0.125, 0.125)"),
         (["gr-limit", "--catalog", "rt-graph:u=sqrt(x-0.5)", "--degree", "3"],
          "g_r (r = 0.1) area density is not finite at quadrature node "
          "(0.06943184420297371, 0.06943184420297371)"),
@@ -513,7 +513,11 @@ def test_cli_bad_input_is_one_line_exit_2(capsys):
         # tau is finite there; the squares of its minors overflow, which is no
         # rank deficiency
         (["degree-scan", "--catalog", "rt-graph:u=x^2000*1e300"],
-         "immersion tangent minors overflow at grid point (0.875, 0.125)"),
+         "immersion tangent minors overflow at (0.875, 0.125)"),
+        # a g_r scale r^-(excess) that leaves the floats, named before any array work
+        (["gr-limit", "--catalog", "engel-graph:theta=x", "--degree", "4",
+          "--r-seq", "1e-1,1e-200"],
+         "g_r (r = 1e-200) scale r^-3 overflows a float"),
     ],
 )
 def test_refusal_is_one_line_without_warnings(capsys, argv, message):
@@ -622,7 +626,7 @@ def test_curve_tangent_refusals_name_the_point(tmp_path, capsys):
         domain=[[0.0, 1.0]], base_coords=[0],
     )
     for command, message in (
-        (["degree-scan"], "immersion tangent is not finite at grid point (0.5,)"),
+        (["degree-scan"], "immersion tangent is not finite at (0.5,)"),
         (["regularity", "--degree", "2"], "immersion tangent is not finite at (0.5,)"),
     ):
         with pytest.raises(SystemExit) as exc:

@@ -159,6 +159,25 @@ def test_print_parse_roundtrip():
             assert v1 == pytest.approx(v2, rel=0, abs=0)
 
 
+def test_repr_of_a_large_shared_dag_is_short_and_quick():
+    # to_source writes a shared DAG out as a tree; the repr must not, so a
+    # failing assertion over a large root reports in bounded time and text
+    import time
+
+    imm = catalog.immersion("engel-graph", theta="0.37*x+0.29*y")
+    resid, _ = catalog.engel_el_residual_exprs(imm)
+    start = time.perf_counter()
+    text = repr(resid)
+    assert time.perf_counter() - start < 1.0
+    assert len(text) < 200
+    assert text.startswith(f"<{type(resid).__name__} of ") and " nodes: " in text
+    # a small node shows its operations down to the depth limit
+    assert repr(parse("x*y + 3/(x - 1)", ["x", "y"])) == (
+        "<Add of 8 nodes: Add(Mul(x, y), Div(3, Sub(x, 1)))>"
+    )
+    assert repr(var("x")) == "<Var of 1 nodes: x>"
+
+
 def test_third_order_derivative():
     e = parse("sin(2*x)", ["x"])
     d3 = derive(e, "x", order=3)

@@ -104,6 +104,9 @@ CASES = {
     "refuse-gr-limit-not-finite": (
         'gr-limit --catalog "rt-graph:u=sqrt(x-0.5)" --degree 3 --grid 8x8'
     ),
+    "refuse-gr-limit-scale-overflow": (
+        "gr-limit --catalog engel-graph:theta=x --degree 4 --grid 8x8 --r-seq 1e-1,1e-200"
+    ),
     "refuse-scan-overflow": "degree-scan --catalog rt-graph:u=x^2000*1e300 --grid 4x4",
     "degree-below-range": "area --catalog engel-graph:theta=0.3*x --degree -3 --grid 8x8",
     "degree-above-range": "area --catalog engel-graph:theta=0.3*x --degree 99 --grid 8x8",

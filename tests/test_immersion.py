@@ -7,7 +7,7 @@ import pytest
 
 from gradedgeo import catalog
 from gradedgeo.admissibility import frames_for
-from gradedgeo.area import QuadratureGrid, _minors_and_volume, area_degree, area_singular_set
+from gradedgeo.area import QuadratureGrid, area_degree, area_singular_set
 from gradedgeo.exprs import const, evaluate_many, parse, var, variables_each
 from gradedgeo.immersion import (
     Immersion,
@@ -139,7 +139,7 @@ def test_degenerate_point_errors_print_plain_floats():
         tuple(parse(src, ("x", "y")) for src in ("x^3", "y", "x^3", "0")),
         ((-1.0, 1.0), (0.0, 1.0)),
     )
-    with pytest.raises(DegenerateInputError, match=r"grid point \(0\.0, 0\.125\)$"):
+    with pytest.raises(DegenerateInputError, match=r"rank deficient at \(0\.0, 0\.125\)$"):
         degree_scan(cusp, (15, 4))
     with pytest.raises(DegenerateInputError, match=r"rank deficient at \(0\.0, 0\.5\)$"):
         cusp.degrees(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -251,8 +251,8 @@ def test_minors_row_norm_is_sqrt_det(name):
     points = QuadratureGrid(imm.domain, 8).points
     tau = imm.ortho_tangent_grid(points)
     oracle = np.sqrt(np.linalg.det(np.einsum("pim,pil->pml", tau, tau)))
-    minors, _, volume = _minors_and_volume(imm, points)
-    assert volume == pytest.approx(oracle, rel=1e-12)
+    *_, minors = imm.tangent_minors(points)
+    assert minors_norm(minors) == pytest.approx(oracle, rel=1e-12)
     assert np.linalg.norm(minors, axis=1) == pytest.approx(oracle, rel=1e-12)
 
 
@@ -350,7 +350,7 @@ def _dense_tangent_grids(imm, pts):
 def test_tangent_grids_bit_identical_to_dense_einsum(name, metric):
     imm = catalog.immersion(name, **({"metric": metric} if metric else {}))
     for pts in (imm.midpoint()[None, :], QuadratureGrid(imm.domain, 33).points):
-        got = imm._tangent_grids(pts)
+        got = imm.ortho_tangent_grid(pts)
         want = _dense_tangent_grids(imm, pts)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -408,13 +408,13 @@ def test_lsc_violations_match_point_loop(shape):
 
 def test_adapted_tangent_pivots_evaluate_tangent_grids_once(engel_graph, monkeypatch):
     calls = []
-    original = Immersion._tangent_grids
+    original = Immersion.ortho_tangent_grid
 
     def counted(self, points):
         calls.append(len(points))
         return original(self, points)
 
-    monkeypatch.setattr(Immersion, "_tangent_grids", counted)
+    monkeypatch.setattr(Immersion, "ortho_tangent_grid", counted)
     points = engel_graph.sample_points(5, seed=1)
     assert engel_graph.adapted_pivots(points) == [(1, 4)] * 5
     assert calls == [5]  # all the points in one evaluation
@@ -432,7 +432,7 @@ def test_tangent_grids_evaluate_once(engel_graph, monkeypatch):
         return original(roots, env)
 
     monkeypatch.setattr(immersion_module, "evaluate_many", counted)
-    engel_graph._tangent_grids(QuadratureGrid(engel_graph.domain, 8).points)
+    engel_graph.ortho_tangent_grid(QuadratureGrid(engel_graph.domain, 8).points)
     assert calls == [4 * 2 + 1]
 
 
