@@ -124,18 +124,11 @@ def _residual_from_system(frames, sym: SymbolicSystem, comps) -> list[Expr]:
 def residual_exprs(imm: Immersion, field: VariationField, d: int) -> list[Expr]:
     """Symbolic admissibility residual (length ell) for a variation field."""
     frames = frames_for(imm)
-    comps = list(field.components)
+    comps = frames.field_parts(field)
     if field.frame == "adapted":
-        sym = frames.adapted_system(d)
-        if len(comps) != frames.n:
-            raise ValueError("adapted-frame field needs n components")
-    else:
-        sym = frames.normal_system(d)
-        if len(comps) == frames.n:
-            comps = comps[frames.m :]  # tangent part is always admissible
-        if len(comps) != frames.n - frames.m:
-            raise ValueError("normal-frame field needs n or n-m components")
-    return _residual_from_system(frames, sym, comps)
+        return _residual_from_system(frames, frames.adapted_system(d), comps)
+    # the tangent part is always admissible
+    return _residual_from_system(frames, frames.normal_system(d), comps[frames.m :])
 
 
 def residual(imm: Immersion, field: VariationField, points, d: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Expr, call, const, dot, parse, var
+from .exprs import Expr, call, const, dot, evaluate_at, parse, var
 from .manifold import AdaptedFrame, Manifold, MetricField
 from .multivec import GrowthVector
 from .immersion import Immersion
@@ -246,10 +246,9 @@ def isolated_plane_probe(phi: Expr, psi: Expr, grid_points: np.ndarray) -> dict:
     degree 3 only if {psi_w + w phi_w, phi_v psi_w - psi_v phi_w,
     v (phi_v psi_w - psi_v phi_w) - (psi_v + w phi_v)} all vanish; for any
     nonzero pair some constraint fails somewhere, which is how the plane's
-    rigidity shows up numerically.
+    rigidity shows up numerically.  A constraint value that is not finite
+    is refused, naming its grid point (``evaluate_at``).
     """
-    from .exprs import evaluate_many
-
     v, w = var("v"), var("w")
     phi_v, phi_w = phi.diff("v"), phi.diff("w")
     psi_v, psi_w = psi.diff("v"), psi.diff("w")
@@ -259,9 +258,7 @@ def isolated_plane_probe(phi: Expr, psi: Expr, grid_points: np.ndarray) -> dict:
         cross,
         v * cross - (psi_v + w * phi_v),
     )
-    pts = np.asarray(grid_points, dtype=float)
-    env = {"v": pts[:, 0], "w": pts[:, 1]}
-    vals = evaluate_many(constraints, env)
+    vals = evaluate_at(constraints, ("v", "w"), grid_points)
     res = [float(np.max(np.abs(val))) for val in vals]
     return {
         "max_residual": max(res),

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .admissibility import VariationField, is_strongly_regular, residual_exprs
+from .admissibility import VariationField, is_strongly_regular, residual
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
@@ -225,7 +225,7 @@ def cmd_admissibility(args):
     d = _resolve_degree(args, imm)
     field = _load_field(args.field, imm.params)
     pts, _ = uniform_grid(imm.domain, _parse_grid(args.grid, imm.m))
-    res = imm.values_at(residual_exprs(imm, field, d), pts).T.copy()  # (N, ell), rows contiguous
+    res = residual(imm, field, pts, d)  # (N, ell), rows contiguous
     # per row the dot product that np.linalg.norm takes of a vector, bit for bit
     norms = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
     rows = [[*map(float, p), float(r)] for p, r in zip(pts, norms)]

@@ -359,68 +359,54 @@ class _Binary(Expr):
         a, b = rec(self.a), rec(self.b)
         return as_written(type(self), a, b) if written else _CONSTRUCTORS[type(self)](a, b)
 
+    def to_source(self):
+        # parenthesize a same-precedence right operand so reparsing rebuilds
+        # the identical tree (float arithmetic is not associative)
+        text_b = self.b.to_source()
+        if self.b.precedence <= self.precedence:
+            text_b = f"({text_b})"
+        return f"{self._wrapped(self.a)}{self.symbol}{text_b}"
+
 
 class Add(_Binary):
     __slots__ = ()
     tag = 3
     precedence = 1
+    symbol = " + "
 
     def _d(self, name):
         return add(self.a.diff(name), self.b.diff(name))
-
-    def to_source(self):
-        # parenthesize a same-precedence right operand so reparsing rebuilds
-        # the identical tree (float addition is not associative)
-        text_b = self.b.to_source()
-        if self.b.precedence <= self.precedence:
-            text_b = f"({text_b})"
-        return f"{self._wrapped(self.a)} + {text_b}"
 
 
 class Sub(_Binary):
     __slots__ = ()
     tag = 4
     precedence = 1
+    symbol = " - "
 
     def _d(self, name):
         return sub(self.a.diff(name), self.b.diff(name))
-
-    def to_source(self):
-        text_b = self.b.to_source()
-        if self.b.precedence <= self.precedence:
-            text_b = f"({text_b})"
-        return f"{self._wrapped(self.a)} - {text_b}"
 
 
 class Mul(_Binary):
     __slots__ = ()
     tag = 5
     precedence = 2
+    symbol = "*"
 
     def _d(self, name):
         return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
-
-    def to_source(self):
-        text_b = self.b.to_source()
-        if self.b.precedence <= self.precedence:
-            text_b = f"({text_b})"
-        return f"{self._wrapped(self.a)}*{text_b}"
 
 
 class Div(_Binary):
     __slots__ = ()
     tag = 6
     precedence = 2
+    symbol = "/"
 
     def _d(self, name):
         da, db = self.a.diff(name), self.b.diff(name)
         return div(sub(mul(da, self.b), mul(self.a, db)), powi(self.b, 2))
-
-    def to_source(self):
-        text_b = self.b.to_source()
-        if self.b.precedence <= self.precedence:
-            text_b = f"({text_b})"
-        return f"{self._wrapped(self.a)}/{text_b}"
 
 
 class Neg(Expr):
@@ -769,7 +755,7 @@ def _node(form: tuple) -> Expr:
         merged = _pythagorean(form)
         if merged is not None:
             return _node(merged)
-    cls = _kind(form)
+    cls = _split(form)[0]
     node = cls.__new__(cls)
     node._form = form
     node._vars = None
@@ -846,72 +832,62 @@ def _product(factors: tuple) -> Expr:
     return _node(((_mono(factors, ()), 1.0),))
 
 
-def _kind(form: tuple):
-    """The class of a form's canonical node, without making its operands (see ``_layout``)."""
+def _split(form: tuple):
+    """The class of a form's canonical node, and for a sum its head and tail forms.
+
+    A sum is its head (everything but the last group) and its tail (the last
+    group).  A group is the constant, all the terms of one magnitude other
+    than 1, or one term of magnitude 1: the terms of magnitude 1 fold
+    positive ones first.  A sum of one magnitude m != 1 has an empty head:
+    it is m * (a ± b ...).  A single term c * numerator / denominator has
+    neither (None, None).
+    """
     mono, c = form[-1]
     if len(form) == 1:
         num, den, _ = mono
+        if not num and c != 1.0 or den and c == 1.0:
+            return Div, None, None
         if c == -1.0:
-            return Div if not num else Neg
-        if c != 1.0:
-            return Div if not num else Mul
-        if den:
-            return Div
-        return Pow if len(num) == 1 else Mul
+            return Neg, None, None
+        return (Pow if c == 1.0 and len(num) == 1 else Mul), None, None
     m = abs(c)
-    if mono == _UNIT or m == 1.0:  # the last term alone: the constant, or a negative one first
-        if mono != _UNIT:
-            for _, c in form:
-                if c < 0.0:
-                    return Sub
-        return Add if c > 0.0 else Sub
-    i = len(form) - 1
-    while i and abs(form[i - 1][1]) == m:
-        i -= 1
-    group = form[i:]
-    if not i:
-        return Mul
-    return Add if any(c > 0.0 for _, c in group) else Sub
+    cut = len(form) - 1
+    if mono != _UNIT and m != 1.0:  # the constant sorts last, so none is in this group
+        while cut and abs(form[cut - 1][1]) == m:
+            cut -= 1
+        head, tail = form[:cut], form[cut:]
+        if not head:
+            return Mul, head, tail
+        negative = c < 0.0 and all(c < 0.0 for _, c in tail)
+        return (Sub if negative else Add), head, tail
+    if mono != _UNIT and c > 0.0:  # the tail is the last negative term, if any
+        for i, (_, c) in enumerate(form):
+            if c < 0.0:
+                cut = i
+    c = form[cut][1]
+    return (Add if c > 0.0 else Sub), form[:cut] + form[cut + 1 :], form[cut : cut + 1]
 
 
 def _layout(form: tuple):
-    """The class of a form's canonical node and its operands (``_kind`` picks the same class)."""
-    if len(form) == 1:  # c * numerator / denominator, each a left fold
+    """The class of a form's canonical node (``_split``) and its operands."""
+    cls, head, tail = _split(form)
+    if head is None:  # c * numerator / denominator, each a left fold
         mono, c = form[0]
         num, den, _ = mono
-        if not num and c != 1.0:
-            return Div, (const(c), _product(den))
-        if c == -1.0:
-            return Neg, (_node(((mono, 1.0),)),)
-        if c != 1.0:
-            return Mul, (const(c), _node(((mono, 1.0),)))
-        if den:
-            return Div, (_product(num) if num else _ONE, _product(den))
-        if len(num) == 1:
+        if cls is Div:
+            return Div, (_product(num) if num else const(c), _product(den))
+        if cls is Pow:
             return Pow, num[0]
-        return Mul, (_product(num[:-1]), _product(num[-1:]))
-    # a sum: everything but the last group, then the last group.  A group is
-    # the constant, all the terms of one magnitude other than 1, or one term
-    # of magnitude 1: the terms of magnitude 1 fold positive ones first.
-    mono, c = form[-1]
-    m = abs(c)
-    cut = len(form) - 1
-    if mono != _UNIT and m != 1.0:
-        while cut and abs(form[cut - 1][1]) == m and form[cut - 1][0] != _UNIT:
-            cut -= 1
-        head, tail = form[:cut], form[cut:]
-    else:
-        if mono != _UNIT and c > 0.0:
-            for i, (_, c) in enumerate(form):
-                if c < 0.0:
-                    cut = i
-        head, tail = form[:cut] + form[cut + 1 :], form[cut : cut + 1]
-    if not head:  # one magnitude m != 1: m * (a ± b ...)
+        if c == 1.0:
+            return Mul, (_product(num[:-1]), _product(num[-1:]))
+        unit = _node(((mono, 1.0),))
+        return cls, ((unit,) if cls is Neg else (const(c), unit))
+    if not head:
         m, unit = _unit_group(tail)
         return Mul, (const(m), _node(unit))
-    if tail[-1][1] > 0.0 or any(c > 0.0 for _, c in tail):
-        return Add, (_node(head), _node(tail))
-    return Sub, (_node(head), _node(tuple((mono, -c) for mono, c in tail)))
+    if cls is Sub:
+        tail = tuple((mono, -c) for mono, c in tail)
+    return cls, (_node(head), _node(tail))
 
 
 def _form_d(form: tuple, name: str) -> Expr | None:
@@ -1185,16 +1161,16 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 # reads a variable (or a register the fold below made a constant) and
 # writes an array of the env's broadcast shape.  A run fills one values
 # array (roots x points), row i holding root i, over blocks of at most
-# ``BLOCK_POINTS`` points.  A computed root writes straight into the row of
-# the first root that holds its register; every other node writes into a
-# row of one work array that the run allocates once and reuses for every
-# block.  A row returns to the free list at its node's last use, before
-# that instruction picks its own row, so the row count is the peak number
-# of live values and memory is O(live registers x block) plus the values.
-# After the blocks, a root that holds a constant or a variable is filled
-# from its value or binding, and a root that repeats an earlier root's
-# register is a copy of that row.  A batch of one writes no row: its
-# ufuncs allocate, so a refusal can print the operands it read.
+# ``BLOCK_POINTS`` points.  Every root is written by an instruction of its
+# own, straight into its row: a root that holds a constant or a variable,
+# or the register of an earlier root, is one ``positive`` copy of it into a
+# register of its own.  Every other node writes into a row of one work
+# array that the run allocates once and reuses for every block.  A row
+# returns to the free list at its node's last use, before that instruction
+# picks its own row, so the row count is the peak number of live values
+# and memory is O(live registers x block) plus the values.  A batch of one
+# writes no row: its ufuncs allocate, so a refusal can print the operands
+# it read.
 # Background: the tapes of Griewank & Walther, *Evaluating Derivatives*.
 #
 # Before buffers are assigned, one fold pass (``_Fold``) shrinks the
@@ -1222,9 +1198,9 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 # * Folds.  A certified zero becomes the constant 0, and x*0, 0/x, x+-0,
 #   0-x, -0 and 0^k (k > 0) follow from it; a certified duplicate reads the
 #   register below it; a certified negation is one ``negative`` of it.  Then
-#   instructions no root reads are dropped.  A root folded into a constant
-#   is that constant; one folded into a computed register is copied into
-#   a register of its own.
+#   instructions no root reads are dropped.  A folded root reads as the
+#   register it folded into, which the copy rule above then writes into
+#   its row.
 # * Never folded: a node built as written (``as_written``), a call, a
 #   power that stays whole, and any register for its floating-point value:
 #   ``0.1*x*3 - 0.3*x`` is 2^-54 x, not 0.  A fold changes a value by
@@ -1236,7 +1212,7 @@ _CONSTRUCTORS = {Add: add, Sub: sub, Mul: mul, Div: div}  # for ``Expr.substitut
 #   takes about 25 ms on the first (35 ms in a cold process).
 
 _BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
-_SYMBOLS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.divide: "/"}
+_SYMBOLS = {ufunc: cls.symbol.strip() for cls, ufunc in _BINARY_UFUNCS.items()}
 _CALL_NAMES = {ufunc: fn for fn, ufunc in _NP_FUNCS.items()}
 _CALL_UFUNCS = frozenset(_CALL_NAMES)
 
@@ -1253,8 +1229,7 @@ class _Tape:
     """Post-order instruction list of one root tuple (see above)."""
 
     __slots__ = (
-        "roots", "init", "loads", "code", "nbufs", "out", "copies", "fills", "folds",
-        "uncertified",
+        "roots", "init", "loads", "code", "nbufs", "out", "folds", "uncertified",
     )
 
     def __init__(self, roots: tuple):
@@ -1313,35 +1288,29 @@ class _Tape:
                 nodes.append(node)
                 code.append((fn, a, b, reg))
         fold = _Fold(init, nodes)
-        code, self.out = fold.run(code, [index[root] for root in roots])
+        code, out = fold.run(code, [index[root] for root in roots])
         self.folds, self.uncertified = fold.folds, fold.uncertified
+        # every root is written by an instruction: a leaf root, or one whose
+        # register an earlier root already writes, is one copy of it
+        slot: dict = {dst: -1 for _, _, _, dst in code}  # computed register -> its root, or -1
+        for i, reg in enumerate(out):
+            if slot.get(reg, i) >= 0:
+                code.append((np.positive, reg, -1, len(init)))
+                reg = out[i] = len(init)
+                init.append(None)
+            slot[reg] = i
+        self.out = out
         last_use = [-1] * len(init)  # register -> position of the last instruction reading it
         for pos, (fn, a, b, dst) in enumerate(code):
             last_use[a] = pos
             if b >= 0:
                 last_use[b] = pos
-        for reg in self.out:
+        for reg in out:
             last_use[reg] = len(code)  # results are never recycled
         self.init = init
         self.loads = loads
         # buffer i < len(roots) is row i of the values array, buffer
-        # len(roots) + k row k of the work array; a computed register writes
-        # the row of the first root that holds it
-        computed = {dst for _, _, _, dst in code}
-        slot: dict = {}
-        copies = []
-        for i, reg in enumerate(self.out):
-            if reg in slot:
-                copies.append((i, slot[reg]))
-            elif reg in computed:
-                slot[reg] = i
-        self.copies = tuple(copies)  # (root, earlier root of the same register)
-        # roots that hold a preloaded constant or a variable: (root, load or -1, constant)
-        load_of = {reg: k for k, (reg, _) in enumerate(loads)}
-        self.fills = tuple(
-            (i, load_of.get(reg, -1), init[reg])
-            for i, reg in enumerate(self.out) if reg not in computed
-        )
+        # len(roots) + k row k of the work array
         buf_of = [-1] * len(init)  # register -> its buffer while live
         free: list[int] = []
         nbufs = 0
@@ -1355,8 +1324,8 @@ class _Tape:
             if b >= 0 and last_use[b] == pos and buf_of[b] >= 0:
                 free.append(buf_of[b])
                 buf_of[b] = -1
-            o = slot.get(dst)
-            if o is None:
+            o = slot[dst]  # a root writes its row of the values
+            if o < 0:
                 if free:
                     o = free.pop()
                 else:
@@ -1389,7 +1358,12 @@ class _Tape:
         values = np.empty((len(self.out), *shape))  # per call: values never alias
         rows = values.reshape(len(self.out), size)
         block = min(size, BLOCK_POINTS)
-        work = np.empty((self.nbufs, block))
+        # the work array starts on a 64-byte cache line: where malloc puts it
+        # depends on what the process allocated before, and rows 16 bytes
+        # past a line made a pass of the EL tape (48^2 points) 15-19 % slower
+        raw = np.empty(self.nbufs * block + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        work = raw[skip : skip + self.nbufs * block].reshape(self.nbufs, block)
         with np.errstate(**(_POINT_ERRORS if one else _ARRAY_ERRORS)):
             for lo in range(0, size, block or 1):
                 hi = min(lo + block, size)
@@ -1409,10 +1383,6 @@ class _Tape:
                     raise _error(exc, fn, regs[a], regs[b] if b >= 0 else None) from None
         if one:
             return [np.asarray(regs[r]).item() for r in self.out]
-        for i, k, value in self.fills:
-            rows[i] = flat[k] if k >= 0 else value
-        for i, j in self.copies:
-            rows[i] = rows[j]
         return values
 
 
@@ -1560,22 +1530,7 @@ class _Fold:
                 kept.append(ins)
             elif folded == "neg":
                 kept.append(defs[dst])
-        # a root folded into a constant or a variable is that leaf; one folded
-        # into a computed register copies it into a register of its own, so
-        # every computed root's row is written by an instruction of its own
-        copies: dict = {}
-        out = list(out)
-        for i, r in enumerate(out):
-            t = alias.get(r)
-            if t is not None and defs[t] is None:
-                out[i] = t
-            elif t is not None:
-                if r not in copies:
-                    copies[r] = len(init)
-                    init.append(None)
-                    defs.append(None)
-                    kept.append((np.positive, t, -1, copies[r]))
-                out[i] = copies[r]
+        out = [alias.get(r, r) for r in out]  # a folded root reads as its fold
         # drop what no root reads
         live = bytearray(len(init) + 1)  # the last byte stands for b = -1
         for r in out:
@@ -1954,12 +1909,11 @@ def evaluate_many(exprs, env):
     values), so memory is O(live registers x block) besides the values, not
     O(all nodes x points).  With an array binding, values follow numpy
     semantics (non-finite values propagate, warnings are silenced); a
-    constant's row is filled with its value, a bare variable's with its
-    binding, and a repeated expression's row is a copy.  Without one the env
-    is a batch of one: the same ufuncs run on one-element arrays, so a
-    point's value is bit for bit its value on a grid, and division by zero,
-    a domain error or overflow in any operation raises
-    :class:`EvaluationError`.
+    constant's, a bare variable's or a repeated expression's row is written
+    by one copy instruction.  Without one the env is a batch of one: the
+    same ufuncs run on one-element arrays, so a point's value is bit for bit
+    its value on a grid, and division by zero, a domain error or overflow in
+    any operation raises :class:`EvaluationError`.
     """
     return _tape(tuple(exprs)).run(env)
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, const, evaluate_at, evaluate_many, parse
+from .exprs import Expr, const, evaluate_at, parse
 from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector
 from .symmat import (
     eidentity,
@@ -291,15 +291,17 @@ class CarnotFlagResult:
 
 
 def carnot_flag(horizontal_fields, coords, point) -> CarnotFlagResult:
-    """Iterate H^{i+1} = H^i + [H, H^i] and report the flag dimensions at a point."""
+    """Iterate H^{i+1} = H^i + [H, H^i] and report the flag dimensions at a point.
+
+    Each step's fields are evaluated in one pass at the point, a (1, n)
+    point set, so a value that is not finite is refused naming the point.
+    """
     n = len(coords)
-    env = dict(zip(coords, np.asarray(point, dtype=float)))
+    pt = np.asarray(point, dtype=float).reshape(1, n)
 
     def dim_of(fields) -> int:
-        vals = np.array(
-            [evaluate_many(list(f), env) for f in fields], dtype=float
-        ).T  # columns = fields
-        return numeric_rank(vals)
+        vals = evaluate_at([c for f in fields for c in f], coords, pt)
+        return numeric_rank(vals.reshape(len(fields), -1).T)  # columns = fields
 
     levels = [list(horizontal_fields)]
     dims = [dim_of(levels[0])]

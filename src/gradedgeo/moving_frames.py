@@ -502,32 +502,35 @@ class ImmersionFrames:
 
     # -- variational quantities -----------------------------------------------------
 
+    def field_parts(self, field) -> list[Expr]:
+        """The n components of a variation field on the frame it names, their count checked.
+
+        An adapted-frame field gives all n.  A normal-frame field gives n,
+        tangent first, or its n - m normal ones after m zero tangent ones.
+        """
+        comps, n, m = list(field.components), self.n, self.m
+        if field.frame == "adapted" and len(comps) != n:
+            raise ValueError(f"adapted-frame field needs {n} components, got {len(comps)}")
+        if field.frame == "normal" and len(comps) == n - m:
+            return [ZERO] * m + comps
+        if len(comps) != n:
+            raise ValueError(f"normal-frame field needs {n - m} or {n} components, got {len(comps)}")
+        return comps
+
     def ambient_field_from_variation(self, field) -> list[Expr]:
         """Ortho comps (n expressions) of a variation field."""
-        comps = list(field.components)
+        comps = self.field_parts(field)
         if field.frame == "adapted":
-            if len(comps) != self.n:
-                raise ValueError("adapted-frame field needs n components")
             return comps
-        if field.frame == "normal":
-            if len(comps) == self.n - self.m:
-                tangent = [ZERO] * self.m
-                normal = comps
-            elif len(comps) == self.n:
-                tangent = comps[: self.m]
-                normal = comps[self.m :]
-            else:
-                raise ValueError("normal-frame field needs n-m or n components")
-            out = []
-            for i in range(self.n):
-                acc = ZERO
-                for a in range(self.m):
-                    acc = acc + tangent[a] * self.E_amb[i][a]
-                for j in range(self.n - self.m):
-                    acc = acc + normal[j] * self.normal_amb[i][j]
-                out.append(acc)
-            return out
-        raise ValueError(f"unknown variation frame {field.frame!r}")
+        out = []
+        for i in range(self.n):
+            acc = ZERO
+            for a in range(self.m):
+                acc = acc + comps[a] * self.E_amb[i][a]
+            for j in range(self.n - self.m):
+                acc = acc + comps[self.m + j] * self.normal_amb[i][j]
+            out.append(acc)
+        return out
 
     def coord_comps(self, ortho_comps) -> list[Expr]:
         return [dot(self.ortho_mat[c], ortho_comps) for c in range(self.n)]

@@ -8,8 +8,8 @@ import pytest
 from gradedgeo import catalog, verify
 from gradedgeo.admissibility import frames_for
 from gradedgeo.area import QuadratureGrid, area_degree
-from gradedgeo.exprs import parse
-from gradedgeo.immersion import degree_scan
+from gradedgeo.exprs import EvaluationError, const, parse
+from gradedgeo.immersion import degree_scan, uniform_grid
 from gradedgeo.manifold import verify_filtration
 
 
@@ -113,6 +113,14 @@ def test_isolated_plane_probe_partial_satisfaction():
     psi = parse("-(w^2/2 - 1/2)*(4*w*(w^2-1))*(v^2-1)^2", ["v", "w"])
     result = verify.isolation([(phi, psi)], 64)
     assert result.passed, result.detail
+
+
+def test_isolated_plane_probe_refuses_a_value_that_is_not_finite():
+    # sqrt(v-2) is NaN on all of [-1, 1]^2, which a max over the residuals would drop
+    pts, _ = uniform_grid(((-1.0, 1.0), (-1.0, 1.0)), (8, 8))
+    with pytest.raises(EvaluationError) as exc:
+        catalog.isolated_plane_probe(parse("sqrt(v-2)", ["v", "w"]), const(0.0), pts)
+    assert str(exc.value) == "domain error in sqrt(-2.875) at grid point (-0.875, -0.875)"
 
 
 def test_contact_area_and_curvature_consistency():

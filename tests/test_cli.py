@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gradedgeo
-from gradedgeo import admissibility, catalog, cli, variation
+from gradedgeo import admissibility, catalog, variation
 from gradedgeo.admissibility import VariationField, residual
 from gradedgeo.cli import main
 from gradedgeo.immersion import uniform_grid
@@ -124,6 +124,24 @@ def test_admissibility_command(tmp_path):
     assert payload["max_residual_norm"] > 0.1  # X3 alone is not admissible
 
 
+COUNT_REFUSALS = {
+    "normal": "normal-frame field needs 2 or 4 components, got 3",
+    "adapted": "adapted-frame field needs 4 components, got 3",
+}
+
+
+@pytest.mark.parametrize("command", ["admissibility", "first-variation"])
+@pytest.mark.parametrize("frame", sorted(COUNT_REFUSALS))
+def test_field_component_count_is_refused_in_one_wording(tmp_path, capsys, command, frame):
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({"frame": frame, "components": ["0", "x", "y"]}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--catalog", "engel-graph:theta=0.2*x+0.3*y", "--degree", "4",
+                 "--grid", "4x4", "--field", str(field_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"gradedgeo: error: {COUNT_REFUSALS[frame]}\n"
+
+
 def test_admissibility_command_builds_residuals_once(tmp_path, monkeypatch):
     original = admissibility.residual_exprs
     builds = []
@@ -136,7 +154,6 @@ def test_admissibility_command_builds_residuals_once(tmp_path, monkeypatch):
     field_path = tmp_path / "field.json"
     field_path.write_text(json.dumps({"frame": "adapted", "components": components}))
     monkeypatch.setattr(admissibility, "residual_exprs", counted)
-    monkeypatch.setattr(cli, "residual_exprs", counted)
     theta = "0.2*x+0.3*y"
     code, out = run_cli(["admissibility", "--catalog", f"engel-graph:theta={theta}",
                          "--degree", "4", "--grid", "4x4", "--field", str(field_path)])

@@ -469,6 +469,26 @@ def test_array_buffers_are_recycled():
     assert _same_bytes([got], _reference_evaluate([chain], {"x": xs}))
 
 
+def test_work_rows_start_on_a_cache_line():
+    x, y = var("x"), var("y")
+    tape = exprs._Tape((call("sin", x * y) + x / (y + const(2.0)),))
+    offsets = []
+
+    def spy(fn):
+        def run(*args, out):
+            offsets.append(out.ctypes.data % 64)
+            return fn(*args, out=out)
+        return run
+
+    rows = len(tape.out)  # buffers from here on are rows of the work array
+    assert any(o >= rows for *_, o in tape.code)  # the sum's operands live in work rows
+    tape.code = [(spy(fn) if o >= rows else fn, a, b, dst, o) for fn, a, b, dst, o in tape.code]
+    xs = np.linspace(0.0, 1.0, exprs.BLOCK_POINTS + 3)
+    for _ in range(8):  # where malloc puts the array varies from call to call
+        tape.run({"x": xs, "y": xs[::-1]})
+    assert offsets and set(offsets) == {0}
+
+
 @pytest.mark.parametrize("size", [0, 1, exprs.BLOCK_POINTS, exprs.BLOCK_POINTS + 3])
 def test_blocked_run_matches_memo_walk(size):
     x, y = var("x"), var("y")
@@ -609,7 +629,10 @@ def test_differently_paired_products_compile_to_no_instructions():
     e = c * (s / d) - s * (c / d)
     assert isinstance(e, Sub)  # each product keeps its pairing in the normal form
     tape = exprs._Tape((e,))
-    assert tape.code == [] and tape.uncertified == 0
+    # the root folds to the constant 0, which one copy writes into its row
+    ((fn, a, b, _, _),) = tape.code
+    assert fn is np.positive and b < 0 and tape.init[a] == 0.0 and type(tape.init[a]) is np.float64
+    assert tape.uncertified == 0
     (got,) = evaluate_many([e], {"u": np.linspace(0.0, 3.0, 7), "D": 0.7})
     assert got.tolist() == [0.0] * 7
 

@@ -53,6 +53,10 @@ FIELDS = {
     "rototrans.json": ROTOTRANS,
     "graph.json": {**GRAPH, "domain": [[0.0, 1.0], [0.0, 1.0]]},
     "graph-no-domain.json": GRAPH,
+    # Jacobian rank deficient everywhere
+    "rank-deficient.json": {
+        "params": ["x", "y"], "components": ["x", "x", "x"], "domain": [[0, 1], [0, 1]],
+    },
 }
 
 CASES = {
@@ -130,12 +134,17 @@ CASES = {
     "h1xh1-mean-curvature-s3+s": (
         "mean-curvature --catalog h1xh1-surface:u=s^3+s --degree 3 --grid 4x4"
     ),
-    # the JSON spec path, and bad input: a missing key, a malformed expression
+    # the JSON spec path, and bad input: a missing key, a malformed expression,
+    # an immersion whose Jacobian is rank deficient
     "spec-area": "area --manifold rototrans.json --immersion graph.json --degree 3 --grid 16x16",
     "refuse-spec-missing-key": (
         "area --manifold rototrans.json --immersion graph-no-domain.json --degree 3 --grid 8x8"
     ),
     "refuse-parse-error": "area --catalog rt-graph:u=x*(y --degree 3 --grid 4x4",
+    "refuse-spec-rank-deficient": (
+        "regularity --manifold rototrans.json --immersion rank-deficient.json --degree 3"
+        " --grid 2x2"
+    ),
     # a derivative keeps its division by zero, and every grid evaluation of
     # parameter expressions names a domain error and its grid point
     "refuse-zero-denominator": "area --catalog h1xh1-surface:u=s/0 --degree 3 --grid 4x4",

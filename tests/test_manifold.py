@@ -127,6 +127,15 @@ def test_carnot_flag_stalls_on_integrable_distribution():
     assert not res.hormander
 
 
+def test_carnot_flag_refuses_a_domain_error_naming_the_point():
+    coords = ("x", "y", "z")
+    zero, one = const(0.0), const(1.0)
+    dy = [zero, one, parse("log(x)", coords)]
+    with pytest.raises(EvaluationError) as exc:
+        carnot_flag([[one, zero, zero], dy], coords, [-1.0, 0.0, 0.0])
+    assert str(exc.value) == "domain error in log(-1.0) at grid point (-1.0, 0.0, 0.0)"
+
+
 def test_flag_constant_over_samples(engel):
     rng = np.random.default_rng(3)
     horiz = [list(engel.frame.fields[0]), list(engel.frame.fields[1])]

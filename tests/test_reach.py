@@ -29,7 +29,6 @@ ABSTRACT = "abstract method of Expr, which every node class overrides"
 REPR = "bounded repr of a node, for reports of failing assertions (test_exprs)"
 
 KEPT = {
-    "admissibility.residual": "perfbench/tracer.py wraps it by name",
     "admissibility.system_shape": "library equiregularity scan; the grid frame structure of"
     " ROADMAP item 6 replaces it",
     "area.area_singular_set": "library function in gradedgeo.__all__, named in the README",
@@ -46,12 +45,9 @@ KEPT = {
     "exprs.Expr.__rtruediv__": OPERATOR,
     "exprs.Expr.__repr__": REPR,
     "exprs._head": REPR,
-    "exprs.Add.to_source": TO_SOURCE,
     "exprs.Call.to_source": TO_SOURCE,
-    "exprs.Mul.to_source": TO_SOURCE,
     "exprs.Neg.to_source": TO_SOURCE,
     "exprs.Pow.to_source": TO_SOURCE,
-    "exprs.Sub.to_source": TO_SOURCE,
     "exprs.Var.to_source": TO_SOURCE,
     "exprs.Neg._args": "node protocol of Neg, which only as_written builds (test_exprs)",
     "exprs.Neg._d": "node protocol of Neg, which only as_written builds (test_exprs)",
