@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Expr, const, parse
+from .exprs import Expr, dot, parse
 from .immersion import Immersion
-from .manifold import numeric_rank
+from .manifold import is_string, numeric_rank, require_keys, spec_list
 from .moving_frames import ImmersionFrames, SymbolicSystem, SystemShape
 from .multivec import TRANSPORT_TOL, DegenerateInputError, compound
-from .symmat import emat_mul, upper_triangular_inverse
+from .symmat import emat_mul, ematvec, etranspose, upper_triangular_inverse
 
 __all__ = [
     "VariationField",
@@ -64,8 +64,10 @@ class VariationField:
 
         if isinstance(data, str):
             data = json.loads(data)
-        comps = tuple(parse(src, params) for src in data["components"])
-        return cls(data["frame"], comps)
+        what = "variation field spec"
+        require_keys(data, ("frame", "components"), what)
+        sources = spec_list(data, "components", is_string, "strings", what)
+        return cls(data["frame"], tuple(parse(src, params) for src in sources))
 
 
 # The immersion owns its frames (``Immersion._frames``), so an entry lives
@@ -104,21 +106,14 @@ def system_shape(imm: Immersion, grid_points, d: int) -> SystemShape:
 
 
 def _residual_from_system(frames, sym: SymbolicSystem, comps) -> list[Expr]:
+    """Row i: sum_j C_j[i] . E_j(F) + B[i] . F + A[i] . G, with G the control components."""
     G = comps[: sym.control_cols]
     F = comps[sym.control_cols :]
-    out = []
-    for i in range(sym.shape.ell):
-        acc = const(0.0)
-        for j in range(frames.m):
-            param_col = [sym.tangent_param[a][j] for a in range(frames.m)]
-            for r, f in enumerate(F):
-                acc = acc + sym.C[j][i][r] * frames.tangent_derivative(param_col, f)
-        for r, f in enumerate(F):
-            acc = acc + sym.B[i][r] * f
-        for h, g in enumerate(G):
-            acc = acc + sym.A[i][h] * g
-        out.append(acc)
-    return out
+    EF = [frames.tangent_derivative(col, f) for col in etranspose(sym.tangent_param) for f in F]
+    return [
+        dot([*(c for Cj in sym.C for c in Cj[i]), *sym.B[i], *sym.A[i]], [*EF, *F, *G])
+        for i in range(sym.shape.ell)
+    ]
 
 
 def residual_exprs(imm: Immersion, field: VariationField, d: int) -> list[Expr]:
@@ -208,9 +203,8 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
     Ug = imm.manifold.ortho_change_exprs
     Ub = imm_b.manifold.ortho_change_exprs
     D = emat_mul(upper_triangular_inverse(Ug), Ub)
-    Dm = [[frames_g.compose(D[i][j]) for j in range(n)] for i in range(n)]
-    Dinv = upper_triangular_inverse(D)
-    Dinv_m = [[frames_g.compose(Dinv[i][j]) for j in range(n)] for i in range(n)]
+    Dm = [[imm.compose(e) for e in row] for row in D]
+    Dinv_m = [[imm.compose(e) for e in row] for row in upper_triangular_inverse(D)]
 
     sym_g = frames_g.adapted_system(d)
     rho, ell = sym_g.shape.rho, sym_g.shape.ell
@@ -222,24 +216,18 @@ def metric_change_check(imm: Immersion, points, metric_b, field: VariationField,
 
     # transported field components: v_X = D v_Y  =>  v_Y = D^{-1} v_X
     comps = list(field.components)
-    comps_b = [
-        sum((Dinv_m[i][j] * comps[j] for j in range(n)), const(0.0)) for i in range(n)
-    ]
+    comps_b = ematvec(Dinv_m, comps)
 
     res_g = _residual_from_system(frames_g, sym_g, comps)
     res_b = _residual_from_system(frames_b, sym_b, comps_b)
 
     # Lambda rows and columns: the degree > d indices (the system's basis)
     high = imm.multi_index_degrees > d
-    EjDv = []
-    for j in range(m):
-        param_col = [frames_g.adapted_param[a][j] for a in range(m)]
-        EjDv.append(
-            [
-                [frames_g.tangent_derivative(param_col, Dm[i][r]) for r in range(rho, n)]
-                for i in range(rho, n)
-            ]
-        )
+    EjDv = [
+        [[frames_g.tangent_derivative(col, Dm[i][r]) for r in range(rho, n)]
+         for i in range(rho, n)]
+        for col in etranspose(frames_g.adapted_param)
+    ]
 
     # one evaluation of D, both residuals, both systems and the E_j(D_v)
     pts = np.asarray(points, dtype=float)

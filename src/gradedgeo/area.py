@@ -21,6 +21,7 @@ axis, and its weights are the tensor weights themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,8 @@ def _dilated_areas(imm: Immersion, grid: QuadratureGrid, rs) -> list[float]:
 
 def riemannian_area(imm: Immersion, r: float, grid: QuadratureGrid) -> float:
     """Area of the image for the dilated metric g_r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
     return _dilated_areas(imm, grid, [r])[0]
 
 
@@ -211,8 +212,8 @@ def scaling_limit_probe(imm: Immersion, d: int, grid: QuadratureGrid, r_sequence
     and a zero limit when v collapses (d above it).
     """
     rs = [float(r) for r in r_sequence]
-    if any(r <= 0 for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("r sequence must be positive and strictly decreasing")
+    if not all(0 < r < math.inf for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
+        raise ValueError("r sequence must be finite, positive and strictly decreasing")
     m = imm.m
     vals = [r ** ((d - m) / 2.0) * area_r for r, area_r in zip(rs, _dilated_areas(imm, grid, rs))]
     vals_arr = np.array(vals)

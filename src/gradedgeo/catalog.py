@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exprs import Expr, call, const, dot, evaluate_at, parse, var
+from .exprs import Expr, add_all, call, const, dot, evaluate_at, parse, var
 from .manifold import AdaptedFrame, Manifold, MetricField
 from .multivec import GrowthVector
 from .immersion import Immersion
@@ -298,14 +298,13 @@ def contact_mean_curvature_exprs(imm: Immersion):
     nu_h = [xu / (norm_grad * nh_norm), -const(1.0) / (norm_grad * nh_norm), const(0.0)]
     nu_coord = frames.coord_comps(nu_h)
     horizontal = [row[: frames.flag_dims[0]] for row in frames.E_param]
-    div_h = const(0.0)
-    for dnu, e in zip(frames.nabla_table(horizontal, nu_coord), frames.E_cols):
-        div_h = div_h + dot(dnu, e)
+    table = frames.nabla_table(horizontal, nu_coord)
+    div_h = add_all([dot(dnu, e) for dnu, e in zip(table, frames.E_cols)])
     # bracket term via the graph extension (frame components held constant)
     nu_ext = frames.graph_extend_field(nu_h)
     t_field = [list(f) for f in imm.manifold.frame.fields][2]
     lie = lie_bracket_exprs(nu_ext, t_field, imm.manifold.coords)
-    lie_on_m = frames.to_ortho_comps([frames.compose(c) for c in lie])
+    lie_on_m = frames.to_ortho_comps([imm.compose(c) for c in lie])
     bracket_term = lie_on_m[2]  # <[nu_h, T], T> with T the third ortho field
     return -div_h + bracket_term, n_comps
 

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,8 @@ from .admissibility import VariationField, is_strongly_regular, residual
 from .area import QuadratureGrid, area_degree, scaling_limit_probe
 from .exprs import ExprError, parse as parse_expr
 from .immersion import Immersion, degree_scan, uniform_grid
-from .manifold import AdaptedFrame, Manifold, MetricField, require_keys
+from .manifold import (AdaptedFrame, Manifold, MetricField, is_int, is_interval, is_string,
+                       require_keys, spec_list)
 from .multivec import d_max
 from .variation import first_variation, mean_curvature
 
@@ -71,42 +71,18 @@ def _load_immersion(args) -> Immersion:
     mani = Manifold(frame, MetricField.from_json(metric_spec, frame.coords))
     with open(args.immersion, encoding="utf-8") as fh:
         idata = json.load(fh)
-    require_keys(idata, ("params", "components", "domain"), "immersion spec")
-    params = _spec_list(idata, "params", _is_string, "strings")
-    sources = _spec_list(idata, "components", _is_string, "strings")
-    domain = _spec_list(idata, "domain", _is_interval, "finite [lo, hi] pairs with lo < hi")
+    what = "immersion spec"
+    require_keys(idata, ("params", "components", "domain"), what)
+    params = spec_list(idata, "params", is_string, "strings", what)
+    sources = spec_list(idata, "components", is_string, "strings", what)
+    domain = spec_list(idata, "domain", is_interval, "finite [lo, hi] pairs with lo < hi", what)
     base = None
     if idata.get("base_coords") is not None:
         n = mani.n
-        base = _spec_list(idata, "base_coords", lambda i: _is_int(i) and 0 <= i < n,
-                          f"coordinate indices in 0..{n - 1}")
+        base = spec_list(idata, "base_coords", lambda i: is_int(i) and 0 <= i < n,
+                         f"coordinate indices in 0..{n - 1}", what)
     comps = tuple(parse_expr(src, params) for src in sources)
     return Immersion(mani, params, comps, domain, base_coords=base)
-
-
-def _is_string(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_interval(value) -> bool:
-    if not (isinstance(value, list) and len(value) == 2):
-        return False
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-        return False
-    lo, hi = value
-    return math.isfinite(lo) and math.isfinite(hi) and lo < hi
-
-
-def _spec_list(data: dict, key: str, is_item, what: str) -> list:
-    """``data[key]``, refused unless it is a JSON list whose items pass ``is_item``."""
-    value = data[key]
-    if not (isinstance(value, list) and all(map(is_item, value))):
-        raise ValueError(f"immersion spec key {key!r} must be a list of {what}")
-    return value
 
 
 def _parse_grid(text: str, m: int):

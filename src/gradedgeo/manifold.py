@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Expr, const, evaluate_at, parse
+from .exprs import Expr, const, dot, evaluate_at, parse
 from .multivec import FILTRATION_TOL, RANK_TOL, GrowthVector
 from .symmat import (
     eidentity,
@@ -43,6 +43,7 @@ __all__ = [
     "carnot_flag",
     "numeric_rank",
     "require_keys",
+    "spec_list",
 ]
 
 # Bracket-generation stops after this many steps when the flag has not
@@ -57,6 +58,31 @@ def require_keys(data, keys, what: str) -> None:
     for key in keys:
         if key not in data:
             raise ValueError(f"{what} is missing the key {key!r}")
+
+
+def spec_list(data: dict, key: str, is_item, what: str, spec: str) -> list:
+    """``data[key]`` of ``spec``, refused unless it is a JSON list whose items pass ``is_item``."""
+    value = data[key]
+    if not (isinstance(value, list) and all(map(is_item, value))):
+        raise ValueError(f"{spec} key {key!r} must be a list of {what}")
+    return value
+
+
+def is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_interval(value) -> bool:
+    if not (isinstance(value, list) and len(value) == 2):
+        return False
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+        return False
+    lo, hi = value
+    return math.isfinite(lo) and math.isfinite(hi) and lo < hi
 
 
 def numeric_rank(mat: np.ndarray):
@@ -96,8 +122,7 @@ class AdaptedFrame:
     @cached_property
     def matrix_exprs(self) -> list[list[Expr]]:
         """Frame matrix F with columns the frame fields (coordinates as rows)."""
-        n = self.n
-        return [[self.fields[j][i] for j in range(n)] for i in range(n)]
+        return etranspose(self.fields)
 
     @cached_property
     def coframe_exprs(self) -> list[list[Expr]]:
@@ -107,21 +132,25 @@ class AdaptedFrame:
     @classmethod
     def from_json(cls, data: dict) -> "AdaptedFrame":
         """Frame from a parsed manifold spec (``coordinates`` and ``frame`` keys)."""
-        require_keys(data, ("coordinates", "frame"), "manifold spec")
-        coords = data["coordinates"]
-        entries = data["frame"]
+        what = "manifold spec"
+        require_keys(data, ("coordinates", "frame"), what)
+        coords = spec_list(data, "coordinates", is_string, "strings", what)
+        entries = spec_list(data, "frame", lambda e: isinstance(e, dict), "objects", what)
+        sources = []
         for i, e in enumerate(entries):
-            require_keys(e, ("degree", "components"), f"manifold spec frame entry {i}")
-        degrees = [int(e["degree"]) for e in entries]
+            entry = f"{what} frame entry {i}"
+            require_keys(e, ("degree", "components"), entry)
+            if not (is_int(e["degree"]) and e["degree"] >= 1):
+                raise ValueError(f"{entry} key 'degree' must be an integer >= 1")
+            sources.append(spec_list(e, "components", is_string, "strings", entry))
+        degrees = [e["degree"] for e in entries]
         if degrees != sorted(degrees):
             raise ValueError("frame fields must be listed with nondecreasing degree")
         dims = []
         for layer in range(1, max(degrees) + 1):
             dims.append(sum(1 for d in degrees if d <= layer))
         growth = GrowthVector(tuple(dims))
-        fields = [
-            tuple(parse(src, coords) for src in e["components"]) for e in entries
-        ]
+        fields = [tuple(parse(src, coords) for src in comps) for comps in sources]
         return cls(coords, fields, growth)
 
 
@@ -153,6 +182,13 @@ class MetricField:
                 )
         if kind == "coordinate" and matrix is None:
             raise ValueError("coordinate metric needs the matrix of expressions")
+        for i, row in enumerate(matrix or ()):
+            for j in range(i):
+                if row[j] is not matrix[j][i]:  # nodes are interned by normal form
+                    raise ValueError(
+                        f"metric matrix is not symmetric: entry [{j}][{i}] is "
+                        f"{matrix[j][i].to_source()}, entry [{i}][{j}] is {row[j].to_source()}"
+                    )
 
     @classmethod
     def frame_orthonormal(cls) -> "MetricField":
@@ -182,7 +218,11 @@ class MetricField:
                 f"unknown metric {spec!r} (expected frame-orthonormal, euclidean, "
                 "FILE.json or an object with a \"matrix\" of expressions)"
             )
-        rows, n = spec["matrix"], len(coords)
+        rows = spec_list(
+            spec, "matrix", lambda row: isinstance(row, list) and all(map(is_string, row)),
+            "lists of strings", "metric spec",
+        )
+        n = len(coords)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"metric matrix must be {n} x {n}, one entry per coordinate pair")
         return cls.coordinate([[parse(src, coords) for src in row] for row in rows])
@@ -398,11 +438,8 @@ class Manifold:
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    total = zero
-                    for l in range(n):
-                        term = dG[i][j][l] + dG[j][i][l] - dG[l][i][j]
-                        total = total + Ginv[k][l] * term
-                    val = half * total
+                    terms = [dG[i][j][l] + dG[j][i][l] - dG[l][i][j] for l in range(n)]
+                    val = half * dot(Ginv[k], terms)
                     gamma[k][i][j] = val
                     gamma[k][j][i] = val
         return gamma

@@ -10,10 +10,13 @@ covariant-derivative helpers.  Covariant derivatives of a field W along the
 tangent fields t_i form one table (``nabla_table``); the divergence, the
 curvature summands and the system coefficients read it through one slot
 pairing (nabla_{t_i} W at slot i of the tangent wedge) and one Leibniz
-pairing (the tangent wedge against nabla_W X_J).  Each degree-d object
-(systems, Theta_d, H_d, control columns) is built once through one
-per-instance memo, and a system's matrices are evaluated over points (N, m)
-in one tape pass; one point is a (1, m) array.
+pairing (the tangent wedge against nabla_W X_J).  Contractions go through
+``exprs.dot`` and ``exprs.add_all`` and the ``symmat`` matrix helpers
+(``emat_mul``, ``ematvec``, ``etranspose``), which build the nodes of the
+left fold of ``add``.  Each degree-d object (systems, Theta_d, H_d, control
+columns) is built once through one per-instance memo, and a system's
+matrices are evaluated over points (N, m) in one tape pass; one point is a
+(1, m) array.
 
 Structural choices that need a fixed pattern over the domain (echelon pivot
 rows, normal Gram-Schmidt pivoting, invertible control-column selection) are
@@ -40,7 +43,7 @@ from .multivec import (
     all_multi_indices,
     dim_gt,
 )
-from .symmat import edet, einverse, emat_mul, gram_schmidt_from_gram
+from .symmat import edet, einverse, emat_mul, ematvec, etranspose, gram_schmidt_from_gram
 
 __all__ = ["ImmersionFrames", "SystemShape", "SymbolicSystem"]
 
@@ -129,10 +132,6 @@ class ImmersionFrames:
         self.base = imm.midpoint()[None]  # the base point, a (1, m) point set
         self._memo: dict = {}
 
-    def compose(self, expr: Expr) -> Expr:
-        """Restrict an ambient expression to the surface (``Immersion.compose``)."""
-        return self.imm.compose(expr)
-
     # -- frames --------------------------------------------------------------
 
     @property
@@ -151,13 +150,8 @@ class ImmersionFrames:
     @cached_property
     def mu_param(self):
         """Induced metric on the parameter basis: tau^T tau."""
-        n, m = self.n, self.m
         tau = self.imm.tau_exprs
-        out = [[ZERO for _ in range(m)] for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                out[a][b] = dot([tau[i][a] for i in range(n)], [tau[i][b] for i in range(n)])
-        return out
+        return emat_mul(etranspose(tau), tau)
 
     @cached_property
     def sqrt_detmu(self) -> Expr:
@@ -188,16 +182,7 @@ class ImmersionFrames:
 
     @cached_property
     def _tangent_gs(self):
-        gram = [
-            [
-                add_all(
-                    [self.adapted_amb[i][a] * self.adapted_amb[i][b] for i in range(self.n)]
-                )
-                for b in range(self.m)
-            ]
-            for a in range(self.m)
-        ]
-        return gram_schmidt_from_gram(gram)
+        return gram_schmidt_from_gram(emat_mul(etranspose(self.adapted_amb), self.adapted_amb))
 
     @cached_property
     def E_amb(self):
@@ -211,7 +196,7 @@ class ImmersionFrames:
     @cached_property
     def E_cols(self):
         """The orthonormal tangent frame fields as columns (ortho comps), m x n."""
-        return [[self.E_amb[i][a] for i in range(self.n)] for a in range(self.m)]
+        return etranspose(self.E_amb)
 
     # -- shape integers ------------------------------------------------------
 
@@ -285,7 +270,7 @@ class ImmersionFrames:
     @cached_property
     def normal_amb(self):
         """Ortho comps of the normal frame, n x (n-m), control block first."""
-        return [[col[i] for col in self.N_cols] for i in range(self.n)]
+        return etranspose(self.N_cols)
 
     # -- covariant machinery ----------------------------------------------------
 
@@ -327,10 +312,7 @@ class ImmersionFrames:
 
     def nabla_field_along(self, param_col, field_coord) -> list[Expr]:
         """nabla_v W for W given along M (coordinate comps), v tangent (param comps)."""
-        v_coord = [
-            dot(self.imm.jacobian_exprs[c], param_col)
-            for c in range(self.n)
-        ]
+        v_coord = ematvec(self.imm.jacobian_exprs, param_col)
         return [
             self.tangent_derivative(param_col, field_coord[c])
             + self._christoffel_sum(c, v_coord, field_coord)
@@ -348,7 +330,7 @@ class ImmersionFrames:
         ]
 
     def to_ortho_comps(self, coord_col) -> list[Expr]:
-        return [dot(row, coord_col) for row in self.imm.ortho_coframe_exprs]
+        return ematvec(self.imm.ortho_coframe_exprs, coord_col)
 
     def nabla_table(self, t_param, field_coord) -> list[list[Expr]]:
         """nabla_{t_i} W (ortho comps) for each tangent field t_i, a column of ``t_param``.
@@ -357,8 +339,8 @@ class ImmersionFrames:
         coordinate comps.
         """
         return [
-            self.to_ortho_comps(self.nabla_field_along([row[i] for row in t_param], field_coord))
-            for i in range(len(t_param[0]))
+            self.to_ortho_comps(self.nabla_field_along(col, field_coord))
+            for col in etranspose(t_param)
         ]
 
     def _slot_det(self, cols, J, slot=None, v=None) -> Expr:
@@ -375,29 +357,28 @@ class ImmersionFrames:
 
         ``weights`` maps multi-indices J to w_J; ``table`` is a ``nabla_table``.
         """
-        for i, dv in enumerate(table):
-            for J, w in weights.items():
-                total = total + w * self._slot_det(cols, J, i, dv)
-        return total
+        return add_all(
+            [total, *(w * self._slot_det(cols, J, i, dv)
+                      for i, dv in enumerate(table) for J, w in weights.items())]
+        )
 
     def _leibniz_pairing(self, cols, v_coord, weights) -> Expr:
         """sum over J of w_J <col_1 ^..^ col_m, nabla_v X_J>, v in coord comps.
 
         nabla_v X_J expands by the Leibniz rule over the slots of X_J.
         """
-        total = ZERO
-        for J, w in weights.items():
-            inner = ZERO
-            for slot in range(self.m):
-                dcol = self.to_ortho_comps(self.nabla_ambient_field(v_coord, J[slot] - 1))
-                inner = inner + edet(
-                    [
-                        [dot(col, dcol) if b == slot else col[j - 1] for b, j in enumerate(J)]
-                        for col in cols
-                    ]
-                )
-            total = total + w * inner
-        return total
+
+        def leibniz_term(J, slot):
+            dcol = self.to_ortho_comps(self.nabla_ambient_field(v_coord, J[slot] - 1))
+            return edet(
+                [[dot(col, dcol) if b == slot else col[j - 1] for b, j in enumerate(J)]
+                 for col in cols]
+            )
+
+        return add_all(
+            [w * add_all([leibniz_term(J, slot) for slot in range(self.m)])
+             for J, w in weights.items()]
+        )
 
     # -- degree-d data ------------------------------------------------------------
 
@@ -413,16 +394,15 @@ class ImmersionFrames:
 
     @_per_degree
     def theta(self, d: int) -> Expr:
-        coeffs = self.tangent_coeffs(d)
-        return call("sqrt", add_all([c * c for c in coeffs.values()]))
+        coeffs = self.tangent_coeffs(d).values()
+        return call("sqrt", dot(coeffs, coeffs))
 
     def div_tangent(self, param_comps) -> Expr:
         """Intrinsic divergence of a tangent field given in parameter comps."""
         w = self.sqrt_detmu
-        total = ZERO
-        for a, name in enumerate(self.imm.params):
-            total = total + (w * param_comps[a]).diff(name)
-        return div(total, w)
+        return div(
+            add_all([(w * c).diff(name) for c, name in zip(param_comps, self.imm.params)]), w
+        )
 
     # -- admissibility systems -----------------------------------------------------
 
@@ -445,12 +425,11 @@ class ImmersionFrames:
         with parameter comps ``t_param``.
         """
         shape = self.shape_for(d)
-        m = self.m
-        t_cols = [[t_amb[i][a] for i in range(self.n)] for a in range(m)]
+        t_cols = etranspose(t_amb)
         C = [
             [[self._slot_det(t_cols, J, j, col) for col in field_cols[controls:]]
              for J in shape.basis]
-            for j in range(m)
+            for j in range(self.m)
         ]
         field_coords = [self.coord_comps(col) for col in field_cols]
         tables = [self.nabla_table(t_param, fc) for fc in field_coords]
@@ -522,18 +501,10 @@ class ImmersionFrames:
         comps = self.field_parts(field)
         if field.frame == "adapted":
             return comps
-        out = []
-        for i in range(self.n):
-            acc = ZERO
-            for a in range(self.m):
-                acc = acc + comps[a] * self.E_amb[i][a]
-            for j in range(self.n - self.m):
-                acc = acc + comps[self.m + j] * self.normal_amb[i][j]
-            out.append(acc)
-        return out
+        return ematvec([[*E, *N] for E, N in zip(self.E_amb, self.normal_amb)], comps)
 
     def coord_comps(self, ortho_comps) -> list[Expr]:
-        return [dot(self.ortho_mat[c], ortho_comps) for c in range(self.n)]
+        return ematvec(self.ortho_mat, ortho_comps)
 
     def first_variation_roots(self, field, d: int) -> tuple[Expr, ...]:
         """(integrand, Theta_d, ambient field components) of the first variation.
@@ -571,16 +542,12 @@ class ImmersionFrames:
         """xi[i][j] = <E_1^..(N_j at slot i)..^E_m, unit degree-d part>, m x (n-m)."""
         theta = self.theta(d)
         coeffs = self.tangent_coeffs(d)
-        out = []
-        for i in range(self.m):
-            row = []
-            for ncol in self.N_cols:
-                acc = ZERO
-                for J, cJ in coeffs.items():
-                    acc = acc + cJ * self._slot_det(self.E_cols, J, i, ncol)
-                row.append(div(acc, theta))
-            out.append(row)
-        return out
+        return [
+            [div(dot(coeffs.values(), [self._slot_det(self.E_cols, J, i, ncol) for J in coeffs]),
+                 theta)
+             for ncol in self.N_cols]
+            for i in range(self.m)
+        ]
 
     @_per_degree
     def mean_curvature_exprs(self, d: int):
@@ -624,6 +591,4 @@ class ImmersionFrames:
         coordinate components.
         """
         ext = [self.graph_extend(c) for c in ortho_comps]
-        F = self.mani.ortho_matrix_exprs
-        n = self.n
-        return [add_all([F[c][a] * ext[a] for a in range(n)]) for c in range(n)]
+        return ematvec(self.mani.ortho_matrix_exprs, ext)

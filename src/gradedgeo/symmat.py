@@ -2,7 +2,9 @@
 
 Sizes here are tiny (n <= 6), so Laplace expansions and explicit
 Gram-Schmidt recursions are fine; constant folding in the expression layer
-keeps the trees compact.
+keeps the trees compact.  Matrix products (``emat_mul``) and matrix-vector
+products (``ematvec``) are one ``exprs.dot`` per entry, so they build the
+same nodes as the left fold of ``add`` over the products.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ __all__ = [
     "ezeros",
     "eidentity",
     "emat_mul",
+    "ematvec",
     "etranspose",
     "edet",
     "eadjugate",
@@ -43,6 +46,10 @@ def emat_mul(A, B):
         ks = [k for k, aik in enumerate(row) if aik is not ZERO]
         out.append([dot([row[k] for k in ks], [B[k][j] for k in ks]) for j in range(len(B[0]))])
     return out
+
+
+def ematvec(A, x) -> list[Expr]:
+    return [dot(row, x) for row in A]
 
 
 def edet(A) -> Expr:
@@ -91,9 +98,7 @@ def upper_triangular_inverse(U):
     for j in range(n - 1, -1, -1):
         inv[j][j] = div(ONE, U[j][j])
         for i in range(j - 1, -1, -1):
-            acc = ZERO
-            for k in range(i + 1, j + 1):
-                acc = acc + U[i][k] * inv[k][j]
+            acc = dot(U[i][i + 1 : j + 1], [inv[k][j] for k in range(i + 1, j + 1)])
             inv[i][j] = div(-acc, U[i][i])
     return inv
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .admissibility import VariationField, frames_for
 from .area import QuadratureGrid
-from .exprs import Expr, add_all, const, dot
+from .exprs import Expr, const, dot
 from .immersion import Immersion
 from .multivec import ACTIVE_REL_TOL, SUPPORT_TOL, THETA_FLOOR
-from .symmat import einverse
+from .symmat import einverse, emat_mul, ematvec, etranspose
 
 __all__ = [
     "MeanCurvatureAtPoint",
@@ -34,9 +34,6 @@ __all__ = [
     "duality_integral",
     "critical_residual_exprs",
 ]
-
-ZERO = const(0.0)
-
 
 def _support_check(imm: Immersion, comps):
     """Refuse a field that does not vanish, or is not finite, on the domain boundary."""
@@ -117,13 +114,8 @@ def mean_curvature(imm: Immersion, points, d: int) -> list[MeanCurvatureAtPoint]
 def mean_curvature_field_exprs(imm: Immersion, d: int) -> list[Expr]:
     """Ortho-frame components of H_d as expressions over the parameters."""
     frames = frames_for(imm)
-    triples = frames.mean_curvature_exprs(d)
-    out = [ZERO for _ in range(frames.n)]
-    for j, (h1, h2, h3) in enumerate(triples):
-        hj = h1 + h2 + h3
-        for i in range(frames.n):
-            out[i] = out[i] + hj * frames.normal_amb[i][j]
-    return out
+    H = [h1 + h2 + h3 for h1, h2, h3 in frames.mean_curvature_exprs(d)]
+    return ematvec(frames.normal_amb, H)
 
 
 def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid, d: int) -> float:
@@ -131,9 +123,8 @@ def duality_integral(imm: Immersion, field: VariationField, grid: QuadratureGrid
     frames = frames_for(imm)
     triples = frames.mean_curvature_exprs(d)
     comps = frames.ambient_field_from_variation(field)
-    total = ZERO
-    for (h1, h2, h3), ncol in zip(triples, frames.N_cols):
-        total = total + (h1 + h2 + h3) * dot(comps, ncol)
+    H = [h1 + h2 + h3 for h1, h2, h3 in triples]
+    total = dot(H, [dot(comps, ncol) for ncol in frames.N_cols])
     (values,) = imm.values_at([total * frames.sqrt_detmu], grid.points)
     return grid.integrate_values(values)
 
@@ -177,10 +168,7 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
     Ahat = [[sym.A[i][c] for c in hat_cols] for i in range(ell)]
     Ahat_inv = einverse(Ahat)
     Hhat = [H[c] for c in hat_cols]
-    # row vector w = H^hat (A^hat)^{-1}
-    w = [
-        add_all([Hhat[i] * Ahat_inv[i][q] for i in range(ell)]) for q in range(ell)
-    ]
+    (w,) = emat_mul([Hhat], Ahat_inv)  # the row vector H^hat (A^hat)^{-1}
     iota_res = []
     for pos, c in enumerate(iota_cols):
         acc = H[c]
@@ -193,9 +181,8 @@ def critical_residual_exprs(imm: Immersion, d: int, columns=None) -> CriticalRes
         acc = H[k + r]
         for q in range(ell):
             acc = acc - w[q] * sym.B[q][r]
-        for j in range(m):
-            u = add_all([w[q] * sym.C[j][q][r] for q in range(ell)])
-            param_col = [sym.tangent_param[a][j] for a in range(m)]
+        for Cj, param_col in zip(sym.C, etranspose(sym.tangent_param)):
+            u = dot(w, [Cj[q][r] for q in range(ell)])
             div_e = frames.div_tangent(param_col)
             acc = acc - (-frames.tangent_derivative(param_col, u) - div_e * u)
         vert_res.append(acc)

@@ -292,7 +292,7 @@ def test_beta_nabla_form_matches_bracket_form(engel_graph):
         total = np.zeros(len(points))
         for j in range(m):
             lie = lie_bracket_exprs(e_ext[j], field, coords)
-            lie_m = fr.to_ortho_comps([fr.compose(c) for c in lie])
+            lie_m = fr.to_ortho_comps([fr.imm.compose(c) for c in lie])
             cols = []
             for a in range(m):
                 if a == j:
@@ -411,7 +411,7 @@ def _symbolic_lambda(imm, metric_b, p):
     n, m = imm.n, imm.m
     Ub = imm.with_metric(metric_b).manifold.ortho_change_exprs
     D = emat_mul(upper_triangular_inverse(imm.manifold.ortho_change_exprs), Ub)
-    Dm = [[fr.compose(D[i][j]) for j in range(n)] for i in range(n)]
+    Dm = [[fr.imm.compose(D[i][j]) for j in range(n)] for i in range(n)]
     idx = list(all_multi_indices(n, m))
     lam = [[edet([[Dm[a - 1][b - 1] for b in I] for a in J]) for I in idx] for J in idx]
     return param_matrix_at(imm, lam, p), param_matrix_at(imm, Dm, p)

@@ -149,6 +149,9 @@ def test_riemannian_area_r1_is_plain_area(engel_graph, grid64):
     assert plain == pytest.approx(td_area, rel=1e-12)
     with pytest.raises(ValueError):
         riemannian_area(engel_graph, -1.0, grid64)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^r must be finite and positive, got {r}$"):
+            riemannian_area(engel_graph, r, grid64)
 
 
 def test_riemannian_area_near_limit(engel_graph, grid64):
@@ -212,6 +215,9 @@ def test_scaling_probe_zero_above_degree(engel_graph, grid64, engel_scaling):
     assert engel_scaling.passed, engel_scaling.detail
     with pytest.raises(ValueError):
         scaling_limit_probe(engel_graph, 4, grid64, [0.1, 0.2])
+    for rs in ([math.inf, 0.1], [math.nan, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError, match="^r sequence must be finite, positive and strictly"):
+            scaling_limit_probe(engel_graph, 4, grid64, rs)
 
 
 def test_area_singular_set_vanishes():

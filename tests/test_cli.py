@@ -213,35 +213,77 @@ def test_mean_curvature_command():
     assert len(payload["points"][0]["H"]) == 1
 
 
+def _specs():
+    """The JSON specs of the rototrans graph theta = x, a Euclidean metric and a normal field."""
+    return {
+        "manifold": {
+            "coordinates": ["x", "y", "theta"],
+            "frame": [
+                {"degree": 1, "components": ["cos(theta)", "sin(theta)", "0"]},
+                {"degree": 1, "components": ["0", "0", "1"]},
+                {"degree": 2, "components": ["sin(theta)", "-cos(theta)", "0"]},
+            ],
+            "metric": "frame-orthonormal",
+        },
+        "immersion": {
+            "params": ["x", "y"],
+            "components": ["x", "y", "x"],
+            "domain": [[0.0, 1.0], [0.0, 1.0]],
+            "base_coords": [0, 1],
+        },
+        "metric": {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        "field": {"frame": "normal", "components": ["x*(1-x)*y*(1-y)"]},
+    }
+
+
+def _write_specs(tmp_path, specs) -> dict:
+    paths = {name: tmp_path / f"{name}.json" for name in specs}
+    for name, spec in specs.items():
+        paths[name].write_text(json.dumps(spec))
+    return {name: str(path) for name, path in paths.items()}
+
+
 def _spec_files(tmp_path, missing=None, **immersion_values):
     """``--manifold``/``--immersion`` arguments for the rototrans graph theta = x.
 
     ``missing`` names a top-level key left out of whichever spec has it;
     ``immersion_values`` replace values of the immersion spec.
     """
-    manifold_spec = {
-        "coordinates": ["x", "y", "theta"],
-        "frame": [
-            {"degree": 1, "components": ["cos(theta)", "sin(theta)", "0"]},
-            {"degree": 1, "components": ["0", "0", "1"]},
-            {"degree": 2, "components": ["sin(theta)", "-cos(theta)", "0"]},
-        ],
-        "metric": "frame-orthonormal",
-    }
-    immersion_spec = {
-        "params": ["x", "y"],
-        "components": ["x", "y", "x"],
-        "domain": [[0.0, 1.0], [0.0, 1.0]],
-        "base_coords": [0, 1],
-    }
-    immersion_spec.update(immersion_values)
-    for spec in (manifold_spec, immersion_spec):
+    specs = _specs()
+    specs["immersion"].update(immersion_values)
+    for spec in specs.values():
         spec.pop(missing, None)
-    mpath = tmp_path / "manifold.json"
-    ipath = tmp_path / "immersion.json"
-    mpath.write_text(json.dumps(manifold_spec))
-    ipath.write_text(json.dumps(immersion_spec))
-    return ["--manifold", str(mpath), "--immersion", str(ipath)]
+    paths = _write_specs(tmp_path, specs)
+    return ["--manifold", paths["manifold"], "--immersion", paths["immersion"]]
+
+
+# where a missing key or a bad value sits: a spec of ``_specs`` or frame entry 0
+SPEC_NAMES = {
+    "manifold": "manifold spec",
+    "entry": "manifold spec frame entry 0",
+    "metric": "metric spec",
+    "immersion": "immersion spec",
+    "field": "variation field spec",
+}
+
+
+def _spec_admissibility(tmp_path, where, key, value=None):
+    """Admissibility on ``_specs`` with ``key`` of ``where`` left out, or set to ``value``.
+
+    An empty ``key`` makes the whole spec ``value``.
+    """
+    specs = _specs()
+    target = specs["manifold"]["frame"][0] if where == "entry" else specs[where]
+    if not key:
+        specs[where] = value
+    elif value is None:
+        del target[key]
+    else:
+        target[key] = value
+    paths = _write_specs(tmp_path, specs)
+    return ["admissibility", "--manifold", paths["manifold"], "--immersion", paths["immersion"],
+            "--metric", paths["metric"], "--field", paths["field"],
+            "--degree", "3", "--grid", "2x2"]
 
 
 def test_manifold_immersion_files(tmp_path):
@@ -258,15 +300,17 @@ def test_manifold_immersion_files(tmp_path):
         ("immersion", "params"),
         ("immersion", "components"),
         ("immersion", "domain"),
+        ("field", "frame"),
+        ("field", "components"),
     ],
 )
 def test_spec_missing_key_is_one_line_exit_2(tmp_path, capsys, spec, key):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["area", *_spec_files(tmp_path, missing=key), "--degree", "3", "--grid", "8x8"])
+        run_cli(_spec_admissibility(tmp_path, spec, key))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"gradedgeo: error: {spec} spec is missing the key '{key}'\n"
+    assert captured.err == f"gradedgeo: error: {SPEC_NAMES[spec]} is missing the key '{key}'\n"
 
 
 PAIRS = "finite [lo, hi] pairs with lo < hi"
@@ -288,15 +332,30 @@ PAIRS = "finite [lo, hi] pairs with lo < hi"
         ("domain", [[0.0, float("inf")], [0.0, 1.0]], PAIRS),
         ("base_coords", 5, "coordinate indices in 0..2"),
         ("base_coords", [0, 3], "coordinate indices in 0..2"),
+        # SPEC:KEY names a key of another spec of SPEC_NAMES, SPEC: a whole spec
+        ("manifold:coordinates", "xyz", "strings"),
+        ("manifold:frame", 3, "objects"),
+        ("entry:degree", [1], "an integer >= 1"),
+        ("entry:degree", 0, "an integer >= 1"),
+        ("entry:degree", 1.0, "an integer >= 1"),
+        ("entry:components", [1, "0", "0"], "strings"),
+        ("metric:matrix", [[1, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "lists of strings"),
+        ("metric:matrix", ["1", "0", "0"], "lists of strings"),
+        ("field:", ["0"], "a JSON object"),
+        ("field:components", [0, 1], "strings"),
+        ("field:components", "0", "strings"),
     ],
 )
 def test_spec_bad_value_is_one_line_exit_2(tmp_path, capsys, key, value, what):
+    where, _, key = key.rpartition(":")
     with pytest.raises(SystemExit) as exc:
-        run_cli(["area", *_spec_files(tmp_path, **{key: value}), "--degree", "3", "--grid", "8x8"])
+        run_cli(_spec_admissibility(tmp_path, where or "immersion", key, value))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"gradedgeo: error: immersion spec key '{key}' must be a list of {what}\n"
+    spec = SPEC_NAMES[where or "immersion"] + (f" key '{key}'" if key else "")
+    must = what if what.startswith(("a ", "an ")) else f"a list of {what}"
+    assert captured.err == f"gradedgeo: error: {spec} must be {must}\n"
 
 
 def test_manifold_files_metric_spec(tmp_path, capsys):

@@ -569,8 +569,10 @@ def test_factors_commute_and_like_terms_merge():
 
 def test_add_all_is_the_left_fold():
     # past FORM_CAP the fold makes partial sums atoms; cancelling, constant
-    # and zero items on the way
+    # and zero items on the way.  dot, ematvec and emat_mul are the same
+    # fold over the products, constant factors (0, 1, -1, 1.5) among them.
     rng = np.random.default_rng(11)
+    factor_rng = np.random.default_rng(12)
     x, y = var("x"), var("y")
     for n in (0, 1, 2, 17, 40):
         items = [_random_expr(rng, ["x", "y"], 2) for _ in range(n)]
@@ -581,6 +583,37 @@ def test_add_all_is_the_left_fold():
         for e in items:
             fold = fold + e
         assert exprs.add_all(items) is fold
+
+        factors = [const(c) for c in (0.0, 1.0, -1.0, 1.5)]
+        factors += [_random_expr(factor_rng, ["x", "y"], 2) for _ in range(len(items) - 4)]
+        factor_rng.shuffle(factors)
+        fold = const(0.0)
+        for e, f in zip(items, factors):
+            fold = fold + e * f
+        assert exprs.dot(items, factors) is fold
+        assert exprs.dot(factors, items) is fold
+
+        # a matrix of the items with a zero row entry, its transpose and a vector
+        k = 5
+        A = [items[i : i + k] for i in range(0, len(items) - k + 1, k)]
+        A[0][1] = const(0.0)
+        B = symmat.etranspose(A)
+        vec = factors[:k]
+        rows = []
+        for row in A:
+            fold = const(0.0)
+            for a, v in zip(row, vec):
+                fold = fold + a * v
+            rows.append(fold)
+        got = symmat.ematvec(A, vec)
+        assert len(got) == len(rows) and all(map(operator.is_, got, rows))
+        product = symmat.emat_mul(A, B)
+        for i, row in enumerate(A):
+            for j in range(len(A)):
+                fold = const(0.0)
+                for a, b in zip(row, B):
+                    fold = fold + a * b[j]
+                assert product[i][j] is fold
 
 
 def test_negative_numbers_get_distinct_keys():

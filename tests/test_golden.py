@@ -50,6 +50,9 @@ FIELDS = {
     "field-st.json": {"frame": "normal", "components": ["0", "0", "0", "s*t"]},
     # NaN on the boundary x = 0, where it is no compactly supported field
     "field-sqrt.json": {"frame": "normal", "components": ["0", f"sqrt(x-0.3)*{BUMP}"]},
+    "field-no-components.json": {"frame": "normal"},
+    # g(X, Y) = 0.5 but g(Y, X) = 0
+    "metric-not-symmetric.json": {"matrix": [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     "rototrans.json": ROTOTRANS,
     "graph.json": {**GRAPH, "domain": [[0.0, 1.0], [0.0, 1.0]]},
     "graph-no-domain.json": GRAPH,
@@ -135,10 +138,18 @@ CASES = {
         "mean-curvature --catalog h1xh1-surface:u=s^3+s --degree 3 --grid 4x4"
     ),
     # the JSON spec path, and bad input: a missing key, a malformed expression,
-    # an immersion whose Jacobian is rank deficient
+    # an immersion whose Jacobian is rank deficient, a metric that is not symmetric
     "spec-area": "area --manifold rototrans.json --immersion graph.json --degree 3 --grid 16x16",
     "refuse-spec-missing-key": (
         "area --manifold rototrans.json --immersion graph-no-domain.json --degree 3 --grid 8x8"
+    ),
+    "refuse-field-missing-key": (
+        "admissibility --catalog engel-graph:theta=0.2*x+0.3*y --degree 4"
+        " --field field-no-components.json"
+    ),
+    "refuse-metric-not-symmetric": (
+        "area --manifold rototrans.json --immersion graph.json --metric metric-not-symmetric.json"
+        " --degree 3 --grid 4x4"
     ),
     "refuse-parse-error": "area --catalog rt-graph:u=x*(y --degree 3 --grid 4x4",
     "refuse-spec-rank-deficient": (

@@ -334,3 +334,18 @@ def test_manifold_json_roundtrip():
     del spec["frame"][1]["degree"]
     with pytest.raises(ValueError, match="^manifold spec frame entry 1 is missing the key 'degree'$"):
         AdaptedFrame.from_json(spec)
+
+
+def test_coordinate_metric_must_be_symmetric():
+    coords = ("x", "y", "theta")
+    rows = [["1", "x*y", "0"], ["y*x", "2", "0"], ["0", "0", "1"]]
+    # constructors intern by normal form: x*y and y*x are one node
+    metric = MetricField.from_json({"matrix": rows}, coords)
+    assert metric.matrix[0][1] is metric.matrix[1][0]
+    rows[2][1] = "0.5"
+    message = r"^metric matrix is not symmetric: entry \[1\]\[2\] is 0, entry \[2\]\[1\] is 0\.5$"
+    with pytest.raises(ValueError, match=message):
+        MetricField.from_json({"matrix": rows}, coords)
+    rows[1][0] = "x"  # the first pair in row order is named
+    with pytest.raises(ValueError, match=r"entry \[0\]\[1\] is x\*y, entry \[1\]\[0\] is x$"):
+        MetricField.coordinate([[parse(src, coords) for src in row] for row in rows])
