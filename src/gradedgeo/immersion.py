@@ -356,9 +356,9 @@ class Immersion:
             nj = growth.dims[j - 1]
             upper = tau[nj:, :]
             if upper.size:
-                _, svals, vt = np.linalg.svd(upper)
-                rank = int(np.sum(svals > RANK_TOL * max(svals[0], 1e-300)))
-                subspace = vt[rank:, :].T  # columns span T cap H^j in params
+                # the last ``target`` right singular vectors span T cap H^j in
+                # params: ``_flag_dims`` ranked this block as m - target
+                subspace = np.linalg.svd(upper)[2][self.m - target:, :].T
             else:
                 subspace = np.eye(self.m)
             lo, hi = growth.layer_slice(j)

@@ -136,6 +136,8 @@ class AdaptedFrame:
         require_keys(data, ("coordinates", "frame"), what)
         coords = spec_list(data, "coordinates", is_string, "strings", what)
         entries = spec_list(data, "frame", lambda e: isinstance(e, dict), "objects", what)
+        if not entries:
+            raise ValueError(f"{what} key 'frame' must be a nonempty list of objects")
         sources = []
         for i, e in enumerate(entries):
             entry = f"{what} frame entry {i}"

@@ -344,6 +344,7 @@ PAIRS = "finite [lo, hi] pairs with lo < hi"
         ("field:", ["0"], "a JSON object"),
         ("field:components", [0, 1], "strings"),
         ("field:components", "0", "strings"),
+        ("manifold:frame", [], "a nonempty list of objects"),
     ],
 )
 def test_spec_bad_value_is_one_line_exit_2(tmp_path, capsys, key, value, what):

@@ -1,36 +1,46 @@
-"""The byte contract of the command line: one fixed command list against ``tests/golden/``.
+"""The byte and tape contracts of the command line: one fixed command list against ``tests/golden/``.
 
-Each case runs ``cli.main`` in-process and compares its exit status, stdout,
-stderr and warnings, byte for byte, with its file in ``tests/golden/``.  The
-list holds the README commands, one command per benchmark cli kind (the
+One fresh process (``tests/corpus.py``) runs every case below, then
+``gradedgeo verify``, then one case again, and reports each case's golden
+text (exit status, stdout, stderr and warnings), the package functions no
+command reached (``test_reach``) and one line per compiled tape.  The list
+holds the README commands, one command per benchmark cli kind (the
 benchmark's variant 0), the refusals that CI requires, the h1xh1 singular
 cases, a 128x128 first variation and the ``--manifold``/``--immersion``
-spec path.  ``gradedgeo verify`` is not in it.
+spec path.
 
-A change that moves output bytes rewrites the corpus in the same commit:
+Each case's text is compared, byte for byte, with its file in
+``tests/golden/``.  Last digits depend on numpy's ufunc kernels (its
+version, and whether the CPU runs the AVX-512 ones), so
+``tests/golden/PLATFORM`` records the platform the corpus was written on,
+and the byte comparison runs only there.
+
+The tape table (one line per compiled tape, in compile order: the case,
+the instruction count, the work rows, a code digest and a constants digest)
+is compared with ``tests/golden/TAPES`` on every platform, so a refactor of
+the expression core that moves a tape fails here even where no golden
+float moves.  The second run of ``corpus.AGAIN`` must compile the same
+tapes and print the same text as its first.
+
+A change that moves output bytes or tapes rewrites the ``*.txt`` files,
+``PLATFORM`` and ``TAPES`` in the same commit, from the same fresh-process
+pass:
 
     python tests/test_golden.py
 
-so ``git diff tests/golden/`` lists every byte that moved.
-
-Last digits depend on numpy's ufunc kernels (its version, and whether the
-CPU runs the AVX-512 ones), so ``tests/golden/PLATFORM`` records the
-platform the corpus was written on, and the comparison runs only there.
+so ``git diff tests/golden/`` lists every byte and every tape that moved.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 import os
-import shlex
-import sys
-import warnings
 
 import pytest
 
+import corpus
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TAPES = os.path.join(GOLDEN, "TAPES")
 
 BUMP = "(16*x*(1-x)*y*(1-y))^2"
 # the rototrans graph theta = x as JSON specs, and its immersion without a domain
@@ -54,6 +64,7 @@ FIELDS = {
     # g(X, Y) = 0.5 but g(Y, X) = 0
     "metric-not-symmetric.json": {"matrix": [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     "rototrans.json": ROTOTRANS,
+    "empty-frame.json": {**ROTOTRANS, "frame": []},
     "graph.json": {**GRAPH, "domain": [[0.0, 1.0], [0.0, 1.0]]},
     "graph-no-domain.json": GRAPH,
     # Jacobian rank deficient everywhere
@@ -137,11 +148,15 @@ CASES = {
     "h1xh1-mean-curvature-s3+s": (
         "mean-curvature --catalog h1xh1-surface:u=s^3+s --degree 3 --grid 4x4"
     ),
-    # the JSON spec path, and bad input: a missing key, a malformed expression,
-    # an immersion whose Jacobian is rank deficient, a metric that is not symmetric
+    # the JSON spec path, and bad input: a missing key, an empty frame list, a
+    # malformed expression, an immersion whose Jacobian is rank deficient, a
+    # metric that is not symmetric
     "spec-area": "area --manifold rototrans.json --immersion graph.json --degree 3 --grid 16x16",
     "refuse-spec-missing-key": (
         "area --manifold rototrans.json --immersion graph-no-domain.json --degree 3 --grid 8x8"
+    ),
+    "refuse-spec-empty-frame": (
+        "area --manifold empty-frame.json --immersion graph.json --degree 3 --grid 4x4"
     ),
     "refuse-field-missing-key": (
         "admissibility --catalog engel-graph:theta=0.2*x+0.3*y --degree 4"
@@ -175,25 +190,6 @@ CASES = {
 }
 
 
-def run(command: str) -> str:
-    """One command through ``cli.main`` in the current directory, as its golden text."""
-    from gradedgeo import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                status = cli.main(shlex.split(command))
-            except SystemExit as exc:
-                status = exc.code
-    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return (
-        f"$ gradedgeo {command}\nexit {status}\n--- stdout\n{out.getvalue()}"
-        f"--- stderr\n{err.getvalue()}--- warnings\n{warned}"
-    )
-
-
 def platform_stamp() -> str:
     """numpy's version, the machine, and whether numpy runs its AVX-512 (SKX) kernels."""
     import platform
@@ -208,59 +204,56 @@ def platform_stamp() -> str:
     return f"numpy {np.__version__} {platform.machine()} {skx}\n"
 
 
-def write_fields(directory: str) -> None:
-    for name, spec in FIELDS.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            json.dump(spec, fh)
-
-
 def _golden_path(name: str) -> str:
     return os.path.join(GOLDEN, f"{name}.txt")
 
 
 @pytest.fixture(scope="module")
-def field_dir(tmp_path_factory):
+def texts():
     with open(os.path.join(GOLDEN, "PLATFORM"), encoding="utf-8") as fh:
         recorded = fh.read()
     if recorded != platform_stamp():
         pytest.skip(f"corpus written on {recorded.strip()}, not on {platform_stamp().strip()}")
-    directory = tmp_path_factory.mktemp("golden")
-    write_fields(str(directory))
-    return directory
+    return corpus.result()["texts"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_match_the_golden_corpus(name, field_dir, monkeypatch):
-    monkeypatch.chdir(field_dir)
+def test_output_bytes_match_the_golden_corpus(name, texts):
     with open(_golden_path(name), encoding="utf-8", newline="") as fh:
         want = fh.read()
-    assert run(CASES[name]) == want
+    assert texts[name] == want
 
 
 def test_corpus_holds_exactly_the_listed_cases():
     assert sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".txt")) == sorted(CASES)
 
 
-def main() -> None:
-    """Rewrite ``tests/golden/`` from the current source."""
-    import tempfile
+def test_compiled_tapes_match_the_tape_table():
+    with open(TAPES, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    assert corpus.result()["tapes"] == want
 
-    sys.path.insert(0, os.path.join(os.path.dirname(GOLDEN), os.pardir, "src"))
+
+def test_a_case_run_again_after_the_corpus_compiles_the_same_tapes():
+    got = corpus.result()
+    first = [line for line in got["tapes"] if line.split()[0] == corpus.AGAIN]
+    assert first, f"{corpus.AGAIN} compiled no tape"
+    assert got["again"]["tapes"] == first
+    assert got["again"]["text"] == got["texts"][corpus.AGAIN]
+
+
+def main() -> None:
+    """Rewrite ``tests/golden/`` from one fresh-process pass over the current source."""
+    got = corpus.result()
     os.makedirs(GOLDEN, exist_ok=True)
     for stale in os.listdir(GOLDEN):
         if stale.endswith(".txt") and stale[:-4] not in CASES:
             os.remove(os.path.join(GOLDEN, stale))
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as directory:
-        write_fields(directory)
-        os.chdir(directory)
-        try:
-            texts = {name: run(command) for name, command in sorted(CASES.items())}
-        finally:
-            os.chdir(here)
-    for name, text in texts.items():
+    for name in CASES:
         with open(_golden_path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(got["texts"][name])
+    with open(TAPES, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in got["tapes"]))
     with open(os.path.join(GOLDEN, "PLATFORM"), "w", encoding="utf-8") as fh:
         fh.write(platform_stamp())
 
